@@ -46,6 +46,9 @@ class BoundReport:
     @property
     def passed(self) -> bool:
         for cell in self.cells:
+            if not all(math.isfinite(cell[k])
+                       for k in ("lhs", "rhs", "margin")):
+                return False
             if cell["margin"] < -self.tolerance * max(1.0, cell["rhs"]):
                 return False
         return all(self.notes.get(k, True) is not False for k in self.notes)
@@ -544,7 +547,8 @@ def bootstrap_analyze(kseq, d_const, s, d: int,
     certified) or the doubling chain blows up (growth detected).
     """
     kseq = [float(v) for v in kseq]
-    if any(v < 0 for v in kseq) or d_const <= 0 or s < 0 or d < 1:
+    if any(not math.isfinite(v) or v < 0 for v in kseq) or d_const <= 0 \
+            or s < 0 or d < 1:
         raise ValueError("malformed bootstrap inputs")
     scale = float(d_const) * (1 + d) ** float(s)
     alphas = [k / (scale * (1 + n) ** float(s))

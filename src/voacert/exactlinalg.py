@@ -1,8 +1,12 @@
-"""Dense exact-rational linear algebra.
+"""Exact-rational linear algebra on dense row lists.
 
-Matrices are lists of row lists with rational entries.  Blocks in this
-package stay small (graded components of desk-scale truncations), so dense
-Gaussian elimination is entirely adequate and keeps everything exact.
+Matrices are lists of row lists with rational entries.  Mode blocks are
+mostly zeros, so the two kernels on the block pipeline's hot path skip them:
+``add_scaled`` accumulates ``acc += s*b`` in place over the nonzero entries
+of ``b`` only, and ``mat_mul`` lists the nonzero entries of each row of its
+right factor once and skips the zero entries of its left factor.  The rest
+(elimination included) is plain dense code, which the small graded pieces of
+desk-scale truncations keep cheap; every result stays exact.
 """
 
 from __future__ import annotations
@@ -39,21 +43,28 @@ def mat_scale(a, s):
     return [[s * x for x in row] for row in a]
 
 
+def add_scaled(acc, b, s):
+    """acc += s * b in place, touching only the nonzero entries of b."""
+    if not s:
+        return
+    for ra, rb in zip(acc, b):
+        for j, y in enumerate(rb):
+            if y:
+                ra[j] += s * y
+
+
 def mat_mul(a, b):
     n, k = shape(a)
     k2, m = shape(b)
     assert k == k2, f"shape mismatch {shape(a)} x {shape(b)}"
-    bt = list(zip(*b)) if m else []
+    # nonzero (column, entry) pairs of each row of b
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for j in range(m):
-            s = ZERO
-            for x, y in zip(ai, bt[j]):
-                if x and y:
-                    s += x * y
-            row[j] = s
+    for ai, row in zip(a, out):
+        for x, bx in zip(ai, b_rows):
+            if x and bx:
+                for j, y in bx:
+                    row[j] += x * y
     return out
 
 

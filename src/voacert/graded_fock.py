@@ -336,6 +336,7 @@ class Model:
         self.c = c
         self._state_mode_cache = {}
         self._vertex_cache = {}
+        self._creation_cache = {}  # (charge, q, room) -> creation words
         self._reduce_cache = {}
         self._virasoro_projector = None  # set by the Virasoro builder
         self._lazy_builder = None  # optional (gid, m, src) -> matrix
@@ -748,7 +749,12 @@ def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
             room = model.n_internal - deg_here
             if room < 0:
                 continue
-            for add_deg, word, wco in _creation_words(charge, q, room):
+            words_key = (charge, q, room)
+            words = model._creation_cache.get(words_key)
+            if words is None:
+                words = model._creation_cache[words_key] = \
+                    _creation_words(charge, q, room)
+            for add_deg, word, wco in words:
                 tstate = BasisState(st.sector,
                                     canonical_factors(st.factors + word))
                 _accs(out, base_power + power + add_deg, tstate, co * wco)
@@ -756,11 +762,13 @@ def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
     return out
 
 
-def _creation_words(charge: int, q: int, room: int):
+def _creation_words(charge: int, q: int, room: int) -> tuple:
     """Expansion of exp(sum_n charge*gamma_{-n} z^n / n) up to degree room.
 
-    Yields (degree, factor tuple, coefficient); coefficients are exact.
+    Returns a tuple of (degree, factor tuple, coefficient); coefficients are
+    exact.  _vertex_expansion memoizes it per model.
     """
+    out = []
     for deg in range(room + 1):
         for lam in _partitions(deg):
             coeff = ONE
@@ -768,7 +776,8 @@ def _creation_words(charge: int, q: int, room: int):
                 mult = len(list(mult))
                 coeff *= Q(charge, part) ** mult / _factorial(mult)
             word = tuple((0, -k) for k in sorted(lam))
-            yield deg, word, coeff
+            out.append((deg, word, coeff))
+    return tuple(out)
 
 
 def _factorial(n: int):

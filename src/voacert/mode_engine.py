@@ -75,25 +75,33 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
             inner = _vec_block(model, tail, k - n0 + j, s)
             outer = model.gen_block(gid, n0 - j, mid)
             prod = xl.compose(outer, inner, basis.dim(tgt), basis.dim(s))
-            acc = xl.mat_add(acc, xl.mat_scale(prod, sign * binom))
+            xl.add_scaled(acc, prod, sign * binom)
         if j <= j2_max:
             mid = s - (j + 1 - dg)
             inner = model.gen_block(gid, j + 1 - dg, s)
             outer = _vec_block(model, tail, k - j + dg - 1, mid)
             sign2 = sign if (n0 + dg) % 2 == 0 else -sign
             prod = xl.compose(outer, inner, basis.dim(tgt), basis.dim(s))
-            acc = xl.mat_add(acc, xl.mat_scale(prod, sign2 * binom))
+            xl.add_scaled(acc, prod, sign2 * binom)
     return acc
 
 
 def _vec_block(model: Model, vec: StateVector, k: int, s: int):
-    """Block of the plain mode k of a homogeneous vector."""
+    """Block of the plain mode k of a homogeneous vector.
+
+    The result may be a shared cache entry (it is one for a single basis
+    state with coefficient 1), so callers must not mutate it.
+    """
     tgt = s - k
     if tgt < 0:
         return xl.zeros(0, model.basis.dim(s))
+    if len(vec.terms) == 1:
+        (st, co), = vec.terms.items()
+        if co == ONE:
+            return _state_block(model, st, k, s)
     acc = xl.zeros(model.basis.dim(tgt), model.basis.dim(s))
     for st, co in vec.terms.items():
-        acc = xl.mat_add(acc, xl.mat_scale(_state_block(model, st, k, s), co))
+        xl.add_scaled(acc, _state_block(model, st, k, s), co)
     return acc
 
 
@@ -358,8 +366,7 @@ def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
                                                model.dim(s)))
         rhs = xl.zeros(tgt_dim, model.dim(s))
         for binom, xj in products:
-            rhs = xl.mat_add(rhs, xl.mat_scale(
-                _vec_block(model, xj, p + q, s), binom))
+            xl.add_scaled(rhs, _vec_block(model, xj, p + q, s), binom)
         m = xl.max_abs(xl.mat_sub(comm, rhs))
         if m > worst:
             worst = m

@@ -162,8 +162,9 @@ def test_criterion_4_bounds(capsys, heis8, ising8, lat2_8, heis14, lat2_14,
     currents = [(heis14, [StateVector.basis(current(heis14))])]
     ep = StateVector.basis(BasisState(1, ()))
     em = StateVector.basis(BasisState(-1, ()))
-    currents.append((lat2_14, [StateVector.basis(current(lat2_14)),
-                               ep, em, ep + em]))
+    # by label: basis position 0 at degree 1 of a lattice model is e(-1)
+    lattice_current = StateVector.basis(BasisState(0, ((0, -1),)))
+    currents.append((lat2_14, [lattice_current, ep, em, ep + em]))
     for model, states in currents:
         for state in states:
             ok = ok and certify_v1_bound(model, state, 6, 8).passed

@@ -143,3 +143,23 @@ def test_bound_report_margin_logic():
     report.add_cell(0, 1, 3.0, 2.0)
     assert not report.passed
     assert report.worst_cell()["margin"] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (float("nan"), 1.0),           # NaN left side
+    (1.0, float("nan")),           # NaN right side
+    (float("inf"), float("inf")),  # inf - inf margin is NaN
+    (1.0, float("inf")),           # infinite margin
+    (float("-inf"), 1.0),
+])
+def test_bound_report_fails_on_non_finite_cells(lhs, rhs):
+    report = BoundReport("demo", "m", "s", {}, {})
+    report.add_cell(0, 0, 1.0, 2.0)
+    report.add_cell(0, 1, lhs, rhs)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bootstrap_rejects_non_finite_growth_data(bad):
+    with pytest.raises(ValueError):
+        bootstrap_analyze([1.0, bad, 1.0, 1.0], 2, 1, 1)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from voacert import exactlinalg as xl
@@ -96,3 +96,68 @@ def test_largest_root_of_factored_polynomial(roots):
         coeffs = nxt
     lo, hi = xl.largest_root_interval(coeffs, tol=Q(1, 10 ** 6))
     assert lo <= Q(max(roots)) <= hi
+
+
+# -- zero-skipping kernels against dense references --------------------------
+
+
+def dense_mat_mul(a, b):
+    """Naive triple loop over every entry, zeros included."""
+    k = len(b)
+    m = len(b[0]) if b else 0
+    return [[sum((row[t] * b[t][j] for t in range(k)), ZERO)
+             for j in range(m)] for row in a]
+
+
+def dense_add_scaled(acc, b, s):
+    return [[x + s * y for x, y in zip(ra, rb)] for ra, rb in zip(acc, b)]
+
+
+# mostly zeros, like mode blocks; some rows entirely zero
+sparse_q = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), small_q)
+
+
+def sparse_matrix(rows, cols):
+    row = st.one_of(st.builds(lambda: [ZERO] * cols),  # a fresh list
+                    st.lists(sparse_q, min_size=cols, max_size=cols))
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def add_operands(draw):
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(sparse_matrix(n, m)), draw(sparse_matrix(n, m))
+
+
+@st.composite
+def mul_operands(draw):
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    if n == 0:
+        k = 0  # a 0-row matrix cannot carry its column count
+    return draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
+
+
+@given(add_operands(), st.one_of(st.just(ZERO), st.just(ONE), small_q))
+@example(([[], []], [[], []]), Q(3))  # 2x0
+@example(([], []), Q(3))  # 0x0
+def test_add_scaled_matches_dense_reference(operands, s):
+    acc, b = operands
+    want = dense_add_scaled(acc, b, s)
+    b_before = [list(row) for row in b]
+    xl.add_scaled(acc, b, s)
+    assert acc == want
+    assert b == b_before
+
+
+@given(mul_operands())
+@example(([[], []], []))  # 2x0 times 0x0
+@example(([[Q(1)], [Q(2)]], [[]]))  # 2x1 times 1x0
+@example(([], []))  # 0x0 times 0x0
+def test_mat_mul_matches_dense_reference(operands):
+    a, b = operands
+    a_before, b_before = [list(r) for r in a], [list(r) for r in b]
+    out = xl.mat_mul(a, b)
+    assert out == dense_mat_mul(a, b)
+    assert xl.shape(out) == (len(a), len(b[0]) if b else 0)
+    assert a == a_before and b == b_before
+

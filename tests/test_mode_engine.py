@@ -1,9 +1,13 @@
+import copy
+
 from voacert import exactlinalg as xl
+from voacert.bound_certifier import certify_v1_bound
 from voacert.errors import TruncationError
-from voacert.graded_fock import BasisState, StateVector
+from voacert.graded_fock import (BasisState, StateVector, build_model,
+                                 heisenberg_spec, lattice_spec)
 from voacert.mode_engine import (commutator_residual, generator_mode,
-                                 mode_of_state, state_product,
-                                 translation_residual)
+                                 mode_of_state, sample_residuals,
+                                 state_product, translation_residual)
 from voacert.scalars import Q
 
 import pytest
@@ -93,3 +97,31 @@ def test_mode_matrix_apply_matches_product(lat2_6):
         d = lat2_6.degree_of(top)
         prod = state_product(lat2_6, top, k + d - 1, other)
         assert applied == prod
+
+
+IDENTITIES = ("borcherds", "skewsymmetry", "commutator", "translation")
+
+
+@pytest.mark.parametrize("spec", [heisenberg_spec(1, 6), lattice_spec(2, 6)],
+                         ids=["heisenberg", "lattice"])
+def test_shared_blocks_are_never_mutated(spec):
+    """Mode blocks are handed out uncopied; no consumer may write to one."""
+    model = build_model(spec)
+    for identity in IDENTITIES:
+        sample_residuals(model, identity, 8, seed=0)
+    stored = copy.deepcopy((model._state_mode_cache, model._gen_blocks))
+    assert stored[0] and stored[1]
+    for identity in IDENTITIES:
+        checked, failures = sample_residuals(model, identity, 8, seed=1)
+        assert checked == 8 and not failures
+    the_current = BasisState(0, ((0, -1),))
+    for p in (-2, 2, 3):  # a_(1) a is the vacuum, with binomial p
+        assert commutator_residual(model, the_current, p, the_current,
+                                   -p).is_zero
+    assert certify_v1_bound(model, the_current, 3, 3).passed
+    state_blocks, gen_blocks = stored
+    for key, block in state_blocks.items():
+        assert model._state_mode_cache[key] == block, key
+    for key, per_src in gen_blocks.items():
+        for src, block in per_src.items():
+            assert model._gen_blocks[key][src] == block, (key, src)

@@ -1,10 +1,14 @@
 """Model persistence and the content-addressed build cache.
 
-The on-disk container records the model specification, graded dimensions,
-the conformal state, and every materialized generator block with rational
-entries as "p/q" strings.  Loading rebuilds the model from its spec (the
-construction is deterministic) and cross-checks the stored data, so a
-cache hit can never drift from a cold build.
+The on-disk container (schema voacert-model/2) records the model
+specification, graded dimensions, basis labels, the conformal state, and
+every materialized generator block as [rows, cols, [[i, j, "p/q"], ...]]
+over its nonzero entries.  Loading rebuilds the model from its spec (the
+construction is deterministic), materializes the stored blocks, and
+requires the rebuild to serialize to exactly the stored fields; rationals
+are canonical "p/q" strings, so comparing text is exact.  load_model
+returns the rebuilt model, never stored data, so a cache hit can never
+drift from a cold build.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .errors import ConfigError, ModelBugError
 from .graded_fock import BasisState, Model, ModelSpec, build_model
 from .scalars import rat_from_str, rat_to_str
 
-SCHEMA = "voacert-model/1"
+SCHEMA = "voacert-model/2"
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -54,19 +58,18 @@ def _state_label(state: BasisState) -> str:
     return f"{state.sector}|{factors}"
 
 
-def _mat_to_lists(mat):
-    return [[rat_to_str(x) for x in row] for row in mat]
-
-
-def _mat_from_lists(rows):
-    return [[rat_from_str(x) for x in row] for row in rows]
+def _mat_to_sparse(mat, cols: int):
+    return [len(mat), cols, [[i, j, rat_to_str(x)]
+                             for i, row in enumerate(mat)
+                             for j, x in enumerate(row) if x]]
 
 
 def model_to_dict(model: Model) -> dict:
     blocks = {}
     for (gid, m), per_src in sorted(model._gen_blocks.items()):
         for src in sorted(per_src):
-            blocks[f"{gid}:{m}:{src}"] = _mat_to_lists(per_src[src])
+            blocks[f"{gid}:{m}:{src}"] = _mat_to_sparse(per_src[src],
+                                                        model.dim(src))
     return {
         "schema": SCHEMA,
         "spec": spec_to_dict(model.spec),
@@ -84,34 +87,42 @@ def model_to_dict(model: Model) -> dict:
 
 
 def save_model(model: Model, path: str):
+    # json.dumps runs the C encoder; json.dump to a file does not
+    text = json.dumps(model_to_dict(model), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_model(path: str) -> Model:
-    """Rebuild the model for a stored container and verify it against it."""
+    """Rebuild the model for a stored container and verify it against it.
+
+    Raises ConfigError for a container of another schema and ModelBugError
+    when any stored field differs from the rebuild.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if data.get("schema") != SCHEMA:
         raise ConfigError(f"unknown container schema {data.get('schema')!r}")
-    spec = spec_from_dict(data["spec"])
-    model = build_model(spec)
-    stored_dims = data["dims"][:model.n_internal + 1]
-    built_dims = [model.dim(d) for d in range(model.n_internal + 1)]
-    if stored_dims != built_dims[:len(stored_dims)]:
-        raise ModelBugError("stored dimensions disagree with rebuild; "
-                            "stale or corrupted container")
-    for key, rows in data["blocks"].items():
-        gid, m, src = (int(x) for x in key.split(":"))
-        if src > model.n_internal or src - m > model.n_internal \
-                or src - m < 0:
-            continue
-        if model.gen_block(gid, m, src) != _mat_from_lists(rows):
-            raise ModelBugError(
-                f"stored block {key} disagrees with rebuild")
-    if {_state_label(st): rat_to_str(co)
-            for st, co in model.nu.terms.items()} != data["nu"]:
-        raise ModelBugError("stored conformal state disagrees with rebuild")
+    model = build_model(spec_from_dict(data["spec"]))
+    n = model.n_internal
+    for key in data.get("blocks", {}):
+        try:
+            gid, m, src = (int(x) for x in key.split(":"))
+        except ValueError:
+            raise ModelBugError(f"malformed stored block key {key!r}") \
+                from None
+        if gid not in model.generators or not 0 <= src <= n \
+                or not 0 <= src - m <= n:
+            raise ModelBugError(f"stored block {key} lies outside the "
+                                f"rebuilt truncation")
+        model.gen_block(gid, m, src)  # materialize lazily built blocks
+    rebuilt = model_to_dict(model)
+    if rebuilt != data:
+        field = next(f for f in {**rebuilt, **data}
+                     if f not in rebuilt or f not in data
+                     or rebuilt[f] != data[f])
+        raise ModelBugError(f"stored {field} disagrees with rebuild; "
+                            f"stale or corrupted container")
     return model
 
 
@@ -131,9 +142,13 @@ class ModelCache:
         if key in self._live:
             return self._live[key]
         path = self.path_for(spec)
+        model = None
         if pad is None and os.path.exists(path):
-            model = load_model(path)
-        else:
+            try:
+                model = load_model(path)
+            except ConfigError:
+                pass  # a container of another schema: rebuild, overwrite
+        if model is None:
             model = build_model(spec, pad=pad)
             if pad is None:
                 save_model(model, path)

@@ -37,8 +37,3 @@ def lat2_6():
 @pytest.fixture(scope="session")
 def lat2_8():
     return build_model(lattice_spec(2, 8))
-
-
-def alpha(model):
-    """The rank-1 current state."""
-    return model.basis.states(1)[0]

@@ -7,7 +7,9 @@ from voacert.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main,
                          resolve_state, run_suite)
 from voacert.config import parse_config
 from voacert.errors import ConfigError
+from voacert.graded_fock import heisenberg_spec
 from voacert.scalars import Q
+from voacert.serialize import load_model
 
 SUITE = """
 model.h.kind = heisenberg
@@ -50,7 +52,7 @@ def test_build_and_norms_verbs(tmp_path, capsys):
     out = tmp_path / "model.json"
     assert main(["build", "--kind", "heisenberg", "--N", "5",
                  "--out", str(out)]) == EXIT_OK
-    assert out.exists()
+    assert load_model(str(out)).spec == heisenberg_spec(1, 5)
     capsys.readouterr()
     csv = tmp_path / "norms.csv"
     assert main(["norms", "--kind", "heisenberg", "--N", "6",

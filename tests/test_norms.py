@@ -4,6 +4,7 @@ import math
 import pytest
 
 from voacert.errors import TruncationError
+from voacert.graded_fock import BasisState
 from voacert.norm_lab import (cstar_gap, damped_norm, graded_norm,
                               graded_norm_certified, norm_table)
 from voacert.scalars import Q
@@ -60,8 +61,9 @@ def test_certified_value_is_exact(heis8):
 
 
 def test_cstar_identity_gap(heis12, ising8, lat2_8):
+    # by label: basis position 0 at degree 1 of a lattice model is e(-1)
     probes = [(heis12, current(heis12)), (ising8, ising8.nu),
-              (lat2_8, current(lat2_8))]
+              (lat2_8, BasisState(0, ((0, -1),)))]
     for model, a in probes:
         for m in (-1, 0, 1, 2):
             assert cstar_gap(model, a, m, 5) <= REL

@@ -5,8 +5,10 @@ import pytest
 from voacert.errors import ConfigError, ModelBugError
 from voacert.graded_fock import build_model, heisenberg_spec, lattice_spec
 from voacert.mode_engine import generator_mode
-from voacert.serialize import (ModelCache, load_model, save_model,
-                               spec_digest, spec_from_dict, spec_to_dict)
+from voacert.scalars import rat_from_str, rat_to_str
+from voacert.serialize import (ModelCache, load_model, model_to_dict,
+                               save_model, spec_digest, spec_from_dict,
+                               spec_to_dict)
 
 
 def test_spec_dict_round_trip():
@@ -21,16 +23,26 @@ def test_digest_is_stable_and_distinguishing():
     assert a != spec_digest(lattice_spec(2, 6))
 
 
-def test_save_load_round_trip(tmp_path):
-    model = build_model(heisenberg_spec(1, 6))
-    generator_mode(model, 0, -1)  # materialize some blocks
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    again = load_model(str(path))
-    assert again.spec == model.spec
-    assert [again.dim(d) for d in range(7)] == \
-        [model.dim(d) for d in range(7)]
-    assert again.nu == model.nu
+def _with_vertex_blocks(model):
+    """Materialize some lazily built e+/e- blocks of a lattice model."""
+    for gid in (1, 2):
+        for m in (-1, 0, 1):
+            model.gen_block(gid, m, 3)
+    return model
+
+
+def test_save_load_round_trip(tmp_path, heis6, ising8, lat2_6):
+    generator_mode(heis6, 0, -1)
+    generator_mode(ising8, 0, -1)  # every Virasoro block is lazy
+    for model in (heis6, ising8, _with_vertex_blocks(lat2_6)):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, str(first))
+        again = load_model(str(first))
+        save_model(again, str(second))
+        assert second.read_bytes() == first.read_bytes()
+        assert again.spec == model.spec and again.nu == model.nu
+        assert any(entries for _, _, entries in
+                   json.loads(first.read_text())["blocks"].values())
 
 
 def test_load_rejects_tampered_container(tmp_path):
@@ -39,6 +51,43 @@ def test_load_rejects_tampered_container(tmp_path):
     save_model(model, str(path))
     data = json.loads(path.read_text())
     data["dims"][2] += 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelBugError):
+        load_model(str(path))
+
+
+def _change_entry(data):
+    entry = data["blocks"]["1:0:3"][2][0]
+    entry[2] = rat_to_str(rat_from_str(entry[2]) + 1)
+
+
+def _add_entry(data):
+    rows, cols, entries = data["blocks"]["0:-1:2"]
+    filled = {(i, j) for i, j, _ in entries}
+    entries.append(next([i, j, "1"] for i in range(rows)
+                        for j in range(cols) if (i, j) not in filled))
+
+
+TAMPERS = {
+    "c": lambda d: d.update(c="2"),
+    "state-label": lambda d: d["states"][1].reverse(),
+    "truncated-dims": lambda d: d["dims"].pop(),
+    "digest": lambda d: d.update(digest="0" * 64),
+    "block-outside-truncation": lambda d: d["blocks"].update(
+        {"1:-1:6": [1, 1, []]}),
+    "malformed-block-key": lambda d: d["blocks"].update({"1:-1": [1, 1, []]}),
+    "changed-entry": _change_entry,
+    "added-entry": _add_entry,
+    "removed-eager-block": lambda d: d["blocks"].pop("0:-1:2"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_load_rejects_every_tampered_field(tmp_path, lat2_6, tamper):
+    path = tmp_path / "model.json"
+    save_model(_with_vertex_blocks(lat2_6), str(path))
+    data = json.loads(path.read_text())
+    TAMPERS[tamper](data)
     path.write_text(json.dumps(data))
     with pytest.raises(ModelBugError):
         load_model(str(path))
@@ -67,3 +116,35 @@ def test_cache_skips_disk_for_padded_builds(tmp_path):
     spec = heisenberg_spec(1, 5)
     cache.get_or_build(spec, pad=2)
     assert not (tmp_path / (spec_digest(spec) + ".json")).exists()
+
+
+def test_cache_rebuilds_containers_of_another_schema(tmp_path):
+    cache = ModelCache(str(tmp_path))
+    spec = heisenberg_spec(1, 5)
+    cold = build_model(spec)
+    legacy = model_to_dict(cold)  # the dense voacert-model/1 layout
+    legacy["schema"] = "voacert-model/1"
+    legacy["blocks"] = {
+        key: [[rat_to_str(x) for x in row]
+              for row in cold.gen_block(*map(int, key.split(":")))]
+        for key in legacy["blocks"]}
+    path = cache.path_for(spec)
+    with open(path, "w") as fh:
+        json.dump(legacy, fh)
+    got = cache.get_or_build(spec)
+    assert model_to_dict(got) == model_to_dict(cold)
+    with open(path) as fh:
+        assert json.load(fh)["schema"] == "voacert-model/2"
+
+
+def test_cache_propagates_disagreeing_containers(tmp_path):
+    spec = heisenberg_spec(1, 5)
+    path = ModelCache(str(tmp_path)).path_for(spec)
+    save_model(build_model(spec), path)
+    with open(path) as fh:
+        data = json.load(fh)
+    data["c"] = "2"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ModelBugError):
+        ModelCache(str(tmp_path)).get_or_build(spec)

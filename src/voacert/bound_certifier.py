@@ -17,7 +17,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import Automorphism, BasisState, Model, StateVector
-from .mode_engine import _vec_block, state_product
+from .mode_engine import _as_vector, _vec_block, state_product
 from .norm_lab import NormTable, _ortho_block, _sigma_max, graded_norm
 from .scalars import ONE, Q, ZERO, rational
 from .unitary_structure import family_of, star
@@ -73,12 +73,6 @@ class BoundReport:
             "notes": {k: (v if isinstance(v, (bool, int, str)) else float(v))
                       for k, v in self.notes.items()},
         }
-
-
-def _as_vector(a) -> StateVector:
-    if isinstance(a, BasisState):
-        return StateVector.basis(a)
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,44 @@
-"""Exact-rational linear algebra on dense row lists.
+"""Exact linear algebra on dense row lists.
 
-Matrices are lists of row lists with rational entries.  Mode blocks are
-mostly zeros, so the two kernels on the block pipeline's hot path skip them:
-``add_scaled`` accumulates ``acc += s*b`` in place over the nonzero entries
-of ``b`` only, and ``mat_mul`` lists the nonzero entries of each row of its
-right factor once and skips the zero entries of its left factor.  The rest
-(elimination included) is plain dense code, which the small graded pieces of
-desk-scale truncations keep cheap; every result stays exact.
+An entry is an ``int`` when it is integral and a ``Q`` otherwise
+(``canonical`` stores a block that way), so integer-valued mode blocks add
+and multiply as ints.  No kernel divides two entries with a bare ``/``: the
+numerator is lifted to ``Q`` first, so int input never turns into floats.
+
+Mode blocks are mostly zeros, and the hot-path kernels skip them:
+``add_product`` (``acc += s*outer@inner``) and ``add_scaled`` (``acc +=
+s*b``) work in place over nonzero entries without building a product,
+``mat_mul`` skips the zero entries of both factors, and ``mat_add``,
+``mat_sub``, ``mat_scale`` and ``max_abs`` do no arithmetic on a zero.
+Elimination is plain dense code, cheap on the small graded pieces of
+desk-scale truncations; every result stays exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scalars import ONE, Q, ZERO
+from .scalars import ONE, Q, ZERO, canon
 
 
 def zeros(rows: int, cols: int):
-    return [[ZERO] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n: int):
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = ONE
+        out[i][i] = 1
     return out
+
+
+def canonical(a):
+    """a with every integral entry stored as an int, in place; returns a."""
+    for row in a:
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                row[j] = canon(x)
+    return a
 
 
 def shape(a):
@@ -32,15 +46,19 @@ def shape(a):
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x - y if x else -y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
+    if not s:
+        return [[0] * len(row) for row in a]
+    return [[s * x if x else x for x in row] for row in a]
 
 
 def add_scaled(acc, b, s):
@@ -50,7 +68,25 @@ def add_scaled(acc, b, s):
     for ra, rb in zip(acc, b):
         for j, y in enumerate(rb):
             if y:
-                ra[j] += s * y
+                ra[j] += y * s
+
+
+def add_product(acc, outer, inner, s):
+    """acc += s * outer @ inner in place, over nonzero entries only.
+
+    The product is never built, and neither operand is changed.  Shapes
+    follow compose: an operand with an empty graded piece adds nothing.
+    """
+    if not s:
+        return
+    # nonzero (column, entry) pairs of each row of inner
+    inner_rows = [[(j, y) for j, y in enumerate(row) if y] for row in inner]
+    for ra, ro in zip(acc, outer):
+        for x, bx in zip(ro, inner_rows):
+            if x and bx:
+                sx = x * s
+                for j, y in bx:
+                    ra[j] += sx * y
 
 
 def mat_mul(a, b):
@@ -100,9 +136,10 @@ def max_abs(a):
     m = ZERO
     for row in a:
         for x in row:
-            ax = -x if x < 0 else x
-            if ax > m:
-                m = ax
+            if x:
+                ax = -x if x < 0 else x
+                if ax > m:
+                    m = ax
     return m
 
 
@@ -140,7 +177,7 @@ def rref(a):
             continue
         r[lead], r[piv] = r[piv], r[lead]
         inv = ONE / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
+        r[lead] = [inv * x for x in r[lead]]
         for i in range(n):
             if i != lead and r[i][col]:
                 f = r[i][col]
@@ -231,7 +268,7 @@ def _poly_divmod(num, den):
         if len(num) - 1 < deg_d:
             break
         k = len(num) - 1 - deg_d
-        f = num[-1] / den[-1]
+        f = Q(num[-1]) / den[-1]
         quot[k] = f
         for i in range(deg_d + 1):
             num[k + i] -= f * den[i]
@@ -304,7 +341,7 @@ def largest_root_interval(coeffs, tol=Q(1, 10**12)):
     """
     n = len(coeffs) - 1
     lead = coeffs[n]
-    bound = ONE + max((abs(c / lead) for c in coeffs[:n]), default=ZERO)
+    bound = ONE + max((abs(Q(c) / lead) for c in coeffs[:n]), default=ZERO)
     chain = sturm_chain(coeffs)
     lo, hi = -bound, bound
     if count_roots(coeffs, lo, hi, chain) == 0:

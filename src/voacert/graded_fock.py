@@ -8,13 +8,12 @@ generator mode matrices per graded block and is immutable afterwards.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass, field
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, SpecError, TruncationError
-from .scalars import ONE, Q, ZERO, rational
+from .scalars import ONE, Q, ZERO, binomial, canon, rational
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +172,22 @@ class GradedBasis:
         return self.index[state][1]
 
 
+def _acc(d, key, val):
+    """d[key] += val, dropping zero entries and storing integral ones as int.
+
+    The one accumulator of exact coefficients: StateVector terms, Verma
+    words and vertex expansions all go through it.
+    """
+    if not val:
+        return
+    cur = d.get(key)
+    cur = val if cur is None else cur + val
+    if cur:
+        d[key] = canon(cur)
+    else:
+        d.pop(key, None)
+
+
 class StateVector:
     """Exact linear combination of basis labels, optionally degree-tagged."""
 
@@ -182,20 +197,16 @@ class StateVector:
         self.terms = dict(terms) if terms else {}
 
     @classmethod
-    def basis(cls, state: BasisState, coeff=ONE):
-        return cls({state: coeff}) if coeff else cls()
+    def basis(cls, state: BasisState, coeff=1):
+        out = cls()
+        _acc(out.terms, state, coeff)
+        return out
 
     def copy(self):
         return StateVector(self.terms)
 
     def add_term(self, state: BasisState, coeff):
-        if not coeff:
-            return
-        cur = self.terms.get(state, ZERO) + coeff
-        if cur:
-            self.terms[state] = cur
-        else:
-            self.terms.pop(state, None)
+        _acc(self.terms, state, coeff)
 
     def __add__(self, other):
         out = self.copy()
@@ -210,9 +221,11 @@ class StateVector:
         return out
 
     def scale(self, s):
-        if not s:
-            return StateVector()
-        return StateVector({st: s * co for st, co in self.terms.items()})
+        out = StateVector()
+        if s:
+            for st, co in self.terms.items():
+                _acc(out.terms, st, s * co)
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -406,7 +419,8 @@ class Model:
         if src_degree not in blocks:
             if self._lazy_builder is None:
                 return xl.zeros(self.basis.dim(tgt), dim_src)
-            blocks[src_degree] = self._lazy_builder(gid, m, src_degree)
+            blocks[src_degree] = xl.canonical(
+                self._lazy_builder(gid, m, src_degree))
         return blocks[src_degree]
 
     def gen_mode_range(self):
@@ -454,7 +468,7 @@ def _heisenberg_blocks(spec: ModelSpec, basis: GradedBasis, n_internal: int,
                             spec, gid, m, st, metric, lattice_sector_charge):
                         row = basis.position_of(tstate)
                         mat[row][col] += coeff
-                per_src[src] = mat
+                per_src[src] = xl.canonical(mat)
             blocks[(gid, m)] = per_src
     return blocks
 
@@ -464,11 +478,11 @@ def _current_action(spec, gid, m, st: BasisState, metric,
     """Terms of alpha^gid_m applied to one basis state."""
     if m == 0:
         if lattice_sector_charge and st.sector:
-            yield st, Q(st.sector * spec.q)
+            yield st, st.sector * spec.q
         return
     if m < 0:
         yield BasisState(st.sector,
-                         canonical_factors(st.factors + ((gid, m),))), ONE
+                         canonical_factors(st.factors + ((gid, m),))), 1
         return
     seen = set()
     for i, (g, mode) in enumerate(st.factors):
@@ -476,8 +490,8 @@ def _current_action(spec, gid, m, st: BasisState, metric,
             continue
         seen.add((g, mode))
         count = sum(1 for f in st.factors if f == (g, mode))
-        pair = Q(spec.q) if lattice_sector_charge else metric[gid][g]
-        coeff = Q(m) * pair * count
+        pair = spec.q if lattice_sector_charge else metric[gid][g]
+        coeff = pair * (m * count)
         if coeff:
             rest = list(st.factors)
             rest.remove((g, mode))
@@ -568,20 +582,10 @@ class _VermaEngine:
             return self._gram_cache[key]
         k1, rest = u[0], u[1:]
         lowered = self.apply(k1, v)
-        out = sum((co * self.gram(rest, w) for w, co in lowered.items()),
+        out = sum((self.gram(rest, w) * co for w, co in lowered.items()),
                   ZERO)
         self._gram_cache[key] = out
         return out
-
-
-def _acc(d, key, val):
-    if not val:
-        return
-    cur = d.get(key, ZERO) + val
-    if cur:
-        d[key] = cur
-    else:
-        d.pop(key, None)
 
 
 def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
@@ -721,8 +725,9 @@ def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
     shifted = BasisState(m0 + charge, src_state.factors)
     # annihilation half: exp(-sum_n charge*gamma_n z^-n / n); for each
     # oscillator mode n, gamma_n^t removes t copies of the (0,-n) factor
-    # with coefficient (n q)^t * count falling factorial.
-    terms = {0: {shifted: ONE}}  # z-power offset -> state dict
+    # with coefficient (n q)^t * count!/(count-t)!, which the exponential's
+    # (-charge/n)^t / t! turns into the integer (-charge q)^t C(count, t).
+    terms = {0: {shifted: 1}}  # z-power offset -> state dict
     max_osc = src_state.oscillator_degree()
     for n in range(1, max_osc + 1):
         new = {}
@@ -730,13 +735,10 @@ def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
             for st, co in vec.items():
                 count = sum(1 for f in st.factors if f == (0, -n))
                 rest = list(st.factors)
-                falling = 1
                 for t in range(count + 1):
-                    coeff = (co * Q(-charge, n) ** t / _factorial(t)
-                             * Q(n * q) ** t * falling)
+                    coeff = co * (-charge * q) ** t * binomial(count, t)
                     _accs(new, power - n * t,
                           BasisState(st.sector, tuple(rest)), coeff)
-                    falling *= count - t
                     if t < count:
                         rest.remove((0, -n))
         terms = new
@@ -757,7 +759,7 @@ def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
             for add_deg, word, wco in words:
                 tstate = BasisState(st.sector,
                                     canonical_factors(st.factors + word))
-                _accs(out, base_power + power + add_deg, tstate, co * wco)
+                _accs(out, base_power + power + add_deg, tstate, wco * co)
     model._vertex_cache[key] = out
     return out
 
@@ -790,18 +792,7 @@ def _factorial(n: int):
 def _accs(d, power, state, coeff):
     if not coeff:
         return
-    vec = d.setdefault(power, {})
-    _acc2(vec, state, coeff)
-
-
-def _acc2(d, key, val):
-    if not val:
-        return
-    cur = d.get(key, ZERO) + val
-    if cur:
-        d[key] = cur
-    else:
-        d.pop(key, None)
+    _acc(d.setdefault(power, {}), state, coeff)
 
 
 def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
@@ -817,8 +808,8 @@ def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
         vec = expansion.get(want_power)
         if not vec:
             continue
-        for tstate, coeff in vec.items():
-            mat[model.basis.position_of(tstate)][col] += coeff
+        for tstate, coeff in vec.items():  # distinct targets
+            mat[model.basis.position_of(tstate)][col] = coeff
     return mat
 
 
@@ -845,7 +836,8 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
         gid, m, src, row, col, delta = corrupt
         model.gen_block(gid, m, src)  # materialize if lazy
         blocks = model._gen_blocks[(gid, m)]
-        blocks[src][row][col] += rational(delta)
+        blocks[src][row][col] = canon(blocks[src][row][col] +
+                                      rational(delta))
     return model
 
 
@@ -862,7 +854,7 @@ class Automorphism:
     """Degree-preserving unitary automorphism with exact phase data.
 
     Basis states map to (state, phase) with the phase recorded as a
-    rational number of turns; matrices are complex numpy arrays.
+    rational number of turns.
     """
 
     def __init__(self, model: Model, kind: str, turns=ZERO):
@@ -896,41 +888,3 @@ class Automorphism:
     def fixes_exactly(self, vec: StateVector) -> bool:
         img = self.apply_exact(vec)
         return img is not None and img == vec
-
-    def matrix(self, degree: int):
-        import numpy as np
-
-        states = self.model.basis.states(degree)
-        n = len(states)
-        out = np.zeros((n, n), dtype=complex)
-        for col, st in enumerate(states):
-            tstate, turns, sign = self.image(st)
-            phase = cmath.exp(2j * cmath.pi * float(turns))
-            out[self.model.basis.position_of(tstate)][col] = \
-                float(sign) * phase
-        return out
-
-
-def automorphism_matrices(model: Model, aut: str, turns=ZERO) -> Automorphism:
-    """Construct a unitary automorphism and sanity-check it.
-
-    aut is "charge_conjugation" (Heisenberg / lattice) or "torus_phase"
-    (lattice; `turns` is the rational angle in turns).
-    """
-    if aut == "charge_conjugation":
-        if model.spec.kind not in ("heisenberg", "lattice"):
-            raise SpecError("charge conjugation needs a Heisenberg or "
-                            "lattice model")
-        g = Automorphism(model, aut)
-    elif aut == "torus_phase":
-        if model.spec.kind != "lattice":
-            raise SpecError("torus phases act on lattice models only")
-        g = Automorphism(model, aut, turns=turns)
-    else:
-        raise SpecError(f"unknown automorphism {aut!r}")
-    # vacuum and conformal state must be fixed
-    if not g.fixes_exactly(StateVector.basis(model.vacuum)):
-        raise ModelBugError("automorphism moves the vacuum")
-    if not g.fixes_exactly(model.nu):
-        raise ModelBugError("automorphism moves the conformal state")
-    return g

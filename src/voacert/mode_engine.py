@@ -22,7 +22,11 @@ from .scalars import ONE, Q, ZERO, binomial
 
 
 def _state_block(model: Model, state: BasisState, k: int, s: int):
-    """Block of the plain mode k of a basis state: degree s -> s - k."""
+    """Block of the plain mode k of a basis state: degree s -> s - k.
+
+    Cached blocks hold their integral entries as ints: the blocks built
+    here pass through xl.canonical, generator blocks already did.
+    """
     tgt = s - k
     if tgt < 0:
         return xl.zeros(0, model.basis.dim(s))
@@ -53,7 +57,7 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
             return model.gen_block(1 if state.sector == 1 else 2, k, s)
         from .graded_fock import vertex_mode_block
 
-        return vertex_mode_block(model, state.sector, k, s)
+        return xl.canonical(vertex_mode_block(model, state.sector, k, s))
     if state.sector == 0 and len(state.factors) == 1:
         gid, mode = state.factors[0]
         if -mode == model.generators[gid].degree:
@@ -69,21 +73,19 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
         binom = binomial(n0 + dg - 1, j)
         if not binom:
             continue
-        sign = -ONE if j % 2 else ONE
+        sign = -1 if j % 2 else 1
         if j <= j1_max:
             mid = s - (k - n0 + j)
             inner = _vec_block(model, tail, k - n0 + j, s)
             outer = model.gen_block(gid, n0 - j, mid)
-            prod = xl.compose(outer, inner, basis.dim(tgt), basis.dim(s))
-            xl.add_scaled(acc, prod, sign * binom)
+            xl.add_product(acc, outer, inner, sign * binom)
         if j <= j2_max:
             mid = s - (j + 1 - dg)
             inner = model.gen_block(gid, j + 1 - dg, s)
             outer = _vec_block(model, tail, k - j + dg - 1, mid)
             sign2 = sign if (n0 + dg) % 2 == 0 else -sign
-            prod = xl.compose(outer, inner, basis.dim(tgt), basis.dim(s))
-            xl.add_scaled(acc, prod, sign2 * binom)
-    return acc
+            xl.add_product(acc, outer, inner, sign2 * binom)
+    return xl.canonical(acc)
 
 
 def _vec_block(model: Model, vec: StateVector, k: int, s: int):
@@ -97,7 +99,7 @@ def _vec_block(model: Model, vec: StateVector, k: int, s: int):
         return xl.zeros(0, model.basis.dim(s))
     if len(vec.terms) == 1:
         (st, co), = vec.terms.items()
-        if co == ONE:
+        if co == 1:
             return _state_block(model, st, k, s)
     acc = xl.zeros(model.basis.dim(tgt), model.basis.dim(s))
     for st, co in vec.terms.items():
@@ -106,6 +108,7 @@ def _vec_block(model: Model, vec: StateVector, k: int, s: int):
 
 
 def _as_vector(a) -> StateVector:
+    """A basis label as a one-term vector; a vector unchanged."""
     if isinstance(a, BasisState):
         return StateVector.basis(a)
     return a

@@ -18,16 +18,10 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .errors import TruncationError
-from .graded_fock import BasisState, Model, StateVector
-from .mode_engine import _vec_block
+from .graded_fock import Model
+from .mode_engine import _as_vector, _vec_block
 from .scalars import ONE, Q, ZERO
 from .unitary_structure import family_of
-
-
-def _as_vector(a) -> StateVector:
-    if isinstance(a, BasisState):
-        return StateVector.basis(a)
-    return a
 
 
 def _ortho_block(model: Model, blk, src: int, tgt: int) -> np.ndarray:

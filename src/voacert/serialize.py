@@ -4,7 +4,8 @@ The on-disk container (schema voacert-model/2) records the model
 specification, graded dimensions, basis labels, the conformal state, and
 every materialized generator block as [rows, cols, [[i, j, "p/q"], ...]]
 over its nonzero entries.  Loading rebuilds the model from its spec (the
-construction is deterministic), materializes the stored blocks, and
+construction is deterministic; a Virasoro model with the working margin
+n_internal - N it was stored with), materializes the stored blocks, and
 requires the rebuild to serialize to exactly the stored fields; rationals
 are canonical "p/q" strings, so comparing text is exact.  load_model
 returns the rebuilt model, never stored data, so a cache hit can never
@@ -93,6 +94,20 @@ def save_model(model: Model, path: str):
         fh.write(text)
 
 
+def _stored_pad(spec: ModelSpec, data: dict):
+    """Virasoro working margin n_internal - N of a container; None else.
+
+    A pad outside [0, N] is rejected before anything is built.
+    """
+    if spec.kind != "virasoro":
+        return None
+    n_internal = data.get("n_internal")
+    if type(n_internal) is not int or not 0 <= n_internal - spec.N <= spec.N:
+        raise ModelBugError(f"stored n_internal {n_internal!r} gives a pad "
+                            f"outside [0, {spec.N}]")
+    return n_internal - spec.N
+
+
 def load_model(path: str) -> Model:
     """Rebuild the model for a stored container and verify it against it.
 
@@ -103,7 +118,8 @@ def load_model(path: str) -> Model:
         data = json.load(fh)
     if data.get("schema") != SCHEMA:
         raise ConfigError(f"unknown container schema {data.get('schema')!r}")
-    model = build_model(spec_from_dict(data["spec"]))
+    spec = spec_from_dict(data["spec"])
+    model = build_model(spec, pad=_stored_pad(spec, data))
     n = model.n_internal
     for key in data.get("blocks", {}):
         try:

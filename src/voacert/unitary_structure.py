@@ -14,7 +14,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import ModelBugError, TruncationError
 from .graded_fock import BasisState, Model, StateVector
-from .mode_engine import Residual, _vec_block, state_product
+from .mode_engine import Residual, _as_vector, _vec_block, state_product
 from .scalars import ONE, Q, ZERO
 
 
@@ -150,7 +150,7 @@ class GramFamily:
             if piv <= 0:
                 return False
             for i in range(k + 1, n):
-                f = g[i][k] / piv
+                f = Q(g[i][k]) / piv
                 if not f:
                     continue
                 for j in range(k, n):
@@ -188,7 +188,7 @@ class GramFamily:
                     "definite")
             diag.append(piv)
             for i in range(k + 1, n):
-                f = g[i][k] / piv
+                f = Q(g[i][k]) / piv
                 low[i][k] = f
                 if not f:
                     continue
@@ -236,8 +236,7 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
     vacuum gives (a_e)^dag Om = sum_{e' <= e} L_{-1}^{e-e'}/(e-e')!
     applied to the degree-e' component.
     """
-    if isinstance(a, BasisState):
-        a = StateVector.basis(a)
+    a = _as_vector(a)
     if a.is_zero():
         return StateVector()
     if fam is None:
@@ -285,8 +284,7 @@ def adjoint_residual(model: Model, a, m: int,
     Plain index m; compares G_s^{-1} (a_m block)^T G_{s-m} with the block
     of (a*)_{-m} on every source degree where both sides live.
     """
-    if isinstance(a, BasisState):
-        a = StateVector.basis(a)
+    a = _as_vector(a)
     if fam is None:
         fam = gram_family(model)
     conj = star(model, a, fam)
@@ -318,10 +316,7 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int,
     [a_m, b_n] must equal ([a,b])_{m+n} + m (a*|b) delta_{m,-n} id, with
     [a,b] = a_(0) b.
     """
-    if isinstance(a, BasisState):
-        a = StateVector.basis(a)
-    if isinstance(b, BasisState):
-        b = StateVector.basis(b)
+    a, b = _as_vector(a), _as_vector(b)
     if model.degree_of(a) != 1 or model.degree_of(b) != 1:
         raise ValueError("current-algebra check needs degree-1 states")
     if fam is None:

@@ -3,6 +3,7 @@
 from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  canonical_factors, heisenberg_spec,
                                  lattice_spec, virasoro_spec)
+from voacert.scalars import Q
 
 
 def partition_counts(n_max):
@@ -99,6 +100,18 @@ def test_state_vector_arithmetic(heis8):
     w = v + v
     assert w == v.copy().scale(2)
     assert (w - w).is_zero()
+
+
+def test_state_vector_coefficients_are_ints_when_integral(heis8):
+    a, b = heis8.basis.states(2)[:2]
+    half = StateVector.basis(a, Q(1, 2))
+    vecs = [StateVector.basis(a, Q(2)), half + half, half.scale(Q(4)),
+            half - StateVector.basis(a, Q(-1, 2))]
+    vecs[1].add_term(b, Q(3, 3))
+    for vec in vecs:
+        assert all(type(co) is int for co in vec.terms.values()), vec
+    assert vecs[1] == StateVector({a: Q(1), b: Q(1)})
+    assert type(half.terms[a]) is Q
 
 
 def test_conformal_state_degree_two(heis8, ising8, lat2_6):

@@ -113,8 +113,25 @@ def dense_add_scaled(acc, b, s):
     return [[x + s * y for x, y in zip(ra, rb)] for ra, rb in zip(acc, b)]
 
 
-# mostly zeros, like mode blocks; some rows entirely zero
-sparse_q = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), small_q)
+def dense_add_product(acc, a, b, s):
+    """acc + s * (a @ b) over every entry; the shape is acc's."""
+    return [[x + s * sum((ra[t] * b[t][j] for t in range(len(b))), ZERO)
+             for j, x in enumerate(racc)] for racc, ra in zip(acc, a)]
+
+
+def exact_entries(obj):
+    """Every leaf of nested lists/tuples, each required to be int or Q."""
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in exact_entries(item)]
+    assert type(obj) in (int, Q), f"inexact entry {obj!r}"
+    return [obj]
+
+
+# mostly zeros, like mode blocks; some rows entirely zero; entries are ints
+# when integral and Q otherwise, as in cached blocks, but Q-valued integers
+# and Q zeros occur too
+sparse_q = st.one_of(st.just(0), st.just(ZERO), st.just(0), small_q,
+                     st.integers(-5, 5))
 
 
 def sparse_matrix(rows, cols):
@@ -161,3 +178,97 @@ def test_mat_mul_matches_dense_reference(operands):
     assert xl.shape(out) == (len(a), len(b[0]) if b else 0)
     assert a == a_before and b == b_before
 
+
+
+@st.composite
+def product_operands(draw):
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    if n == 0:
+        k = 0  # a 0-row matrix cannot carry its column count
+    return (draw(sparse_matrix(n, m)), draw(sparse_matrix(n, k)),
+            draw(sparse_matrix(k, m)))
+
+
+@given(product_operands(),
+       st.one_of(st.just(0), st.just(1), small_q, st.integers(-3, 3)))
+@example(([[], []], [[], []], []), Q(3))  # 2x0 acc, 2x0 times 0x0
+@example(([], [], []), Q(3))  # 0x0
+@example(([[], []], [[Q(1)], [2]], [[]]), Q(3))  # 2x1 times 1x0
+@example(([[1, Q(1, 2)]], [[2]], [[3, Q(4)]]), 0)  # s = 0
+@example(([[1, 2]], [[]], []), 5)  # 1x0 times 0x2 adds nothing
+def test_add_product_matches_dense_reference(operands, s):
+    acc, a, b = operands
+    want = dense_add_product(acc, a, b, s)
+    a_before, b_before = [list(r) for r in a], [list(r) for r in b]
+    xl.add_product(acc, a, b, s)
+    assert acc == want
+    exact_entries(acc)
+    assert a == a_before and b == b_before
+
+
+@given(add_operands(), st.one_of(st.just(0), st.just(ZERO), small_q,
+                                 st.integers(-3, 3)))
+@example(([[], []], [[], []]), 0)  # 2x0
+@example(([], []), Q(3))  # 0x0
+def test_zero_skipping_kernels_match_dense_references(operands, s):
+    a, b = operands
+    a_before, b_before = [list(r) for r in a], [list(r) for r in b]
+    assert xl.mat_add(a, b) == [[x + y for x, y in zip(ra, rb)]
+                                for ra, rb in zip(a, b)]
+    assert xl.mat_sub(a, b) == [[x - y for x, y in zip(ra, rb)]
+                                for ra, rb in zip(a, b)]
+    scaled = xl.mat_scale(a, s)
+    assert scaled == [[s * x for x in row] for row in a]
+    assert [len(row) for row in scaled] == [len(row) for row in a]
+    assert xl.max_abs(a) == max((abs(x) for row in a for x in row),
+                                default=ZERO)
+    exact_entries([xl.mat_add(a, b), xl.mat_sub(a, b), scaled,
+                   xl.max_abs(a)])
+    assert a == a_before and b == b_before
+
+
+# -- exact division on int input ---------------------------------------------
+
+
+def test_polynomial_division_of_ints_stays_exact():
+    quot, rem = xl._poly_divmod([2, 0, 1], [1, 1])
+    assert (quot, rem) == ([-1, 1], [3])
+    exact_entries((quot, rem))
+    lo, hi = xl.largest_root_interval([-2, 0, 1])
+    exact_entries((lo, hi))
+    assert lo * lo <= 2 <= hi * hi
+
+
+def _same_outcome(fn, ints, rats):
+    """fn on int input equals fn on the same input as Q, or both raise."""
+    try:
+        want = fn(rats)
+    except (ZeroDivisionError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            fn(ints)
+        return
+    got = fn(ints)
+    assert got == want
+    exact_entries(got)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                       min_size=n, max_size=n))))
+@example([[1, 2], [2, 4]])  # singular, repeated root
+@example([[0, -2], [1, 0]])  # charpoly x^2 + 2: no real root
+def test_elimination_on_int_input_matches_rationals(rows):
+    rats = qmat(rows)
+    k = min(len(rows), len(rows[0]))
+    square_ints = [row[:k] for row in rows[:k]]
+    square_rats = qmat(square_ints)
+    for fn in (xl.rref, xl.kernel_basis):
+        _same_outcome(fn, rows, rats)
+    for fn in (xl.inverse, xl.charpoly):
+        _same_outcome(fn, square_ints, square_rats)
+    coeffs = xl.charpoly(square_rats)
+    int_coeffs = [int(c) for c in coeffs]  # an int matrix's are integers
+    assert int_coeffs == coeffs
+    _same_outcome(xl.sturm_chain, int_coeffs, coeffs)
+    _same_outcome(lambda c: xl.largest_root_interval(c, tol=Q(1, 10 ** 6)),
+                  int_coeffs, coeffs)

@@ -1,10 +1,10 @@
 import copy
 
 from voacert import exactlinalg as xl
-from voacert.bound_certifier import certify_v1_bound
+from voacert.bound_certifier import certify_v1_bound, certify_virasoro_bound
 from voacert.errors import TruncationError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
-                                 heisenberg_spec, lattice_spec)
+                                 heisenberg_spec, lattice_spec, virasoro_spec)
 from voacert.mode_engine import (commutator_residual, generator_mode,
                                  mode_of_state, sample_residuals,
                                  state_product, translation_residual)
@@ -102,10 +102,17 @@ def test_mode_matrix_apply_matches_product(lat2_6):
 IDENTITIES = ("borcherds", "skewsymmetry", "commutator", "translation")
 
 
-@pytest.mark.parametrize("spec", [heisenberg_spec(1, 6), lattice_spec(2, 6)],
-                         ids=["heisenberg", "lattice"])
+SPECS = [heisenberg_spec(1, 6), virasoro_spec("1/2", 8), lattice_spec(2, 6)]
+SPEC_IDS = ["heisenberg", "virasoro", "lattice"]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_shared_blocks_are_never_mutated(spec):
-    """Mode blocks are handed out uncopied; no consumer may write to one."""
+    """Mode blocks are handed out uncopied; no consumer may write to one.
+
+    Peeling accumulates into a fresh block in place, and Virasoro peels
+    through reduce_word, so every family is covered.
+    """
     model = build_model(spec)
     for identity in IDENTITIES:
         sample_residuals(model, identity, 8, seed=0)
@@ -114,14 +121,37 @@ def test_shared_blocks_are_never_mutated(spec):
     for identity in IDENTITIES:
         checked, failures = sample_residuals(model, identity, 8, seed=1)
         assert checked == 8 and not failures
-    the_current = BasisState(0, ((0, -1),))
-    for p in (-2, 2, 3):  # a_(1) a is the vacuum, with binomial p
-        assert commutator_residual(model, the_current, p, the_current,
-                                   -p).is_zero
-    assert certify_v1_bound(model, the_current, 3, 3).passed
+    if spec.kind == "virasoro":
+        probe, certify = BasisState(0, ((0, -2),)), certify_virasoro_bound
+    else:
+        probe, certify = BasisState(0, ((0, -1),)), certify_v1_bound
+    for p in (-2, 2, 3):  # the probe's products carry binomials in p
+        assert commutator_residual(model, probe, p, probe, -p).is_zero
+    assert certify(model, probe, 3, 3).passed
     state_blocks, gen_blocks = stored
     for key, block in state_blocks.items():
         assert model._state_mode_cache[key] == block, key
     for key, per_src in gen_blocks.items():
         for src, block in per_src.items():
             assert model._gen_blocks[key][src] == block, (key, src)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_cached_blocks_hold_ints_when_integral(spec):
+    """Every cached entry is an int, or a Q that is not an integer."""
+    model = build_model(spec)
+    for identity in IDENTITIES:
+        sample_residuals(model, identity, 8, seed=2)
+    blocks = list(model._state_mode_cache.values()) + [
+        block for per_src in model._gen_blocks.values()
+        for block in per_src.values()]
+    kinds = set()
+    for block in blocks:
+        for row in block:
+            for x in row:
+                assert type(x) is int or (type(x) is Q and
+                                          x.denominator != 1), x
+                kinds.add(type(x))
+    assert int in kinds
+    if spec.kind == "virasoro":
+        assert Q in kinds  # c = 1/2 puts fractions into the blocks

@@ -1,8 +1,9 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from voacert.scalars import (ONE, Q, ZERO, binomial, rat_from_str, rat_to_str,
-                             rational)
+from voacert.scalars import (ONE, Q, ZERO, binomial, canon, rat_from_str,
+                             rat_to_str, rational)
 
 
 def test_rational_constructors():
@@ -40,3 +41,21 @@ def test_binomial_negative_top():
 @given(st.integers(-8, 8), st.integers(1, 10))
 def test_binomial_pascal_rule(top, j):
     assert binomial(top, j) == binomial(top - 1, j) + binomial(top - 1, j - 1)
+
+
+@given(st.integers(-12, 12), st.integers(-2, 12))
+def test_binomial_is_an_int(top, j):
+    out = binomial(top, j)
+    assert type(out) is int
+    want = ONE
+    for i in range(j):
+        want *= Q(top - i, i + 1)
+    assert out == (want if j >= 0 else 0)
+
+
+def test_canon_keeps_exact_values_and_refuses_floats():
+    assert canon(Q(6, 3)) == 2 and type(canon(Q(6, 3))) is int
+    assert type(canon(ZERO)) is int and type(canon(7)) is int
+    assert canon(Q(1, 2)) == Q(1, 2) and type(canon(Q(1, 2))) is Q
+    with pytest.raises(TypeError):
+        canon(1.0)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from voacert import serialize
 from voacert.errors import ConfigError, ModelBugError
-from voacert.graded_fock import build_model, heisenberg_spec, lattice_spec
+from voacert.graded_fock import (build_model, heisenberg_spec, lattice_spec,
+                                 virasoro_spec)
 from voacert.mode_engine import generator_mode
 from voacert.scalars import rat_from_str, rat_to_str
 from voacert.serialize import (ModelCache, load_model, model_to_dict,
@@ -113,9 +115,38 @@ def test_cache_hits_disk_then_memory(tmp_path):
 
 def test_cache_skips_disk_for_padded_builds(tmp_path):
     cache = ModelCache(str(tmp_path))
-    spec = heisenberg_spec(1, 5)
-    cache.get_or_build(spec, pad=2)
-    assert not (tmp_path / (spec_digest(spec) + ".json")).exists()
+    for spec in (heisenberg_spec(1, 5), virasoro_spec("1/2", 6)):
+        cache.get_or_build(spec, pad=2)
+        assert not (tmp_path / (spec_digest(spec) + ".json")).exists()
+
+
+@pytest.mark.parametrize("pad", [0, 1, 6])
+def test_padded_virasoro_containers_round_trip(tmp_path, pad):
+    model = build_model(virasoro_spec("1/2", 6), pad=pad)
+    generator_mode(model, 0, -1)  # every Virasoro block is lazy
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, str(first))
+    again = load_model(str(first))
+    assert again.n_internal == 6 + pad
+    save_model(again, str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("n_internal", [5, 13, 10 ** 6, "7", None])
+def test_load_rejects_a_pad_outside_range_before_building(
+        tmp_path, monkeypatch, n_internal):
+    path = tmp_path / "model.json"
+    save_model(build_model(virasoro_spec("1/2", 6), pad=1), str(path))
+    data = json.loads(path.read_text())
+    data["n_internal"] = n_internal
+    path.write_text(json.dumps(data))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a model for an invalid pad")
+
+    monkeypatch.setattr(serialize, "build_model", no_build)
+    with pytest.raises(ModelBugError):
+        load_model(str(path))
 
 
 def test_cache_rebuilds_containers_of_another_schema(tmp_path):

@@ -18,7 +18,7 @@ from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import Automorphism, BasisState, Model, StateVector
 from .mode_engine import _as_vector, _vec_block, state_product
-from .norm_lab import NormTable, _ortho_block, _sigma_max, graded_norm
+from .norm_lab import NormTable, _graded_max, graded_norm
 from .scalars import ONE, Q, ZERO, rational
 from .unitary_structure import family_of, star
 
@@ -231,20 +231,12 @@ def certify_primary_bound(model: Model, a, m_max: int, n_max: int,
         {"m_max": m_max, "n_max": n_max},
         {"A": const_a, "degree": d, "central_charge": float(model.c)},
         tolerance=tol)
-    zero_norms = {}
-
-    def a0(n):
-        if n < 0:
-            return 0.0
-        if n not in zero_norms:
-            zero_norms[n] = graded_norm(model, avec, 0, n)
-        return zero_norms[n]
-
     for m in range(-m_max, m_max + 1):
         for n in range(n_max + 1):
             lhs = graded_norm(model, avec, m, n)
             rhs = const_a * math.sqrt(1 + abs(m)) * (1 + n) * \
-                (a0(n) + a0(n - m))
+                (graded_norm(model, avec, 0, n) +
+                 graded_norm(model, avec, 0, n - m))
             report.add_cell(m, n, lhs, rhs)
     return report
 
@@ -287,18 +279,7 @@ def _composite_pair_norm(model: Model, avec, bvec, m: int, n: int) -> float:
     """||a_{-m} b_m||_n: degree-preserving composite, per-degree spectral."""
     if n > model.N:
         raise TruncationError(n, model.N, "pair composite")
-    best = 0.0
-    for s in range(n + 1):
-        mid = s - m
-        if mid < 0:
-            continue
-        inner = _vec_block(model, bvec, m, s)
-        outer = _vec_block(model, avec, -m, mid)
-        comp = xl.compose(outer, inner, model.dim(s), model.dim(s))
-        val = _sigma_max(_ortho_block(model, comp, s, s))
-        if val > best:
-            best = val
-    return best
+    return _graded_max(model, bvec, m, n, outer=avec)
 
 
 def certify_pair_bound(model: Model, a, b, m_max: int, n_max: int,
@@ -319,20 +300,12 @@ def certify_pair_bound(model: Model, a, b, m_max: int, n_max: int,
         {"m_max": m_max, "n_max": n_max},
         {"A": const_a, "K": k_const, "q": q_exp, "B": b_const, "t": t_exp},
         tolerance=tol)
-    zero_norms = {}
-
-    def a0(n):
-        if n < 0:
-            return 0.0
-        if n not in zero_norms:
-            zero_norms[n] = graded_norm(model, avec, 0, n)
-        return zero_norms[n]
-
     for m in range(0, m_max + 1):
         for n in range(n_max + 1):
             lhs = _composite_pair_norm(model, avec, bvec, m, n)
             rhs = b_const * ((1 + m) * (1 + n)) ** t_exp * \
-                (a0(n) + a0(n - m))
+                (graded_norm(model, avec, 0, n) +
+                 graded_norm(model, avec, 0, n - m))
             report.add_cell(m, n, lhs, rhs)
     return report
 
@@ -434,17 +407,6 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     return x, report
 
 
-def _weighted_zero_norm(model: Model, vec: StateVector, weight, n: int):
-    """max over degrees k <= n of ||block_k(vec_0)|| * weight(k)."""
-    best = 0.0
-    for k in range(n + 1):
-        blk = _vec_block(model, vec, 0, k)
-        val = _sigma_max(_ortho_block(model, blk, k, k)) * weight(k)
-        if val > best:
-            best = val
-    return best
-
-
 def certify_orbifold_chain(model: Model, a, x: StateVector, s, n_max: int,
                            tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_0 (L_0+1)^{-s}||_n^2 <= ||a||^2 ||x_0 (L_0+1)^{-2s}||_n."""
@@ -459,10 +421,10 @@ def certify_orbifold_chain(model: Model, a, x: StateVector, s, n_max: int,
         {"s": sf, "n_max": n_max}, {"state_norm_sq": norm_sq},
         tolerance=tol)
     for n in range(n_max + 1):
-        lhs = _weighted_zero_norm(model, avec,
-                                  lambda k: (k + 1) ** (-sf), n) ** 2
-        rhs = norm_sq * _weighted_zero_norm(
-            model, x, lambda k: (k + 1) ** (-2 * sf), n)
+        lhs = _graded_max(model, avec, 0, n,
+                          weight=lambda k: (k + 1) ** (-sf)) ** 2
+        rhs = norm_sq * _graded_max(model, x, 0, n,
+                                    weight=lambda k: (k + 1) ** (-2 * sf))
         report.add_cell(0, n, lhs, rhs)
     return report
 
@@ -487,8 +449,8 @@ def trace_domination_check(model: Model, a, q, n_max: int,
     partials = []
     for n in range(n_max + 1):
         # left: spectral damped norm squared
-        lhs = _weighted_zero_norm(model, avec,
-                                  lambda k: float(qr) ** k, n) ** 2
+        lhs = _graded_max(model, avec, 0, n,
+                          weight=lambda k: float(qr) ** k) ** 2
         mid = ZERO   # Tr q^{L_0} a_0^dag a_0 q^{L_0}
         right = ZERO  # Tr (a_{-d}a*)_0 q^{2L_0}
         for k in range(n + 1):

@@ -206,17 +206,6 @@ def kernel_basis(a):
     return basis
 
 
-def solve(a, rhs):
-    """Solve a x = rhs for square nonsingular a; rhs is a vector."""
-    n, m = shape(a)
-    assert n == m == len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(a)]
-    r, pivots = rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix in exact solve")
-    return [r[i][n] for i in range(n)]
-
-
 def inverse(a):
     n, m = shape(a)
     assert n == m
@@ -225,6 +214,33 @@ def inverse(a):
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix in exact inverse")
     return [r[i][n:] for i in range(n)]
+
+
+def ldl(a):
+    """Exact LDL^T of a symmetric matrix: symmetric elimination, no pivoting.
+
+    Returns (low, diag), low unit lower-triangular and diag the pivots, or
+    None at the first pivot <= 0.  The k-th leading principal minor is the
+    product of the first k pivots, so a is positive definite exactly when
+    the result is not None.
+    """
+    g = [list(row) for row in a]
+    n = len(g)
+    low = identity(n)
+    diag = []
+    for k in range(n):
+        piv = g[k][k]
+        if piv <= 0:
+            return None
+        diag.append(piv)
+        for i in range(k + 1, n):
+            f = Q(g[i][k]) / piv
+            low[i][k] = f
+            if not f:
+                continue
+            for j in range(k, n):
+                g[i][j] -= f * g[k][j]
+    return low, diag
 
 
 def trace(a):

@@ -40,7 +40,7 @@ class ModelSpec:
             m = self.metric_matrix()
             if xl.transpose(m) != m:
                 raise SpecError("Heisenberg metric must be symmetric")
-            if not _is_positive_definite(m):
+            if xl.ldl(m) is None:
                 raise SpecError("Heisenberg metric must be positive definite")
         elif self.kind == "virasoro":
             if self.c is None:
@@ -75,38 +75,6 @@ def virasoro_spec(c, N: int = 8) -> ModelSpec:
 
 def lattice_spec(q: int = 2, N: int = 6) -> ModelSpec:
     return ModelSpec(kind="lattice", N=N, q=q)
-
-
-def _is_positive_definite(m) -> bool:
-    # Sylvester minors, exact.
-    n = len(m)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in m[:k]]
-        if _det(sub) <= 0:
-            return False
-    return True
-
-
-def _det(m):
-    n = len(m)
-    if n == 0:
-        return ONE
-    a = [list(row) for row in m]
-    det = ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = ONE / a[col][col]
-        for i in range(col + 1, n):
-            f = a[i][col] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
 
 
 @dataclass(frozen=True)
@@ -348,6 +316,7 @@ class Model:
         self.nu = nu
         self.c = c
         self._state_mode_cache = {}
+        self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
         self._vertex_cache = {}
         self._creation_cache = {}  # (charge, q, room) -> creation words
         self._reduce_cache = {}

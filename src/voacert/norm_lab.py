@@ -1,11 +1,17 @@
 """Graded operator norms on the truncation.
 
 A mode matrix shifts degree homogeneously, so its restriction to the
-filtration space V_{<=n} block-diagonalizes over source degrees.  Norms are
-largest singular values after moving each block to orthonormal coordinates
-with the per-degree Cholesky factors of the invariant form.  A certified
-exact path (characteristic polynomial plus Sturm enclosure of the largest
-eigenvalue of the Gram-adjoint composite) is available for small blocks.
+filtration space V_{<=n} block-diagonalizes over source degrees, and every
+graded norm is a max over source degrees s <= n of one per-degree value:
+the largest singular value of the degree-s block, in orthonormal
+coordinates from the per-degree Cholesky factors of the invariant form.
+``_sigma`` computes that value, for a mode a_m or a degree-preserving
+composite b_{-m} a_m, and memoizes it per model (blocks are read-only once
+built, so an entry never goes stale); ``_graded_max`` takes the optionally
+weighted max over degrees.  Every norm here and in ``bound_certifier``
+goes through these two.  A certified exact path (characteristic polynomial
+plus Sturm enclosure of the largest eigenvalue of the Gram-adjoint
+composite) is available for small blocks.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .errors import TruncationError
-from .graded_fock import Model
+from .graded_fock import Model, StateVector
 from .mode_engine import _as_vector, _vec_block
 from .scalars import ONE, Q, ZERO
-from .unitary_structure import family_of
+from .unitary_structure import family_of, star
 
 
 def _ortho_block(model: Model, blk, src: int, tgt: int) -> np.ndarray:
@@ -44,6 +50,38 @@ def _sigma_max(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
+def _sigma(model: Model, inner: StateVector, m: int, s: int,
+           outer: StateVector = None) -> float:
+    """sigma_max of the degree-s block of inner_m, or of the composite
+    outer_{-m} inner_m when outer is given, in orthonormal coordinates."""
+    key = (frozenset(inner.terms.items()),
+           None if outer is None else frozenset(outer.terms.items()), m, s)
+    hit = model._sigma_cache.get(key)
+    if hit is None:
+        blk = _vec_block(model, inner, m, s)
+        tgt = s - m
+        if outer is not None:
+            blk = xl.compose(_vec_block(model, outer, -m, tgt), blk,
+                             model.dim(s), model.dim(s))
+            tgt = s
+        hit = model._sigma_cache[key] = _sigma_max(
+            _ortho_block(model, blk, s, tgt))
+    return hit
+
+
+def _graded_max(model: Model, inner: StateVector, m: int, n: int,
+                outer: StateVector = None, weight=None) -> float:
+    """max over source degrees s <= n of _sigma(...) * weight(s)."""
+    best = 0.0
+    for s in range(max(m, 0), n + 1):
+        val = _sigma(model, inner, m, s, outer)
+        if weight is not None:
+            val = val * weight(s)
+        if val > best:
+            best = val
+    return best
+
+
 def graded_norm(model: Model, a, m: int, n: int) -> float:
     """Norm of a_m (plain index) restricted to the filtration space V_{<=n}."""
     if n < 0:
@@ -53,16 +91,7 @@ def graded_norm(model: Model, a, m: int, n: int) -> float:
     avec = _as_vector(a)
     if avec.is_zero():
         return 0.0
-    best = 0.0
-    for s in range(min(n, model.N) + 1):
-        tgt = s - m
-        if tgt < 0:
-            continue
-        blk = _vec_block(model, avec, m, s)
-        val = _sigma_max(_ortho_block(model, blk, s, tgt))
-        if val > best:
-            best = val
-    return best
+    return _graded_max(model, avec, m, n)
 
 
 def graded_norm_certified(model: Model, a, m: int, n: int, max_dim: int = 8,
@@ -110,23 +139,9 @@ def cstar_gap(model: Model, a, m: int, n: int) -> float:
     if n > model.N or n - m > model.N:
         raise TruncationError(max(n, n - m), model.N, "C*-identity window")
     avec = _as_vector(a)
-    from .unitary_structure import family_of as _fam, star
-
-    fam = _fam(model)
-    conj = star(model, avec, fam)
+    conj = star(model, avec, family_of(model))
     norm = graded_norm(model, avec, m, n)
-    best = 0.0
-    for s in range(min(n, model.N) + 1):
-        tgt = s - m
-        if tgt < 0:
-            continue
-        down = _vec_block(model, avec, m, s)
-        up = _vec_block(model, conj, -m, tgt)
-        comp = xl.compose(up, down, model.dim(s), model.dim(s))
-        val = _sigma_max(_ortho_block(model, comp, s, s))
-        if val > best:
-            best = val
-    return abs(best - norm * norm)
+    return abs(_graded_max(model, avec, m, n, outer=conj) - norm * norm)
 
 
 def damped_norm(model: Model, a, q, n: int) -> float:
@@ -138,14 +153,7 @@ def damped_norm(model: Model, a, q, n: int) -> float:
         return 0.0
     if n > model.N:
         raise TruncationError(n, model.N, "damped norm window")
-    avec = _as_vector(a)
-    best = 0.0
-    for s in range(n + 1):
-        blk = _vec_block(model, avec, 0, s)
-        val = _sigma_max(_ortho_block(model, blk, s, s)) * qf ** s
-        if val > best:
-            best = val
-    return best
+    return _graded_max(model, _as_vector(a), 0, n, weight=lambda s: qf ** s)
 
 
 @dataclass

@@ -142,20 +142,8 @@ class GramFamily:
         return hit
 
     def positive_definite(self, degree: int) -> bool:
-        """Exact Sylvester check via symmetric elimination pivots."""
-        g = [list(row) for row in self.matrix(degree)]
-        n = len(g)
-        for k in range(n):
-            piv = g[k][k]
-            if piv <= 0:
-                return False
-            for i in range(k + 1, n):
-                f = Q(g[i][k]) / piv
-                if not f:
-                    continue
-                for j in range(k, n):
-                    g[i][j] -= f * g[k][j]
-        return True
+        """Exact check: every LDL^T pivot of G_degree is positive."""
+        return xl.ldl(self.matrix(degree)) is not None
 
     def cholesky(self, degree: int) -> np.ndarray:
         """Floating lower-triangular factor of G_degree."""
@@ -176,25 +164,11 @@ class GramFamily:
 
     def exact_cholesky(self, degree: int):
         """Exact LDL^T factors (L unit lower-triangular, D diagonal list)."""
-        g = [list(row) for row in self.matrix(degree)]
-        n = len(g)
-        low = xl.identity(n)
-        diag = []
-        for k in range(n):
-            piv = g[k][k]
-            if piv <= 0:
-                raise ModelBugError(
-                    f"Gram matrix at degree {degree} is not positive "
-                    "definite")
-            diag.append(piv)
-            for i in range(k + 1, n):
-                f = Q(g[i][k]) / piv
-                low[i][k] = f
-                if not f:
-                    continue
-                for j in range(k, n):
-                    g[i][j] -= f * g[k][j]
-        return low, diag
+        factors = xl.ldl(self.matrix(degree))
+        if factors is None:
+            raise ModelBugError(
+                f"Gram matrix at degree {degree} is not positive definite")
+        return factors
 
 
 def gram_family(model: Model) -> GramFamily:

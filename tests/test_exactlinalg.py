@@ -38,14 +38,12 @@ def test_rank_and_kernel():
     assert xl.mat_vec(a, v) == [ZERO, ZERO]
 
 
-def test_solve_and_inverse_known():
+def test_inverse_known():
     a = qmat([[2, 1], [1, 1]])
-    x = xl.solve(a, [Q(3), Q(2)])
-    assert x == [Q(1), Q(1)]
     inv = xl.inverse(a)
     assert xl.mat_mul(a, inv) == xl.identity(2)
     with pytest.raises(ZeroDivisionError):
-        xl.solve(qmat([[1, 1], [1, 1]]), [Q(1), Q(1)])
+        xl.inverse(qmat([[1, 1], [1, 1]]))
 
 
 small_q = st.fractions(min_value=-5, max_value=5, max_denominator=6) \
@@ -272,3 +270,51 @@ def test_elimination_on_int_input_matches_rationals(rows):
     _same_outcome(xl.sturm_chain, int_coeffs, coeffs)
     _same_outcome(lambda c: xl.largest_root_interval(c, tol=Q(1, 10 ** 6)),
                   int_coeffs, coeffs)
+
+
+# -- LDL^T against Sylvester minors ------------------------------------------
+
+
+def laplace_det(a):
+    """Determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * laplace_det([row[:j] + row[j + 1:]
+                                            for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
+def symmetric(rows, gram):
+    """rows^T rows + 1 (positive definite) when gram, else rows mirrored."""
+    n = len(rows)
+    if gram:
+        return [[sum(rows[t][i] * rows[t][j] for t in range(n)) + (i == j)
+                 for j in range(n)] for i in range(n)]
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.booleans())
+@example([[1, 2], [2, 1]], False)  # leading minors 1, -3
+@example([[1, 0], [0, 0]], False)  # second pivot exactly zero
+@example([[0, 1], [1, 0]], False)  # first pivot zero, matrix nonsingular
+@example([[2, 1], [1, 2]], False)
+def test_ldl_matches_sylvester_minors(rows, gram):
+    a = symmetric(rows, gram)
+    n = len(a)
+    sylvester = all(laplace_det([row[:k] for row in a[:k]]) > 0
+                    for k in range(1, n + 1))
+    factors = xl.ldl(a)
+    assert (factors is not None) == sylvester
+    assert gram <= sylvester
+    assert xl.ldl(qmat(a)) == factors
+    if factors is not None:
+        low, diag = factors
+        exact_entries(factors)
+        dmat = xl.zeros(n, n)
+        for i, x in enumerate(diag):
+            dmat[i][i] = x
+        assert xl.mat_mul(low, xl.mat_mul(dmat, xl.transpose(low))) == a
+        assert all(low[i][i] == 1 and not any(low[i][i + 1:])
+                   for i in range(n))

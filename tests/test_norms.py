@@ -3,8 +3,16 @@ import math
 
 import pytest
 
+from voacert import exactlinalg as xl
+from voacert import norm_lab
+from voacert.bound_certifier import (certify_orbifold_chain,
+                                     certify_pair_bound,
+                                     certify_virasoro_bound,
+                                     trace_domination_check)
 from voacert.errors import TruncationError
-from voacert.graded_fock import BasisState
+from voacert.graded_fock import (BasisState, StateVector, build_model,
+                                 virasoro_spec)
+from voacert.mode_engine import _vec_block
 from voacert.norm_lab import (cstar_gap, damped_norm, graded_norm,
                               graded_norm_certified, norm_table)
 from voacert.scalars import Q
@@ -112,3 +120,134 @@ def test_norm_table_round_trip(tmp_path, heis8):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "m,n,norm"
     assert len(lines) == 1 + len(list(table.cells()))
+
+
+# -- the memoized per-degree primitive ---------------------------------------
+
+
+def test_each_block_norm_is_computed_once(monkeypatch):
+    model = build_model(virasoro_spec("1/2", 8))  # cold norm cache
+    real = norm_lab._sigma_max
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(norm_lab, "_sigma_max", counting)
+    first = certify_virasoro_bound(model, model.nu, 3, 5)
+    touched = {(m, s) for m in range(-3, 4) for n in range(6)
+               for s in range(max(m, 0), n + 1)}
+    assert len(calls) == len(touched)
+    again = certify_virasoro_bound(model, model.nu, 3, 5)
+    assert len(calls) == len(touched)
+    assert again.to_dict() == first.to_dict()
+
+
+# The per-degree loops the memoized primitive replaced, kept as references:
+# results must agree bit for bit, not merely to a tolerance.
+
+
+def loop_sigma(model, blk, src, tgt):
+    return norm_lab._sigma_max(norm_lab._ortho_block(model, blk, src, tgt))
+
+
+def loop_norm(model, vec, m, n):
+    if n < 0 or vec.is_zero():
+        return 0.0
+    best = 0.0
+    for s in range(n + 1):
+        if s - m < 0:
+            continue
+        val = loop_sigma(model, _vec_block(model, vec, m, s), s, s - m)
+        if val > best:
+            best = val
+    return best
+
+
+def loop_composite(model, inner, outer, m, n):
+    """max over s of the norm of outer_{-m} inner_m on degree s."""
+    best = 0.0
+    for s in range(n + 1):
+        mid = s - m
+        if mid < 0:
+            continue
+        comp = xl.compose(_vec_block(model, outer, -m, mid),
+                          _vec_block(model, inner, m, s),
+                          model.dim(s), model.dim(s))
+        val = loop_sigma(model, comp, s, s)
+        if val > best:
+            best = val
+    return best
+
+
+def loop_weighted(model, vec, weight, n):
+    best = 0.0
+    for k in range(n + 1):
+        val = loop_sigma(model, _vec_block(model, vec, 0, k), k, k) * \
+            weight(k)
+        if val > best:
+            best = val
+    return best
+
+
+def probes(model):
+    """The zero vector, nu, and a multi-term combination of degree 2."""
+    mixed = StateVector()
+    for i, st in enumerate(model.basis.states(2)):
+        mixed.add_term(st, Q(1, i + 1))
+    return [StateVector(), model.nu, mixed + model.nu.copy().scale(Q(1, 3))]
+
+
+REFERENCE_MODELS = ["heis6", "ising8", "lat2_6"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_norms_equal_the_per_degree_loops(request, name):
+    model = request.getfixturevalue(name)
+    fam = family_of(model)
+    qf = float(Q(1, 3))
+    for vec in probes(model):
+        conj = star(model, vec, fam)
+        for m in range(-2, 3):
+            for n in range(-1, model.N - 1):
+                norm = loop_norm(model, vec, m, n)
+                assert graded_norm(model, vec, m, n) == norm
+                assert cstar_gap(model, vec, m, n) == abs(
+                    loop_composite(model, vec, conj, m, n) - norm * norm)
+        for n in range(model.N + 1):
+            assert damped_norm(model, vec, Q(1, 3), n) == \
+                loop_weighted(model, vec, lambda k: qf ** k, n)
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_certifier_cells_equal_the_per_degree_loops(request, name):
+    model = request.getfixturevalue(name)
+    vecs = probes(model)
+    # a primary of degree != 1: the charge-2 top of lattice(2, .) has
+    # degree 4; the vacuum is the only other one in these models
+    prim = StateVector.basis(BasisState(2, ()) if model.spec.kind ==
+                             "lattice" else model.vacuum)
+    for b in vecs[1:]:
+        report = certify_pair_bound(model, prim, b, 2, 4)
+        big_b, t = report.constants["B"], report.constants["t"]
+        for cell in report.cells:
+            m, n = cell["m"], cell["n"]
+            assert cell["lhs"] == loop_composite(model, b, prim, m, n)
+            assert cell["rhs"] == big_b * ((1 + m) * (1 + n)) ** t * (
+                loop_norm(model, prim, 0, n) +
+                loop_norm(model, prim, 0, n - m))
+    for a in vecs:
+        report = certify_orbifold_chain(model, a, model.nu, 0.5, model.N)
+        norm_sq = report.constants["state_norm_sq"]
+        for cell in report.cells:
+            n = cell["n"]
+            assert cell["lhs"] == loop_weighted(
+                model, a, lambda k: (k + 1) ** (-0.5), n) ** 2
+            assert cell["rhs"] == norm_sq * loop_weighted(
+                model, model.nu, lambda k: (k + 1) ** (-1.0), n)
+        report = trace_domination_check(model, a, Q(1, 2), model.N)
+        for cell in report.cells:
+            if cell["m"] == 0:
+                assert cell["lhs"] == loop_weighted(
+                    model, a, lambda k: 0.5 ** k, cell["n"]) ** 2

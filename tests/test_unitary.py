@@ -1,12 +1,13 @@
 import pytest
 
 from voacert import exactlinalg as xl
-from voacert.errors import ModelBugError
+from voacert.errors import ModelBugError, SpecError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  heisenberg_spec)
 from voacert.scalars import Q
-from voacert.unitary_structure import (adjoint_residual, family_of,
-                                       gram_family, kac_moody_residual, star)
+from voacert.unitary_structure import (GramFamily, adjoint_residual,
+                                       family_of, gram_family,
+                                       kac_moody_residual, star)
 
 
 def test_vacuum_normalization(heis8):
@@ -46,6 +47,32 @@ def test_exact_cholesky_reconstructs(heis8):
             dmat[i][i] = x
         assert xl.mat_mul(low, xl.mat_mul(dmat, xl.transpose(low))) \
             == fam.matrix(d)
+
+
+@pytest.mark.parametrize("metric", [
+    [[1, 2], [2, 1]],   # leading minors 1, -3
+    [[1, 0], [0, 0]],   # singular: second pivot zero
+    [[0, 1], [1, 0]],   # nonsingular, first pivot zero
+    [[2, 1, 1], [1, 2, 1], [1, 1, -1]],  # minors 2, 3, then -5
+])
+def test_heisenberg_metric_must_be_positive_definite(metric):
+    with pytest.raises(SpecError):
+        heisenberg_spec(len(metric), 3, metric=metric).validate()
+
+
+def test_positive_definite_metric_builds():
+    model = build_model(heisenberg_spec(2, 3, metric=[[2, 1], [1, 2]]))
+    assert family_of(model).matrix(1) == [[2, 1], [1, 2]]
+
+
+def test_non_positive_form_is_flagged(heis8):
+    fam = GramFamily(heis8)  # private family: the shared one stays intact
+    fam.matrix(2)
+    fam._mats[2] = [[Q(1), Q(2)], [Q(2), Q(1)]]
+    assert fam.positive_definite(2) is False
+    with pytest.raises(ModelBugError):
+        fam.exact_cholesky(2)
+    assert fam.positive_definite(1) is True
 
 
 def test_star_is_an_involution(heis8, lat2_6):

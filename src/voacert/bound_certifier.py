@@ -447,22 +447,21 @@ def trace_domination_check(model: Model, a, q, n_max: int,
         "trace_domination", model.spec.describe(), repr(a),
         {"q": float(qr), "n_max": n_max}, {}, tolerance=tol)
     partials = []
+    # running traces over V_{<=n}, one degree added per n
+    mid = ZERO   # Tr q^{L_0} a_0^dag a_0 q^{L_0}
+    right = ZERO  # Tr (a_{-d}a*)_0 q^{2L_0}
     for n in range(n_max + 1):
         # left: spectral damped norm squared
         lhs = _graded_max(model, avec, 0, n,
                           weight=lambda k: float(qr) ** k) ** 2
-        mid = ZERO   # Tr q^{L_0} a_0^dag a_0 q^{L_0}
-        right = ZERO  # Tr (a_{-d}a*)_0 q^{2L_0}
-        for k in range(n + 1):
-            if model.dim(k) == 0:
-                continue
-            wk = qr ** (2 * k)
-            blk = _vec_block(model, avec, 0, k)
-            adj = xl.mat_mul(fam.inverse(k),
-                             xl.mat_mul(xl.transpose(blk), fam.matrix(k)))
-            mid += wk * xl.trace(xl.mat_mul(adj, blk))
+        if model.dim(n):
+            wn = qr ** (2 * n)
+            blk = _vec_block(model, avec, 0, n)
+            adj = xl.mat_mul(fam.inverse(n),
+                             xl.mat_mul(xl.transpose(blk), fam.matrix(n)))
+            mid += wn * xl.trace(xl.mat_mul(adj, blk))
             if not x.is_zero():
-                right += wk * xl.trace(_vec_block(model, x, 0, k))
+                right += wn * xl.trace(_vec_block(model, x, 0, n))
         report.add_cell(0, n, lhs, float(mid))
         report.add_cell(1, n, float(mid), float(right))
         partials.append(float(right))

@@ -187,10 +187,6 @@ def rref(a):
     return r, pivots
 
 
-def rank(a) -> int:
-    return len(rref(a)[1])
-
-
 def kernel_basis(a):
     """Basis of the right null space, as a list of column vectors."""
     n, m = shape(a)
@@ -245,127 +241,3 @@ def ldl(a):
 
 def trace(a):
     return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
-def charpoly(a):
-    """Characteristic polynomial coefficients [c_0, ..., c_n] with
-    p(x) = sum c_k x^k and c_n = 1, via Faddeev-LeVerrier."""
-    n, m = shape(a)
-    assert n == m
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = identity(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(a, mk)
-        c = -trace(mk) / Q(k)
-        coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    return coeffs
-
-
-def poly_eval(coeffs, x):
-    out = ZERO
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    deg_d = len(den) - 1
-    while den and not den[-1]:
-        den = den[:-1]
-        deg_d -= 1
-    quot = [ZERO] * max(1, len(num) - deg_d)
-    while len(num) - 1 >= deg_d and any(num):
-        while num and not num[-1]:
-            num.pop()
-        if len(num) - 1 < deg_d:
-            break
-        k = len(num) - 1 - deg_d
-        f = Q(num[-1]) / den[-1]
-        quot[k] = f
-        for i in range(deg_d + 1):
-            num[k + i] -= f * den[i]
-        num.pop()
-    return quot, num
-
-
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b and any(b):
-        _, rem = _poly_divmod(a, b)
-        while rem and not rem[-1]:
-            rem.pop()
-        a, b = b, rem
-    return a
-
-
-def sturm_chain(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    deriv = [coeffs[i] * Q(i) for i in range(1, len(coeffs))]
-    # sign-change counting needs a square-free polynomial; strip repeated
-    # roots (they do not change which roots exist)
-    if deriv:
-        g = _poly_gcd(coeffs, deriv)
-        if len(g) > 1:
-            coeffs, _ = _poly_divmod(coeffs, g)
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            deriv = [coeffs[i] * Q(i) for i in range(1, len(coeffs))]
-    chain = [coeffs]
-    if deriv:
-        chain.append(deriv)
-    while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0]):
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        while rem and not rem[-1]:
-            rem.pop()
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
-
-
-def count_roots(coeffs, lo, hi, chain=None) -> int:
-    """Number of distinct real roots in (lo, hi], by Sturm's theorem."""
-    if chain is None:
-        chain = sturm_chain(coeffs)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def largest_root_interval(coeffs, tol=Q(1, 10**12)):
-    """Certified rational enclosure [lo, hi] of the largest real root.
-
-    Uses a Sturm chain, so the enclosure is a genuine certificate.  Raises
-    ValueError when the polynomial has no real root.
-    """
-    n = len(coeffs) - 1
-    lead = coeffs[n]
-    bound = ONE + max((abs(Q(c) / lead) for c in coeffs[:n]), default=ZERO)
-    chain = sturm_chain(coeffs)
-    lo, hi = -bound, bound
-    if count_roots(coeffs, lo, hi, chain) == 0:
-        raise ValueError("polynomial has no real root")
-    while hi - lo > tol * max(ONE, abs(hi)):
-        mid = (lo + hi) / 2
-        if count_roots(coeffs, mid, hi, chain) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi

@@ -9,9 +9,9 @@ coordinates from the per-degree Cholesky factors of the invariant form.
 composite b_{-m} a_m, and memoizes it per model (blocks are read-only once
 built, so an entry never goes stale); ``_graded_max`` takes the optionally
 weighted max over degrees.  Every norm here and in ``bound_certifier``
-goes through these two.  A certified exact path (characteristic polynomial
-plus Sturm enclosure of the largest eigenvalue of the Gram-adjoint
-composite) is available for small blocks.
+goes through these two.  ``graded_norm_certified`` gives an exact
+rational enclosure of the squared norm instead, by bisection decided at
+every step by an exact LDL^T factorization; it has no block size limit.
 """
 
 from __future__ import annotations
@@ -94,13 +94,34 @@ def graded_norm(model: Model, a, m: int, n: int) -> float:
     return _graded_max(model, avec, m, n)
 
 
-def graded_norm_certified(model: Model, a, m: int, n: int, max_dim: int = 8,
+def _bisect_sigma_sq(gram, comp, tol):
+    """[lo, hi] around the largest r^2 at which r^2 gram - comp stops being
+    positive definite, each step decided by exact LDL^T."""
+
+    def above(r2):
+        return xl.ldl(xl.mat_sub(xl.mat_scale(gram, r2), comp)) is not None
+
+    lo, hi = ZERO, ONE
+    while not above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > tol * max(ONE, hi):
+        mid = (lo + hi) / 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def graded_norm_certified(model: Model, a, m: int, n: int,
                           tol=Q(1, 10 ** 9)):
     """Exact rational enclosure [lo, hi] of the squared graded norm.
 
-    Uses the characteristic polynomial of the Gram-adjoint composite and a
-    Sturm-chain root enclosure, so the interval is a certificate.  Refuses
-    blocks larger than max_dim (the exact charpoly gets expensive).
+    On each source degree s the squared block norm sigma_s^2 of a_m is
+    bisected on r^2.  Every step is decided by the exact LDL^T test of
+    r^2 G_s - A^T G_{s-m} A, which is positive definite exactly when
+    r^2 > sigma_s^2, so lo <= max_s sigma_s^2 <= hi is a certificate, with
+    hi - lo <= tol * max(1, hi).  Blocks of any size are handled.
     """
     if n < 0:
         return ZERO, ZERO
@@ -109,26 +130,18 @@ def graded_norm_certified(model: Model, a, m: int, n: int, max_dim: int = 8,
     avec = _as_vector(a)
     fam = family_of(model)
     lo_best, hi_best = ZERO, ZERO
-    for s in range(min(n, model.N) + 1):
+    for s in range(max(m, 0), n + 1):
         tgt = s - m
-        if tgt < 0 or model.dim(s) == 0 or model.dim(tgt) == 0:
+        if model.dim(s) == 0 or model.dim(tgt) == 0:
             continue
-        if model.dim(s) > max_dim:
-            raise ValueError(
-                f"certified norm limited to blocks of dimension <= {max_dim}"
-                f" (degree {s} has dimension {model.dim(s)})")
         blk = _vec_block(model, avec, m, s)
         if xl.is_zero(blk):
             continue
-        adj = xl.mat_mul(fam.inverse(s),
-                         xl.mat_mul(xl.transpose(blk), fam.matrix(tgt)))
-        comp = xl.mat_mul(adj, blk)
-        coeffs = xl.charpoly(comp)
-        lo, hi = xl.largest_root_interval(coeffs, tol)
-        if lo < 0:
-            lo = ZERO
-        if hi > hi_best:
-            lo_best, hi_best = lo, hi
+        fam.exact_cholesky(s)  # G_s positive definite: the search ends
+        comp = xl.mat_mul(xl.transpose(blk),
+                          xl.mat_mul(fam.matrix(tgt), blk))
+        lo, hi = _bisect_sigma_sq(fam.matrix(s), comp, tol)
+        lo_best, hi_best = max(lo_best, lo), max(hi_best, hi)
     return lo_best, hi_best
 
 

@@ -214,7 +214,7 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
     if a.is_zero():
         return StateVector()
     if fam is None:
-        fam = gram_family(model)
+        fam = family_of(model)
     by_degree = {}
     for st, co in a.terms.items():
         by_degree.setdefault(model.basis.degree_of(st), StateVector()) \
@@ -260,7 +260,7 @@ def adjoint_residual(model: Model, a, m: int,
     """
     a = _as_vector(a)
     if fam is None:
-        fam = gram_family(model)
+        fam = family_of(model)
     conj = star(model, a, fam)
     worst = ZERO
     checked = []
@@ -294,7 +294,7 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int,
     if model.degree_of(a) != 1 or model.degree_of(b) != 1:
         raise ValueError("current-algebra check needs degree-1 states")
     if fam is None:
-        fam = gram_family(model)
+        fam = family_of(model)
     bracket = state_product(model, a, 0, b)
     central = Q(m) * fam.pairing(star(model, a, fam), b) if m == -n else ZERO
     sources = [s for s in range(model.N + 1)

@@ -1,5 +1,6 @@
 import pytest
 
+from voacert import exactlinalg as xl
 from voacert.bound_certifier import (BoundReport, bootstrap_analyze,
                                      certify_orbifold_chain,
                                      certify_pair_bound,
@@ -11,9 +12,12 @@ from voacert.bound_certifier import (BoundReport, bootstrap_analyze,
                                      measure_sector_growth,
                                      orbifold_average,
                                      trace_domination_check)
-from voacert.graded_fock import Automorphism, StateVector
+from voacert.graded_fock import (Automorphism, BasisState, StateVector,
+                                 build_model, heisenberg_spec)
 from voacert.mode_engine import state_product
 from voacert.norm_lab import norm_table
+from voacert.scalars import Q
+from voacert.unitary_structure import GramFamily
 
 
 def current(model):
@@ -103,6 +107,39 @@ def test_trace_domination(heis8):
                                         rat_from_str(q), 8)
         assert report.passed
         assert report.notes["partial_traces"]
+
+
+def test_trace_domination_reads_each_degree_once(monkeypatch, lat2_8):
+    # three exact products per degree: each filtration level n only adds
+    # the trace terms of degree n to running sums
+    real = xl.mat_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(xl, "mat_mul", counting)
+    report = trace_domination_check(lat2_8, BasisState(0, ((0, -1),)),
+                                    Q(1, 2), 8)
+    assert len(calls) == 3 * 9
+    assert len(report.cells) == 2 * 9
+
+
+def test_product_lemma_builds_each_gram_degree_once(monkeypatch):
+    model = build_model(heisenberg_spec(1, 6))  # cold Gram family
+    real = GramFamily.matrix
+    built = []
+
+    def counting(fam, degree):
+        if degree not in fam._mats:
+            built.append(degree)
+        return real(fam, degree)
+
+    monkeypatch.setattr(GramFamily, "matrix", counting)
+    report = certify_product_lemma(model, current(model), 2, 5)
+    assert report.notes["vector_level_exact"] is True
+    assert sorted(built) == sorted(set(built))
 
 
 def test_fit_exponents_majorizes(heis8):

@@ -16,6 +16,7 @@ def test_shapes_and_identity():
     i3 = xl.identity(3)
     assert xl.mat_mul(i3, i3) == i3
     assert xl.transpose(qmat([[1, 2], [3, 4]])) == qmat([[1, 3], [2, 4]])
+    assert xl.trace(qmat([[2, 0], [0, 3]])) == Q(5)
 
 
 def test_compose_keeps_explicit_shape():
@@ -31,7 +32,7 @@ def test_compose_keeps_explicit_shape():
 
 def test_rank_and_kernel():
     a = qmat([[1, 1], [1, 1]])
-    assert xl.rank(a) == 1
+    assert len(xl.rref(a)[1]) == 1
     ker = xl.kernel_basis(a)
     assert len(ker) == 1
     v = ker[0]
@@ -59,41 +60,6 @@ def test_inverse_round_trip_random(rows):
         assume(False)
     assert xl.mat_mul(rows, inv) == xl.identity(3)
     assert xl.mat_mul(inv, rows) == xl.identity(3)
-
-
-def test_charpoly_of_diagonal():
-    a = qmat([[2, 0], [0, 3]])
-    coeffs = xl.charpoly(a)
-    # (x-2)(x-3) = x^2 - 5x + 6
-    assert coeffs == [Q(6), Q(-5), Q(1)]
-    assert xl.poly_eval(coeffs, Q(2)) == ZERO
-    assert xl.poly_eval(coeffs, Q(3)) == ZERO
-    assert xl.trace(a) == Q(5)
-
-
-def test_sturm_root_counting():
-    # (x-1)(x-2)(x-5) = x^3 - 8x^2 + 17x - 10
-    coeffs = [Q(-10), Q(17), Q(-8), Q(1)]
-    assert xl.count_roots(coeffs, Q(0), Q(3)) == 2
-    assert xl.count_roots(coeffs, Q(3), Q(10)) == 1
-    lo, hi = xl.largest_root_interval(coeffs, tol=Q(1, 10 ** 6))
-    assert lo <= Q(5) <= hi
-    # the enclosure width is relative to the root magnitude
-    assert hi - lo <= Q(1, 10 ** 6) * Q(6)
-
-
-@given(st.sets(st.integers(-4, 4), min_size=2, max_size=4))
-def test_largest_root_of_factored_polynomial(roots):
-    coeffs = [ONE]
-    for r in roots:
-        # multiply by (x - r)
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= Q(r) * c
-        coeffs = nxt
-    lo, hi = xl.largest_root_interval(coeffs, tol=Q(1, 10 ** 6))
-    assert lo <= Q(max(roots)) <= hi
 
 
 # -- zero-skipping kernels against dense references --------------------------
@@ -228,20 +194,11 @@ def test_zero_skipping_kernels_match_dense_references(operands, s):
 # -- exact division on int input ---------------------------------------------
 
 
-def test_polynomial_division_of_ints_stays_exact():
-    quot, rem = xl._poly_divmod([2, 0, 1], [1, 1])
-    assert (quot, rem) == ([-1, 1], [3])
-    exact_entries((quot, rem))
-    lo, hi = xl.largest_root_interval([-2, 0, 1])
-    exact_entries((lo, hi))
-    assert lo * lo <= 2 <= hi * hi
-
-
 def _same_outcome(fn, ints, rats):
     """fn on int input equals fn on the same input as Q, or both raise."""
     try:
         want = fn(rats)
-    except (ZeroDivisionError, ValueError) as exc:
+    except ZeroDivisionError as exc:
         with pytest.raises(type(exc)):
             fn(ints)
         return
@@ -253,8 +210,8 @@ def _same_outcome(fn, ints, rats):
 @given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
     lambda m: st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
                        min_size=n, max_size=n))))
-@example([[1, 2], [2, 4]])  # singular, repeated root
-@example([[0, -2], [1, 0]])  # charpoly x^2 + 2: no real root
+@example([[1, 2], [2, 4]])  # singular
+@example([[0, -2], [1, 0]])  # nonsingular, needs a row swap
 def test_elimination_on_int_input_matches_rationals(rows):
     rats = qmat(rows)
     k = min(len(rows), len(rows[0]))
@@ -262,14 +219,7 @@ def test_elimination_on_int_input_matches_rationals(rows):
     square_rats = qmat(square_ints)
     for fn in (xl.rref, xl.kernel_basis):
         _same_outcome(fn, rows, rats)
-    for fn in (xl.inverse, xl.charpoly):
-        _same_outcome(fn, square_ints, square_rats)
-    coeffs = xl.charpoly(square_rats)
-    int_coeffs = [int(c) for c in coeffs]  # an int matrix's are integers
-    assert int_coeffs == coeffs
-    _same_outcome(xl.sturm_chain, int_coeffs, coeffs)
-    _same_outcome(lambda c: xl.largest_root_interval(c, tol=Q(1, 10 ** 6)),
-                  int_coeffs, coeffs)
+    _same_outcome(xl.inverse, square_ints, square_rats)
 
 
 # -- LDL^T against Sylvester minors ------------------------------------------

@@ -9,14 +9,14 @@ from voacert.bound_certifier import (certify_orbifold_chain,
                                      certify_pair_bound,
                                      certify_virasoro_bound,
                                      trace_domination_check)
-from voacert.errors import TruncationError
+from voacert.errors import ModelBugError, TruncationError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
-                                 virasoro_spec)
+                                 heisenberg_spec, virasoro_spec)
 from voacert.mode_engine import _vec_block
 from voacert.norm_lab import (cstar_gap, damped_norm, graded_norm,
                               graded_norm_certified, norm_table)
 from voacert.scalars import Q
-from voacert.unitary_structure import family_of, star
+from voacert.unitary_structure import GramFamily, family_of, star
 
 REL = 1e-9
 
@@ -53,12 +53,15 @@ def test_virasoro_creation_norm_at_vacuum(ising8, c1_8):
         assert got == pytest.approx(math.sqrt(float(model.c) / 2), rel=REL)
 
 
-def test_certified_interval_brackets_spectral(heis8):
-    a = current(heis8)
-    for (m, n) in [(1, 4), (0, 3), (-1, 3)]:
-        lo, hi = graded_norm_certified(heis8, a, m, n)
-        spec = graded_norm(heis8, a, m, n) ** 2
-        assert float(lo) - 1e-9 <= spec <= float(hi) + 1e-9
+def test_certified_interval_brackets_spectral(heis8, ising8, lat2_8):
+    cases = [(heis8, current(heis8)), (ising8, ising8.nu),
+             (lat2_8, BasisState(0, ((0, -1),)))]
+    for model, a in cases:
+        for (m, n) in [(1, 4), (0, 3), (-1, 3)]:
+            lo, hi = graded_norm_certified(model, a, m, n)
+            assert hi - lo <= Q(1, 10 ** 9) * max(1, hi)
+            spec = graded_norm(model, a, m, n) ** 2
+            assert float(lo) - 1e-9 <= spec <= float(hi) + 1e-9
 
 
 def test_certified_value_is_exact(heis8):
@@ -66,6 +69,24 @@ def test_certified_value_is_exact(heis8):
     a = current(heis8)
     lo, hi = graded_norm_certified(heis8, a, 1, 4)
     assert lo <= Q(4) <= hi
+
+
+def test_certified_norm_has_no_block_size_cap():
+    # ||a_1||_9^2 = 9, read on degree blocks of dimension up to p(9) = 30
+    model = build_model(heisenberg_spec(1, 10))
+    lo, hi = graded_norm_certified(model, current(model), 1, 9)
+    assert model.dim(9) == 30
+    assert lo <= Q(9) <= hi
+
+
+def test_certified_norm_rejects_a_non_positive_gram():
+    # without the check the search for an upper bound would never end
+    model = build_model(heisenberg_spec(1, 4))
+    fam = GramFamily(model)  # private family on a private model
+    fam._mats[2] = [[-1, 0], [0, 1]]
+    model._gram_family = fam
+    with pytest.raises(ModelBugError):
+        graded_norm_certified(model, current(model), 1, 2)
 
 
 def test_cstar_identity_gap(heis12, ising8, lat2_8):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .errors import TruncationError
-from .graded_fock import Automorphism, BasisState, Model, StateVector
+from .graded_fock import BasisState, Model, StateVector
 from .mode_engine import _as_vector, _vec_block, state_product
 from .norm_lab import NormTable, _graded_max, graded_norm
 from .scalars import ONE, Q, ZERO, rational

@@ -12,6 +12,9 @@ import concurrent.futures
 import json
 import os
 import sys
+from collections import namedtuple
+
+import numpy as np
 
 from .bound_certifier import (bootstrap_analyze, certify_orbifold_chain,
                               certify_pair_bound, certify_primary_bound,
@@ -20,10 +23,10 @@ from .bound_certifier import (bootstrap_analyze, certify_orbifold_chain,
                               certify_zero_mode_product, fit_recursion,
                               measure_sector_growth, orbifold_average,
                               trace_domination_check)
-from .config import SuiteConfig, load_config
+from .config import SuiteConfig, load_config, make_check, spec_from_fields
 from .errors import ConfigError, ModelBugError, VoacertError
-from .graded_fock import Automorphism, BasisState, Model, StateVector, \
-    build_model, heisenberg_spec, lattice_spec, virasoro_spec
+from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
+                          StateVector, build_model)
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table
 from .scalars import Q, rat_from_str
@@ -46,43 +49,40 @@ def resolve_state(model: Model, selector: str) -> StateVector:
     """Parse a state selector.
 
     Tokens: `nu`, `vac`, `top:<sector>`, `basis:<degree>:<pos>`, joined by
-    `+` with an optional rational prefix `c*`.
+    `+` with an optional rational prefix `c*`.  A malformed token, or one
+    naming no state of the model's basis, raises ConfigError.
     """
     total = StateVector()
     for token in selector.split("+"):
         token = token.strip()
-        coeff = Q(1)
-        if "*" in token:
-            pre, token = token.split("*", 1)
-            coeff = rat_from_str(pre)
-        if token == "nu":
-            part = model.nu.copy()
-        elif token == "vac":
-            part = StateVector.basis(model.vacuum)
-        elif token.startswith("top:"):
-            sector = int(token.split(":")[1])
-            part = StateVector.basis(BasisState(sector, ()))
-        elif token.startswith("basis:"):
-            _, deg, pos = token.split(":")
-            part = StateVector.basis(model.basis.states(int(deg))[int(pos)])
-        else:
+        pre, _, name = token.rpartition("*")
+        kind, *index = name.split(":")
+        try:
+            coeff = rat_from_str(pre) if pre else Q(1)
+            index = [int(x) for x in index]
+        except (ValueError, ZeroDivisionError):
+            kind = None
+        state = None
+        if kind == "nu" and not index:
+            total = total + model.nu.copy().scale(coeff)
+            continue
+        if kind == "vac" and not index:
+            state = model.vacuum
+        elif kind == "top" and len(index) == 1:
+            state = BasisState(index[0], ())
+        elif kind == "basis" and len(index) == 2 and \
+                0 <= index[1] < model.dim(index[0]):
+            state = model.basis.states(index[0])[index[1]]
+        if state not in model.basis.index:
             raise ConfigError(f"bad state selector {token!r}")
-        total = total + part.scale(coeff)
+        total = total + StateVector.basis(state).scale(coeff)
     return total
 
 
-def _spec_from_args(args) -> "ModelSpec":
-    if args.kind == "heisenberg":
-        return heisenberg_spec(args.rank, args.N)
-    if args.kind == "virasoro":
-        if args.c is None:
-            raise ConfigError("virasoro needs --c")
-        return virasoro_spec(args.c, args.N)
-    if args.kind == "lattice":
-        if args.q is None:
-            raise ConfigError("lattice needs --q")
-        return lattice_spec(args.q, args.N)
-    raise ConfigError(f"unknown kind {args.kind!r}")
+def _spec_from_args(args) -> ModelSpec:
+    fields = {k: getattr(args, k) for k in ("kind", "N", "rank", "c", "q")}
+    return spec_from_fields("command line", {
+        k: v for k, v in fields.items() if v is not None})
 
 
 def _add_model_flags(parser):
@@ -97,112 +97,145 @@ def _add_model_flags(parser):
 
 
 # ---------------------------------------------------------------------------
-# check runners (shared by `certify` and `suite`)
+# check types (shared by `certify` and `suite`)
+
+# Every field a check may read, with its parser.  The `certify` verb has a
+# flag of the same name for each but degree_cap; `with` is --with and `q` is
+# --damping.
+FIELDS = {
+    "state": str, "with": str, "m_max": int, "n_max": int, "samples": int,
+    "seed": int, "degree_cap": int, "p": int, "degree": int, "d": int,
+    "q": rat_from_str, "s": rat_from_str,
+}
+
+# fields: the FIELDS its runner reads; window: the fields whose sum may not
+# exceed the model's N; run(model, check, tolerance, output_dir) returns the
+# type's own result keys plus "pass".
+CheckType = namedtuple("CheckType", "fields window run")
+
+
+def _run_axioms(model, check, tol, output_dir):
+    identities = {}
+    for ident in ("borcherds", "skewsymmetry", "commutator", "translation"):
+        count, failures = sample_residuals(
+            model, ident, check.get("samples", 100),
+            seed=check.get("seed", 0), degree_cap=check.get("degree_cap"))
+        identities[ident] = {"checked": count,
+                             "failures": [repr(t) for t, _ in failures]}
+    return {"identities": identities,
+            "pass": not any(v["failures"] for v in identities.values())}
+
+
+def _run_unitarity(model, check, tol, output_dir):
+    fam = family_of(model)
+    pd = {str(d): fam.positive_definite(d) for d in range(model.N + 1)}
+    return {"positive_definite": pd, "pass": all(pd.values())}
+
+
+def _run_norms(model, check, tol, output_dir):
+    selector, m_max = check.get("state", "nu"), check["m_max"]
+    table = norm_table(model, resolve_state(model, selector),
+                       range(-m_max, m_max + 1), check["n_max"],
+                       owner=selector)
+    out = {"table": json.loads(table.to_json()), "pass": True}
+    if output_dir:
+        path = os.path.join(output_dir, f"{check['name']}.csv")
+        table.write_csv(path)
+        out["csv"] = os.path.basename(path)
+    return out
+
+
+def _run_bootstrap(model, check, tol, output_dir):
+    kseq = measure_sector_growth(model, check["n_max"])
+    d = check.get("d", 1)
+    d_const, s = fit_recursion(kseq, d)
+    verdict = bootstrap_analyze(kseq, d_const, s, d, tol=tol)
+    return {"K": [format(v, ".12g") for v in kseq], "D": d_const, "s": s,
+            "d": d, "verdict": verdict.to_dict(),
+            "pass": verdict.kind == "certified"}
+
+
+def _run_orbifold(model, check, tol, output_dir):
+    degree = check.get("degree", 1)
+    auts = [Automorphism(model, "charge_conjugation")]
+    if model.spec.kind == "lattice":
+        auts.append(Automorphism(model, "torus_phase", Q(1, 2)))
+    x, avg_report = orbifold_average(model, degree, auts)
+    state = resolve_state(model, check.get("state", f"basis:{degree}:0"))
+    chain = certify_orbifold_chain(model, state, x,
+                                   float(check.get("s", 1)),
+                                   check["n_max"], tol=tol)
+    return {"average": avg_report.to_dict(), "chain": chain.to_dict(),
+            "pass": avg_report.passed and chain.passed}
+
+
+def _report(report) -> dict:
+    return {"report": report.to_dict(), "pass": report.passed}
+
+
+def _state(model, check, field="state"):
+    return resolve_state(model, check.get(field, "nu"))
+
+
+# The runners name the certifiers as module globals, resolved per call, so
+# a wrapper installed on this module's names sees every call.
+_BOUND = ("state", "m_max", "n_max")
+CHECKS = {
+    "axioms": CheckType(("samples", "seed", "degree_cap"), (), _run_axioms),
+    "unitarity": CheckType((), (), _run_unitarity),
+    "norms": CheckType(_BOUND, ("n_max",), _run_norms),
+    "bootstrap": CheckType(("n_max", "d"), ("n_max",), _run_bootstrap),
+    "orbifold": CheckType(("state", "degree", "s", "n_max"), ("n_max",),
+                          _run_orbifold),
+    "trace_domination": CheckType(
+        ("state", "q", "n_max"), ("n_max",),
+        lambda model, c, tol, _: _report(trace_domination_check(
+            model, _state(model, c), c.get("q", Q(1, 2)), c["n_max"],
+            tol=tol))),
+    "virasoro_bound": CheckType(
+        _BOUND, ("m_max", "n_max"),
+        lambda model, c, tol, _: _report(certify_virasoro_bound(
+            model, _state(model, c), c["m_max"], c["n_max"], tol=tol))),
+    "v1_bound": CheckType(
+        _BOUND, ("m_max", "n_max"),
+        lambda model, c, tol, _: _report(certify_v1_bound(
+            model, _state(model, c), c["m_max"], c["n_max"], tol=tol))),
+    "primary_bound": CheckType(
+        _BOUND, ("m_max", "n_max"),
+        lambda model, c, tol, _: _report(certify_primary_bound(
+            model, _state(model, c), c["m_max"], c["n_max"], tol=tol))),
+    "product_lemma": CheckType(
+        _BOUND, ("n_max",),
+        lambda model, c, tol, _: _report(certify_product_lemma(
+            model, _state(model, c), c["m_max"], c["n_max"], tol=tol))),
+    "pair_bound": CheckType(
+        _BOUND + ("with",), ("n_max",),
+        lambda model, c, tol, _: _report(certify_pair_bound(
+            model, _state(model, c), _state(model, c, "with"), c["m_max"],
+            c["n_max"], tol=tol))),
+    "zero_mode_product": CheckType(
+        ("state", "with", "p", "n_max"), ("n_max",),
+        lambda model, c, tol, _: _report(certify_zero_mode_product(
+            model, _state(model, c, "with"), c.get("p", 0), _state(model, c),
+            c["n_max"], tol=tol))),
+}
 
 
 def run_check(model: Model, check: dict, tolerance: float,
               output_dir: str = None) -> dict:
+    """Run one check; a ValueError of its runner becomes a ConfigError."""
     ctype = check["type"]
-    name = check.get("name", ctype)
-    m_max = check.get("m_max", 4)
-    n_max = check.get("n_max", min(6, model.N))
-    out = {"name": name, "type": ctype, "model": model.spec.describe()}
-
-    if ctype == "axioms":
-        samples = check.get("samples", 100)
-        seed = check.get("seed", 0)
-        cap = check.get("degree_cap")
-        identities = {}
-        ok = True
-        for ident in ("borcherds", "skewsymmetry", "commutator",
-                      "translation"):
-            count, failures = sample_residuals(
-                model, ident, samples, seed=seed, degree_cap=cap)
-            identities[ident] = {
-                "checked": count,
-                "failures": [repr(t) for t, _ in failures],
-            }
-            ok = ok and not failures
-        out.update({"identities": identities, "pass": ok})
-        return out
-
-    if ctype == "unitarity":
-        fam = family_of(model)
-        pd = {d: fam.positive_definite(d) for d in range(model.N + 1)}
-        ok = all(pd.values())
-        out.update({"positive_definite": {str(k): v for k, v in pd.items()},
-                    "pass": ok})
-        return out
-
-    if ctype == "norms":
-        state = resolve_state(model, check.get("state", "nu"))
-        table = norm_table(model, state, range(-m_max, m_max + 1), n_max,
-                           owner=check.get("state", "nu"))
-        if output_dir:
-            path = os.path.join(output_dir, f"{name}.csv")
-            table.write_csv(path)
-            out["csv"] = os.path.basename(path)
-        out.update({"table": json.loads(table.to_json()), "pass": True})
-        return out
-
-    if ctype == "bootstrap":
-        kseq = measure_sector_growth(model, n_max)
-        d = check.get("d", 1)
-        d_const, s = fit_recursion(kseq, d)
-        verdict = bootstrap_analyze(kseq, d_const, s, d, tol=tolerance)
-        out.update({"K": [format(v, ".12g") for v in kseq],
-                    "D": d_const, "s": s, "d": d,
-                    "verdict": verdict.to_dict(),
-                    "pass": verdict.kind == "certified"})
-        return out
-
-    if ctype == "orbifold":
-        degree = check.get("degree", 1)
-        s = float(rat_from_str(check.get("s", "1")))
-        auts = [Automorphism(model, "charge_conjugation")]
-        if model.spec.kind == "lattice":
-            auts.append(Automorphism(model, "torus_phase", Q(1, 2)))
-        x, avg_report = orbifold_average(model, degree, auts)
-        state = resolve_state(
-            model, check.get("state", f"basis:{degree}:0"))
-        chain = certify_orbifold_chain(model, state, x, s, n_max,
-                                       tol=tolerance)
-        ok = avg_report.passed and chain.passed
-        out.update({"average": avg_report.to_dict(),
-                    "chain": chain.to_dict(), "pass": ok})
-        return out
-
-    if ctype == "trace_domination":
-        state = resolve_state(model, check["state"])
-        qdamp = rat_from_str(check.get("q", "1/2"))
-        report = trace_domination_check(model, state, qdamp, n_max,
-                                        tol=tolerance)
-        out.update({"report": report.to_dict(), "pass": report.passed})
-        return out
-
-    state = resolve_state(model, check.get("state", "nu"))
-    if ctype == "virasoro_bound":
-        report = certify_virasoro_bound(model, state, m_max, n_max,
-                                        tol=tolerance)
-    elif ctype == "v1_bound":
-        report = certify_v1_bound(model, state, m_max, n_max, tol=tolerance)
-    elif ctype == "product_lemma":
-        report = certify_product_lemma(model, state, m_max, n_max,
-                                       tol=tolerance)
-    elif ctype == "primary_bound":
-        report = certify_primary_bound(model, state, m_max, n_max,
-                                       tol=tolerance)
-    elif ctype == "pair_bound":
-        other = resolve_state(model, check.get("with", "nu"))
-        report = certify_pair_bound(model, state, other, m_max, n_max,
-                                    tol=tolerance)
-    elif ctype == "zero_mode_product":
-        other = resolve_state(model, check.get("with", "nu"))
-        report = certify_zero_mode_product(model, other, check.get("p", 0),
-                                           state, n_max, tol=tolerance)
-    else:
+    if ctype not in CHECKS:
         raise ConfigError(f"unknown check type {ctype!r}")
-    out.update({"report": report.to_dict(), "pass": report.passed})
+    name = check.get("name", ctype)
+    check = {"m_max": 4, "n_max": min(6, model.N), **check, "name": name}
+    out = {"name": name, "type": ctype, "model": model.spec.describe()}
+    try:
+        out.update(CHECKS[ctype].run(model, check, tolerance, output_dir))
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"check {name!r} ({ctype}): {exc}") from exc
     return out
 
 
@@ -229,8 +262,7 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
     os.makedirs(output_dir, exist_ok=True)
     jobs = jobs if jobs is not None else config.jobs
     if jobs == 0:
-        jobs = int(os.environ.get("VOACERT_JOBS", 0)) or \
-            (os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(config.checks) or 1))
     cache = ModelCache(config.cache_dir) if config.cache_dir else None
 
@@ -288,10 +320,9 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
         return [path]
     written = []
     for result in bundle["results"]:
-        cells = None
-        if "report" in result:
-            cells = result["report"].get("cells")
-        elif "table" in result:
+        report = result.get("report") or result.get("chain") or {}
+        cells = report.get("cells")
+        if "table" in result:
             cells = [{"m": c["m"], "n": c["n"], "lhs": c["norm"],
                       "rhs": "", "margin": ""}
                      for c in result["table"]["cells"]]
@@ -404,20 +435,18 @@ def main(argv=None) -> int:
             _emit(json.loads(table.to_json()), args.json_out)
             return EXIT_OK
         if args.verb == "certify":
+            given = {**vars(args), "with": args.with_state,
+                     "q": args.damping}
+            fields = CHECKS[args.check].fields if args.check in CHECKS else ()
+            check = make_check(args.check, args.check, {
+                f: given[f] for f in fields if given.get(f) is not None})
             model = build_model(_spec_from_args(args), pad=args.pad)
-            check = {"name": args.check, "type": args.check,
-                     "state": args.state, "with": args.with_state,
-                     "m_max": args.m_max, "n_max": args.n_max,
-                     "p": args.p, "s": args.s, "q": args.damping,
-                     "degree": args.degree, "d": args.d,
-                     "samples": args.samples, "seed": args.seed}
             result = run_check(model, check, 1e-8)
             _emit(result, args.json_out)
             return EXIT_OK if result["pass"] else EXIT_VIOLATION
         if args.verb == "suite":
             config = load_config(args.config)
-            out_dir = args.out or \
-                os.environ.get("VOACERT_OUTPUT_DIR") or config.output_dir
+            out_dir = args.out or config.output_dir
             bundle = run_suite(config, out_dir, args.jobs)
             print(f"suite: {'pass' if bundle['pass'] else 'FAIL'} "
                   f"({len(bundle['results'])} checks) -> "

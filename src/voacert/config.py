@@ -22,19 +22,6 @@ from .graded_fock import ModelSpec, heisenberg_spec, lattice_spec, \
     virasoro_spec
 from .scalars import rat_from_str
 
-CHECK_TYPES = {
-    "axioms", "unitarity", "norms", "virasoro_bound", "v1_bound",
-    "product_lemma", "primary_bound", "pair_bound", "zero_mode_product",
-    "orbifold", "trace_domination", "bootstrap",
-}
-
-_CHECK_FIELDS = {
-    "type": str, "model": str, "m_max": int, "n_max": int,
-    "samples": int, "seed": int, "degree_cap": int, "state": str,
-    "q": str, "s": str, "p": int, "degree": int, "d": int,
-    "with": str,
-}
-
 
 @dataclass
 class SuiteConfig:
@@ -48,38 +35,34 @@ class SuiteConfig:
     cache_dir: str = ""
 
     def validate(self):
+        from .cli import CHECKS  # cli imports this module
+
         for check in self.checks:
-            ctype = check.get("type")
-            if ctype not in CHECK_TYPES:
-                raise ConfigError(
-                    f"check {check.get('name')!r}: unknown type {ctype!r}")
+            name, ctype = check.get("name"), check.get("type")
+            if ctype not in CHECKS:
+                raise ConfigError(f"check {name!r}: unknown type {ctype!r}")
             mname = check.get("model")
             if mname not in self.models:
                 raise ConfigError(
-                    f"check {check.get('name')!r}: unknown model {mname!r}")
-            spec = self.models[mname]
-            n_max = check.get("n_max", 0)
-            m_max = check.get("m_max", 0)
-            if ctype in {"virasoro_bound", "v1_bound", "primary_bound"}:
-                if n_max + m_max > spec.N:
-                    raise ConfigError(
-                        f"check {check.get('name')!r}: window n_max+m_max ="
-                        f" {n_max + m_max} exceeds truncation N={spec.N}")
-            elif n_max > spec.N:
+                    f"check {name!r}: unknown model {mname!r}")
+            window = CHECKS[ctype].window
+            size = sum(check.get(f, 0) for f in window)
+            if size > self.models[mname].N:
                 raise ConfigError(
-                    f"check {check.get('name')!r}: n_max={n_max} exceeds "
-                    f"truncation N={spec.N}")
+                    f"check {name!r}: window {'+'.join(window)} = {size} "
+                    f"exceeds truncation N={self.models[mname].N}")
         if self.jobs < 0:
             raise ConfigError("jobs must be nonnegative")
         return self
 
 
-def _build_spec(name: str, fields: dict) -> ModelSpec:
+def spec_from_fields(where: str, fields: dict) -> ModelSpec:
+    """Model spec from named fields; errors start with `where`."""
     kind = fields.get("kind")
     try:
         n = int(fields["N"])
     except KeyError:
-        raise ConfigError(f"model {name!r}: missing N") from None
+        raise ConfigError(f"{where}: missing N") from None
     if kind == "heisenberg":
         rank = int(fields.get("rank", 1))
         metric = fields.get("metric")
@@ -90,18 +73,41 @@ def _build_spec(name: str, fields: dict) -> ModelSpec:
         return heisenberg_spec(rank, n)
     if kind == "virasoro":
         if "c" not in fields:
-            raise ConfigError(f"model {name!r}: missing central charge c")
+            raise ConfigError(f"{where}: missing central charge c")
         return virasoro_spec(fields["c"], n)
     if kind == "lattice":
         if "q" not in fields:
-            raise ConfigError(f"model {name!r}: missing lattice square q")
+            raise ConfigError(f"{where}: missing lattice square q")
         return lattice_spec(int(fields["q"]), n)
-    raise ConfigError(f"model {name!r}: unknown kind {kind!r}")
+    raise ConfigError(f"{where}: unknown kind {kind!r}")
+
+
+def make_check(name: str, ctype, fields: dict) -> dict:
+    """A check of a registered type, every field parsed by its FIELDS type.
+
+    Raises ConfigError for an unknown type, a field the type does not read
+    or a value that does not parse.
+    """
+    from .cli import CHECKS, FIELDS  # cli imports this module
+
+    if ctype not in CHECKS:
+        raise ConfigError(f"check {name!r}: unknown type {ctype!r}")
+    check = {"name": name, "type": ctype}
+    for fname, value in fields.items():
+        if fname not in CHECKS[ctype].fields:
+            raise ConfigError(f"check {name!r}: field {fname!r} does not "
+                              f"apply to type {ctype!r}")
+        try:
+            check[fname] = FIELDS[fname](value)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"check {name!r}: bad value for {fname}: {value!r}"
+            ) from None
+    return check
 
 
 def parse_config(text: str) -> SuiteConfig:
-    model_fields = {}
-    check_fields = {}
+    sections = {"model": {}, "check": {}}
     top = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -111,24 +117,19 @@ def parse_config(text: str) -> SuiteConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         parts = key.split(".")
-        if parts[0] == "model":
+        if parts[0] in sections:
             if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: model keys look like "
-                                  "model.<name>.<field>")
-            model_fields.setdefault(parts[1], {})[parts[2]] = value
-        elif parts[0] == "check":
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: check keys look like "
-                                  "check.<name>.<field>")
-            check_fields.setdefault(parts[1], {})[parts[2]] = value
+                raise ConfigError(f"line {lineno}: {parts[0]} keys look like "
+                                  f"{parts[0]}.<name>.<field>")
+            sections[parts[0]].setdefault(parts[1], {})[parts[2]] = value
         elif len(parts) == 1:
             top[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown section {parts[0]!r}")
 
     config = SuiteConfig()
-    for name, fields in sorted(model_fields.items()):
-        config.models[name] = _build_spec(name, fields)
+    for name, fields in sorted(sections["model"].items()):
+        config.models[name] = spec_from_fields(f"model {name!r}", fields)
         config.pads[name] = int(fields["pad"]) if "pad" in fields else None
         if "corrupt" in fields:
             parts = fields["corrupt"].split(",")
@@ -138,35 +139,20 @@ def parse_config(text: str) -> SuiteConfig:
             config.corrupts[name] = tuple(int(x) for x in parts)
         else:
             config.corrupts[name] = None
-    for name, fields in sorted(check_fields.items()):
-        check = {"name": name}
-        for fname, value in fields.items():
-            if fname not in _CHECK_FIELDS:
-                raise ConfigError(
-                    f"check {name!r}: unknown field {fname!r}")
-            caster = _CHECK_FIELDS[fname]
-            try:
-                check[fname] = caster(value)
-            except ValueError:
-                raise ConfigError(
-                    f"check {name!r}: bad value for {fname}: {value!r}"
-                ) from None
-        config.checks.append(check)
-    if "tolerance" in top:
-        config.tolerance = float(top["tolerance"])
-    if "output_dir" in top:
-        config.output_dir = top["output_dir"]
-    if "cache_dir" in top:
-        config.cache_dir = top["cache_dir"]
-    if "jobs" in top:
-        try:
-            config.jobs = int(top["jobs"])
-        except ValueError:
-            raise ConfigError(f"bad jobs value {top['jobs']!r}") from None
-    known = {"tolerance", "output_dir", "cache_dir", "jobs"}
-    for key in top:
-        if key not in known:
+    for name, fields in sorted(sections["check"].items()):
+        fields = dict(fields)
+        ctype, mname = fields.pop("type", None), fields.pop("model", None)
+        config.checks.append({**make_check(name, ctype, fields),
+                              "model": mname})
+    settings = {"tolerance": float, "output_dir": str, "cache_dir": str,
+                "jobs": int}
+    for key, value in top.items():
+        if key not in settings:
             raise ConfigError(f"unknown setting {key!r}")
+        try:
+            setattr(config, key, settings[key](value))
+        except ValueError:
+            raise ConfigError(f"bad {key} value {value!r}") from None
     return config.validate()
 
 

@@ -9,7 +9,7 @@ generator mode matrices per graded block and is immutable afterwards.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, SpecError, TruncationError
@@ -332,9 +332,6 @@ class Model:
     def dim(self, degree: int) -> int:
         return self.basis.dim(degree)
 
-    def degree_of_state(self, state: BasisState) -> int:
-        return self.basis.degree_of(state)
-
     def degree_of(self, vec: StateVector):
         """Degree of a homogeneous vector, None for 0, error if mixed."""
         degs = {self.basis.degree_of(st) for st in vec.terms}
@@ -391,9 +388,6 @@ class Model:
             blocks[src_degree] = xl.canonical(
                 self._lazy_builder(gid, m, src_degree))
         return blocks[src_degree]
-
-    def gen_mode_range(self):
-        return range(-self.n_internal, self.n_internal + 1)
 
     # -- canonical word reduction (identity except for Virasoro quotient) ---
 
@@ -531,13 +525,6 @@ class _VermaEngine:
                 if central:
                     _acc(out, rest, central)
         self._cache[key] = out
-        return out
-
-    def apply_vec(self, p: int, vec: dict) -> dict:
-        out = {}
-        for w, co in vec.items():
-            for w2, co2 in self.apply(p, w).items():
-                _acc(out, w2, co * co2)
         return out
 
     def gram(self, u: tuple, v: tuple):
@@ -853,7 +840,3 @@ class Automorphism:
             else:
                 return None
         return out
-
-    def fixes_exactly(self, vec: StateVector) -> bool:
-        img = self.apply_exact(vec)
-        return img is not None and img == vec

@@ -143,9 +143,6 @@ class ModeMatrix:
     convention: str = "plain"
     index: int = 0
 
-    def valid_sources(self):
-        return sorted(self.blocks)
-
     def block(self, s: int):
         if s not in self.blocks:
             raise TruncationError(s - self.shift, self.model.N,
@@ -332,6 +329,38 @@ def skewsymmetry_residual(model: Model, a, b, n: int) -> Residual:
     return Residual("skewsymmetry", total.max_abs(), {"n": n})
 
 
+def _bracket_residual(model: Model, a: StateVector, p: int, b: StateVector,
+                      q: int, rhs, what: str):
+    """Exact max over source degrees s of |[a_p, b_q] - rhs(s)| on V_s.
+
+    Plain indices p, q; rhs(s) is the block V_s -> V_{s-p-q} the bracket
+    must equal.  The sources are the degrees where the target and both
+    intermediate degrees fit the truncation; an empty range raises
+    TruncationError naming `what`.  Returns (max, sources).
+    """
+    n = model.N
+    sources = [s for s in range(n + 1)
+               if 0 <= s - p - q <= n and s - p <= n and s - q <= n]
+    if not sources:
+        raise TruncationError(max(p + q, p, q), n, what)
+    worst = ZERO
+    for s in sources:
+        tgt_dim, dim = model.dim(s - p - q), model.dim(s)
+        comm = xl.zeros(tgt_dim, dim)
+        if s - q >= 0:
+            bq = _vec_block(model, b, q, s)
+            ap_after = _vec_block(model, a, p, s - q)
+            comm = xl.mat_add(comm, xl.compose(ap_after, bq, tgt_dim, dim))
+        if s - p >= 0:
+            ap = _vec_block(model, a, p, s)
+            bq_after = _vec_block(model, b, q, s - p)
+            comm = xl.mat_sub(comm, xl.compose(bq_after, ap, tgt_dim, dim))
+        val = xl.max_abs(xl.mat_sub(comm, rhs(s)))
+        if val > worst:
+            worst = val
+    return worst, sources
+
+
 def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
     """Residual of the commutator formula on plain indices p, q.
 
@@ -348,31 +377,15 @@ def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
         xj = state_product(model, avec, j, bvec)  # round j = plain j+1-d_a
         if not xj.is_zero():
             products.append((binom, xj))
-    sources = [s for s in range(model.N + 1)
-               if 0 <= s - p - q <= model.N and s - p <= model.N
-               and s - q <= model.N]
-    if not sources:
-        raise TruncationError(max(p + q, p, q), model.N, "commutator window")
-    worst = ZERO
-    for s in sources:
-        tgt_dim = model.dim(s - p - q)
-        comm = xl.zeros(tgt_dim, model.dim(s))
-        if s - q >= 0:
-            bq = _vec_block(model, bvec, q, s)
-            ap_after = _vec_block(model, avec, p, s - q)
-            comm = xl.mat_add(comm, xl.compose(ap_after, bq, tgt_dim,
-                                               model.dim(s)))
-        if s - p >= 0:
-            ap = _vec_block(model, avec, p, s)
-            bq_after = _vec_block(model, bvec, q, s - p)
-            comm = xl.mat_sub(comm, xl.compose(bq_after, ap, tgt_dim,
-                                               model.dim(s)))
-        rhs = xl.zeros(tgt_dim, model.dim(s))
+
+    def rhs(s):
+        out = xl.zeros(model.dim(s - p - q), model.dim(s))
         for binom, xj in products:
-            xl.add_scaled(rhs, _vec_block(model, xj, p + q, s), binom)
-        m = xl.max_abs(xl.mat_sub(comm, rhs))
-        if m > worst:
-            worst = m
+            xl.add_scaled(out, _vec_block(model, xj, p + q, s), binom)
+        return out
+
+    worst, sources = _bracket_residual(model, avec, p, bvec, q, rhs,
+                                       "commutator window")
     return Residual("commutator", worst, {"p": p, "q": q,
                                           "sources": sources})
 
@@ -389,46 +402,16 @@ def translation_residual(model: Model, a, n: int,
     if quasi_primary is None:
         l1a = state_product(model, model.nu, 2, avec)  # L_1 = nu_(2)
         quasi_primary = l1a.is_zero()
-    ms = (-1, 0, 1) if quasi_primary else (-1,)
-    worst = ZERO
     checked = {}
-    for m in ms:
-        sources = [s for s in range(model.N + 1)
-                   if 0 <= s - m - n <= model.N and s - n <= model.N
-                   and s - m <= model.N]
-        if not sources:
-            raise TruncationError(max(m + n, n, m), model.N,
-                                  "translation window")
-        local = ZERO
-        for s in sources:
-            tgt_dim = model.dim(s - m - n)
-            comm = xl.zeros(tgt_dim, model.dim(s))
-            if s - n >= 0:
-                an = _vec_block(model, avec, n, s)
-                lm_after = mode_lblock(model, m, s - n)
-                comm = xl.mat_add(comm, xl.compose(lm_after, an, tgt_dim,
-                                                   model.dim(s)))
-            if s - m >= 0:
-                lm = mode_lblock(model, m, s)
-                an_after = _vec_block(model, avec, n, s - m)
-                comm = xl.mat_sub(comm, xl.compose(an_after, lm, tgt_dim,
-                                                   model.dim(s)))
-            coeff = Q((d - 1) * m - n)
-            rhs = xl.mat_scale(_vec_block(model, avec, m + n, s), coeff)
-            val = xl.max_abs(xl.mat_sub(comm, rhs))
-            if val > local:
-                local = val
-        checked[m] = local
-        if local > worst:
-            worst = local
-    return Residual("translation", worst,
+    for m in (-1, 0, 1) if quasi_primary else (-1,):
+        coeff = Q((d - 1) * m - n)
+        checked[m], _ = _bracket_residual(
+            model, model.nu, m, avec, n,
+            lambda s: xl.mat_scale(_vec_block(model, avec, m + n, s), coeff),
+            "translation window")
+    return Residual("translation", max(checked.values()),
                     {"n": n, "per_m": checked,
                      "quasi_primary": quasi_primary})
-
-
-def mode_lblock(model: Model, m: int, s: int):
-    """Block of L_m (plain mode m of the conformal state)."""
-    return _vec_block(model, model.nu, m, s)
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,17 @@ def model_to_dict(model: Model) -> dict:
 
 
 def save_model(model: Model, path: str):
+    """Write a container; the rename never exposes a partly written file."""
     # json.dumps runs the C encoder; json.dump to a file does not
     text = json.dumps(model_to_dict(model), sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _stored_pad(spec: ModelSpec, data: dict):
@@ -112,10 +119,17 @@ def load_model(path: str) -> Model:
     """Rebuild the model for a stored container and verify it against it.
 
     Raises ConfigError for a container of another schema and ModelBugError
-    when any stored field differs from the rebuild.
+    when the file is not a JSON object or a stored field differs from the
+    rebuild.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError:
+            data = None
+    if not isinstance(data, dict):
+        raise ModelBugError(f"{path} is not a JSON object; stale or "
+                            "corrupted container")
     if data.get("schema") != SCHEMA:
         raise ConfigError(f"unknown container schema {data.get('schema')!r}")
     spec = spec_from_dict(data["spec"])

@@ -14,22 +14,9 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import ModelBugError, TruncationError
 from .graded_fock import BasisState, Model, StateVector
-from .mode_engine import Residual, _as_vector, _vec_block, state_product
+from .mode_engine import (Residual, _as_vector, _bracket_residual,
+                          _vec_block, state_product)
 from .scalars import ONE, Q, ZERO
-
-
-def _apply_gen(model: Model, gid: int, m: int, vec: StateVector,
-               degree: int) -> StateVector:
-    """Generator mode applied to a homogeneous vector of known degree."""
-    tgt = degree - m
-    out = StateVector()
-    if tgt < 0 or vec.is_zero():
-        return out
-    mat = model.gen_block(gid, m, degree)
-    image = xl.mat_vec(mat, model.coords(vec, degree))
-    for pos, val in enumerate(image):
-        out.add_term(model.basis.states(tgt)[pos], val)
-    return out
 
 
 class GramFamily:
@@ -297,33 +284,16 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int,
         fam = family_of(model)
     bracket = state_product(model, a, 0, b)
     central = Q(m) * fam.pairing(star(model, a, fam), b) if m == -n else ZERO
-    sources = [s for s in range(model.N + 1)
-               if 0 <= s - m - n <= model.N and s - m <= model.N
-               and s - n <= model.N]
-    if not sources:
-        raise TruncationError(max(m + n, m, n), model.N,
-                              "current bracket window")
-    worst = ZERO
-    for s in sources:
-        tgt_dim = model.dim(s - m - n)
-        comm = xl.zeros(tgt_dim, model.dim(s))
-        if s - n >= 0:
-            bn = _vec_block(model, b, n, s)
-            am_after = _vec_block(model, a, m, s - n)
-            comm = xl.mat_add(comm, xl.compose(am_after, bn, tgt_dim,
-                                               model.dim(s)))
-        if s - m >= 0:
-            am = _vec_block(model, a, m, s)
-            bn_after = _vec_block(model, b, n, s - m)
-            comm = xl.mat_sub(comm, xl.compose(bn_after, am, tgt_dim,
-                                               model.dim(s)))
-        rhs = _vec_block(model, bracket, m + n, s) if not bracket.is_zero() \
-            else xl.zeros(tgt_dim, model.dim(s))
-        if central and m + n == 0:
-            rhs = xl.mat_add(rhs, xl.mat_scale(xl.identity(model.dim(s)),
+
+    def rhs(s):
+        out = _vec_block(model, bracket, m + n, s) if not bracket.is_zero() \
+            else xl.zeros(model.dim(s - m - n), model.dim(s))
+        if central:
+            out = xl.mat_add(out, xl.mat_scale(xl.identity(model.dim(s)),
                                                central))
-        val = xl.max_abs(xl.mat_sub(comm, rhs))
-        if val > worst:
-            worst = val
+        return out
+
+    worst, _ = _bracket_residual(model, a, m, b, n, rhs,
+                                 "current bracket window")
     return Residual("kac_moody", worst,
                     {"m": m, "n": n, "central": central})

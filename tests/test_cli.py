@@ -1,9 +1,11 @@
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
-from voacert.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main,
+from voacert.cli import (CHECKS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main,
                          resolve_state, run_suite)
 from voacert.config import parse_config
 from voacert.errors import ConfigError
@@ -118,3 +120,73 @@ def test_export_verb(tmp_path, capsys):
     assert written
     for p in written:
         assert p.read_text().startswith("m,n,lhs,rhs,margin")
+
+
+@pytest.mark.parametrize("selector", [
+    "basis:1:99", "top:99", "basis:1", "x*top:1", "basis:-1:0", "top:1:0"])
+def test_selector_outside_the_basis_is_a_config_error(heis8, selector):
+    with pytest.raises(ConfigError, match="bad state selector"):
+        resolve_state(heis8, selector)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "heisenberg", "--N", "8", "--check", "primary_bound",
+     "--state", "nu", "--m-max", "2", "--n-max", "4"],
+    ["--kind", "heisenberg", "--N", "8", "--check", "v1_bound",
+     "--state", "nu", "--m-max", "2", "--n-max", "4"],
+    ["--kind", "heisenberg", "--N", "8", "--check", "bootstrap",
+     "--n-max", "4"],
+    ["--kind", "heisenberg", "--N", "6", "--check", "norms",
+     "--state", "basis:1:99"],
+    ["--kind", "heisenberg", "--N", "6", "--check", "norms",
+     "--state", "top:99"],
+    ["--kind", "heisenberg", "--N", "6", "--check", "norms",
+     "--state", "basis:1"],
+    ["--kind", "heisenberg", "--N", "6", "--check", "norms",
+     "--state", "x*top:1"],
+])
+def test_bad_check_input_exits_with_config_code(argv, capsys):
+    assert main(["certify"] + argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_bad_check_input_fails_suite_with_config_code(tmp_path, capsys):
+    path = tmp_path / "suite.cfg"
+    path.write_text(SUITE + "check.pb.type = primary_bound\n"
+                            "check.pb.model = h\ncheck.pb.n_max = 2\n"
+                            "check.pb.m_max = 2\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert "'pb'" in capsys.readouterr().err
+
+
+def test_export_writes_the_orbifold_chain(tmp_path, capsys):
+    config = parse_config(
+        "model.h.kind = heisenberg\nmodel.h.N = 6\n"
+        "check.orb.type = orbifold\ncheck.orb.model = h\n"
+        "check.orb.state = basis:1:0\ncheck.orb.s = 1/2\n"
+        "check.orb.n_max = 4\n")
+    out = tmp_path / "rep"
+    bundle = run_suite(config, str(out), jobs=1)
+    dest = tmp_path / "export"
+    os.makedirs(dest)
+    assert main(["export", "--bundle", str(out / "suite.json"),
+                 "--format", "csv", "--out", str(dest)]) == EXIT_OK
+    rows = (dest / "orb.csv").read_text().splitlines()
+    assert rows[0] == "m,n,lhs,rhs,margin"
+    assert len(rows) == 1 + len(bundle["results"][0]["chain"]["cells"]) == 6
+
+
+def test_readme_check_table_lists_every_registered_type():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().split("### Check types", 1)[1]
+    text = text.split("\n#", 1)[0]
+    rows = {}
+    for line in text.splitlines():
+        match = re.match(r"\| `(\w+)` \| ([^|]*)\|", line)
+        if match:
+            rows[match.group(1)] = tuple(re.findall(r"`(\w+)`",
+                                                    match.group(2)))
+    assert sorted(rows) == sorted(CHECKS)
+    for ctype, fields in rows.items():
+        assert fields == CHECKS[ctype].fields, ctype

@@ -1,7 +1,9 @@
 import pytest
 
+from voacert.cli import CHECKS, FIELDS
 from voacert.config import parse_config
 from voacert.errors import ConfigError
+from voacert.scalars import Q
 
 GOOD = """
 # a small suite
@@ -83,3 +85,37 @@ def test_malformed_lines_rejected():
 def test_unknown_check_field_rejected():
     with pytest.raises(ConfigError):
         parse_config(GOOD + "check.ax.frobnicate = 1\n")
+
+
+def test_field_the_type_does_not_read_is_rejected():
+    for extra in ("check.ax.m_max = 2\n", "check.ax.state = nu\n",
+                  "check.vb.samples = 5\n", "check.vb.q = 1/2\n"):
+        with pytest.raises(ConfigError, match="does not apply"):
+            parse_config(GOOD + extra)
+
+
+def test_rational_fields_are_parsed_with_the_config():
+    orbifold = ("check.o.type = orbifold\ncheck.o.model = h\n"
+                "check.o.n_max = 4\n")
+    with pytest.raises(ConfigError, match="bad value for s"):
+        parse_config(GOOD + orbifold + "check.o.s = abc\n")
+    with pytest.raises(ConfigError, match="bad value for q"):
+        parse_config(GOOD + "check.t.type = trace_domination\n"
+                            "check.t.model = h\ncheck.t.q = 1/0\n")
+    config = parse_config(GOOD + orbifold + "check.o.s = 3/2\n")
+    check = next(c for c in config.checks if c["name"] == "o")
+    assert check["s"] == Q(3, 2)
+
+
+def test_every_registered_type_parses_with_every_field_it_reads():
+    values = {"state": "nu", "with": "nu", "m_max": "1", "n_max": "2",
+              "samples": "3", "seed": "4", "degree_cap": "2", "p": "0",
+              "degree": "1", "d": "1", "q": "1/2", "s": "1"}
+    assert set(values) == set(FIELDS)
+    for ctype, entry in CHECKS.items():
+        lines = [f"check.x.type = {ctype}", "check.x.model = h"]
+        lines += [f"check.x.{f} = {values[f]}" for f in entry.fields]
+        config = parse_config(GOOD + "\n".join(lines) + "\n")
+        check = next(c for c in config.checks if c["name"] == "x")
+        assert set(check) == {"name", "type", "model", *entry.fields}
+        assert set(entry.window) <= set(entry.fields)

@@ -179,3 +179,50 @@ def test_cache_propagates_disagreeing_containers(tmp_path):
         json.dump(data, fh)
     with pytest.raises(ModelBugError):
         ModelCache(str(tmp_path)).get_or_build(spec)
+
+
+@pytest.mark.parametrize("content", ["truncated", "[1, 2]", "null"])
+def test_cache_rejects_containers_that_are_not_json_objects(tmp_path,
+                                                            content):
+    spec = heisenberg_spec(1, 5)
+    path = ModelCache(str(tmp_path)).path_for(spec)
+    save_model(build_model(spec), path)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[:len(text) // 2] if content == "truncated" else content)
+    with pytest.raises(ModelBugError, match="stale or corrupted"):
+        ModelCache(str(tmp_path)).get_or_build(spec)
+
+
+def test_suite_on_a_corrupted_cache_exits_with_numerical_code(tmp_path,
+                                                              capsys):
+    from voacert.cli import EXIT_NUMERICAL, main
+
+    cache = tmp_path / "cache"
+    path = ModelCache(str(cache)).path_for(heisenberg_spec(1, 5))
+    with open(path, "w") as fh:
+        fh.write('{"schema": "voacert-model/2", "spec": {')
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("model.h.kind = heisenberg\nmodel.h.N = 5\n"
+                   "check.u.type = unitarity\ncheck.u.model = h\n"
+                   f"cache_dir = {cache}\n")
+    assert main(["suite", "--config", str(cfg), "--out",
+                 str(tmp_path / "rep")]) == EXIT_NUMERICAL
+    assert "stale or corrupted" in capsys.readouterr().err
+
+
+def test_save_model_replaces_the_container_atomically(tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(build_model(heisenberg_spec(1, 5)), str(path))
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serialize.os, "replace", fail)
+    with pytest.raises(OSError):
+        save_model(build_model(heisenberg_spec(1, 6)), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

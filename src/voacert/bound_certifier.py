@@ -45,6 +45,8 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
+        if not math.isfinite(self.tolerance):
+            return False  # a nan tolerance would pass every cell
         for cell in self.cells:
             if not all(math.isfinite(cell[k])
                        for k in ("lhs", "rhs", "margin")):

@@ -15,12 +15,13 @@ else is a top-level setting.  Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .graded_fock import ModelSpec, heisenberg_spec, lattice_spec, \
     virasoro_spec
-from .scalars import rat_from_str
+from .scalars import rat_from_str, rational
 
 
 @dataclass
@@ -56,30 +57,64 @@ class SuiteConfig:
         return self
 
 
+def _parse_field(where: str, fields: dict, name: str, parse, default=None):
+    """fields[name] parsed, or default when it is absent.
+
+    A value that does not parse is a ConfigError naming `where` and the
+    field.
+    """
+    if name not in fields:
+        return default
+    try:
+        return parse(fields[name])
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where}: bad value for {name}: "
+                          f"{fields[name]!r}") from None
+
+
+def _metric(value: str):
+    """'a,b;c,d' as rows of rationals."""
+    return tuple(tuple(rat_from_str(x) for x in row.split(","))
+                 for row in value.split(";"))
+
+
 def spec_from_fields(where: str, fields: dict) -> ModelSpec:
     """Model spec from named fields; errors start with `where`."""
     kind = fields.get("kind")
-    try:
-        n = int(fields["N"])
-    except KeyError:
-        raise ConfigError(f"{where}: missing N") from None
+    if "N" not in fields:
+        raise ConfigError(f"{where}: missing N")
+    n = _parse_field(where, fields, "N", int)
     if kind == "heisenberg":
-        rank = int(fields.get("rank", 1))
-        metric = fields.get("metric")
-        if metric:
-            rows = tuple(tuple(rat_from_str(x) for x in row.split(","))
-                         for row in metric.split(";"))
-            return heisenberg_spec(rank, n, rows)
+        rank = _parse_field(where, fields, "rank", int, 1)
+        if fields.get("metric"):
+            return heisenberg_spec(
+                rank, n, _parse_field(where, fields, "metric", _metric))
         return heisenberg_spec(rank, n)
     if kind == "virasoro":
         if "c" not in fields:
             raise ConfigError(f"{where}: missing central charge c")
-        return virasoro_spec(fields["c"], n)
+        return virasoro_spec(_parse_field(where, fields, "c", rational), n)
     if kind == "lattice":
         if "q" not in fields:
             raise ConfigError(f"{where}: missing lattice square q")
-        return lattice_spec(int(fields["q"]), n)
+        return lattice_spec(_parse_field(where, fields, "q", int), n)
     raise ConfigError(f"{where}: unknown kind {kind!r}")
+
+
+def _corrupt(value: str):
+    """gid,m,src,row,col,delta as six ints."""
+    parts = value.split(",")
+    if len(parts) != 6:
+        raise ValueError(value)
+    return tuple(int(x) for x in parts)
+
+
+def _tolerance(value: str) -> float:
+    """A finite, nonnegative float; nan would pass every bound cell."""
+    tol = float(value)
+    if not 0 <= tol < math.inf:
+        raise ValueError(value)
+    return tol
 
 
 def make_check(name: str, ctype, fields: dict) -> dict:
@@ -93,16 +128,12 @@ def make_check(name: str, ctype, fields: dict) -> dict:
     if ctype not in CHECKS:
         raise ConfigError(f"check {name!r}: unknown type {ctype!r}")
     check = {"name": name, "type": ctype}
-    for fname, value in fields.items():
+    for fname in fields:
         if fname not in CHECKS[ctype].fields:
             raise ConfigError(f"check {name!r}: field {fname!r} does not "
                               f"apply to type {ctype!r}")
-        try:
-            check[fname] = FIELDS[fname](value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"check {name!r}: bad value for {fname}: {value!r}"
-            ) from None
+        check[fname] = _parse_field(f"check {name!r}", fields, fname,
+                                    FIELDS[fname])
     return check
 
 
@@ -129,30 +160,23 @@ def parse_config(text: str) -> SuiteConfig:
 
     config = SuiteConfig()
     for name, fields in sorted(sections["model"].items()):
-        config.models[name] = spec_from_fields(f"model {name!r}", fields)
-        config.pads[name] = int(fields["pad"]) if "pad" in fields else None
-        if "corrupt" in fields:
-            parts = fields["corrupt"].split(",")
-            if len(parts) != 6:
-                raise ConfigError(
-                    f"model {name!r}: corrupt takes gid,m,src,row,col,delta")
-            config.corrupts[name] = tuple(int(x) for x in parts)
-        else:
-            config.corrupts[name] = None
+        where = f"model {name!r}"
+        config.models[name] = spec_from_fields(where, fields)
+        config.pads[name] = _parse_field(where, fields, "pad", int)
+        config.corrupts[name] = _parse_field(where, fields, "corrupt",
+                                             _corrupt)
     for name, fields in sorted(sections["check"].items()):
         fields = dict(fields)
         ctype, mname = fields.pop("type", None), fields.pop("model", None)
         config.checks.append({**make_check(name, ctype, fields),
                               "model": mname})
-    settings = {"tolerance": float, "output_dir": str, "cache_dir": str,
+    settings = {"tolerance": _tolerance, "output_dir": str, "cache_dir": str,
                 "jobs": int}
-    for key, value in top.items():
+    for key in top:
         if key not in settings:
             raise ConfigError(f"unknown setting {key!r}")
-        try:
-            setattr(config, key, settings[key](value))
-        except ValueError:
-            raise ConfigError(f"bad {key} value {value!r}") from None
+        setattr(config, key,
+                _parse_field("setting", top, key, settings[key]))
     return config.validate()
 
 

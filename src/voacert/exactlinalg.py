@@ -10,11 +10,16 @@ Mode blocks are mostly zeros, and the hot-path kernels skip them:
 s*b``) work in place over nonzero entries without building a product,
 ``mat_mul`` skips the zero entries of both factors, and ``mat_add``,
 ``mat_sub``, ``mat_scale`` and ``max_abs`` do no arithmetic on a zero.
-Elimination is plain dense code, cheap on the small graded pieces of
-desk-scale truncations; every result stays exact.
+Elimination is fraction-free: ``rref`` (behind ``kernel_basis`` and
+``inverse``) scales its input to ints once and runs Bareiss updates, whose
+divisions are exact, so no intermediate rational is ever built; ``ldl``
+is plain dense code in ``Q``.  An entry that is not an exact rational (a
+float) raises TypeError.  Every result stays exact.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -156,15 +161,42 @@ def to_numpy(a) -> np.ndarray:
     return out
 
 
+def _ratio(x):
+    """(numerator, denominator) of an exact rational, as ints.
+
+    Raises TypeError for anything else (a float), as ``canon`` does; an
+    entry is never truncated.
+    """
+    if type(x) is int:
+        return x, 1
+    try:
+        return int(x.numerator), int(x.denominator)
+    except AttributeError:
+        raise TypeError(f"not an exact rational: {x!r}") from None
+
+
+def _integer_rows(a):
+    """a times the lcm of its denominators, as a new matrix of ints."""
+    pairs = [[_ratio(x) for x in row] for row in a]
+    scale = math.lcm(*(den for row in pairs for _, den in row))
+    return [[num * (scale // den) for num, den in row] for row in pairs]
+
+
 def rref(a):
     """Reduced row echelon form.
 
-    Returns (r, pivot_cols) where r is the echelon matrix (a copy).
+    Returns (r, pivot_cols) where r is the echelon matrix (a new matrix of
+    ``Q`` entries).  The elimination is fraction-free: the input is scaled
+    to ints once, then column-order Gauss-Jordan runs on ints with Bareiss
+    updates (p*x - f*y) // prev, each an exact division (Bareiss, Math.
+    Comp. 22, 1968).  Every pivot row is divided by its pivot at the end;
+    the reduced form is unique, so the result is the rational one.
     """
-    r = [list(row) for row in a]
+    r = _integer_rows(a)
     n, m = shape(r)
     pivots = []
     lead = 0
+    prev = 1
     for col in range(m):
         if lead >= n:
             break
@@ -176,15 +208,23 @@ def rref(a):
         if piv is None:
             continue
         r[lead], r[piv] = r[piv], r[lead]
-        inv = ONE / r[lead][col]
-        r[lead] = [inv * x for x in r[lead]]
-        for i in range(n):
-            if i != lead and r[i][col]:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+        prow = r[lead]
+        p = prow[col]
+        for i, row in enumerate(r):
+            if i == lead:
+                continue
+            f = row[col]
+            if f:
+                r[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                r[i] = [p * x // prev if x else 0 for x in row]
+        prev = p
         pivots.append(col)
         lead += 1
-    return r, pivots
+    out = [[Q(x, row[col]) if x else ZERO for x in row]
+           for row, col in zip(r, pivots)]
+    out.extend([ZERO] * m for _ in range(n - lead))
+    return out, pivots
 
 
 def kernel_basis(a):
@@ -205,7 +245,7 @@ def kernel_basis(a):
 def inverse(a):
     n, m = shape(a)
     assert n == m
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
+    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix in exact inverse")

@@ -555,21 +555,24 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     engine = _VermaEngine(c, n_internal)
     verma = _enumerate_internal(spec, n_internal)
 
-    # Gram matrices and radical per degree on the Verma basis.
+    # One elimination per degree: R = rref(G) with r pivots, the kept
+    # columns K.  E*G = R for an invertible E and R[:r] is the identity on
+    # K, so G[:, K]*x = G*v solves to x = R[:r]*v: the quotient-class
+    # coordinates of a Verma vector v.  No positivity of G is assumed.
     kept_by_degree = []
-    gram_full = []
-    kept_inv = []
+    coords_by_degree = []
+    index_by_degree = []  # Verma word -> position in its degree
     for deg in range(n_internal + 1):
-        words = [st.factors for st in verma.states(deg)]
-        parts = [tuple(-m for _, m in w) for w in words]
+        parts = [tuple(-m for _, m in st.factors)
+                 for st in verma.states(deg)]
+        index_by_degree.append({w: i for i, w in enumerate(parts)})
         g = [[engine.gram(u, v) for v in parts] for u in parts]
         if xl.transpose(g) != g:
             raise ModelBugError("Verma Gram not symmetric")
-        gram_full.append(g)
-        _, pivots = xl.rref(g)
+        r, pivots = xl.rref(g)
         kept_by_degree.append(pivots)
-        sub = [[g[i][j] for j in pivots] for i in pivots]
-        kept_inv.append(xl.inverse(sub) if pivots else [])
+        # int zeros and ones, which mat_vec skips or multiplies cheaply
+        coords_by_degree.append(xl.canonical(r[:len(pivots)]))
     if not kept_by_degree[2]:
         raise ModelBugError("conformal state lies in the Gram radical")
 
@@ -579,19 +582,11 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
 
     def project(vec: dict, degree: int):
         """Quotient-class coordinates of a Verma vector at fixed degree."""
-        words = [tuple(-m for _, m in st.factors)
-                 for st in verma.states(degree)]
-        pos = {w: i for i, w in enumerate(words)}
-        full = [ZERO] * len(words)
+        pos = index_by_degree[degree]
+        full = [0] * len(pos)
         for w, co in vec.items():
             full[pos[w]] += co
-        g = gram_full[degree]
-        kept = kept_by_degree[degree]
-        rhs = []
-        for i in kept:
-            rhs.append(sum((g[i][j] * full[j] for j in range(len(words))
-                            if full[j]), ZERO))
-        return xl.mat_vec(kept_inv[degree], rhs)
+        return xl.mat_vec(coords_by_degree[degree], full)
 
     def lazy_block(gid, m, src):
         tgt = src - m

@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 
-from .errors import ConfigError, ModelBugError
+from .errors import ConfigError, ModelBugError, SpecError
 from .graded_fock import BasisState, Model, ModelSpec, build_model
 from .scalars import rat_from_str, rat_to_str
 
@@ -115,12 +115,26 @@ def _stored_pad(spec: ModelSpec, data: dict):
     return n_internal - spec.N
 
 
+def _stored_spec(path: str, data: dict) -> ModelSpec:
+    """The container's spec, validated; ModelBugError if missing or bad."""
+    try:
+        spec = spec_from_dict(data["spec"])
+        if not all(type(x) is int for x in (spec.N, spec.rank, spec.q)):
+            raise TypeError("N, rank and q must be ints")
+        spec.validate()
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError, SpecError) as exc:
+        raise ModelBugError(f"{path}: missing or malformed spec ({exc!r}); "
+                            "stale or corrupted container") from None
+    return spec
+
+
 def load_model(path: str) -> Model:
     """Rebuild the model for a stored container and verify it against it.
 
     Raises ConfigError for a container of another schema and ModelBugError
-    when the file is not a JSON object or a stored field differs from the
-    rebuild.
+    when the file is not a JSON object, its spec is missing or malformed, or
+    a stored field differs from the rebuild.
     """
     with open(path) as fh:
         try:
@@ -132,7 +146,7 @@ def load_model(path: str) -> Model:
                             "corrupted container")
     if data.get("schema") != SCHEMA:
         raise ConfigError(f"unknown container schema {data.get('schema')!r}")
-    spec = spec_from_dict(data["spec"])
+    spec = _stored_spec(path, data)
     model = build_model(spec, pad=_stored_pad(spec, data))
     n = model.n_internal
     for key in data.get("blocks", {}):

@@ -55,12 +55,21 @@ def test_heisenberg_dims_are_partition_numbers(heis8):
 def test_ising_dims_match_minimal_model_character(ising8):
     expect = minimal_vacuum_dims(4, 3, 8)
     assert [ising8.dim(n) for n in range(9)] == expect
+    # the criterion-4 truncation, through its working margin
+    vir16 = build_model(virasoro_spec("1/2", 16), pad=1)
+    assert vir16.n_internal == 17
+    assert [vir16.dim(n) for n in range(18)] == \
+        minimal_vacuum_dims(4, 3, 17)
 
 
 def test_c1_dims_match_free_field_character(c1_8):
-    p = partition_counts(8)
-    expect = [p[n] - (p[n - 1] if n else 0) for n in range(9)]
-    assert [c1_8.dim(n) for n in range(9)] == expect
+    p = partition_counts(17)
+    expect = [p[n] - (p[n - 1] if n else 0) for n in range(18)]
+    assert [c1_8.dim(n) for n in range(9)] == expect[:9]
+    # the criterion-4 truncation, through its working margin
+    vir16 = build_model(virasoro_spec(1, 16), pad=1)
+    assert vir16.n_internal == 17
+    assert [vir16.dim(n) for n in range(18)] == expect
 
 
 def test_lattice_dims_match_theta_over_eta(lat2_6):
@@ -117,3 +126,21 @@ def test_state_vector_coefficients_are_ints_when_integral(heis8):
 def test_conformal_state_degree_two(heis8, ising8, lat2_6):
     for model in (heis8, ising8, lat2_6):
         assert model.degree_of(model.nu) == 2
+
+
+def test_virasoro_quotient_is_one_elimination_per_degree(monkeypatch):
+    from voacert import exactlinalg as xl
+
+    calls = {"rref": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(xl, name, counted(name, getattr(xl, name)))
+    model = build_model(virasoro_spec("1/2", 8), pad=2)
+    model.gen_block(0, -2, 6)  # a lazy block projects without eliminating
+    assert calls == {"rref": model.n_internal + 1, "inverse": 0}

@@ -196,6 +196,16 @@ def test_bound_report_fails_on_non_finite_cells(lhs, rhs):
     assert not report.passed
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_bound_report_fails_on_a_non_finite_tolerance(tolerance):
+    report = BoundReport("demo", "m", "s", {}, {}, tolerance=tolerance)
+    report.add_cell(0, 0, 2.0, 1.0)  # violated by a whole unit
+    assert not report.passed
+    report.cells.clear()
+    report.add_cell(0, 0, 1.0, 2.0)
+    assert not report.passed
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_bootstrap_rejects_non_finite_growth_data(bad):
     with pytest.raises(ValueError):

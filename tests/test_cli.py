@@ -160,6 +160,20 @@ def test_bad_check_input_fails_suite_with_config_code(tmp_path, capsys):
     assert "'pb'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "model.h.N = six", "model.h.rank = x", "model.h.pad = x",
+    "model.h.corrupt = 0,-1,2,0,0,one", "tolerance = nan",
+    "tolerance = -1"])
+def test_bad_model_field_or_tolerance_fails_suite_with_config_code(
+        tmp_path, capsys, line):
+    path = tmp_path / "suite.cfg"
+    path.write_text(SUITE + line + "\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    field = line.split("=")[0].strip().split(".")[-1]
+    assert field in capsys.readouterr().err
+
+
 def test_export_writes_the_orbifold_chain(tmp_path, capsys):
     config = parse_config(
         "model.h.kind = heisenberg\nmodel.h.N = 6\n"

@@ -119,3 +119,40 @@ def test_every_registered_type_parses_with_every_field_it_reads():
         check = next(c for c in config.checks if c["name"] == "x")
         assert set(check) == {"name", "type", "model", *entry.fields}
         assert set(entry.window) <= set(entry.fields)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-8", "NaN"])
+def test_non_finite_or_negative_tolerance_is_rejected(value):
+    text = GOOD.replace("tolerance = 1e-8", f"tolerance = {value}")
+    with pytest.raises(ConfigError, match="setting: bad value for tolerance"):
+        parse_config(text)
+
+
+def test_zero_tolerance_is_accepted():
+    text = GOOD.replace("tolerance = 1e-8", "tolerance = 0")
+    assert parse_config(text).tolerance == 0.0
+
+
+BAD_MODEL_FIELDS = {
+    "N": "model.h.N = six\n",
+    "rank": "model.h.rank = two\n",
+    "pad": "model.h.pad = x\n",
+    "corrupt": "model.h.corrupt = 0,-1,2,0,zero,1\n",
+    "q": "model.l.q = two\n",
+    "c": "model.v.c = half\n",
+    "metric": "model.h.metric = a\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_MODEL_FIELDS))
+def test_bad_model_field_is_a_config_error(field):
+    line = BAD_MODEL_FIELDS[field]
+    model = line.split(".")[1]
+    with pytest.raises(ConfigError,
+                       match=f"model '{model}': bad value for {field}"):
+        parse_config(GOOD + line)
+
+
+def test_corrupt_needs_six_fields():
+    with pytest.raises(ConfigError, match="bad value for corrupt"):
+        parse_config(GOOD + "model.h.corrupt = 0,-1,2\n")

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from voacert import exactlinalg as xl
@@ -268,3 +269,108 @@ def test_ldl_matches_sylvester_minors(rows, gram):
         assert xl.mat_mul(low, xl.mat_mul(dmat, xl.transpose(low))) == a
         assert all(low[i][i] == 1 and not any(low[i][i + 1:])
                    for i in range(n))
+
+
+# -- fraction-free elimination against rational Gauss-Jordan -----------------
+
+
+def gauss_jordan_rref(a):
+    """Column-order Gauss-Jordan in Q: the rational reference for rref."""
+    r = [[Q(x) for x in row] for row in a]
+    n, m = xl.shape(r)
+    pivots = []
+    lead = 0
+    for col in range(m):
+        if lead >= n:
+            break
+        piv = next((i for i in range(lead, n) if r[i][col]), None)
+        if piv is None:
+            continue
+        r[lead], r[piv] = r[piv], r[lead]
+        inv = ONE / r[lead][col]
+        r[lead] = [inv * x for x in r[lead]]
+        for i in range(n):
+            if i != lead and r[i][col]:
+                f = r[i][col]
+                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+        pivots.append(col)
+        lead += 1
+    return r, pivots
+
+
+def gauss_jordan_kernel(a):
+    m = xl.shape(a)[1]
+    r, pivots = gauss_jordan_rref(a)
+    basis = []
+    for f in (j for j in range(m) if j not in pivots):
+        v = [ZERO] * m
+        v[f] = ONE
+        for row_idx, p in enumerate(pivots):
+            v[p] = -r[row_idx][f]
+        basis.append(v)
+    return basis
+
+
+def gauss_jordan_inverse(a):
+    n = len(a)
+    r, pivots = gauss_jordan_rref([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in r]
+
+
+@st.composite
+def elimination_input(draw):
+    """An n x m int or rational matrix, often of low rank, with zero rows
+    and columns."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):  # rank <= k: an n x k times a k x m matrix
+        k = draw(st.integers(0, max(n, m)))
+        left, right = draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
+        a = [[sum((x * y for x, y in zip(row, col)), 0)
+              for col in zip(*right)] if k else [0] * m for row in left]
+    else:
+        entry = draw(st.sampled_from([sparse_q, st.integers(-9, 9),
+                                      small_q]))
+        a = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+@settings(max_examples=300)
+@given(elimination_input())
+@example([])  # 0 x m: no row carries the column count
+@example([[], [], []])  # n x 0
+@example([[0, 0], [0, 0]])
+@example([[Q(1, 3), Q(2, 5)], [Q(2, 3), Q(4, 5)]])  # rank 1, rational
+@example([[0, 4, 6], [0, 2, 3], [1, 0, 0]])  # skipped column, row swap
+def test_fraction_free_elimination_matches_gauss_jordan(a):
+    before = [list(row) for row in a]
+    r, pivots = xl.rref(a)
+    assert (r, pivots) == gauss_jordan_rref(a)
+    assert xl.shape(r) == xl.shape(a)
+    exact_entries(r)
+    assert xl.kernel_basis(a) == gauss_jordan_kernel(a)
+    k = min(xl.shape(a))
+    square = [row[:k] for row in a[:k]]
+    try:
+        want = gauss_jordan_inverse(square)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            xl.inverse(square)
+    else:
+        got = xl.inverse(square)
+        assert got == want
+        exact_entries(got)
+    assert a == before
+
+
+@pytest.mark.parametrize("fn", [xl.rref, xl.kernel_basis, xl.inverse])
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1.0)])
+def test_elimination_rejects_inexact_entries(fn, bad):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        fn([[Q(1, 2), 1], [bad, 3]])

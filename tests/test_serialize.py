@@ -195,6 +195,49 @@ def test_cache_rejects_containers_that_are_not_json_objects(tmp_path,
         ModelCache(str(tmp_path)).get_or_build(spec)
 
 
+SPEC_TAMPERS = {
+    "missing": lambda d: d.pop("spec"),
+    "not-an-object": lambda d: d.update(spec=[1, 2]),
+    "empty": lambda d: d.update(spec={}),
+    "string-N": lambda d: d["spec"].update(N="5"),
+    "float-N": lambda d: d["spec"].update(N=5.0),
+    "unknown-kind": lambda d: d["spec"].update(kind="bogus"),
+    "bad-metric": lambda d: d["spec"].update(metric=[["x"]]),
+    "zero-rank": lambda d: d["spec"].update(rank=0),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(SPEC_TAMPERS))
+def test_cache_rejects_a_container_without_a_valid_spec(tmp_path, tamper):
+    spec = heisenberg_spec(1, 5)
+    path = ModelCache(str(tmp_path)).path_for(spec)
+    save_model(build_model(spec), path)
+    with open(path) as fh:
+        data = json.load(fh)
+    SPEC_TAMPERS[tamper](data)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ModelBugError, match="spec"):
+        ModelCache(str(tmp_path)).get_or_build(spec)
+
+
+def test_suite_on_a_container_without_spec_exits_with_numerical_code(
+        tmp_path, capsys):
+    from voacert.cli import EXIT_NUMERICAL, main
+
+    cache = tmp_path / "cache"
+    path = ModelCache(str(cache)).path_for(heisenberg_spec(1, 5))
+    with open(path, "w") as fh:
+        json.dump({"schema": "voacert-model/2"}, fh)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("model.h.kind = heisenberg\nmodel.h.N = 5\n"
+                   "check.u.type = unitarity\ncheck.u.model = h\n"
+                   f"cache_dir = {cache}\n")
+    assert main(["suite", "--config", str(cfg), "--out",
+                 str(tmp_path / "rep")]) == EXIT_NUMERICAL
+    assert "missing or malformed spec" in capsys.readouterr().err
+
+
 def test_suite_on_a_corrupted_cache_exits_with_numerical_code(tmp_path,
                                                               capsys):
     from voacert.cli import EXIT_NUMERICAL, main

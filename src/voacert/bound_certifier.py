@@ -17,7 +17,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import BasisState, Model, StateVector
-from .mode_engine import _as_vector, _vec_block, state_product
+from .mode_engine import _as_vector, _vec_block, apply_mode, state_product
 from .norm_lab import NormTable, _graded_max, graded_norm
 from .scalars import ONE, Q, ZERO, rational
 from .unitary_structure import family_of, star
@@ -177,11 +177,11 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
     for deg in range(min(sample_degree, model.N) + 1):
         for b in model.basis.states(deg):
             bvec = StateVector.basis(b)
-            rhs = fam.pairing(bvec, _apply_zero_mode(model, x, bvec, deg))
+            rhs = fam.pairing(bvec, apply_mode(model, x, 0, bvec))
             for m in range(0, m_max + 1):
                 if deg - m < 0:
                     continue
-                img = _apply_mode(model, avec, m, bvec, deg)
+                img = apply_mode(model, avec, m, bvec)
                 lhs = fam.pairing(img, img)
                 if lhs > rhs:
                     exact_ok = False
@@ -189,19 +189,6 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
                         f"b={b!r} m={m} excess={float(lhs - rhs)}")
     report.notes["vector_level_exact"] = exact_ok
     return report
-
-
-def _apply_mode(model: Model, avec: StateVector, m: int, bvec: StateVector,
-                deg: int) -> StateVector:
-    blk = _vec_block(model, avec, m, deg)
-    image = xl.mat_vec(blk, model.coords(bvec, deg))
-    return model.from_coords(deg - m, image)
-
-
-def _apply_zero_mode(model, x, bvec, deg):
-    if x.is_zero():
-        return StateVector()
-    return _apply_mode(model, x, 0, bvec, deg)
 
 
 def _primary_constant(model: Model, a: StateVector) -> float:

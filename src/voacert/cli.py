@@ -30,7 +30,8 @@ from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table
 from .scalars import Q, rat_from_str
-from .serialize import ModelCache, save_model, spec_from_dict, spec_to_dict
+from .serialize import (ModelCache, save_model, spec_digest, spec_from_dict,
+                        spec_to_dict)
 from .unitary_structure import family_of
 
 REPORT_SCHEMA = "voacert-report/1"
@@ -243,17 +244,27 @@ def run_check(model: Model, check: dict, tolerance: float,
 # suite execution
 
 
-def _task(spec_dict, pad, corrupt, check, tolerance, output_dir):
-    spec = spec_from_dict(spec_dict)
-    key = json.dumps(spec_dict, sort_keys=True) + f"|{pad}|{corrupt}"
-    model = _task_models.get(key)
+def _suite_model(memo: dict, spec: ModelSpec, pad, corrupt, cache_dir):
+    """A suite's model, built once per memo; read from and saved to
+    cache_dir when one is set, unless it is corrupted on purpose."""
+    key = (spec_digest(spec), pad, corrupt)
+    model = memo.get(key)
     if model is None:
-        model = build_model(spec, corrupt=corrupt, pad=pad)
-        _task_models[key] = model
+        if cache_dir and corrupt is None:
+            model = ModelCache(cache_dir).get_or_build(spec, pad)
+        else:
+            model = build_model(spec, corrupt=corrupt, pad=pad)
+        memo[key] = model
+    return model
+
+
+def _task(spec_dict, pad, corrupt, cache_dir, check, tolerance, output_dir):
+    model = _suite_model(_task_models, spec_from_dict(spec_dict), pad,
+                         corrupt, cache_dir)
     return run_check(model, check, tolerance, output_dir)
 
 
-_task_models = {}
+_task_models = {}  # a pool worker's models
 
 
 def run_suite(config: SuiteConfig, output_dir: str = None,
@@ -264,33 +275,25 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
     if jobs == 0:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(config.checks) or 1))
-    cache = ModelCache(config.cache_dir) if config.cache_dir else None
 
-    results = []
-    if jobs == 1 or len(config.checks) <= 1:
+    def entry(check):
+        mname = check["model"]
+        return (config.models[mname], config.pads.get(mname),
+                config.corrupts.get(mname), config.cache_dir)
+
+    if jobs == 1:
         models = {}
-        for check in config.checks:
-            mname = check["model"]
-            if mname not in models:
-                spec = config.models[mname]
-                pad = config.pads.get(mname)
-                corrupt = config.corrupts.get(mname)
-                if cache is not None and corrupt is None:
-                    models[mname] = cache.get_or_build(spec, pad)
-                else:
-                    models[mname] = build_model(spec, corrupt=corrupt,
-                                                pad=pad)
-            results.append(run_check(models[mname], check,
-                                     config.tolerance, output_dir))
+        results = [run_check(_suite_model(models, *entry(check)), check,
+                             config.tolerance, output_dir)
+                   for check in config.checks]
     else:
         with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
             futures = []
             for check in config.checks:
-                mname = check["model"]
+                spec, *rest = entry(check)
                 futures.append(pool.submit(
-                    _task, spec_to_dict(config.models[mname]),
-                    config.pads.get(mname), config.corrupts.get(mname),
-                    check, config.tolerance, output_dir))
+                    _task, spec_to_dict(spec), *rest, check,
+                    config.tolerance, output_dir))
             # merge strictly in config order, not completion order
             results = [f.result() for f in futures]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, SpecError
 from .graded_fock import ModelSpec, heisenberg_spec, lattice_spec, \
     virasoro_spec
 from .scalars import rat_from_str, rational
@@ -79,26 +79,31 @@ def _metric(value: str):
 
 
 def spec_from_fields(where: str, fields: dict) -> ModelSpec:
-    """Model spec from named fields; errors start with `where`."""
+    """Validated model spec from named fields; errors start with `where`."""
     kind = fields.get("kind")
     if "N" not in fields:
         raise ConfigError(f"{where}: missing N")
     n = _parse_field(where, fields, "N", int)
     if kind == "heisenberg":
         rank = _parse_field(where, fields, "rank", int, 1)
-        if fields.get("metric"):
-            return heisenberg_spec(
-                rank, n, _parse_field(where, fields, "metric", _metric))
-        return heisenberg_spec(rank, n)
-    if kind == "virasoro":
+        metric = _parse_field(where, fields, "metric", _metric) \
+            if fields.get("metric") else None
+        spec = heisenberg_spec(rank, n, metric)
+    elif kind == "virasoro":
         if "c" not in fields:
             raise ConfigError(f"{where}: missing central charge c")
-        return virasoro_spec(_parse_field(where, fields, "c", rational), n)
-    if kind == "lattice":
+        spec = virasoro_spec(_parse_field(where, fields, "c", rational), n)
+    elif kind == "lattice":
         if "q" not in fields:
             raise ConfigError(f"{where}: missing lattice square q")
-        return lattice_spec(_parse_field(where, fields, "q", int), n)
-    raise ConfigError(f"{where}: unknown kind {kind!r}")
+        spec = lattice_spec(_parse_field(where, fields, "q", int), n)
+    else:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    try:
+        spec.validate()
+    except SpecError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return spec
 
 
 def _corrupt(value: str):

@@ -2,13 +2,14 @@
 
 Three families are supported: rank-r Heisenberg Fock spaces, Virasoro
 vacuum modules (built as Verma quotients by the Gram radical), and rank-1
-even lattice models with trivial cocycle.  A built Model carries exact
-generator mode matrices per graded block and is immutable afterwards.
+even lattice models with trivial cocycle.  A built Model builds each exact
+generator mode block on first use, memoizes it, and is otherwise immutable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import exactlinalg as xl
@@ -32,8 +33,9 @@ class ModelSpec:
     q: int = 0  # <gamma,gamma>, lattice only
 
     def validate(self):
-        if self.N < 0:
-            raise SpecError("truncation N must be nonnegative")
+        if self.N < 2:
+            raise SpecError("truncation too small to hold the conformal state "
+                            "(need N >= 2)")
         if self.kind == "heisenberg":
             if self.rank < 1:
                 raise SpecError("Heisenberg rank must be positive")
@@ -296,32 +298,38 @@ class GeneratorInfo:
     name: str
     degree: int
     star: int  # generator id of the star partner (coefficient +1)
+    state: BasisState  # the basis state whose modes are this generator's
 
 
 class Model:
     """A fully built truncated model.
 
     Construction is a single-writer phase; afterwards the object is
-    treated as immutable (caches fill idempotently).
+    treated as immutable (caches fill idempotently).  Generator blocks are
+    built on first use by block(model, gid, m, src), which stores integral
+    entries as ints, and memoized;
+    reduce(model, factors), when given, is the class of a canonical word
+    that is not a basis label (the Virasoro quotient).
     """
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
-                 generators, gen_blocks, nu: StateVector, c):
+                 generators, nu: StateVector, c, block, reduce=None):
         self.spec = spec
         self.N = spec.N
         self.n_internal = n_internal
         self.basis = basis
         self.generators = generators  # gid -> GeneratorInfo
-        self._gen_blocks = gen_blocks  # (gid, m) -> {src_degree: matrix}
+        self.generator_of = {g.state: gid for gid, g in generators.items()}
         self.nu = nu
         self.c = c
+        self._block = block
+        self._reduce = reduce
+        self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
         self._vertex_cache = {}
         self._creation_cache = {}  # (charge, q, room) -> creation words
         self._reduce_cache = {}
-        self._virasoro_projector = None  # set by the Virasoro builder
-        self._lazy_builder = None  # optional (gid, m, src) -> matrix
 
     # -- basic queries ------------------------------------------------------
 
@@ -341,19 +349,23 @@ class Model:
             raise ValueError(f"vector not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def coords(self, vec: StateVector, degree: int):
-        out = [ZERO] * self.dim(degree)
+    def coords_by_degree(self, vec: StateVector) -> dict:
+        """{degree: coordinate list} of a vector, degrees in term order."""
+        out = {}
         for st, co in vec.terms.items():
             d, pos = self.basis.index[st]
-            if d != degree:
-                raise ValueError("vector has support outside requested degree")
-            out[pos] = co
+            coords = out.get(d)
+            if coords is None:
+                coords = out[d] = [ZERO] * self.dim(d)
+            coords[pos] = co
         return out
 
-    def from_coords(self, degree: int, coords) -> StateVector:
-        vec = StateVector()
+    def from_coords(self, degree: int, coords, out=None) -> StateVector:
+        """The vector of coordinates at a degree, added into out if given."""
+        vec = StateVector() if out is None else out
+        states = self.basis.states(degree)
         for pos, co in enumerate(coords):
-            vec.add_term(self.basis.states(degree)[pos], co)
+            vec.add_term(states[pos], co)
         return vec
 
     # -- generator modes ----------------------------------------------------
@@ -366,28 +378,18 @@ class Model:
         internal truncation.
         """
         tgt = src_degree - m
-        dim_src = self.basis.dim(src_degree)
         if tgt < 0:
-            return xl.zeros(0, dim_src)
+            return xl.zeros(0, self.basis.dim(src_degree))
         if tgt > self.n_internal or src_degree > self.n_internal:
             raise TruncationError(max(tgt, src_degree), self.n_internal,
                                   f"generator {gid} mode {m}")
         blocks = self._gen_blocks.get((gid, m))
         if blocks is None:
-            if self._lazy_builder is not None:
-                blocks = self._gen_blocks.setdefault((gid, m), {})
-            elif m > 0:
-                # mode index beyond anything stored: annihilates
-                return xl.zeros(self.basis.dim(tgt), dim_src)
-            else:
-                raise TruncationError(tgt, self.n_internal,
-                                      f"generator {gid} mode {m} not stored")
-        if src_degree not in blocks:
-            if self._lazy_builder is None:
-                return xl.zeros(self.basis.dim(tgt), dim_src)
-            blocks[src_degree] = xl.canonical(
-                self._lazy_builder(gid, m, src_degree))
-        return blocks[src_degree]
+            blocks = self._gen_blocks[(gid, m)] = {}
+        hit = blocks.get(src_degree)
+        if hit is None:
+            hit = blocks[src_degree] = self._block(self, gid, m, src_degree)
+        return hit
 
     # -- canonical word reduction (identity except for Virasoro quotient) ---
 
@@ -397,90 +399,75 @@ class Model:
         state = BasisState(sector, factors)
         if state in self.basis.index:
             return StateVector.basis(state)
-        if self.spec.kind != "virasoro":
+        if self._reduce is None:
             raise KeyError(f"state {state} not in basis")
-        key = (sector, factors)
-        if key not in self._reduce_cache:
-            self._reduce_cache[key] = self._virasoro_projector(factors)
-        return self._reduce_cache[key].copy()
+        hit = self._reduce_cache.get(state)
+        if hit is None:
+            hit = self._reduce_cache[state] = self._reduce(self, factors)
+        return hit.copy()
 
 
 # ---------------------------------------------------------------------------
 # Heisenberg builder
 
 
-def _heisenberg_blocks(spec: ModelSpec, basis: GradedBasis, n_internal: int,
-                       metric, lattice_sector_charge=False):
-    """Mode matrices for the current generators alpha^i.
+def _current_action(metric, gid, m, st: BasisState):
+    """Terms of alpha^gid_m applied to one basis state.
 
-    With lattice_sector_charge=True there is a single current (gid 0) whose
-    zero mode is sector * q and whose two-point constant is q.
+    metric[i][j] is the two-point constant of alpha^i and alpha^j.  The
+    lattice current is the rank-1 case metric [[q]]: its zero mode on
+    sector k is k*q.
     """
-    rank = 1 if lattice_sector_charge else spec.rank
-    blocks = {}
-    for gid in range(rank):
-        for m in range(-n_internal, n_internal + 1):
-            per_src = {}
-            for src in range(n_internal + 1):
-                tgt = src - m
-                if tgt < 0 or tgt > n_internal:
-                    continue
-                mat = xl.zeros(basis.dim(tgt), basis.dim(src))
-                for col, st in enumerate(basis.states(src)):
-                    for tstate, coeff in _current_action(
-                            spec, gid, m, st, metric, lattice_sector_charge):
-                        row = basis.position_of(tstate)
-                        mat[row][col] += coeff
-                per_src[src] = xl.canonical(mat)
-            blocks[(gid, m)] = per_src
-    return blocks
-
-
-def _current_action(spec, gid, m, st: BasisState, metric,
-                    lattice_sector_charge):
-    """Terms of alpha^gid_m applied to one basis state."""
     if m == 0:
-        if lattice_sector_charge and st.sector:
-            yield st, st.sector * spec.q
+        if st.sector:
+            yield st, st.sector * metric[gid][gid]
         return
     if m < 0:
         yield BasisState(st.sector,
                          canonical_factors(st.factors + ((gid, m),))), 1
         return
     seen = set()
-    for i, (g, mode) in enumerate(st.factors):
+    for g, mode in st.factors:
         if mode != -m or (g, mode) in seen:
             continue
         seen.add((g, mode))
-        count = sum(1 for f in st.factors if f == (g, mode))
-        pair = spec.q if lattice_sector_charge else metric[gid][g]
-        coeff = pair * (m * count)
+        coeff = metric[gid][g] * (m * st.factors.count((g, mode)))
         if coeff:
             rest = list(st.factors)
             rest.remove((g, mode))
             yield BasisState(st.sector, tuple(rest)), coeff
 
 
+def _current_block(metric):
+    """Block builder of the currents alpha^i with the given metric."""
+
+    def block(model, gid, m, src):
+        basis = model.basis
+        mat = xl.zeros(basis.dim(src - m), basis.dim(src))
+        for col, st in enumerate(basis.states(src)):
+            for tstate, coeff in _current_action(metric, gid, m, st):
+                mat[basis.index[tstate][1]][col] = canon(coeff)
+        return mat
+
+    return block
+
+
 def _build_heisenberg(spec: ModelSpec) -> Model:
     n_internal = spec.N
     basis = _enumerate_internal(spec, n_internal)
     metric = spec.metric_matrix()
-    blocks = _heisenberg_blocks(spec, basis, n_internal, metric)
     minv = xl.inverse(metric)
     nu = StateVector()
-    if spec.N >= 2:
-        for i in range(spec.rank):
-            for j in range(spec.rank):
-                co = minv[i][j] / 2
-                if co:
-                    st = BasisState(0, canonical_factors(((i, -1), (j, -1))))
-                    nu.add_term(st, co)
-    else:
-        raise SpecError("truncation too small to hold the conformal state "
-                        "(need N >= 2)")
-    gens = {i: GeneratorInfo(name=f"alpha{i}", degree=1, star=i)
+    for i in range(spec.rank):
+        for j in range(spec.rank):
+            co = minv[i][j] / 2
+            if co:
+                st = BasisState(0, canonical_factors(((i, -1), (j, -1))))
+                nu.add_term(st, co)
+    gens = {i: GeneratorInfo(f"alpha{i}", 1, i, BasisState(0, ((i, -1),)))
             for i in range(spec.rank)}
-    return Model(spec, n_internal, basis, gens, blocks, nu, Q(spec.rank))
+    return Model(spec, n_internal, basis, gens, nu, Q(spec.rank),
+                 _current_block(metric))
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +532,6 @@ class _VermaEngine:
 
 
 def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
-    if spec.N < 2:
-        raise SpecError("truncation too small to hold the conformal state "
-                        "(need N >= 2)")
     # composite-word mode recursions climb one degree per peeled factor;
     # the default padding covers every word that fits below N
     n_internal = spec.N + (spec.N // 2 if pad is None else pad)
@@ -588,42 +572,29 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
             full[pos[w]] += co
         return xl.mat_vec(coords_by_degree[degree], full)
 
-    def lazy_block(gid, m, src):
+    def block(model, gid, m, src):
         tgt = src - m
-        cols = []
-        for st in basis.states(src):
-            word = tuple(-mm for _, mm in st.factors)
-            image = engine.apply(m, word)
-            cols.append(project(image, tgt))
         mat = xl.zeros(basis.dim(tgt), basis.dim(src))
-        for j, col in enumerate(cols):
-            for i, val in enumerate(col):
+        for j, st in enumerate(basis.states(src)):
+            word = tuple(-mm for _, mm in st.factors)
+            for i, val in enumerate(project(engine.apply(m, word), tgt)):
                 mat[i][j] = val
-        return mat
+        return xl.canonical(mat)
 
-    blocks = {}
-    nu_state = by_degree[2][0]
-    if tuple(-m for _, m in nu_state.factors) != (2,):
-        raise ModelBugError("degree-2 quotient basis does not contain "
-                            "the generator word")
-    nu = StateVector.basis(nu_state)
-    gens = {0: GeneratorInfo(name="virasoro", degree=2, star=0)}
-    model = Model(spec, n_internal, basis, gens, blocks, nu, c)
-    model._lazy_builder = lazy_block
-
-    def projector(factors):
+    def reduce(model, factors):
         word = tuple(-m for _, m in factors)
         deg = sum(word)
         if deg > n_internal:
             raise TruncationError(deg, n_internal, "word degree")
-        coords = project({word: ONE}, deg)
-        vec = StateVector()
-        for pos, co in enumerate(coords):
-            vec.add_term(by_degree[deg][pos], co)
-        return vec
+        return model.from_coords(deg, project({word: ONE}, deg))
 
-    model._virasoro_projector = projector
-    return model
+    nu_state = by_degree[2][0]
+    if tuple(-m for _, m in nu_state.factors) != (2,):
+        raise ModelBugError("degree-2 quotient basis does not contain "
+                            "the generator word")
+    gens = {0: GeneratorInfo("virasoro", 2, 0, nu_state)}
+    return Model(spec, n_internal, basis, gens, StateVector.basis(nu_state),
+                 c, block, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -631,32 +602,25 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
 
 
 def _build_lattice(spec: ModelSpec) -> Model:
-    if spec.N < 2:
-        raise SpecError("truncation too small to hold the conformal state "
-                        "(need N >= 2)")
     n_internal = spec.N
     basis = _enumerate_internal(spec, n_internal)
-    blocks = _heisenberg_blocks(spec, basis, n_internal, metric=None,
-                                lattice_sector_charge=True)
     nu = StateVector.basis(
         BasisState(0, canonical_factors(((0, -1), (0, -1)))),
         Q(1, 2 * spec.q))
     half = spec.q // 2
     gens = {
-        0: GeneratorInfo(name="current", degree=1, star=0),
-        1: GeneratorInfo(name="e+", degree=half, star=2),
-        2: GeneratorInfo(name="e-", degree=half, star=1),
+        0: GeneratorInfo("current", 1, 0, BasisState(0, ((0, -1),))),
+        1: GeneratorInfo("e+", half, 2, BasisState(1, ())),
+        2: GeneratorInfo("e-", half, 1, BasisState(-1, ())),
     }
-    model = Model(spec, n_internal, basis, gens, blocks, nu, ONE)
+    current = _current_block([[spec.q]])
 
-    # vertex-operator generators share the exponential-mode machinery;
-    # blocks materialize on demand
-    def lazy_block(gid, m, src):
-        charge = 1 if gid == 1 else -1
-        return vertex_mode_block(model, charge, m, src)
+    def block(model, gid, m, src):
+        if gid == 0:
+            return current(model, gid, m, src)
+        return vertex_mode_block(model, 1 if gid == 1 else -1, m, src)
 
-    model._lazy_builder = lazy_block
-    return model
+    return Model(spec, n_internal, basis, gens, nu, ONE, block)
 
 
 def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
@@ -727,17 +691,10 @@ def _creation_words(charge: int, q: int, room: int) -> tuple:
             coeff = ONE
             for part, mult in itertools.groupby(lam):
                 mult = len(list(mult))
-                coeff *= Q(charge, part) ** mult / _factorial(mult)
+                coeff *= Q(charge, part) ** mult / math.factorial(mult)
             word = tuple((0, -k) for k in sorted(lam))
             out.append((deg, word, coeff))
     return tuple(out)
-
-
-def _factorial(n: int):
-    out = ONE
-    for i in range(2, n + 1):
-        out *= Q(i)
-    return out
 
 
 def _accs(d, power, state, coeff):
@@ -785,10 +742,8 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
         model = _build_lattice(spec)
     if corrupt is not None:
         gid, m, src, row, col, delta = corrupt
-        model.gen_block(gid, m, src)  # materialize if lazy
-        blocks = model._gen_blocks[(gid, m)]
-        blocks[src][row][col] = canon(blocks[src][row][col] +
-                                      rational(delta))
+        block = model.gen_block(gid, m, src)
+        block[row][col] = canon(block[row][col] + rational(delta))
     return model
 
 

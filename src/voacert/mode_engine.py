@@ -9,6 +9,7 @@ annihilation thresholds of the truncation, so every block is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import exactlinalg as xl
@@ -46,22 +47,18 @@ def _state_block(model: Model, state: BasisState, k: int, s: int):
 def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
     basis = model.basis
     tgt = s - k
+    gid = model.generator_of.get(state)
+    if gid is not None:
+        return model.gen_block(gid, k, s)
     if not state.factors:
         if state.sector == 0:
             # vacuum: plain mode k is delta_{k,0} identity
             if k == 0:
                 return xl.identity(basis.dim(s))
             return xl.zeros(basis.dim(tgt), basis.dim(s))
-        if state.sector in (1, -1):
-            # unit-charge tops are generators; go through the block cache
-            return model.gen_block(1 if state.sector == 1 else 2, k, s)
         from .graded_fock import vertex_mode_block
 
         return xl.canonical(vertex_mode_block(model, state.sector, k, s))
-    if state.sector == 0 and len(state.factors) == 1:
-        gid, mode = state.factors[0]
-        if -mode == model.generators[gid].degree:
-            return model.gen_block(gid, k, s)
     # peel the leading factor: state = g_{n0} . tail
     gid, n0 = state.factors[0]
     dg = model.generators[gid].degree
@@ -114,6 +111,26 @@ def _as_vector(a) -> StateVector:
     return a
 
 
+def apply_mode(model: Model, a, k: int, b) -> StateVector:
+    """a_k b for the plain mode k, as an exact vector.
+
+    Every term of a takes the same plain index, so a need not be
+    homogeneous; b is split by degree.  Raises TruncationError when a
+    target degree exceeds N.
+    """
+    avec = _as_vector(a)
+    out = StateVector()
+    for s, coords in model.coords_by_degree(_as_vector(b)).items():
+        tgt = s - k
+        if tgt < 0:
+            continue
+        if tgt > model.N:
+            raise TruncationError(tgt, model.N, "product degree overflow")
+        model.from_coords(tgt, xl.mat_vec(_vec_block(model, avec, k, s),
+                                          coords), out)
+    return out
+
+
 def _plain_index(model: Model, a: StateVector, n: int, convention: str) -> int:
     """Translate a mode index to the plain convention (a_n = a_(n+d-1))."""
     if convention == "plain":
@@ -142,6 +159,7 @@ class ModeMatrix:
     owner: str = ""
     convention: str = "plain"
     index: int = 0
+    state: StateVector = None  # whose mode this is
 
     def block(self, s: int):
         if s not in self.blocks:
@@ -150,20 +168,7 @@ class ModeMatrix:
         return self.blocks[s]
 
     def apply(self, vec: StateVector) -> StateVector:
-        out = StateVector()
-        by_degree = {}
-        for st, co in vec.terms.items():
-            by_degree.setdefault(self.model.basis.degree_of(st), []).append(
-                (st, co))
-        for s, terms in by_degree.items():
-            coords = [ZERO] * self.model.dim(s)
-            for st, co in terms:
-                coords[self.model.basis.position_of(st)] = co
-            image = xl.mat_vec(self.block(s), coords)
-            tgt = s - self.shift
-            for pos, val in enumerate(image):
-                out.add_term(self.model.basis.states(tgt)[pos], val)
-        return out
+        return apply_mode(self.model, self.state, self.shift, vec)
 
     def max_abs(self):
         return max((xl.max_abs(m) for m in self.blocks.values()),
@@ -174,11 +179,12 @@ class ModeMatrix:
 
 
 def _assemble(model: Model, getter, shift: int, owner: str,
-              convention: str, index: int, sources=None) -> ModeMatrix:
+              convention: str, index: int, state: StateVector,
+              sources=None) -> ModeMatrix:
     if sources is None:
         sources = [s for s in range(model.N + 1) if s - shift <= model.N]
     blocks = {s: getter(s) for s in sources}
-    return ModeMatrix(model, shift, blocks, owner, convention, index)
+    return ModeMatrix(model, shift, blocks, owner, convention, index, state)
 
 
 def generator_mode(model: Model, gen: int, m: int) -> ModeMatrix:
@@ -188,8 +194,10 @@ def generator_mode(model: Model, gen: int, m: int) -> ModeMatrix:
     sources = [s for s in range(model.N + 1) if s - m <= model.N]
     if not sources:
         raise TruncationError(-m, model.N, f"generator mode {m}")
+    info = model.generators[gen]
     return _assemble(model, lambda s: model.gen_block(gen, m, s), m,
-                     model.generators[gen].name, "plain", m, sources)
+                     info.name, "plain", m, StateVector.basis(info.state),
+                     sources)
 
 
 def mode_of_state(model: Model, a, k: int,
@@ -199,13 +207,13 @@ def mode_of_state(model: Model, a, k: int,
     if vec.is_zero():
         return _assemble(model, lambda s: xl.zeros(
             model.dim(s - k) if s >= k else 0, model.dim(s)),
-            k, "0", convention, k)
+            k, "0", convention, k, vec)
     shift = _plain_index(model, vec, k, convention)
     sources = [s for s in range(model.N + 1) if s - shift <= model.N]
     if not sources:
         raise TruncationError(-shift, model.N, f"mode {k}")
     return _assemble(model, lambda s: _vec_block(model, vec, shift, s),
-                     shift, repr(a), convention, k, sources)
+                     shift, repr(a), convention, k, vec, sources)
 
 
 def state_product(model: Model, a, n: int, b) -> StateVector:
@@ -213,25 +221,7 @@ def state_product(model: Model, a, n: int, b) -> StateVector:
     avec, bvec = _as_vector(a), _as_vector(b)
     if avec.is_zero() or bvec.is_zero():
         return StateVector()
-    da = model.degree_of(avec)
-    shift = n - da + 1
-    out = StateVector()
-    by_degree = {}
-    for st, co in bvec.terms.items():
-        by_degree.setdefault(model.basis.degree_of(st), StateVector()) \
-            .add_term(st, co)
-    for s, part in by_degree.items():
-        tgt = s - shift
-        if tgt < 0:
-            continue
-        if tgt > model.N:
-            raise TruncationError(tgt, model.N, "product degree overflow")
-        mat = _vec_block(model, avec, shift, s)
-        coords = model.coords(part, s)
-        image = xl.mat_vec(mat, coords)
-        for pos, val in enumerate(image):
-            out.add_term(model.basis.states(tgt)[pos], val)
-    return out
+    return apply_mode(model, avec, n - model.degree_of(avec) + 1, bvec)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +302,15 @@ def skewsymmetry_residual(model: Model, a, b, n: int) -> Residual:
     avec, bvec = _as_vector(a), _as_vector(b)
     da, db = model.degree_of(avec), model.degree_of(bvec)
     _require(model, max(da, db, da + db - n - 1), "skewsymmetry window")
-    lhs = state_product(model, avec, n, bvec)
-    total = lhs.copy()
-    fact = ONE
-    lminus1 = mode_of_state(model, model.nu, -1)
+    total = state_product(model, avec, n, bvec)
     for j in range(da + db - n):
-        if j:
-            fact = fact * Q(j)
         term = state_product(model, bvec, n + j, avec)
         if term.is_zero():
             continue
         for _ in range(j):
-            term = lminus1.apply(term)
+            term = apply_mode(model, model.nu, -1, term)
         sign = -ONE if (j + n) % 2 else ONE
-        total = total + term.scale(sign / fact)
+        total = total + term.scale(sign / math.factorial(j))
     return Residual("skewsymmetry", total.max_abs(), {"n": n})
 
 

@@ -192,6 +192,10 @@ class ModelCache:
                 model = load_model(path)
             except ConfigError:
                 pass  # a container of another schema: rebuild, overwrite
+            if model is not None and model.spec != spec:
+                raise ModelBugError(
+                    f"{path} holds {model.spec.describe()} not "
+                    f"{spec.describe()}; stale or corrupted container")
         if model is None:
             model = build_model(spec, pad=pad)
             if pad is None:

@@ -9,13 +9,15 @@ operator norms, trace bounds) reads these matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, TruncationError
 from .graded_fock import BasisState, Model, StateVector
 from .mode_engine import (Residual, _as_vector, _bracket_residual,
-                          _vec_block, state_product)
+                          _vec_block, apply_mode, state_product)
 from .scalars import ONE, Q, ZERO
 
 
@@ -41,21 +43,18 @@ class GramFamily:
         return g[basis.position_of(u)][basis.position_of(v)]
 
     def pairing(self, u: StateVector, v: StateVector):
-        model = self.model
-        by_degree = {}
-        for sv, cv in v.terms.items():
-            d = model.basis.degree_of(sv)
-            by_degree.setdefault(d, [ZERO] * model.dim(d))
-            by_degree[d][model.basis.position_of(sv)] = cv
+        split = self.model.coords_by_degree
+        vs = split(v)
         total = ZERO
-        for su, cu in u.terms.items():
-            d = model.basis.degree_of(su)
-            if d not in by_degree:
+        for d, us in split(u).items():
+            if d not in vs:
                 continue
-            row = self.matrix(d)[model.basis.position_of(su)]
-            for x, y in zip(row, by_degree[d]):
-                if x and y:
-                    total += cu * x * y
+            g = self.matrix(d)
+            for i, cu in enumerate(us):
+                if cu:
+                    for x, y in zip(g[i], vs[d]):
+                        if x and y:
+                            total += cu * x * y
         return total
 
     # -- matrices ---------------------------------------------------------
@@ -174,19 +173,6 @@ def family_of(model: Model) -> GramFamily:
     return fam
 
 
-def _translate_up(model: Model, vec: StateVector, times: int) -> StateVector:
-    """L_{-1}^times applied to a homogeneous vector."""
-    out = vec
-    for _ in range(times):
-        if out.is_zero():
-            return out
-        deg = model.degree_of(out)
-        blk = _vec_block(model, model.nu, -1, deg)
-        out = model.from_coords(deg + 1,
-                                xl.mat_vec(blk, model.coords(out, deg)))
-    return out
-
-
 def star(model: Model, a, fam: GramFamily = None) -> StateVector:
     """Conjugate state: the unique a* with (a*_{-n} b | c) = (b | a_n c).
 
@@ -202,16 +188,13 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
         return StateVector()
     if fam is None:
         fam = family_of(model)
-    by_degree = {}
-    for st, co in a.terms.items():
-        by_degree.setdefault(model.basis.degree_of(st), StateVector()) \
-            .add_term(st, co)
-    if len(by_degree) > 1:
+    parts = model.coords_by_degree(a)
+    if len(parts) > 1:
         total = StateVector()
-        for part in by_degree.values():
-            total = total + star(model, part, fam)
+        for e, coords in parts.items():
+            total = total + star(model, model.from_coords(e, coords), fam)
         return total
-    d = model.degree_of(a)
+    (d, _), = parts.items()
     if d == 0:
         return a.copy()
     if d > model.N:
@@ -226,12 +209,10 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
                                              xl.transpose(down)])
         corr = model.from_coords(e, coords)
         for ep in sorted(comps, reverse=True):
-            k = e - ep
-            fact = ONE
-            for i in range(k):
-                fact = fact * Q(i + 1)
-            corr = corr - _translate_up(model, comps[ep], k) \
-                .scale(ONE / fact)
+            up = comps[ep]
+            for _ in range(e - ep):  # L_{-1}^{e-ep}
+                up = apply_mode(model, model.nu, -1, up)
+            corr = corr - up.scale(Q(1, math.factorial(e - ep)))
         if not corr.is_zero():
             comps[e] = corr
             total = total + corr

@@ -144,3 +144,43 @@ def test_virasoro_quotient_is_one_elimination_per_degree(monkeypatch):
     model = build_model(virasoro_spec("1/2", 8), pad=2)
     model.gen_block(0, -2, 6)  # a lazy block projects without eliminating
     assert calls == {"rref": model.n_internal + 1, "inverse": 0}
+
+
+BLOCK_DIGEST_CASES = [
+    (heisenberg_spec(2, 6, [[2, 1], [1, 2]]), None),
+    (lattice_spec(2, 8), None), (lattice_spec(4, 8), None),
+    (virasoro_spec("1/2", 10), 1), (virasoro_spec(1, 10), 1)]
+
+
+def test_generator_blocks_match_pinned_digest():
+    """sha256 over every generator block of modes -3..3 on every source
+    degree, recorded from the eagerly tabulated current blocks; every
+    integral entry is stored as an int."""
+    import hashlib
+    import json
+
+    from voacert.scalars import rat_to_str
+
+    digest = hashlib.sha256()
+    for spec, pad in BLOCK_DIGEST_CASES:
+        model = build_model(spec, pad=pad)
+        n = model.n_internal
+        for gid in sorted(model.generators):
+            for m in range(-3, 4):
+                for s in range(n + 1):
+                    if s - m > n:
+                        continue
+                    entries = model.gen_block(gid, m, s)
+                    assert all(type(x) is int or x.denominator != 1
+                               for row in entries for x in row)
+                    block = [[rat_to_str(x) for x in row] for row in entries]
+                    digest.update(json.dumps(
+                        [spec.describe(), gid, m, s, block]).encode())
+    assert digest.hexdigest() == ("99debd24a6cea772c188a51694830bd9"
+                                  "624e609e26af6152366ab7b8e91408e1")
+
+
+def test_fresh_models_hold_no_generator_blocks():
+    for spec in (heisenberg_spec(2, 4), virasoro_spec("1/2", 6),
+                 lattice_spec(2, 6)):
+        assert build_model(spec)._gen_blocks == {}

@@ -11,7 +11,7 @@ from voacert.config import parse_config
 from voacert.errors import ConfigError
 from voacert.graded_fock import heisenberg_spec
 from voacert.scalars import Q
-from voacert.serialize import load_model
+from voacert.serialize import ModelCache, load_model
 
 SUITE = """
 model.h.kind = heisenberg
@@ -98,6 +98,22 @@ def test_suite_parallel_matches_sequential(tmp_path):
         (out_b / "suite.json").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_parallel_suite_reads_and_writes_the_cache(tmp_path, jobs):
+    """Workers share one cache; with several checks per model, more than
+    one worker may build and save the same container at once."""
+    cache = tmp_path / "cache"
+    config = parse_config(SUITE + "model.l.kind = lattice\nmodel.l.q = 2\n"
+                          "model.l.N = 6\ncheck.lu.type = unitarity\n"
+                          f"check.lu.model = l\ncache_dir = {cache}\n")
+    run_suite(config, str(tmp_path / "par"), jobs=jobs)
+    for spec in config.models.values():
+        assert os.path.exists(ModelCache(str(cache)).path_for(spec))
+    run_suite(config, str(tmp_path / "seq"), jobs=1)
+    assert (tmp_path / "par" / "suite.json").read_bytes() == \
+        (tmp_path / "seq" / "suite.json").read_bytes()
+
+
 def test_corrupted_model_fails_suite(tmp_path, capsys):
     text = SUITE + "model.h.corrupt = 0,-1,2,0,0,1\n"
     path = tmp_path / "suite.cfg"
@@ -172,6 +188,31 @@ def test_bad_model_field_or_tolerance_fails_suite_with_config_code(
                  "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
     field = line.split("=")[0].strip().split(".")[-1]
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    "kind = lattice\nmodel.l.q = 3\nmodel.l.N = 6",
+    "kind = lattice\nmodel.l.q = 0\nmodel.l.N = 6",
+    "kind = heisenberg\nmodel.l.N = -1",
+    "kind = virasoro\nmodel.l.c = 1/2\nmodel.l.N = 1",
+    "kind = heisenberg\nmodel.l.N = 6\nmodel.l.rank = 2\n"
+    "model.l.metric = 1,2;2,1"],
+    ids=["q3", "q0", "N-1", "N1", "indefinite"])
+def test_invalid_model_spec_fails_suite_with_config_code(tmp_path, capsys,
+                                                         model):
+    path = tmp_path / "suite.cfg"
+    path.write_text(f"model.l.{model}\ncheck.u.type = unitarity\n"
+                    "check.u.model = l\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert "model 'l'" in capsys.readouterr().err
+
+
+def test_invalid_model_flags_exit_with_config_code(tmp_path, capsys):
+    assert main(["build", "--kind", "lattice", "--N", "6", "--q", "3",
+                 "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+    assert "command line: lattice" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_export_writes_the_orbifold_chain(tmp_path, capsys):

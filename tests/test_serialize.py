@@ -26,10 +26,12 @@ def test_digest_is_stable_and_distinguishing():
 
 
 def _with_vertex_blocks(model):
-    """Materialize some lazily built e+/e- blocks of a lattice model."""
+    """Materialize some e+/e- blocks of a lattice model and one current
+    block (every block is built on first use)."""
     for gid in (1, 2):
         for m in (-1, 0, 1):
             model.gen_block(gid, m, 3)
+    model.gen_block(0, -1, 2)
     return model
 
 
@@ -80,7 +82,6 @@ TAMPERS = {
     "malformed-block-key": lambda d: d["blocks"].update({"1:-1": [1, 1, []]}),
     "changed-entry": _change_entry,
     "added-entry": _add_entry,
-    "removed-eager-block": lambda d: d["blocks"].pop("0:-1:2"),
 }
 
 
@@ -166,6 +167,34 @@ def test_cache_rebuilds_containers_of_another_schema(tmp_path):
     assert model_to_dict(got) == model_to_dict(cold)
     with open(path) as fh:
         assert json.load(fh)["schema"] == "voacert-model/2"
+
+
+def _container_of_another_spec(cache_dir):
+    """Save a heisenberg(1,6) container at the path of heisenberg(1,5)."""
+    path = ModelCache(str(cache_dir)).path_for(heisenberg_spec(1, 5))
+    save_model(build_model(heisenberg_spec(1, 6)), path)
+
+
+def test_cache_rejects_a_container_of_another_spec(tmp_path):
+    _container_of_another_spec(tmp_path)
+    with pytest.raises(ModelBugError, match="holds .* not .*; stale or "
+                                            "corrupted container"):
+        ModelCache(str(tmp_path)).get_or_build(heisenberg_spec(1, 5))
+
+
+def test_suite_on_a_container_of_another_spec_exits_with_numerical_code(
+        tmp_path, capsys):
+    from voacert.cli import EXIT_NUMERICAL, main
+
+    cache = tmp_path / "cache"
+    _container_of_another_spec(cache)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("model.h.kind = heisenberg\nmodel.h.N = 5\n"
+                   "check.u.type = unitarity\ncheck.u.model = h\n"
+                   f"cache_dir = {cache}\n")
+    assert main(["suite", "--config", str(cfg), "--out",
+                 str(tmp_path / "rep")]) == EXIT_NUMERICAL
+    assert "holds heisenberg(rank=1, N=6)" in capsys.readouterr().err
 
 
 def test_cache_propagates_disagreeing_containers(tmp_path):

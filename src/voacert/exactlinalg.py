@@ -67,13 +67,20 @@ def mat_scale(a, s):
 
 
 def add_scaled(acc, b, s):
-    """acc += s * b in place, touching only the nonzero entries of b."""
+    """acc += s * b in place, touching only the nonzero entries of b.
+
+    An int operand goes on the right of each product and sum, so none of
+    them takes Q's slower reflected operator.
+    """
     if not s:
         return
+    left = type(s) is not int
     for ra, rb in zip(acc, b):
         for j, y in enumerate(rb):
             if y:
-                ra[j] += y * s
+                p = s * y if left else y * s
+                x = ra[j]
+                ra[j] = p + x if type(x) is int else x + p
 
 
 def add_product(acc, outer, inner, s):

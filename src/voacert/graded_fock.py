@@ -8,6 +8,7 @@ generator mode block on first use, memoizes it, and is otherwise immutable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,10 @@ class ModelSpec:
             if self.rank < 1:
                 raise SpecError("Heisenberg rank must be positive")
             m = self.metric_matrix()
+            if len(m) != self.rank or any(len(row) != self.rank
+                                          for row in m):
+                raise SpecError(f"Heisenberg metric must be {self.rank} x "
+                                f"{self.rank}, the rank")
             if xl.transpose(m) != m:
                 raise SpecError("Heisenberg metric must be symmetric")
             if xl.ldl(m) is None:
@@ -145,8 +150,8 @@ class GradedBasis:
 def _acc(d, key, val):
     """d[key] += val, dropping zero entries and storing integral ones as int.
 
-    The one accumulator of exact coefficients: StateVector terms, Verma
-    words and vertex expansions all go through it.
+    The one accumulator of exact coefficients: StateVector terms and Verma
+    words go through it.
     """
     if not val:
         return
@@ -327,8 +332,7 @@ class Model:
         self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
-        self._vertex_cache = {}
-        self._creation_cache = {}  # (charge, q, room) -> creation words
+        self._vertex_cache = {}  # (charge, factors) -> E+ terms, lattice
         self._reduce_cache = {}
 
     # -- basic queries ------------------------------------------------------
@@ -531,10 +535,17 @@ class _VermaEngine:
         return out
 
 
+def default_n_internal(spec: ModelSpec) -> int:
+    """Internal truncation of build_model(spec) without a pad override.
+
+    Virasoro composite-word mode recursions climb one degree per peeled
+    factor; the default padding N // 2 covers every word that fits below N.
+    """
+    return spec.N + spec.N // 2 if spec.kind == "virasoro" else spec.N
+
+
 def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
-    # composite-word mode recursions climb one degree per peeled factor;
-    # the default padding covers every word that fits below N
-    n_internal = spec.N + (spec.N // 2 if pad is None else pad)
+    n_internal = default_n_internal(spec) if pad is None else spec.N + pad
     c = rational(spec.c)
     engine = _VermaEngine(c, n_internal)
     verma = _enumerate_internal(spec, n_internal)
@@ -623,102 +634,90 @@ def _build_lattice(spec: ModelSpec) -> Model:
     return Model(spec, n_internal, basis, gens, nu, ONE, block)
 
 
-def _vertex_expansion(model: Model, charge: int, src_state: BasisState):
-    """Laurent data of Y(e^{charge*gamma}, z) applied to one basis state.
+def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
+    """Exact block of the plain mode m of e^{charge*gamma}.
 
-    Returns dict z-power -> StateVector (targets beyond truncation
-    dropped); round mode (n) is the coefficient of z^{-n-1}.
+    On sector p, Y(e^{c*gamma}, z) = E^-(z) E^+(z) z^{c*p*q} (Frenkel,
+    Lepowsky and Meurman 1988), and the plain mode m is the coefficient of
+    z^{-m - c*c*q/2}.  Each term of the annihilation half E^+ fixes the
+    degree d of the creation half E^- that reaches that power, so a column
+    sums integer numerators over tgt! (d <= tgt) and each entry is one
+    rational, stored as an int when integral.
     """
-    key = (charge, src_state)
-    cached = model._vertex_cache.get(key)
-    if cached is not None:
-        return cached
-    spec = model.spec
-    q = spec.q
-    m0 = src_state.sector
-    base_power = charge * m0 * q
-    shifted = BasisState(m0 + charge, src_state.factors)
-    # annihilation half: exp(-sum_n charge*gamma_n z^-n / n); for each
-    # oscillator mode n, gamma_n^t removes t copies of the (0,-n) factor
-    # with coefficient (n q)^t * count!/(count-t)!, which the exponential's
-    # (-charge/n)^t / t! turns into the integer (-charge q)^t C(count, t).
-    terms = {0: {shifted: 1}}  # z-power offset -> state dict
-    max_osc = src_state.oscillator_degree()
-    for n in range(1, max_osc + 1):
-        new = {}
-        for power, vec in terms.items():
-            for st, co in vec.items():
-                count = sum(1 for f in st.factors if f == (0, -n))
-                rest = list(st.factors)
-                for t in range(count + 1):
-                    coeff = co * (-charge * q) ** t * binomial(count, t)
-                    _accs(new, power - n * t,
-                          BasisState(st.sector, tuple(rest)), coeff)
-                    if t < count:
-                        rest.remove((0, -n))
-        terms = new
-    # creation half: exp(sum_n charge*gamma_{-n} z^n / n)
-    out = {}
-    ground_t = _sector_ground(spec, m0 + charge)
-    for power, vec in terms.items():
-        for st, co in vec.items():
-            deg_here = ground_t + st.oscillator_degree()
-            room = model.n_internal - deg_here
-            if room < 0:
+    q = model.spec.q
+    basis = model.basis
+    tgt = src_degree - m
+    mat = xl.zeros(basis.dim(tgt), basis.dim(src_degree))
+    if not mat:
+        return mat
+    want_power = -m - charge * charge * q // 2
+    den = math.factorial(tgt)
+    for col, st in enumerate(basis.states(src_degree)):
+        sector = st.sector + charge
+        room = want_power - charge * st.sector * q
+        nums = {}  # target factors -> numerator over den
+        for offset, rest, co in _annihilation(model, charge, st.factors):
+            d = room - offset
+            if d < 0:
                 continue
-            words_key = (charge, q, room)
-            words = model._creation_cache.get(words_key)
-            if words is None:
-                words = model._creation_cache[words_key] = \
-                    _creation_words(charge, q, room)
-            for add_deg, word, wco in words:
-                tstate = BasisState(st.sector,
-                                    canonical_factors(st.factors + word))
-                _accs(out, base_power + power + add_deg, tstate, wco * co)
-    model._vertex_cache[key] = out
-    return out
+            scale = co * (den // math.factorial(d))
+            for word, num in _creation(charge, d):
+                # one generator id: canonical order is the tuples' reverse
+                key = tuple(sorted(rest + word, reverse=True))
+                nums[key] = nums.get(key, 0) + scale * num
+        for factors, num in nums.items():
+            if num:
+                row = basis.index[BasisState(sector, factors)][1]
+                mat[row][col] = canon(Q(num, den))
+    return mat
 
 
-def _creation_words(charge: int, q: int, room: int) -> tuple:
-    """Expansion of exp(sum_n charge*gamma_{-n} z^n / n) up to degree room.
+def _annihilation(model: Model, charge: int, factors: tuple):
+    """E^+(z) = exp(-sum_n charge*gamma_n z^-n / n) on an oscillator word.
 
-    Returns a tuple of (degree, factor tuple, coefficient); coefficients are
-    exact.  _vertex_expansion memoizes it per model.
+    Returns (z-power offset, kept factors, int coefficient) triples,
+    memoized per model.  gamma_n^t removes t of the k copies of the (0,-n)
+    factor with coefficient (n q)^t k!/(k-t)!, which the exponential's
+    (-charge/n)^t / t! turns into the integer (-charge q)^t C(k, t).
+    """
+    key = (charge, factors)
+    hit = model._vertex_cache.get(key)
+    if hit is not None:
+        return hit
+    step = -charge * model.spec.q
+    counts = [(n, factors.count((0, -n)))
+              for n in sorted({-k for _, k in factors})]
+    hit = []
+    for kept in itertools.product(*(range(k + 1) for _, k in counts)):
+        offset, rest, co = 0, (), 1
+        for (n, k), left in zip(counts, kept):
+            offset -= n * (k - left)
+            rest += ((0, -n),) * left
+            co *= step ** (k - left) * binomial(k, left)
+        hit.append((offset, rest, co))
+    model._vertex_cache[key] = hit
+    return hit
+
+
+@functools.lru_cache(maxsize=None)
+def _creation(charge: int, d: int) -> tuple:
+    """Degree-d part of E^-(z) = exp(sum_n charge*gamma_{-n} z^n / n).
+
+    Returns (factor tuple, numerator) pairs over the denominator d!: the
+    word of a partition lambda of d has coefficient charge^{len lambda} /
+    z_lambda, and d!/z_lambda is an integer (it counts the permutations of
+    cycle type lambda).  The table depends on (charge, d) alone, so it is
+    memoized once per process; it is an immutable tuple.
     """
     out = []
-    for deg in range(room + 1):
-        for lam in _partitions(deg):
-            coeff = ONE
-            for part, mult in itertools.groupby(lam):
-                mult = len(list(mult))
-                coeff *= Q(charge, part) ** mult / math.factorial(mult)
-            word = tuple((0, -k) for k in sorted(lam))
-            out.append((deg, word, coeff))
+    for lam in _partitions(d):
+        z = 1
+        for part, mult in itertools.groupby(lam):
+            mult = len(list(mult))
+            z *= part ** mult * math.factorial(mult)
+        out.append((tuple((0, -k) for k in reversed(lam)),
+                    charge ** len(lam) * (math.factorial(d) // z)))
     return tuple(out)
-
-
-def _accs(d, power, state, coeff):
-    if not coeff:
-        return
-    _acc(d.setdefault(power, {}), state, coeff)
-
-
-def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
-    """Exact block of the plain mode m of e^{charge*gamma}."""
-    spec = model.spec
-    d = charge * charge * spec.q // 2
-    round_index = m + d - 1
-    want_power = -round_index - 1
-    tgt = src_degree - m
-    mat = xl.zeros(model.basis.dim(tgt), model.basis.dim(src_degree))
-    for col, st in enumerate(model.basis.states(src_degree)):
-        expansion = _vertex_expansion(model, charge, st)
-        vec = expansion.get(want_power)
-        if not vec:
-            continue
-        for tstate, coeff in vec.items():  # distinct targets
-            mat[model.basis.position_of(tstate)][col] = coeff
-    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
             return xl.zeros(basis.dim(tgt), basis.dim(s))
         from .graded_fock import vertex_mode_block
 
-        return xl.canonical(vertex_mode_block(model, state.sector, k, s))
+        return vertex_mode_block(model, state.sector, k, s)
     # peel the leading factor: state = g_{n0} . tail
     gid, n0 = state.factors[0]
     dg = model.generators[gid].degree

@@ -19,7 +19,8 @@ import json
 import os
 
 from .errors import ConfigError, ModelBugError, SpecError
-from .graded_fock import BasisState, Model, ModelSpec, build_model
+from .graded_fock import BasisState, Model, ModelSpec, build_model, \
+    default_n_internal
 from .scalars import rat_from_str, rat_to_str
 
 SCHEMA = "voacert-model/2"
@@ -192,10 +193,13 @@ class ModelCache:
                 model = load_model(path)
             except ConfigError:
                 pass  # a container of another schema: rebuild, overwrite
-            if model is not None and model.spec != spec:
+            want = default_n_internal(spec)
+            if model is not None and (model.spec != spec
+                                      or model.n_internal != want):
                 raise ModelBugError(
-                    f"{path} holds {model.spec.describe()} not "
-                    f"{spec.describe()}; stale or corrupted container")
+                    f"{path} holds {model.spec.describe()} at n_internal "
+                    f"{model.n_internal} not {spec.describe()} at {want}; "
+                    "stale or corrupted container")
         if model is None:
             model = build_model(spec, pad=pad)
             if pad is None:

@@ -1,9 +1,15 @@
 """Graded dimension oracles computed independently of the package."""
 
+import itertools
+import math
+
+import pytest
+
 from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  canonical_factors, heisenberg_spec,
-                                 lattice_spec, virasoro_spec)
-from voacert.scalars import Q
+                                 lattice_spec, vertex_mode_block,
+                                 virasoro_spec)
+from voacert.scalars import ONE, Q, binomial, canon
 
 
 def partition_counts(n_max):
@@ -184,3 +190,99 @@ def test_fresh_models_hold_no_generator_blocks():
     for spec in (heisenberg_spec(2, 4), virasoro_spec("1/2", 6),
                  lattice_spec(2, 6)):
         assert build_model(spec)._gen_blocks == {}
+
+
+# -- lattice vertex blocks against the full Laurent expansion ----------------
+
+
+def _acc(d, key, val):
+    """d[key] += val, dropping zeros and storing integral values as ints."""
+    if not val:
+        return
+    cur = d.get(key)
+    cur = val if cur is None else cur + val
+    if cur:
+        d[key] = canon(cur)
+    else:
+        d.pop(key, None)
+
+
+def _partitions(n, max_part=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def expansion_creation_words(charge, room):
+    """exp(sum_n charge*gamma_{-n} z^n / n) up to degree room, in Q."""
+    out = []
+    for deg in range(room + 1):
+        for lam in _partitions(deg):
+            coeff = ONE
+            for part, mult in itertools.groupby(lam):
+                mult = len(list(mult))
+                coeff *= Q(charge, part) ** mult / math.factorial(mult)
+            out.append((deg, tuple((0, -k) for k in sorted(lam)), coeff))
+    return out
+
+
+def vertex_expansion(model, charge, src_state):
+    """Every z-power of Y(e^{charge*gamma}, z) on one basis state.
+
+    Returns dict z-power -> {target state: coefficient}, targets beyond the
+    truncation dropped: the whole Laurent expansion in Q, the reference for
+    vertex_mode_block, which builds one power on integer numerators.
+    """
+    q = model.spec.q
+    m0 = src_state.sector
+    terms = {0: {BasisState(m0 + charge, src_state.factors): 1}}
+    for n in range(1, src_state.oscillator_degree() + 1):
+        new = {}
+        for power, vec in terms.items():
+            for st, co in vec.items():
+                count = sum(1 for f in st.factors if f == (0, -n))
+                rest = list(st.factors)
+                for t in range(count + 1):
+                    _acc(new.setdefault(power - n * t, {}),
+                         BasisState(st.sector, tuple(rest)),
+                         co * (-charge * q) ** t * binomial(count, t))
+                    if t < count:
+                        rest.remove((0, -n))
+        terms = new
+    out = {}
+    ground = (m0 + charge) ** 2 * q // 2
+    for power, vec in terms.items():
+        for st, co in vec.items():
+            room = model.n_internal - ground - st.oscillator_degree()
+            for add_deg, word, wco in expansion_creation_words(charge, room):
+                tstate = BasisState(st.sector,
+                                    canonical_factors(st.factors + word))
+                _acc(out.setdefault(charge * m0 * q + power + add_deg, {}),
+                     tstate, wco * co)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 10), (4, 10), (6, 12)])
+def test_vertex_blocks_match_full_laurent_expansion(q, n):
+    """Every e^{+-gamma} and e^{+-2gamma} block, all modes m with
+    0 <= s, s - m <= N: equal values, and ints exactly where integral."""
+    model = build_model(lattice_spec(q, n))
+    basis = model.basis
+    for charge in (1, -1, 2, -2):
+        weight = charge * charge * q // 2
+        by_state = {st: vertex_expansion(model, charge, st)
+                    for s in range(n + 1) for st in basis.states(s)}
+        for s in range(n + 1):
+            for m in range(s - n, s + 1):
+                want = [[0] * basis.dim(s) for _ in range(basis.dim(s - m))]
+                for col, st in enumerate(basis.states(s)):
+                    for tstate, co in by_state[st].get(-m - weight,
+                                                       {}).items():
+                        want[basis.position_of(tstate)][col] = co
+                got = vertex_mode_block(model, charge, m, s)
+                assert got == want, (charge, m, s)
+                assert [[type(x) for x in row] for row in got] == \
+                    [[type(x) for x in row] for row in want], (charge, m, s)

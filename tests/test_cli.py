@@ -196,8 +196,9 @@ def test_bad_model_field_or_tolerance_fails_suite_with_config_code(
     "kind = heisenberg\nmodel.l.N = -1",
     "kind = virasoro\nmodel.l.c = 1/2\nmodel.l.N = 1",
     "kind = heisenberg\nmodel.l.N = 6\nmodel.l.rank = 2\n"
-    "model.l.metric = 1,2;2,1"],
-    ids=["q3", "q0", "N-1", "N1", "indefinite"])
+    "model.l.metric = 1,2;2,1",
+    "kind = heisenberg\nmodel.l.N = 4\nmodel.l.metric = 2,0;0,2"],
+    ids=["q3", "q0", "N-1", "N1", "indefinite", "metric-not-rank"])
 def test_invalid_model_spec_fails_suite_with_config_code(tmp_path, capsys,
                                                          model):
     path = tmp_path / "suite.cfg"

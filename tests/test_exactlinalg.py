@@ -119,7 +119,8 @@ def mul_operands(draw):
     return draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
 
 
-@given(add_operands(), st.one_of(st.just(ZERO), st.just(ONE), small_q))
+@given(add_operands(), st.one_of(st.just(ZERO), st.just(ONE), small_q,
+                                 st.integers(-3, 3)))
 @example(([[], []], [[], []]), Q(3))  # 2x0
 @example(([], []), Q(3))  # 0x0
 def test_add_scaled_matches_dense_reference(operands, s):

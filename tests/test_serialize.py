@@ -197,6 +197,15 @@ def test_suite_on_a_container_of_another_spec_exits_with_numerical_code(
     assert "holds heisenberg(rank=1, N=6)" in capsys.readouterr().err
 
 
+def test_cache_rejects_a_container_of_another_pad(tmp_path):
+    spec = virasoro_spec("1/2", 6)
+    path = ModelCache(str(tmp_path)).path_for(spec)
+    save_model(build_model(spec, pad=1), path)
+    with pytest.raises(ModelBugError, match="at n_internal 7 not .* at 9; "
+                                            "stale or corrupted container"):
+        ModelCache(str(tmp_path)).get_or_build(spec)
+
+
 def test_cache_propagates_disagreeing_containers(tmp_path):
     spec = heisenberg_spec(1, 5)
     path = ModelCache(str(tmp_path)).path_for(spec)

@@ -1,10 +1,13 @@
 """Inequality certification with explicit constants.
 
-Each certifier sweeps a window of mode/filtration indices, evaluates the
-left side spectrally and the right side from closed-form constants, and
-reports per-cell margins.  Constants that the theory merely posits (the
-growth data of an energy-bounded input) are measured on the window first
-and recorded in the report, so every run exhibits its witnesses.
+Each certifier sweeps a window of mode/filtration indices with one call of
+`BoundReport.sweep`, which evaluates the left side spectrally and the right
+side from closed-form constants cell by cell and records per-cell margins.
+`trace_domination_check` alone appends its own cells, because its two
+rows (0, n) and (1, n) alternate in n.  Constants that the theory merely
+posits (the growth data of an energy-bounded input) are measured on the
+window first and recorded in the report, so every run exhibits its
+witnesses.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import BasisState, Model, StateVector
 from .mode_engine import _as_vector, _vec_block, apply_mode, state_product
-from .norm_lab import NormTable, _graded_max, graded_norm
+from .norm_lab import NormTable, _graded_max, graded_norm, norm_table
 from .scalars import ONE, Q, ZERO, rational
 from .unitary_structure import family_of, star
 
@@ -42,6 +45,14 @@ class BoundReport:
         self.cells.append({"m": m, "n": n, "lhs": float(lhs),
                            "rhs": float(rhs),
                            "margin": float(rhs) - float(lhs)})
+
+    def sweep(self, ms, n_max: int, lhs, rhs) -> BoundReport:
+        """Add the cell (m, n, lhs(m, n), rhs(m, n)) for each m in ms and
+        each n <= n_max, m outermost; returns the report."""
+        for m in ms:
+            for n in range(n_max + 1):
+                self.add_cell(m, n, lhs(m, n), rhs(m, n))
+        return self
 
     @property
     def passed(self) -> bool:
@@ -108,12 +119,10 @@ def certify_virasoro_bound(model: Model, a, m_max: int, n_max: int,
         "virasoro_bound", model.spec.describe(), repr(a),
         {"m_max": m_max, "n_max": n_max},
         {"r": const, "central_charge": float(ctilde)}, tolerance=tol)
-    for m in range(-m_max, m_max + 1):
-        for n in range(n_max + 1):
-            lhs = graded_norm(model, avec, m, n)
-            rhs = const * (1 + abs(m)) ** 1.5 * (1 + n)
-            report.add_cell(m, n, lhs, rhs)
-    return report
+    return report.sweep(
+        range(-m_max, m_max + 1), n_max,
+        lambda m, n: graded_norm(model, avec, m, n),
+        lambda m, n: const * (1 + abs(m)) ** 1.5 * (1 + n))
 
 
 def certify_v1_bound(model: Model, a, m_max: int, n_max: int,
@@ -130,12 +139,10 @@ def certify_v1_bound(model: Model, a, m_max: int, n_max: int,
         {"m_max": m_max, "n_max": n_max},
         {"state_norm": norm_a, "prefactor": 2 ** 1.5 * norm_a},
         tolerance=tol)
-    for m in range(-m_max, m_max + 1):
-        for n in range(n_max + 1):
-            lhs = graded_norm(model, avec, m, n)
-            rhs = 2 ** 1.5 * norm_a * math.sqrt((1 + abs(m)) * (1 + n))
-            report.add_cell(m, n, lhs, rhs)
-    return report
+    return report.sweep(
+        range(-m_max, m_max + 1), n_max,
+        lambda m, n: graded_norm(model, avec, m, n),
+        lambda m, n: 2 ** 1.5 * norm_a * math.sqrt((1 + abs(m)) * (1 + n)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +173,12 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
         {"completion_degree": max((model.basis.degree_of(st)
                                    for st in x.terms), default=0)},
         tolerance=tol)
-    for m in range(0, m_max + 1):
-        for n in range(n_max + 1):
-            lhs = graded_norm(model, avec, m, n) ** 2
-            rhs = graded_norm(model, x, 0, n)
-            report.add_cell(m, n, lhs, rhs)
+    report.sweep(
+        range(m_max + 1), n_max,
+        lambda m, n: graded_norm(model, avec, m, n) ** 2,
+        lambda m, n: graded_norm(model, x, 0, n))
     # exact vector-level inequality on sampled b
     exact_ok = True
-    da = model.degree_of(avec) if not avec.is_zero() else 0
     for deg in range(min(sample_degree, model.N) + 1):
         for b in model.basis.states(deg):
             bvec = StateVector.basis(b)
@@ -192,7 +197,14 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
 
 
 def _primary_constant(model: Model, a: StateVector) -> float:
-    """A = 2(1 + sqrt(c/3))/(d-1) + 1/2 for a primary of degree d != 1."""
+    """A = 2(1 + sqrt(c/3))/(d-1) + 1/2 for a primary of degree d != 1.
+
+    Raises ValueError unless L_1 a = L_2 a = 0, which generate all positive
+    Virasoro modes.
+    """
+    for k in (1, 2):
+        if not state_product(model, model.nu, k + 1, a).is_zero():
+            raise ValueError(f"state is not primary: L_{k} a != 0")
     d = model.degree_of(a)
     if d == 1:
         raise ValueError("degree-1 states are excluded (no such constant)")
@@ -201,33 +213,21 @@ def _primary_constant(model: Model, a: StateVector) -> float:
     return 2.0 * (1.0 + math.sqrt(float(model.c) / 3.0)) / (d - 1) + 0.5
 
 
-def _check_primary(model: Model, a: StateVector):
-    """L_1 a = L_2 a = 0; these generate all positive Virasoro modes."""
-    for k, round_idx in ((1, 2), (2, 3)):
-        if not state_product(model, model.nu, round_idx, a).is_zero():
-            raise ValueError(f"state is not primary: L_{k} a != 0")
-
-
 def certify_primary_bound(model: Model, a, m_max: int, n_max: int,
                           tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_m||_n <= A sqrt(1+|m|) (1+|n|) (||a_0||_n + ||a_0||_{n-m})."""
     avec = _as_vector(a)
-    _check_primary(model, avec)
     const_a = _primary_constant(model, avec)
-    d = model.degree_of(avec)
     report = BoundReport(
         "primary_bound", model.spec.describe(), repr(a),
         {"m_max": m_max, "n_max": n_max},
-        {"A": const_a, "degree": d, "central_charge": float(model.c)},
-        tolerance=tol)
-    for m in range(-m_max, m_max + 1):
-        for n in range(n_max + 1):
-            lhs = graded_norm(model, avec, m, n)
-            rhs = const_a * math.sqrt(1 + abs(m)) * (1 + n) * \
-                (graded_norm(model, avec, 0, n) +
-                 graded_norm(model, avec, 0, n - m))
-            report.add_cell(m, n, lhs, rhs)
-    return report
+        {"A": const_a, "degree": model.degree_of(avec),
+         "central_charge": float(model.c)}, tolerance=tol)
+    return report.sweep(
+        range(-m_max, m_max + 1), n_max,
+        lambda m, n: graded_norm(model, avec, m, n),
+        lambda m, n: const_a * math.sqrt(1 + abs(m)) * (1 + n) *
+        (graded_norm(model, avec, 0, n) + graded_norm(model, avec, 0, n - m)))
 
 
 def fit_exponents(table: NormTable):
@@ -251,17 +251,16 @@ def fit_exponents(table: NormTable):
     return c, s, t
 
 
-def _measure_growth(model: Model, b, m_max: int, n_max: int):
-    """Single-exponent witness (K, q) with ||b_m||_n <= K(1+|m|)^q(1+|n|)^q."""
-    from .norm_lab import norm_table
-
-    ms = [m for m in range(-m_max, m_max + 1)]
-    table = norm_table(model, b, ms, n_max)
+def _chain_constants(model: Model, b, const_a: float, m_max: int,
+                     n_max: int):
+    """(K, q, B, t) of the proof chain: the measured single-exponent witness
+    ||b_m||_n <= K(1+|m|)^q(1+|n|)^q, then B = A K and t = q + 3/2."""
+    table = norm_table(model, b, range(-m_max, m_max + 1), n_max)
     c, s, t = fit_exponents(table)
     q = max(s, t)
-    k = max((v / ((1 + abs(m)) ** q * (1 + n) ** q)
-             for m, n, v in table.cells() if v > 0), default=0.0)
-    return max(c, k), q
+    k = max(c, max((v / ((1 + abs(m)) ** q * (1 + n) ** q)
+                    for m, n, v in table.cells() if v > 0), default=0.0))
+    return k, q, const_a * k, q + 1.5
 
 
 def _composite_pair_norm(model: Model, avec, bvec, m: int, n: int) -> float:
@@ -279,24 +278,19 @@ def certify_pair_bound(model: Model, a, b, m_max: int, n_max: int,
     and A is the primary-bound constant of a.
     """
     avec, bvec = _as_vector(a), _as_vector(b)
-    _check_primary(model, avec)
     const_a = _primary_constant(model, avec)
-    k_const, q_exp = _measure_growth(model, bvec, m_max, n_max)
-    b_const = const_a * k_const
-    t_exp = q_exp + 1.5
+    k_const, q_exp, b_const, t_exp = _chain_constants(model, bvec, const_a,
+                                                      m_max, n_max)
     report = BoundReport(
         "pair_bound", model.spec.describe(), f"{a!r} with {b!r}",
         {"m_max": m_max, "n_max": n_max},
         {"A": const_a, "K": k_const, "q": q_exp, "B": b_const, "t": t_exp},
         tolerance=tol)
-    for m in range(0, m_max + 1):
-        for n in range(n_max + 1):
-            lhs = _composite_pair_norm(model, avec, bvec, m, n)
-            rhs = b_const * ((1 + m) * (1 + n)) ** t_exp * \
-                (graded_norm(model, avec, 0, n) +
-                 graded_norm(model, avec, 0, n - m))
-            report.add_cell(m, n, lhs, rhs)
-    return report
+    return report.sweep(
+        range(m_max + 1), n_max,
+        lambda m, n: _composite_pair_norm(model, avec, bvec, m, n),
+        lambda m, n: b_const * ((1 + m) * (1 + n)) ** t_exp *
+        (graded_norm(model, avec, 0, n) + graded_norm(model, avec, 0, n - m)))
 
 
 def certify_zero_mode_product(model: Model, b, p: int, a, n_max: int,
@@ -310,15 +304,13 @@ def certify_zero_mode_product(model: Model, b, p: int, a, n_max: int,
     if p < 0:
         raise ValueError("p must be nonnegative")
     avec, bvec = _as_vector(a), _as_vector(b)
-    _check_primary(model, avec)
     const_a = _primary_constant(model, avec)
     d = model.degree_of(bvec)
     da = model.degree_of(avec)
     if da + p > model.N:
         raise TruncationError(da + p, model.N, "zero-mode composite degree")
-    k_const, q_exp = _measure_growth(model, bvec, max(2, p), n_max)
-    b_const = const_a * k_const
-    t_exp = q_exp + 1.5
+    k_const, q_exp, b_const, t_exp = _chain_constants(model, bvec, const_a,
+                                                      max(2, p), n_max)
     c_const = (2 * k_const * const_a + 2 * b_const) * \
         (p + 2 * d + 1) ** (d + p + 2)
     r_exp = 2 * q_exp + 2 * t_exp + 1.5 + d + p + 2
@@ -327,13 +319,11 @@ def certify_zero_mode_product(model: Model, b, p: int, a, n_max: int,
         "zero_mode_product", model.spec.describe(), f"{b!r}_-{p} {a!r}",
         {"p": p, "n_max": n_max},
         {"A": const_a, "K": k_const, "q": q_exp, "B": b_const, "t": t_exp,
-         "C": c_const, "r": r_exp, "d": d},
-        tolerance=tol)
-    for n in range(n_max + 1):
-        lhs = graded_norm(model, y, 0, n)
-        rhs = c_const * (1 + n) ** r_exp * graded_norm(model, avec, 0, n + d)
-        report.add_cell(0, n, lhs, rhs)
-    return report
+         "C": c_const, "r": r_exp, "d": d}, tolerance=tol)
+    return report.sweep(
+        (0,), n_max, lambda m, n: graded_norm(model, y, 0, n),
+        lambda m, n: c_const * (1 + n) ** r_exp *
+        graded_norm(model, avec, 0, n + d))
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +347,8 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     if not states:
         report.notes["empty_degree"] = True
         return StateVector(), report
-    ginv = fam.inverse(d)
-    stars = [star(model, StateVector.basis(e), fam) for e in states]
-    x = StateVector()
-    for k, ek in enumerate(states):
-        for l, _ in enumerate(states):
-            w = ginv[k][l]
-            if not w:
-                continue
-            x = x + state_product(model, ek, -1, stars[l]).scale(w)
+    x = _average(model, fam, [StateVector.basis(e) for e in states],
+                 fam.inverse(d))
     # invariance under each sampled automorphism, exact
     for idx, aut in enumerate(aut_sample):
         image = aut.apply_exact(x)
@@ -376,24 +359,23 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     for i in range(len(states) - 1):
         shear[i][i + 1] = ONE
     gp = xl.mat_mul(xl.transpose(shear), xl.mat_mul(fam.matrix(d), shear))
-    gpinv = xl.inverse(gp)
-    new_states = []
-    for j in range(len(states)):
-        vec = StateVector()
-        for i in range(len(states)):
-            vec.add_term(states[i], shear[i][j])
-        new_states.append(vec)
-    x2 = StateVector()
-    for k in range(len(states)):
-        for l in range(len(states)):
-            w = gpinv[k][l]
-            if not w:
-                continue
-            x2 = x2 + state_product(
-                model, new_states[k], -1,
-                star(model, new_states[l], fam)).scale(w)
+    x2 = _average(model, fam,
+                  [model.from_coords(d, col) for col in xl.transpose(shear)],
+                  xl.inverse(gp))
     report.notes["basis_independent"] = bool(x2 == x)
     return x, report
+
+
+def _average(model: Model, fam, vectors, ginv) -> StateVector:
+    """sum_{kl} (G^{-1})_{kl} (v_k)_{(-1)} v_l* over vectors v of Gram
+    matrix G, one star per vector."""
+    stars = [star(model, v, fam) for v in vectors]
+    x = StateVector()
+    for vk, row in zip(vectors, ginv):
+        for sl, w in zip(stars, row):
+            if w:
+                x = x + state_product(model, vk, -1, sl).scale(w)
+    return x
 
 
 def certify_orbifold_chain(model: Model, a, x: StateVector, s, n_max: int,
@@ -409,13 +391,12 @@ def certify_orbifold_chain(model: Model, a, x: StateVector, s, n_max: int,
         "orbifold_chain", model.spec.describe(), repr(a),
         {"s": sf, "n_max": n_max}, {"state_norm_sq": norm_sq},
         tolerance=tol)
-    for n in range(n_max + 1):
-        lhs = _graded_max(model, avec, 0, n,
-                          weight=lambda k: (k + 1) ** (-sf)) ** 2
-        rhs = norm_sq * _graded_max(model, x, 0, n,
-                                    weight=lambda k: (k + 1) ** (-2 * sf))
-        report.add_cell(0, n, lhs, rhs)
-    return report
+    return report.sweep(
+        (0,), n_max,
+        lambda m, n: _graded_max(model, avec, 0, n,
+                                 weight=lambda k: (k + 1) ** (-sf)) ** 2,
+        lambda m, n: norm_sq * _graded_max(
+            model, x, 0, n, weight=lambda k: (k + 1) ** (-2 * sf)))
 
 
 def trace_domination_check(model: Model, a, q, n_max: int,
@@ -424,7 +405,9 @@ def trace_domination_check(model: Model, a, q, n_max: int,
                            <= Tr((a_{-d}a*)_0 q^{2L_0}) on V_{<=n}.
 
     Both traces are exact rationals for rational q; only the operator norm
-    on the far left is spectral.
+    on the far left is spectral.  The cells (0, n) and (1, n) alternate in
+    n, an order `BoundReport.sweep` cannot give, so this check appends its
+    own.
     """
     qr = rational(q)
     if not (0 < qr < 1):
@@ -491,8 +474,8 @@ def bootstrap_analyze(kseq, d_const, s, d: int,
     certified) or the doubling chain blows up (growth detected).
     """
     kseq = [float(v) for v in kseq]
-    if any(not math.isfinite(v) or v < 0 for v in kseq) or d_const <= 0 \
-            or s < 0 or d < 1:
+    if any(not math.isfinite(v) or v < 0 for v in kseq) or d < 1 or \
+            not 0 < d_const < math.inf or not 0 <= s < math.inf:
         raise ValueError("malformed bootstrap inputs")
     scale = float(d_const) * (1 + d) ** float(s)
     alphas = [k / (scale * (1 + n) ** float(s))
@@ -515,8 +498,7 @@ def bootstrap_analyze(kseq, d_const, s, d: int,
             verdict.witness_ok = ok
             return verdict
     for n in range(len(kseq) - d):
-        if kseq[n] ** 2 > d_const * (n + 1) ** float(s) * kseq[n + d] + \
-                tol * max(1.0, kseq[n] ** 2):
+        if not _recursion_holds(kseq, d_const, s, d, n, tol):
             verdict.failing_cell = n
             return verdict
     verdict.kind = "certified"

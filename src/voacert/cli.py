@@ -24,7 +24,8 @@ from .bound_certifier import (bootstrap_analyze, certify_orbifold_chain,
                               measure_sector_growth, orbifold_average,
                               trace_domination_check)
 from .config import SuiteConfig, load_config, make_check, spec_from_fields
-from .errors import ConfigError, ModelBugError, VoacertError
+from .errors import (ConfigError, ModelBugError, TruncationError,
+                     VoacertError)
 from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
                           StateVector, build_model)
 from .mode_engine import sample_residuals
@@ -224,7 +225,8 @@ CHECKS = {
 
 def run_check(model: Model, check: dict, tolerance: float,
               output_dir: str = None) -> dict:
-    """Run one check; a ValueError of its runner becomes a ConfigError."""
+    """Run one check; a ValueError of its runner, or a window beyond the
+    model's truncation, becomes a ConfigError."""
     ctype = check["type"]
     if ctype not in CHECKS:
         raise ConfigError(f"unknown check type {ctype!r}")
@@ -235,7 +237,7 @@ def run_check(model: Model, check: dict, tolerance: float,
         out.update(CHECKS[ctype].run(model, check, tolerance, output_dir))
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:
+    except (ValueError, TruncationError) as exc:
         raise ConfigError(f"check {name!r} ({ctype}): {exc}") from exc
     return out
 

@@ -160,12 +160,7 @@ def is_zero(a) -> bool:
 
 
 def to_numpy(a) -> np.ndarray:
-    n, m = shape(a)
-    out = np.empty((n, m), dtype=float)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = float(a[i][j])
-    return out
+    return np.array(a, dtype=float).reshape(shape(a))
 
 
 def _ratio(x):

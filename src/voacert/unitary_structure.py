@@ -28,7 +28,6 @@ class GramFamily:
         self.model = model
         self._mats = {}
         self._invs = {}
-        self._pair_cache = {}
         self._chol = {}
         self._radicals = {}
 

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from voacert import exactlinalg as xl
 from voacert.bound_certifier import (BoundReport, bootstrap_analyze,
                                      certify_orbifold_chain,
                                      certify_pair_bound,
+                                     certify_primary_bound,
                                      certify_product_lemma,
                                      certify_v1_bound,
                                      certify_virasoro_bound,
@@ -206,7 +210,72 @@ def test_bound_report_fails_on_a_non_finite_tolerance(tolerance):
     assert not report.passed
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_bootstrap_rejects_non_finite_growth_data(bad):
-    with pytest.raises(ValueError):
-        bootstrap_analyze([1.0, bad, 1.0, 1.0], 2, 1, 1)
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kseq, d_const, s", [
+    ([1.0, NAN, 1.0, 1.0], 2, 1), ([1.0, INF, 1.0, 1.0], 2, 1),
+    ([1.0] * 4, NAN, 1), ([1.0] * 4, INF, 1),
+    ([1.0] * 4, 1, NAN), ([1.0] * 4, 1, INF)],
+    ids=["nan", "inf", "D-nan", "D-inf", "s-nan", "s-inf"])
+def test_bootstrap_rejects_non_finite_growth_data(kseq, d_const, s):
+    with pytest.raises(ValueError, match="malformed bootstrap inputs"):
+        bootstrap_analyze(kseq, d_const, s, 1)
+
+
+def _certifier_reports(name, heis8, ising8, lat2_8, lat4_8):
+    """The reports of one certifier on fixed conftest models and windows."""
+    prim = BasisState(1, ())
+    if name == "virasoro_bound":
+        return [certify_virasoro_bound(ising8, ising8.nu, 3, 5)]
+    if name == "v1_bound":
+        return [certify_v1_bound(heis8, current(heis8), 3, 5),
+                certify_v1_bound(lat2_8, prim, 3, 5)]
+    if name == "product_lemma":
+        return [certify_product_lemma(heis8, heis8.basis.states(2)[0], 3, 5)]
+    if name == "primary_bound":
+        return [certify_primary_bound(lat4_8, prim, 3, 4)]
+    if name == "pair_bound":
+        return [certify_pair_bound(lat4_8, prim, current(lat4_8), 3, 4)]
+    if name == "zero_mode_product":
+        return [certify_zero_mode_product(lat4_8, current(lat4_8), 1, prim,
+                                          4)]
+    if name == "orbifold":
+        x, average = orbifold_average(
+            heis8, 1, [Automorphism(heis8, "charge_conjugation")])
+        return [average,
+                certify_orbifold_chain(heis8, current(heis8), x, 0.5, 6)]
+    assert name == "trace_domination"
+    return [trace_domination_check(heis8, current(heis8), Q(1, 2), 8)]
+
+
+# sha256 of the sorted-key JSON of every report's to_dict(): the byte-level
+# guard of each certifier, pair_bound and zero_mode_product included, which
+# no suite variant runs
+CERTIFIER_DIGESTS = {
+    "virasoro_bound":
+        "3f90ff03d518cf09f2289dfd73ecca0f3651873a69abb4d8e734ba9e75a437a0",
+    "v1_bound":
+        "9ede0130524d5a4c041d19154b6b99a67399d17b36e5a1b212ee22d34b75bfb0",
+    "product_lemma":
+        "643d6a3e52eab2f30c5ae0dc4724edc5c605e7ca8fac463f44ac8a3e72d9c4fa",
+    "primary_bound":
+        "7392766286a1168f24741dc20fc9f0ca15e1b97aab035accba961a7be4dc04fd",
+    "pair_bound":
+        "d2d354d34eaec6ba56f19707d0c785bcfa094e7939e0710dec16a3a502200464",
+    "zero_mode_product":
+        "f4a2262de6f56f7882d07dd3707c076b4d155ebeaf603fb464a72be73219f010",
+    "orbifold":
+        "6dd096ea19faa8129e236c8fd8c14e91831918c145df8bc0729fa7ea5c66c975",
+    "trace_domination":
+        "5e91d4edf10acd4f2232108a5b3df695fd6921a6be8ce98f09f21450aa63c8c7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIER_DIGESTS))
+def test_certifier_reports_match_pinned_digest(name, heis8, ising8, lat2_8,
+                                               lat4_8):
+    reports = _certifier_reports(name, heis8, ising8, lat2_8, lat4_8)
+    text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CERTIFIER_DIGESTS[name]

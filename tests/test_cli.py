@@ -160,6 +160,12 @@ def test_selector_outside_the_basis_is_a_config_error(heis8, selector):
      "--state", "basis:1"],
     ["--kind", "heisenberg", "--N", "6", "--check", "norms",
      "--state", "x*top:1"],
+    # windows beyond the truncation, as in the suite test below
+    ["--kind", "heisenberg", "--N", "4", "--check", "orbifold",
+     "--degree", "3"],
+    ["--kind", "lattice", "--q", "4", "--N", "6", "--check",
+     "zero_mode_product", "--state", "top:1", "--with", "basis:1:0",
+     "--n-max", "6"],
 ])
 def test_bad_check_input_exits_with_config_code(argv, capsys):
     assert main(["certify"] + argv) == EXIT_CONFIG
@@ -207,6 +213,26 @@ def test_invalid_model_spec_fails_suite_with_config_code(tmp_path, capsys,
     assert main(["suite", "--config", str(path),
                  "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
     assert "model 'l'" in capsys.readouterr().err
+
+
+# windows that pass SuiteConfig.validate but reach past the truncation
+# inside the check: an orbifold average of degree 3 needs N >= 6, and a
+# zero-mode bound at n_max = N reads ||a_0|| at degree N + 1
+@pytest.mark.parametrize("model, check, what", [
+    ("kind = heisenberg\nmodel.x.N = 4", "type = orbifold\ncheck.w.degree = 3",
+     "orbifold average degree"),
+    ("kind = lattice\nmodel.x.q = 4\nmodel.x.N = 6",
+     "type = zero_mode_product\ncheck.w.state = top:1\n"
+     "check.w.with = basis:1:0\ncheck.w.n_max = 6", "graded norm window")],
+    ids=["orbifold", "zero_mode_product"])
+def test_window_beyond_the_truncation_fails_suite_with_config_code(
+        tmp_path, capsys, model, check, what):
+    path = tmp_path / "suite.cfg"
+    path.write_text(f"model.x.{model}\ncheck.w.{check}\ncheck.w.model = x\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "check 'w'" in err and what in err
 
 
 def test_invalid_model_flags_exit_with_config_code(tmp_path, capsys):

@@ -193,6 +193,17 @@ def test_zero_skipping_kernels_match_dense_references(operands, s):
     assert a == a_before and b == b_before
 
 
+@given(add_operands())
+@example(([], []))  # 0x0
+@example(([[], [], []], []))  # 3x0
+@example(([[10 ** 30, Q(10 ** 40 + 1, 7 ** 30), 2 ** 63 + 1]], []))
+def test_to_numpy_matches_per_entry_float(operands):
+    a, _ = operands
+    out = xl.to_numpy(a)
+    assert out.dtype == float and out.shape == xl.shape(a)
+    assert out.tolist() == [[float(x) for x in row] for row in a]
+
+
 # -- exact division on int input ---------------------------------------------
 
 

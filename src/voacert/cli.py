@@ -23,13 +23,14 @@ from .bound_certifier import (bootstrap_analyze, certify_orbifold_chain,
                               certify_zero_mode_product, fit_recursion,
                               measure_sector_growth, orbifold_average,
                               trace_domination_check)
-from .config import SuiteConfig, load_config, make_check, spec_from_fields
+from .config import (KIND_FIELDS, MODEL_FIELDS, SuiteConfig, load_config,
+                     make_check, spec_from_fields)
 from .errors import (ConfigError, ModelBugError, TruncationError,
                      VoacertError)
 from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
                           StateVector, build_model)
 from .mode_engine import sample_residuals
-from .norm_lab import norm_table
+from .norm_lab import norm_table, write_norm_csv
 from .scalars import Q, rat_from_str
 from .serialize import (ModelCache, save_model, spec_digest, spec_from_dict,
                         spec_to_dict)
@@ -81,29 +82,39 @@ def resolve_state(model: Model, selector: str) -> StateVector:
     return total
 
 
-def _spec_from_args(args) -> ModelSpec:
-    fields = {k: getattr(args, k) for k in ("kind", "N", "rank", "c", "q")}
-    return spec_from_fields("command line", {
+def _model_from_args(args) -> Model:
+    fields = {k: getattr(args, k, None) for k in MODEL_FIELDS}
+    spec, pad, _ = spec_from_fields("command line", {
         k: v for k, v in fields.items() if v is not None})
+    return build_model(spec, pad=pad)
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--kind", required=True,
-                        choices=["heisenberg", "virasoro", "lattice"])
-    parser.add_argument("--N", type=int, required=True)
+    """The model fields, parsed by spec_from_fields; no defaults here."""
+    parser.add_argument("--kind", required=True, choices=sorted(KIND_FIELDS))
+    parser.add_argument("--N", required=True)
     parser.add_argument("--c", help="central charge (virasoro), e.g. 1/2")
-    parser.add_argument("--q", type=int, help="lattice square (even)")
-    parser.add_argument("--rank", type=int, default=1)
-    parser.add_argument("--pad", type=int, default=None,
-                        help="internal working margin above N")
+    parser.add_argument("--q", help="lattice square (even)")
+    parser.add_argument("--rank", help="heisenberg rank (default 1)")
+    parser.add_argument("--pad", help="internal working margin above N")
+
+
+def _add_check_flags(parser, fields):
+    """Model flags, --json and a flag per check field, parsed by
+    make_check; no defaults here."""
+    _add_model_flags(parser)
+    for name in fields:
+        flag = "--damping" if name == "q" else "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest="check." + name)
+    parser.add_argument("--json", dest="json_out")
 
 
 # ---------------------------------------------------------------------------
 # check types (shared by `certify` and `suite`)
 
-# Every field a check may read, with its parser.  The `certify` verb has a
-# flag of the same name for each but degree_cap; `with` is --with and `q` is
-# --damping.
+# Every field a check may read, with its parser.  A one-check verb has a
+# flag of the same name for each field of its type (`certify`: every field),
+# `--m-max` for m_max and `--damping` for q.
 FIELDS = {
     "state": str, "with": str, "m_max": int, "n_max": int, "samples": int,
     "seed": int, "degree_cap": int, "p": int, "degree": int, "d": int,
@@ -139,10 +150,10 @@ def _run_norms(model, check, tol, output_dir):
     table = norm_table(model, resolve_state(model, selector),
                        range(-m_max, m_max + 1), check["n_max"],
                        owner=selector)
-    out = {"table": json.loads(table.to_json()), "pass": True}
+    out = {"table": table.to_dict(), "pass": True}
     if output_dir:
         path = os.path.join(output_dir, f"{check['name']}.csv")
-        table.write_csv(path)
+        write_norm_csv(out["table"], path)
         out["csv"] = os.path.basename(path)
     return out
 
@@ -179,6 +190,13 @@ def _state(model, check, field="state"):
     return resolve_state(model, check.get(field, "nu"))
 
 
+def _primary(model, check):
+    """The check's state, with no default: nu is never primary."""
+    if "state" not in check:
+        raise ValueError("state must be a primary and has no default")
+    return resolve_state(model, check["state"])
+
+
 # The runners name the certifiers as module globals, resolved per call, so
 # a wrapper installed on this module's names sees every call.
 _BOUND = ("state", "m_max", "n_max")
@@ -205,7 +223,7 @@ CHECKS = {
     "primary_bound": CheckType(
         _BOUND, ("m_max", "n_max"),
         lambda model, c, tol, _: _report(certify_primary_bound(
-            model, _state(model, c), c["m_max"], c["n_max"], tol=tol))),
+            model, _primary(model, c), c["m_max"], c["n_max"], tol=tol))),
     "product_lemma": CheckType(
         _BOUND, ("n_max",),
         lambda model, c, tol, _: _report(certify_product_lemma(
@@ -213,12 +231,12 @@ CHECKS = {
     "pair_bound": CheckType(
         _BOUND + ("with",), ("n_max",),
         lambda model, c, tol, _: _report(certify_pair_bound(
-            model, _state(model, c), _state(model, c, "with"), c["m_max"],
+            model, _primary(model, c), _state(model, c, "with"), c["m_max"],
             c["n_max"], tol=tol))),
     "zero_mode_product": CheckType(
         ("state", "with", "p", "n_max"), ("n_max",),
         lambda model, c, tol, _: _report(certify_zero_mode_product(
-            model, _state(model, c, "with"), c.get("p", 0), _state(model, c),
+            model, _state(model, c, "with"), c.get("p", 0), _primary(model, c),
             c["n_max"], tol=tol))),
 }
 
@@ -361,35 +379,13 @@ def _build_parser():
     p.add_argument("--out", default="model.json")
 
     p = sub.add_parser("axioms", help="randomized exact identity checks")
-    _add_model_flags(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree-cap", type=int, default=None)
-    p.add_argument("--json", dest="json_out")
-
+    _add_check_flags(p, CHECKS["axioms"].fields)
     p = sub.add_parser("norms", help="graded norm table for one state")
-    _add_model_flags(p)
-    p.add_argument("--state", default="nu")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=6)
+    _add_check_flags(p, CHECKS["norms"].fields)
     p.add_argument("--csv")
-    p.add_argument("--json", dest="json_out")
-
-    p = sub.add_parser("certify", help="run one bound certification")
-    _add_model_flags(p)
+    p = sub.add_parser("certify", help="run one check of any type")
+    _add_check_flags(p, FIELDS)
     p.add_argument("--check", required=True)
-    p.add_argument("--state", default="nu")
-    p.add_argument("--with", dest="with_state", default="nu")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--s", default="1")
-    p.add_argument("--damping", default="1/2")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_out")
 
     p = sub.add_parser("suite", help="run a configured certification suite")
     p.add_argument("--config", required=True)
@@ -417,37 +413,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "build":
-            model = build_model(_spec_from_args(args), pad=args.pad)
+            model = _model_from_args(args)
             save_model(model, args.out)
             print(f"built {model.spec.describe()} -> {args.out}")
             return EXIT_OK
-        if args.verb == "axioms":
-            model = build_model(_spec_from_args(args), pad=args.pad)
-            check = {"name": "axioms", "type": "axioms",
-                     "samples": args.samples, "seed": args.seed,
-                     "degree_cap": args.degree_cap}
-            result = run_check(model, check, 1e-8)
-            _emit(result, args.json_out)
-            return EXIT_OK if result["pass"] else EXIT_VIOLATION
-        if args.verb == "norms":
-            model = build_model(_spec_from_args(args), pad=args.pad)
-            state = resolve_state(model, args.state)
-            table = norm_table(model, state,
-                               range(-args.m_max, args.m_max + 1),
-                               args.n_max, owner=args.state)
-            if args.csv:
-                table.write_csv(args.csv)
-            _emit(json.loads(table.to_json()), args.json_out)
-            return EXIT_OK
-        if args.verb == "certify":
-            given = {**vars(args), "with": args.with_state,
-                     "q": args.damping}
-            fields = CHECKS[args.check].fields if args.check in CHECKS else ()
-            check = make_check(args.check, args.check, {
-                f: given[f] for f in fields if given.get(f) is not None})
-            model = build_model(_spec_from_args(args), pad=args.pad)
-            result = run_check(model, check, 1e-8)
-            _emit(result, args.json_out)
+        if args.verb in ("axioms", "norms", "certify"):
+            ctype = getattr(args, "check", args.verb)
+            check = make_check(ctype, ctype, {
+                k[len("check."):]: v for k, v in vars(args).items()
+                if k.startswith("check.") and v is not None})
+            result = run_check(_model_from_args(args), check, 1e-8)
+            if args.verb == "norms" and args.csv:
+                write_norm_csv(result["table"], args.csv)
+            _emit(result["table"] if args.verb == "norms" else result,
+                  args.json_out)
             return EXIT_OK if result["pass"] else EXIT_VIOLATION
         if args.verb == "suite":
             config = load_config(args.config)

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, SpecError
-from .graded_fock import ModelSpec, heisenberg_spec, lattice_spec, \
-    virasoro_spec
+from .graded_fock import ModelSpec
 from .scalars import rat_from_str, rational
 
 
@@ -78,40 +77,51 @@ def _metric(value: str):
                  for row in value.split(";"))
 
 
-def spec_from_fields(where: str, fields: dict) -> ModelSpec:
-    """Validated model spec from named fields; errors start with `where`."""
-    kind = fields.get("kind")
-    if "N" not in fields:
-        raise ConfigError(f"{where}: missing N")
-    n = _parse_field(where, fields, "N", int)
-    if kind == "heisenberg":
-        rank = _parse_field(where, fields, "rank", int, 1)
-        metric = _parse_field(where, fields, "metric", _metric) \
-            if fields.get("metric") else None
-        spec = heisenberg_spec(rank, n, metric)
-    elif kind == "virasoro":
-        if "c" not in fields:
-            raise ConfigError(f"{where}: missing central charge c")
-        spec = virasoro_spec(_parse_field(where, fields, "c", rational), n)
-    elif kind == "lattice":
-        if "q" not in fields:
-            raise ConfigError(f"{where}: missing lattice square q")
-        spec = lattice_spec(_parse_field(where, fields, "q", int), n)
-    else:
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
-    try:
-        spec.validate()
-    except SpecError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return spec
-
-
 def _corrupt(value: str):
     """gid,m,src,row,col,delta as six ints."""
     parts = value.split(",")
     if len(parts) != 6:
         raise ValueError(value)
     return tuple(int(x) for x in parts)
+
+
+# Every model field with its parser.  Every kind reads kind, N, pad and
+# corrupt; KIND_FIELDS names what each kind reads besides, and REQUIRED the
+# fields that have no default.
+MODEL_FIELDS = {"kind": str, "N": int, "pad": int, "corrupt": _corrupt,
+                "rank": int, "metric": _metric, "c": rational, "q": int}
+KIND_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c",),
+               "lattice": ("q",)}
+REQUIRED = ("N", "c", "q")
+
+
+def spec_from_fields(where: str, fields: dict):
+    """Validated (spec, pad, corrupt) from named model fields.
+
+    Every value is parsed first; then a field the kind does not read, or a
+    missing one it needs, is a ConfigError.  Errors start with `where`.
+    """
+    parsed = {name: _parse_field(where, fields, name,
+                                 MODEL_FIELDS.get(name, str))
+              for name in fields}
+    kind = parsed.get("kind")
+    if kind not in KIND_FIELDS:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    reads = ("kind", "N", "pad", "corrupt") + KIND_FIELDS[kind]
+    for name in parsed:
+        if name not in reads:
+            raise ConfigError(f"{where}: field {name!r} does not apply to "
+                              f"kind {kind!r}")
+    for name in REQUIRED:
+        if name in reads and name not in parsed:
+            raise ConfigError(f"{where}: missing {name}")
+    pad, corrupt = parsed.pop("pad", None), parsed.pop("corrupt", None)
+    spec = ModelSpec(**parsed)
+    try:
+        spec.validate()
+    except SpecError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return spec, pad, corrupt
 
 
 def _tolerance(value: str) -> float:
@@ -165,11 +175,8 @@ def parse_config(text: str) -> SuiteConfig:
 
     config = SuiteConfig()
     for name, fields in sorted(sections["model"].items()):
-        where = f"model {name!r}"
-        config.models[name] = spec_from_fields(where, fields)
-        config.pads[name] = _parse_field(where, fields, "pad", int)
-        config.corrupts[name] = _parse_field(where, fields, "corrupt",
-                                             _corrupt)
+        config.models[name], config.pads[name], config.corrupts[name] = \
+            spec_from_fields(f"model {name!r}", fields)
     for name, fields in sorted(sections["check"].items()):
         fields = dict(fields)
         ctype, mname = fields.pop("type", None), fields.pop("model", None)

@@ -13,7 +13,8 @@ s*b``) work in place over nonzero entries without building a product,
 Elimination is fraction-free: ``rref`` (behind ``kernel_basis`` and
 ``inverse``) scales its input to ints once and runs Bareiss updates, whose
 divisions are exact, so no intermediate rational is ever built; ``ldl``
-is plain dense code in ``Q``.  An entry that is not an exact rational (a
+works in ``Q`` and skips the zero entries below each pivot, so a diagonal
+Gram matrix costs no division.  An entry that is not an exact rational (a
 float) raises TypeError.  Every result stays exact.
 """
 
@@ -272,10 +273,9 @@ def ldl(a):
             return None
         diag.append(piv)
         for i in range(k + 1, n):
-            f = Q(g[i][k]) / piv
-            low[i][k] = f
-            if not f:
+            if not g[i][k]:
                 continue
+            f = low[i][k] = Q(g[i][k]) / piv
             for j in range(k, n):
                 g[i][j] -= f * g[k][j]
     return low, diag

@@ -131,10 +131,6 @@ class GradedBasis:
             return 0
         return len(self.states_by_degree[degree])
 
-    def dims(self, upto=None):
-        upto = self.max_degree if upto is None else upto
-        return [self.dim(d) for d in range(upto + 1)]
-
     def states(self, degree: int):
         if degree < 0 or degree > self.max_degree:
             return []

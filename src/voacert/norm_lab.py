@@ -17,7 +17,6 @@ every step by an exact LDL^T factorization; it has no block size limit.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,15 +179,12 @@ class NormTable:
     entries: dict = field(default_factory=dict)   # (m, n) -> float
     failures: dict = field(default_factory=dict)  # (m, n) -> reason str
 
-    def value(self, m: int, n: int):
-        return self.entries.get((m, n))
-
     def cells(self):
         for (m, n) in sorted(self.entries):
             yield m, n, self.entries[(m, n)]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "owner": self.owner,
             "model": self.model_desc,
             "truncation": self.truncation,
@@ -202,14 +198,14 @@ class NormTable:
                 for (m, n), r in sorted(self.failures.items())
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "n", "norm"])
-            for m, n, v in self.cells():
-                writer.writerow([m, n, format(v, ".17g")])
+
+def write_norm_csv(table: dict, path):
+    """The cells of a NormTable.to_dict() as m,n,norm rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["m", "n", "norm"])
+        writer.writerows([c["m"], c["n"], c["norm"]] for c in table["cells"])
 
 
 def norm_table(model: Model, a, m_range, n_max: int,

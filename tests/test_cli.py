@@ -5,11 +5,13 @@ import re
 
 import pytest
 
-from voacert.cli import (CHECKS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main,
-                         resolve_state, run_suite)
+from voacert.cli import (CHECKS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION,
+                         FIELDS, _build_parser, main, resolve_state,
+                         run_suite)
 from voacert.config import parse_config
 from voacert.errors import ConfigError
-from voacert.graded_fock import heisenberg_spec
+from voacert.graded_fock import build_model, heisenberg_spec, lattice_spec
+from voacert.norm_lab import norm_table
 from voacert.scalars import Q
 from voacert.serialize import ModelCache, load_model
 
@@ -272,3 +274,130 @@ def test_readme_check_table_lists_every_registered_type():
     assert sorted(rows) == sorted(CHECKS)
     for ctype, fields in rows.items():
         assert fields == CHECKS[ctype].fields, ctype
+
+
+# -- the one-check verbs share the suite's make_check/run_check path ---------
+
+
+def _check_flags(verb):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if a.dest == "verb")
+    return {a.dest.split(".", 1)[1]: a for a in sub.choices[verb]._actions
+            if a.dest.startswith("check.")}
+
+
+@pytest.mark.parametrize("verb, fields", [
+    ("axioms", CHECKS["axioms"].fields), ("norms", CHECKS["norms"].fields),
+    ("certify", tuple(FIELDS))])
+def test_one_check_verb_flags_are_its_type_fields(verb, fields):
+    flags = _check_flags(verb)
+    assert sorted(flags) == sorted(fields)
+    assert all(a.default is None for a in flags.values())
+    assert flags.get("q") is None or flags["q"].option_strings == \
+        ["--damping"]
+
+
+def test_certify_orbifold_defaults_to_the_suite_state(capsys):
+    argv = ["certify", "--kind", "heisenberg", "--N", "6", "--check",
+            "orbifold", "--n-max", "4"]
+    outs = []
+    for extra in ([], ["--state", "basis:1:0"], ["--state", "nu"]):
+        outs.append((main(argv + extra),
+                     json.loads(capsys.readouterr().out)))
+    assert outs[0] == outs[1] == (EXIT_OK, outs[1][1])
+    assert outs[2][1]["chain"]["state"] != outs[0][1]["chain"]["state"]
+
+
+def test_certify_takes_the_suite_n_max_default(capsys):
+    assert main(["certify", "--kind", "heisenberg", "--N", "4", "--check",
+                 "product_lemma", "--state", "basis:1:0",
+                 "--m-max", "1"]) == EXIT_OK
+    cells = json.loads(capsys.readouterr().out)["report"]["cells"]
+    assert max(c["n"] for c in cells) == 4
+
+
+def test_certify_flag_the_type_does_not_read_is_a_config_error(capsys):
+    assert main(["certify", "--kind", "heisenberg", "--N", "6", "--check",
+                 "unitarity", "--samples", "5"]) == EXIT_CONFIG
+    assert "'samples' does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ctype", ["primary_bound", "pair_bound",
+                                   "zero_mode_product"])
+def test_primary_check_without_state_is_a_config_error(capsys, ctype):
+    assert main(["certify", "--kind", "lattice", "--q", "4", "--N", "6",
+                 "--check", ctype, "--n-max", "2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"check {ctype!r}" in err and "state must be a primary" in err
+
+
+@pytest.mark.parametrize("model, field", [
+    ("kind = lattice\nmodel.x.q = 2\nmodel.x.N = 6\nmodel.x.c = 1/2", "c"),
+    ("kind = heisenberg\nmodel.x.N = 6\nmodel.x.metirc = 2", "metirc"),
+    ("kind = virasoro\nmodel.x.c = 1/2\nmodel.x.N = 6\nmodel.x.rank = 1",
+     "rank")], ids=["lattice-c", "heisenberg-metirc", "virasoro-rank"])
+def test_model_field_the_kind_does_not_read_fails_suite(tmp_path, capsys,
+                                                        model, field):
+    path = tmp_path / "suite.cfg"
+    path.write_text(f"model.x.{model}\ncheck.u.type = unitarity\n"
+                    "check.u.model = x\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert f"model 'x': field {field!r} does not apply" in \
+        capsys.readouterr().err
+
+
+def test_model_flag_the_kind_does_not_read_is_a_config_error(capsys):
+    assert main(["certify", "--kind", "lattice", "--q", "2", "--N", "6",
+                 "--c", "1/2", "--check", "unitarity"]) == EXIT_CONFIG
+    assert "command line: field 'c' does not apply" in \
+        capsys.readouterr().err
+
+
+AXIOMS_STDOUT = """{
+  "identities": {
+    "borcherds": {
+      "checked": 10,
+      "failures": []
+    },
+    "commutator": {
+      "checked": 10,
+      "failures": []
+    },
+    "skewsymmetry": {
+      "checked": 10,
+      "failures": []
+    },
+    "translation": {
+      "checked": 10,
+      "failures": []
+    }
+  },
+  "model": "heisenberg(rank=1, N=4)",
+  "name": "axioms",
+  "pass": true,
+  "type": "axioms"
+}
+"""
+
+
+def test_axioms_and_norms_output_bytes(tmp_path, capsys):
+    assert main(["axioms", "--kind", "heisenberg", "--N", "4",
+                 "--samples", "10", "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == AXIOMS_STDOUT
+    path = tmp_path / "norms.csv"
+    assert main(["norms", "--kind", "lattice", "--q", "2", "--N", "6",
+                 "--state", "top:1", "--m-max", "2", "--n-max", "4",
+                 "--csv", str(path)]) == EXIT_OK
+    model = build_model(lattice_spec(2, 6))
+    table = norm_table(model, resolve_state(model, "top:1"), range(-2, 3),
+                       4, owner="top:1")
+    cells = [[m, n, format(v, ".17g")] for m, n, v in table.cells()]
+    payload = {"owner": "top:1", "model": "lattice(q=2, N=6)",
+               "truncation": 6, "tolerance": 1e-9, "failures": [],
+               "cells": [dict(zip("mn", c[:2]), norm=c[2]) for c in cells]}
+    assert capsys.readouterr().out == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == "".join(
+        f"{m},{n},{v}\r\n" for m, n, v in [["m", "n", "norm"]] + cells
+    ).encode()

@@ -14,7 +14,8 @@ from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  heisenberg_spec, virasoro_spec)
 from voacert.mode_engine import _vec_block
 from voacert.norm_lab import (cstar_gap, damped_norm, graded_norm,
-                              graded_norm_certified, norm_table)
+                              graded_norm_certified, norm_table,
+                              write_norm_csv)
 from voacert.scalars import Q
 from voacert.unitary_structure import GramFamily, family_of, star
 
@@ -130,14 +131,14 @@ def test_norm_window_overflow(heis8):
 def test_norm_table_round_trip(tmp_path, heis8):
     a = current(heis8)
     table = norm_table(heis8, a, range(-2, 3), 5, owner="current")
-    payload = json.loads(table.to_json())
+    payload = json.loads(json.dumps(table.to_dict()))
     assert payload["owner"] == "current"
     assert len(payload["cells"]) == len(list(table.cells()))
     got = {(c["m"], c["n"]): float(c["norm"]) for c in payload["cells"]}
     for m, n, v in table.cells():
         assert got[(m, n)] == pytest.approx(v, rel=1e-15)
     path = tmp_path / "norms.csv"
-    table.write_csv(path)
+    write_norm_csv(payload, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "m,n,norm"
     assert len(lines) == 1 + len(list(table.cells()))

@@ -429,9 +429,7 @@ def trace_domination_check(model: Model, a, q, n_max: int,
         if model.dim(n):
             wn = qr ** (2 * n)
             blk = _vec_block(model, avec, 0, n)
-            adj = xl.mat_mul(fam.inverse(n),
-                             xl.mat_mul(xl.transpose(blk), fam.matrix(n)))
-            mid += wn * xl.trace(xl.mat_mul(adj, blk))
+            mid += wn * xl.trace(xl.mat_mul(fam.adjoint(blk, n, n), blk))
             if not x.is_zero():
                 right += wn * xl.trace(_vec_block(model, x, 0, n))
         report.add_cell(0, n, lhs, float(mid))

@@ -150,6 +150,9 @@ def _run_norms(model, check, tol, output_dir):
     table = norm_table(model, resolve_state(model, selector),
                        range(-m_max, m_max + 1), check["n_max"],
                        owner=selector)
+    if table.failures:
+        (m, n), reason = min(table.failures.items())
+        raise ValueError(f"cell (m, n) = ({m}, {n}): {reason}")
     out = {"table": table.to_dict(), "pass": True}
     if output_dir:
         path = os.path.join(output_dir, f"{check['name']}.csv")
@@ -203,7 +206,7 @@ _BOUND = ("state", "m_max", "n_max")
 CHECKS = {
     "axioms": CheckType(("samples", "seed", "degree_cap"), (), _run_axioms),
     "unitarity": CheckType((), (), _run_unitarity),
-    "norms": CheckType(_BOUND, ("n_max",), _run_norms),
+    "norms": CheckType(_BOUND, ("m_max", "n_max"), _run_norms),
     "bootstrap": CheckType(("n_max", "d"), ("n_max",), _run_bootstrap),
     "orbifold": CheckType(("state", "degree", "s", "n_max"), ("n_max",),
                           _run_orbifold),
@@ -289,12 +292,14 @@ _task_models = {}  # a pool worker's models
 
 def run_suite(config: SuiteConfig, output_dir: str = None,
               jobs: int = None) -> dict:
-    output_dir = output_dir or config.output_dir
-    os.makedirs(output_dir, exist_ok=True)
     jobs = jobs if jobs is not None else config.jobs
+    if jobs < 0:
+        raise ConfigError("jobs must be nonnegative")
     if jobs == 0:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(config.checks) or 1))
+    output_dir = output_dir or config.output_dir
+    os.makedirs(output_dir, exist_ok=True)
 
     def entry(check):
         mname = check["model"]

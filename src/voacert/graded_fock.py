@@ -1,9 +1,10 @@
 """Graded bases and truncated model construction.
 
 Three families are supported: rank-r Heisenberg Fock spaces, Virasoro
-vacuum modules (built as Verma quotients by the Gram radical), and rank-1
-even lattice models with trivial cocycle.  A built Model builds each exact
-generator mode block on first use, memoizes it, and is otherwise immutable.
+vacuum modules (Verma quotients by the radical of the Verma Gram, which
+the invariant-form family computes), and rank-1 even lattice models with
+trivial cocycle.  A built Model builds each exact generator mode block on
+first use, memoizes it, and is otherwise immutable.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, SpecError, TruncationError
@@ -257,7 +258,8 @@ def enumerate_basis(spec: ModelSpec) -> GradedBasis:
     """Canonical graded basis labels up to spec.N.
 
     For Virasoro this is the free (Verma) enumeration with parts >= 2; the
-    built model may be smaller after the Gram-radical quotient.
+    built model may be smaller after the quotient by the radical of the
+    Verma Gram, which the invariant-form family computes.
     """
     spec.validate()
     return _enumerate_internal(spec, spec.N)
@@ -481,7 +483,6 @@ class _VermaEngine:
         self.c = c
         self.nmax = nmax
         self._cache = {}
-        self._gram_cache = {}
 
     def apply(self, p: int, word: tuple):
         """L_p acting on the word L_{-k1} L_{-k2} ... Omega (k ascending).
@@ -514,22 +515,6 @@ class _VermaEngine:
         self._cache[key] = out
         return out
 
-    def gram(self, u: tuple, v: tuple):
-        """Invariant pairing (u | v) on the Verma module."""
-        if sum(u) != sum(v):
-            return ZERO
-        if not u:
-            return ONE if not v else ZERO
-        key = (u, v)
-        if key in self._gram_cache:
-            return self._gram_cache[key]
-        k1, rest = u[0], u[1:]
-        lowered = self.apply(k1, v)
-        out = sum((self.gram(rest, w) * co for w, co in lowered.items()),
-                  ZERO)
-        self._gram_cache[key] = out
-        return out
-
 
 def default_n_internal(spec: ModelSpec) -> int:
     """Internal truncation of build_model(spec) without a pad override.
@@ -540,53 +525,67 @@ def default_n_internal(spec: ModelSpec) -> int:
     return spec.N + spec.N // 2 if spec.kind == "virasoro" else spec.N
 
 
-def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
-    n_internal = default_n_internal(spec) if pad is None else spec.N + pad
-    c = rational(spec.c)
-    engine = _VermaEngine(c, n_internal)
-    verma = _enumerate_internal(spec, n_internal)
-
-    # One elimination per degree: R = rref(G) with r pivots, the kept
-    # columns K.  E*G = R for an invertible E and R[:r] is the identity on
-    # K, so G[:, K]*x = G*v solves to x = R[:r]*v: the quotient-class
-    # coordinates of a Verma vector v.  No positivity of G is assumed.
-    kept_by_degree = []
-    coords_by_degree = []
-    index_by_degree = []  # Verma word -> position in its degree
-    for deg in range(n_internal + 1):
-        parts = [tuple(-m for _, m in st.factors)
-                 for st in verma.states(deg)]
-        index_by_degree.append({w: i for i, w in enumerate(parts)})
-        g = [[engine.gram(u, v) for v in parts] for u in parts]
-        if xl.transpose(g) != g:
-            raise ModelBugError("Verma Gram not symmetric")
-        r, pivots = xl.rref(g)
-        kept_by_degree.append(pivots)
-        # int zeros and ones, which mat_vec skips or multiplies cheaply
-        coords_by_degree.append(xl.canonical(r[:len(pivots)]))
-    if not kept_by_degree[2]:
-        raise ModelBugError("conformal state lies in the Gram radical")
-
-    by_degree = [[verma.states(d)[i] for i in kept_by_degree[d]]
-                 for d in range(n_internal + 1)]
-    basis = GradedBasis(by_degree)
-
-    def project(vec: dict, degree: int):
-        """Quotient-class coordinates of a Verma vector at fixed degree."""
-        pos = index_by_degree[degree]
-        full = [0] * len(pos)
-        for w, co in vec.items():
-            full[pos[w]] += co
-        return xl.mat_vec(coords_by_degree[degree], full)
+def _word_block(engine: _VermaEngine, basis: GradedBasis, coords):
+    """Block builder of the Virasoro modes on a basis of Verma words;
+    coords(vec, degree) are the basis coordinates of a Verma vector."""
 
     def block(model, gid, m, src):
         tgt = src - m
         mat = xl.zeros(basis.dim(tgt), basis.dim(src))
         for j, st in enumerate(basis.states(src)):
             word = tuple(-mm for _, mm in st.factors)
-            for i, val in enumerate(project(engine.apply(m, word), tgt)):
+            for i, val in enumerate(coords(engine.apply(m, word), tgt)):
                 mat[i][j] = val
         return xl.canonical(mat)
+
+    return block
+
+
+def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
+    from .unitary_structure import GramFamily  # it imports this module
+
+    n_internal = default_n_internal(spec) if pad is None else spec.N + pad
+    c = rational(spec.c)
+    engine = _VermaEngine(c, n_internal)
+    verma = _enumerate_internal(spec, n_internal)
+    index_by_degree = [  # Verma word -> position in its degree
+        {tuple(-m for _, m in st.factors): i
+         for i, st in enumerate(verma.states(d))}
+        for d in range(n_internal + 1)]
+
+    def verma_coords(vec: dict, degree: int):
+        full, pos = [0] * verma.dim(degree), index_by_degree[degree]
+        for w, co in vec.items():
+            full[pos[w]] += co
+        return full
+
+    # The Verma Gram G is the invariant-form family's, on a throwaway model
+    # of the full Verma basis with L_{-2} Om as its own star.  One
+    # elimination per degree: R = rref(G) with r pivots, the kept columns
+    # K.  E*G = R for an invertible E and R[:r] is the identity on K, so
+    # G[:, K]*x = G*v solves to x = R[:r]*v: the quotient-class
+    # coordinates of a Verma vector v.  No positivity of G is assumed.
+    nu_state = BasisState(0, ((0, -2),))
+    gens = {0: GeneratorInfo("virasoro", 2, 0, nu_state)}
+    verma_forms = GramFamily(Model(
+        replace(spec, N=n_internal), n_internal, verma, gens,
+        StateVector.basis(nu_state), c,
+        _word_block(engine, verma, verma_coords)))
+    kept_by_degree, coords_by_degree = [], []
+    for deg in range(n_internal + 1):
+        r, pivots = xl.rref(verma_forms.matrix(deg))
+        kept_by_degree.append(pivots)
+        # int zeros and ones, which mat_vec skips or multiplies cheaply
+        coords_by_degree.append(xl.canonical(r[:len(pivots)]))
+    if not kept_by_degree[2]:
+        raise ModelBugError("conformal state lies in the Gram radical")
+    basis = GradedBasis([[verma.states(d)[i] for i in kept_by_degree[d]]
+                         for d in range(n_internal + 1)])
+
+    def project(vec: dict, degree: int):
+        """Quotient-class coordinates of a Verma vector at fixed degree."""
+        return xl.mat_vec(coords_by_degree[degree],
+                          verma_coords(vec, degree))
 
     def reduce(model, factors):
         word = tuple(-m for _, m in factors)
@@ -595,13 +594,8 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
             raise TruncationError(deg, n_internal, "word degree")
         return model.from_coords(deg, project({word: ONE}, deg))
 
-    nu_state = by_degree[2][0]
-    if tuple(-m for _, m in nu_state.factors) != (2,):
-        raise ModelBugError("degree-2 quotient basis does not contain "
-                            "the generator word")
-    gens = {0: GeneratorInfo("virasoro", 2, 0, nu_state)}
     return Model(spec, n_internal, basis, gens, StateVector.basis(nu_state),
-                 c, block, reduce)
+                 c, _word_block(engine, basis, project), reduce)
 
 
 # ---------------------------------------------------------------------------

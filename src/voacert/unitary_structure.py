@@ -3,8 +3,9 @@
 The normalized invariant form is built degree by degree with exact
 rationals by peeling creation modes against the star data of the
 generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
-unit-normalized sector tops.  Everything downstream (Cholesky coordinates,
-operator norms, trace bounds) reads these matrices.
+unit-normalized sector tops, two matrix products per leading factor.
+Everything downstream (Cholesky coordinates, operator norms, trace bounds,
+Gram adjoints) and the Virasoro builder's Verma Gram read these matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class GramFamily:
         self._mats = {}
         self._invs = {}
         self._chol = {}
-        self._radicals = {}
 
     # -- exact pairing ----------------------------------------------------
 
@@ -46,24 +46,22 @@ class GramFamily:
         vs = split(v)
         total = ZERO
         for d, us in split(u).items():
-            if d not in vs:
-                continue
-            g = self.matrix(d)
-            for i, cu in enumerate(us):
-                if cu:
-                    for x, y in zip(g[i], vs[d]):
-                        if x and y:
-                            total += cu * x * y
+            if d in vs:
+                for cu, w in zip(us, xl.mat_vec(self.matrix(d), vs[d])):
+                    if cu and w:
+                        total += cu * w
         return total
 
     # -- matrices ---------------------------------------------------------
 
     def matrix(self, degree: int):
-        """Exact Gram matrix, built row-by-row from lower degrees.
+        """Exact Gram matrix, built from lower degrees per leading factor.
 
-        The row of u = g_{n0} tail is the row of tail at degree + n0
-        multiplied by the block of (g*)_{-n0}, which is the peeling
-        identity applied to all columns at once.
+        A basis state u = g_{n0} tail has the row (tail | (g*)_{-n0} .),
+        so the rows of all states led by g_{n0} are tails * G_{degree+n0}
+        * B, with tails the coordinate rows of their tails and B the block
+        of (g*)_{-n0} on V_degree: two products per leading factor.  A
+        sector top has a unit row.
         """
         if degree > self.model.N:
             raise TruncationError(degree, self.model.N, "Gram degree")
@@ -72,39 +70,20 @@ class GramFamily:
             return hit
         model = self.model
         states = model.basis.states(degree)
-        dim = len(states)
-        sparse_blocks = {}
-        g = []
-        for u in states:
-            if not u.factors:
-                row = [ZERO] * dim
-                row[model.basis.position_of(u)] = ONE
-                g.append(row)
-                continue
-            gid, n0 = u.factors[0]
-            star_gid = model.generators[gid].star
-            dt = degree + n0
-            block = sparse_blocks.get((star_gid, n0))
-            if block is None:
-                dense = model.gen_block(star_gid, -n0, degree)
-                block = [[(j, b) for j, b in enumerate(r) if b]
-                         for r in dense]
-                sparse_blocks[(star_gid, n0)] = block
-            lower = self.matrix(dt)
-            tail = model.reduce_word(u.sector, u.factors[1:])
-            tail_row = [ZERO] * model.dim(dt)
-            for st, co in tail.terms.items():
-                pos = model.basis.position_of(st)
-                for j, x in enumerate(lower[pos]):
-                    if x:
-                        tail_row[j] += co * x
-            row = [ZERO] * dim
-            for i, w in enumerate(tail_row):
-                if not w:
-                    continue
-                for j, b in block[i]:
-                    row[j] += w * b
-            g.append(row)
+        g = xl.identity(len(states))
+        led = {}  # leading factor -> (position, tail) of each state it leads
+        for pos, u in enumerate(states):
+            if u.factors:
+                led.setdefault(u.factors[0], []).append(
+                    (pos, model.reduce_word(u.sector, u.factors[1:])))
+        for (gid, n0), rows in led.items():
+            tails = [model.coords_by_degree(tail)[degree + n0]
+                     for _, tail in rows]
+            block = model.gen_block(model.generators[gid].star, -n0, degree)
+            prod = xl.mat_mul(xl.mat_mul(tails, self.matrix(degree + n0)),
+                              block)
+            for (pos, _), row in zip(rows, prod):
+                g[pos] = row
         if xl.transpose(g) != g:
             raise ModelBugError(
                 f"invariant form not symmetric at degree {degree}; "
@@ -119,12 +98,13 @@ class GramFamily:
             self._invs[degree] = hit
         return hit
 
+    def adjoint(self, blk, src: int, tgt: int):
+        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt."""
+        return xl.mat_mul(self.inverse(src),
+                          xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
+
     def radical(self, degree: int):
-        hit = self._radicals.get(degree)
-        if hit is None:
-            hit = xl.kernel_basis(self.matrix(degree))
-            self._radicals[degree] = hit
-        return hit
+        return xl.kernel_basis(self.matrix(degree))
 
     def positive_definite(self, degree: int) -> bool:
         """Exact check: every LDL^T pivot of G_degree is positive."""
@@ -204,8 +184,7 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
         if model.dim(e) == 0:
             continue
         down = _vec_block(model, a, e, e)  # V_e -> V_0, one row
-        coords = xl.mat_vec(fam.inverse(e), [row[0] for row in
-                                             xl.transpose(down)])
+        coords = xl.mat_vec(fam.inverse(e), down[0])
         corr = model.from_coords(e, coords)
         for ep in sorted(comps, reverse=True):
             up = comps[ep]
@@ -231,19 +210,12 @@ def adjoint_residual(model: Model, a, m: int,
     conj = star(model, a, fam)
     worst = ZERO
     checked = []
-    for s in range(model.N + 1):
+    for s in range(max(0, m), model.N + 1 + min(0, m)):
         t = s - m
-        if t < 0 or t > model.N:
-            continue
         blk = _vec_block(model, a, m, s)
-        if model.dim(s) == 0 or model.dim(t) == 0:
-            adj = xl.zeros(model.dim(s), model.dim(t))
-        else:
-            adj = xl.mat_mul(fam.inverse(s),
-                             xl.mat_mul(xl.transpose(blk), fam.matrix(t)))
         other = _vec_block(model, conj, -m, t)
-        val = xl.max_abs(xl.mat_sub(adj, other)) if model.dim(s) and \
-            model.dim(t) else ZERO
+        val = xl.max_abs(xl.mat_sub(fam.adjoint(blk, s, t), other)) \
+            if model.dim(s) and model.dim(t) else ZERO
         checked.append(s)
         if val > worst:
             worst = val

@@ -21,7 +21,7 @@ from voacert.graded_fock import (Automorphism, BasisState, StateVector,
 from voacert.mode_engine import state_product
 from voacert.norm_lab import norm_table
 from voacert.scalars import Q
-from voacert.unitary_structure import GramFamily
+from voacert.unitary_structure import GramFamily, family_of
 
 
 def current(model):
@@ -116,6 +116,9 @@ def test_trace_domination(heis8):
 def test_trace_domination_reads_each_degree_once(monkeypatch, lat2_8):
     # three exact products per degree: each filtration level n only adds
     # the trace terms of degree n to running sums
+    fam = family_of(lat2_8)
+    for d in range(9):  # the Gram build multiplies too
+        fam.matrix(d)
     real = xl.mat_mul
     calls = []
 

@@ -401,3 +401,38 @@ def test_axioms_and_norms_output_bytes(tmp_path, capsys):
     assert path.read_bytes() == "".join(
         f"{m},{n},{v}\r\n" for m, n, v in [["m", "n", "norm"]] + cells
     ).encode()
+
+
+# -- a norms window must fit the truncation ----------------------------------
+
+NORMS_PAST_N = ["--kind", "heisenberg", "--N", "4", "--state", "basis:1:0",
+                "--m-max", "1"]
+
+
+@pytest.mark.parametrize("path", ["certify", "norms", "suite"])
+def test_norms_window_past_the_truncation_is_a_config_error(
+        tmp_path, capsys, path):
+    # n_max defaults to N = 4, so cell (m, n) = (-1, 4) needs degree 5
+    if path == "certify":
+        argv = ["certify", "--check", "norms"] + NORMS_PAST_N
+    elif path == "norms":
+        argv = ["norms"] + NORMS_PAST_N
+    else:
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("model.h.kind = heisenberg\nmodel.h.N = 4\n"
+                       "check.nm.type = norms\ncheck.nm.model = h\n"
+                       "check.nm.state = basis:1:0\ncheck.nm.m_max = 1\n"
+                       "check.nm.n_max = 4\n")
+        argv = ["suite", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("(-1, 4)" in err) if path != "suite" else ("m_max+n_max" in err)
+
+
+def test_negative_suite_jobs_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE)
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--jobs", "-3"]) == EXIT_CONFIG
+    assert "jobs must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

@@ -3,7 +3,7 @@ import pytest
 from voacert import exactlinalg as xl
 from voacert.errors import ModelBugError, SpecError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
-                                 heisenberg_spec)
+                                 heisenberg_spec, virasoro_spec)
 from voacert.scalars import Q
 from voacert.unitary_structure import (GramFamily, adjoint_residual,
                                        family_of, gram_family,
@@ -120,3 +120,41 @@ def test_inconsistent_star_data_is_caught():
     model = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
     with pytest.raises(ModelBugError):
         gram_family(model).matrix(2)
+
+
+FORM_DIGEST_CASES = [
+    (virasoro_spec("-22/5", 10), 1), (virasoro_spec("7/10", 10), 1),
+    (virasoro_spec(25, 10), 1), (virasoro_spec(-2, 10), 1),
+    (heisenberg_spec(2, 6, [[2, 1], [1, 2]]), None)]
+
+
+def test_invariant_forms_match_pinned_digest():
+    """sha256 over the basis labels, every generator block of modes -3..3
+    and every Gram matrix through degree N, for non-unitary central
+    charges (the quotient has a radical) and a two-generator metric."""
+    import hashlib
+    import json
+
+    from voacert.scalars import rat_to_str
+
+    def text(mat):
+        return [[rat_to_str(x) for x in row] for row in mat]
+
+    digest = hashlib.sha256()
+    for spec, pad in FORM_DIGEST_CASES:
+        model = build_model(spec, pad=pad)
+        n = model.n_internal
+        labels = [[repr(st) for st in model.basis.states(d)]
+                  for d in range(n + 1)]
+        digest.update(json.dumps([spec.describe(), labels]).encode())
+        for gid in sorted(model.generators):
+            for m in range(-3, 4):
+                for s in range(max(m, 0), min(n, n + m) + 1):
+                    digest.update(json.dumps(
+                        [gid, m, s, text(model.gen_block(gid, m, s))]
+                    ).encode())
+        fam = GramFamily(model)
+        for d in range(model.N + 1):
+            digest.update(json.dumps([d, text(fam.matrix(d))]).encode())
+    assert digest.hexdigest() == ("a99b4487a93d22afca9ad7ae8c638433"
+                                  "1de79a83054ad932479f97cfa2849052")

@@ -64,6 +64,8 @@ def mat_sub(a, b):
 def mat_scale(a, s):
     if not s:
         return [[0] * len(row) for row in a]
+    if type(s) is int:  # on the right, as in add_scaled
+        return [[x * s if x else x for x in row] for row in a]
     return [[s * x if x else x for x in row] for row in a]
 
 
@@ -131,12 +133,18 @@ def compose(outer, inner, rows: int, cols: int):
 
 
 def mat_vec(a, v):
+    """a @ v over nonzero pairs; an all-int row sums to an int.
+
+    Each sum starts from int 0, and an int operand goes on the right of
+    each product and sum, as in add_scaled.
+    """
     out = []
     for row in a:
-        s = ZERO
+        s = 0
         for x, y in zip(row, v):
             if x and y:
-                s += x * y
+                p = y * x if type(x) is int else x * y
+                s = p + s if type(s) is int else s + p
         out.append(s)
     return out
 

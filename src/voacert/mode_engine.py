@@ -5,6 +5,8 @@ for its modes: a_(n) in the round convention, a_n = a_(n+d-1) in the plain
 one.  Composite states are peeled by their leading canonical factor using
 the homogeneous mode-expansion formula, with j-cutoffs supplied by the
 annihilation thresholds of the truncation, so every block is exact.
+The blocks of basis states and of the conformal vector nu, whose modes
+L_n = nu_(n+1) every identity check reads, are memoized per model.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import BasisState, Model, StateVector
-from .scalars import ONE, Q, ZERO, binomial
+from .scalars import ONE, ZERO, binomial
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +90,31 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
 def _vec_block(model: Model, vec: StateVector, k: int, s: int):
     """Block of the plain mode k of a homogeneous vector.
 
-    The result may be a shared cache entry (it is one for a single basis
-    state with coefficient 1), so callers must not mutate it.
+    A single basis state with coefficient 1 is served by _state_block.  A
+    vector equal to the conformal vector nu (compared by value, so copies
+    hit too) is summed once and cached under (None, k, s) in the model's
+    block cache, with its integral entries as ints.  The result may be a
+    shared cache entry in both cases, so callers must not mutate it.
     """
     tgt = s - k
     if tgt < 0:
         return xl.zeros(0, model.basis.dim(s))
-    if len(vec.terms) == 1:
-        (st, co), = vec.terms.items()
+    terms = vec.terms
+    if len(terms) == 1:
+        (st, co), = terms.items()
         if co == 1:
             return _state_block(model, st, k, s)
+    is_nu = terms == model.nu.terms
+    if is_nu:
+        key = (None, k, s)
+        hit = model._state_mode_cache.get(key)
+        if hit is not None:
+            return hit
     acc = xl.zeros(model.basis.dim(tgt), model.basis.dim(s))
-    for st, co in vec.terms.items():
+    for st, co in terms.items():
         xl.add_scaled(acc, _state_block(model, st, k, s), co)
+    if is_nu:
+        acc = model._state_mode_cache[key] = xl.canonical(acc)
     return acc
 
 
@@ -366,7 +380,9 @@ def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
     def rhs(s):
         out = xl.zeros(model.dim(s - p - q), model.dim(s))
         for binom, xj in products:
-            xl.add_scaled(out, _vec_block(model, xj, p + q, s), binom)
+            for st, co in xj.terms.items():
+                xl.add_scaled(out, _state_block(model, st, p + q, s),
+                              co * binom)
         return out
 
     worst, sources = _bracket_residual(model, avec, p, bvec, q, rhs,
@@ -389,7 +405,7 @@ def translation_residual(model: Model, a, n: int,
         quasi_primary = l1a.is_zero()
     checked = {}
     for m in (-1, 0, 1) if quasi_primary else (-1,):
-        coeff = Q((d - 1) * m - n)
+        coeff = (d - 1) * m - n
         checked[m], _ = _bracket_residual(
             model, model.nu, m, avec, n,
             lambda s: xl.mat_scale(_vec_block(model, avec, m + n, s), coeff),

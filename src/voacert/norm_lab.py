@@ -10,19 +10,22 @@ composite b_{-m} a_m, and memoizes it per model (blocks are read-only once
 built, so an entry never goes stale); ``_graded_max`` takes the optionally
 weighted max over degrees.  Every norm here and in ``bound_certifier``
 goes through these two.  ``graded_norm_certified`` gives an exact
-rational enclosure of the squared norm instead, by bisection decided at
-every step by an exact LDL^T factorization; it has no block size limit.
+rational enclosure of the squared norm instead, by a bisection decided at
+every step by an exact LDL^T factorization and started from a bracket
+around the float value, which usually holds after two checks per degree;
+it has no block size limit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exactlinalg as xl
-from .errors import TruncationError
+from .errors import ModelBugError, TruncationError
 from .graded_fock import Model, StateVector
 from .mode_engine import _as_vector, _vec_block
 from .scalars import ONE, Q, ZERO
@@ -93,16 +96,39 @@ def graded_norm(model: Model, a, m: int, n: int) -> float:
     return _graded_max(model, avec, m, n)
 
 
-def _bisect_sigma_sq(gram, comp, tol):
+def _seed_bracket(guess, tol):
+    """Rationals just below and above a float estimate guess of r^2, at
+    guess * (1 -+ tol/4) rounded outward to a power-of-two denominator of
+    at least 8/tol, all in exact arithmetic; (0, 1) without a finite
+    positive guess."""
+    if guess is None or not math.isfinite(guess) or guess <= 0 or tol <= 0:
+        return ZERO, ONE
+    tol = Q(tol)
+    den = 1 << (8 * tol.denominator // tol.numerator).bit_length()
+    g = Q(guess) * den
+    return (Q(math.floor(g * (1 - tol / 4)), den),
+            Q(math.ceil(g * (1 + tol / 4)), den))
+
+
+def _bisect_sigma_sq(gram, comp, tol, guess: float = None):
     """[lo, hi] around the largest r^2 at which r^2 gram - comp stops being
-    positive definite, each step decided by exact LDL^T."""
+    positive definite, each step decided by exact LDL^T.
+
+    The search starts from the bracket seeded by guess (_seed_bracket) and
+    widens it where a check fails: down to 0 when lo is already above, up
+    by doubling hi until it is above.  A close guess leaves a bracket
+    within tol after two checks.
+    """
 
     def above(r2):
         return xl.ldl(xl.mat_sub(xl.mat_scale(gram, r2), comp)) is not None
 
-    lo, hi = ZERO, ONE
-    while not above(hi):
-        lo, hi = hi, 2 * hi
+    lo, hi = _seed_bracket(guess, tol)
+    if lo and above(lo):
+        lo, hi = ZERO, lo
+    else:
+        while not above(hi):
+            lo, hi = hi, 2 * hi
     while hi - lo > tol * max(ONE, hi):
         mid = (lo + hi) / 2
         if above(mid):
@@ -117,7 +143,8 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
     """Exact rational enclosure [lo, hi] of the squared graded norm.
 
     On each source degree s the squared block norm sigma_s^2 of a_m is
-    bisected on r^2.  Every step is decided by the exact LDL^T test of
+    bisected on r^2, starting from the memoized float sigma_s.
+    Every step is decided by the exact LDL^T test of
     r^2 G_s - A^T G_{s-m} A, which is positive definite exactly when
     r^2 > sigma_s^2, so lo <= max_s sigma_s^2 <= hi is a certificate, with
     hi - lo <= tol * max(1, hi).  Blocks of any size are handled.
@@ -139,7 +166,11 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
         fam.exact_cholesky(s)  # G_s positive definite: the search ends
         comp = xl.mat_mul(xl.transpose(blk),
                           xl.mat_mul(fam.matrix(tgt), blk))
-        lo, hi = _bisect_sigma_sq(fam.matrix(s), comp, tol)
+        try:  # a float failure only loses the seed
+            guess = _sigma(model, avec, m, s) ** 2
+        except (ModelBugError, np.linalg.LinAlgError, OverflowError):
+            guess = None
+        lo, hi = _bisect_sigma_sq(fam.matrix(s), comp, tol, guess)
         lo_best, hi_best = max(lo_best, lo), max(hi_best, hi)
     return lo_best, hi_best
 

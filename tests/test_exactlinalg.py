@@ -204,6 +204,30 @@ def test_to_numpy_matches_per_entry_float(operands):
     assert out.tolist() == [[float(x) for x in row] for row in a]
 
 
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4) | st.just(0), min_size=m,
+                      max_size=m), max_size=5),
+    st.lists(st.integers(-4, 4) | st.just(0), min_size=m, max_size=m))))
+@example(([[1, 2], [0, 0]], [3, 4]))
+@example(([], []))  # 0x0
+def test_mat_vec_on_int_input_returns_ints(operands):
+    rows, v = operands
+    got = xl.mat_vec(rows, v)
+    assert got == xl.mat_vec(qmat(rows), [Q(y) for y in v])
+    assert got == [sum(x * y for x, y in zip(row, v)) for row in rows]
+    assert all(type(x) is int for x in got)
+
+
+@given(add_operands())
+def test_mat_vec_matches_dense_reference(operands):
+    a, b = operands
+    v = b[0] if b else []
+    want = [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+    got = xl.mat_vec(a, v)
+    assert got == want
+    exact_entries(got)
+
+
 # -- exact division on int input ---------------------------------------------
 
 

@@ -2,10 +2,13 @@ import copy
 
 from voacert import exactlinalg as xl
 from voacert.bound_certifier import certify_v1_bound, certify_virasoro_bound
+from voacert.cli import resolve_state
 from voacert.errors import TruncationError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
-                                 heisenberg_spec, lattice_spec, virasoro_spec)
-from voacert.mode_engine import (commutator_residual, generator_mode,
+                                 conformal_state, heisenberg_spec,
+                                 lattice_spec, virasoro_spec)
+from voacert.mode_engine import (_state_block, _vec_block,
+                                 commutator_residual, generator_mode,
                                  mode_of_state, sample_residuals,
                                  state_product, translation_residual)
 from voacert.scalars import Q
@@ -118,6 +121,8 @@ def test_shared_blocks_are_never_mutated(spec):
         sample_residuals(model, identity, 8, seed=0)
     stored = copy.deepcopy((model._state_mode_cache, model._gen_blocks))
     assert stored[0] and stored[1]
+    if spec.kind != "virasoro":  # nu is not one basis state: (None, k, s)
+        assert any(key[0] is None for key in stored[0])
     for identity in IDENTITIES:
         checked, failures = sample_residuals(model, identity, 8, seed=1)
         assert checked == 8 and not failures
@@ -155,3 +160,32 @@ def test_cached_blocks_hold_ints_when_integral(spec):
     assert int in kinds
     if spec.kind == "virasoro":
         assert Q in kinds  # c = 1/2 puts fractions into the blocks
+
+
+NU_MODELS = ["heis6", "lat2_6"]  # nu = (1/2q) a_{-1}^2 Om, not coefficient 1
+
+
+@pytest.mark.parametrize("name", NU_MODELS)
+def test_nu_blocks_are_memoized(request, name):
+    model = request.getfixturevalue(name)
+    (st, co), = model.nu.terms.items()
+    assert co != 1
+    for k in range(-2, 3):
+        for s in range(max(k, 0), model.N + 1 + min(k, 0)):
+            blk = _vec_block(model, model.nu, k, s)
+            assert model._state_mode_cache[(None, k, s)] is blk
+            assert _vec_block(model, model.nu, k, s) is blk
+            assert _vec_block(model, conformal_state(model), k, s) is blk
+            assert _vec_block(model, resolve_state(model, "nu"), k, s) is blk
+            assert blk == xl.mat_scale(_state_block(model, st, k, s), co)
+            if k == 0:  # L_0 grades
+                assert blk == xl.mat_scale(xl.identity(model.dim(s)), s)
+
+
+def test_translation_tells_a_corrupted_lattice_from_the_clean_one(lat2_6):
+    # same seed and basis, so the same tuples are drawn on both models
+    bad = build_model(lattice_spec(2, 6), corrupt=(0, -1, 2, 0, 0, 1))
+    assert sample_residuals(lat2_6, "translation", 40, seed=0) == (40, [])
+    checked, failures = sample_residuals(bad, "translation", 40, seed=0)
+    assert checked == 40 and failures
+    assert any(key[0] is None for key in bad._state_mode_cache)

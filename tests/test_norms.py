@@ -80,6 +80,48 @@ def test_certified_norm_has_no_block_size_cap():
     assert lo <= Q(9) <= hi
 
 
+def test_certified_norm_is_seeded_by_the_float_norm(monkeypatch):
+    # the float sigma_s brackets sigma_s^2 in two exact checks per degree,
+    # next to the one exact factorization of G_s
+    model = build_model(heisenberg_spec(1, 10))
+    real = xl.ldl
+    calls = []
+
+    def counting(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(xl, "ldl", counting)
+    lo, hi = graded_norm_certified(model, current(model), 1, 9)
+    assert lo <= Q(9) <= hi
+    assert hi - lo <= Q(1, 10 ** 9) * hi
+    degrees = 9  # source degrees 1..9
+    assert len(calls) <= 4 * degrees
+
+
+@pytest.mark.parametrize("tol", [Q(1, 10 ** 9), Q(1, 10 ** 400), 1e-320])
+def test_certified_norm_widens_a_bad_seed(tol):
+    # a guess off the mark, missing or not finite only costs checks; a tol
+    # far below float range still gives a seed and a bracket
+    gram, comp = [[1, 0], [0, 2]], [[3, 0], [0, 2]]  # sigma^2 = 3
+    for guess in (None, 0.0, -1.0, 1e-30, 1.0, 2.9, 3.0, 7.5, 1e300,
+                  math.inf, math.nan):
+        lo, hi = norm_lab._bisect_sigma_sq(gram, comp, tol, guess)
+        assert lo <= 3 <= hi
+        assert hi - lo <= tol * max(1, hi)
+
+
+def test_certified_norm_survives_a_failing_float_seed(monkeypatch):
+    def failing(*args):
+        raise ModelBugError("float Cholesky failed")
+
+    monkeypatch.setattr(norm_lab, "_sigma", failing)
+    model = build_model(heisenberg_spec(1, 6))
+    lo, hi = graded_norm_certified(model, current(model), 1, 5)
+    assert lo <= Q(5) <= hi
+    assert hi - lo <= Q(1, 10 ** 9) * hi
+
+
 def test_certified_norm_rejects_a_non_positive_gram():
     # without the check the search for an upper bound would never end
     model = build_model(heisenberg_spec(1, 4))

@@ -263,13 +263,6 @@ def _chain_constants(model: Model, b, const_a: float, m_max: int,
     return k, q, const_a * k, q + 1.5
 
 
-def _composite_pair_norm(model: Model, avec, bvec, m: int, n: int) -> float:
-    """||a_{-m} b_m||_n: degree-preserving composite, per-degree spectral."""
-    if n > model.N:
-        raise TruncationError(n, model.N, "pair composite")
-    return _graded_max(model, bvec, m, n, outer=avec)
-
-
 def certify_pair_bound(model: Model, a, b, m_max: int, n_max: int,
                        tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_{-m} b_m||_n <= B (1+|m|)^t (1+|n|)^t (||a_0||_n + ||a_0||_{n-m})
@@ -288,7 +281,7 @@ def certify_pair_bound(model: Model, a, b, m_max: int, n_max: int,
         tolerance=tol)
     return report.sweep(
         range(m_max + 1), n_max,
-        lambda m, n: _composite_pair_norm(model, avec, bvec, m, n),
+        lambda m, n: graded_norm(model, bvec, m, n, outer=avec),
         lambda m, n: b_const * ((1 + m) * (1 + n)) ** t_exp *
         (graded_norm(model, avec, 0, n) + graded_norm(model, avec, 0, n - m)))
 
@@ -347,7 +340,7 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     if not states:
         report.notes["empty_degree"] = True
         return StateVector(), report
-    x = _average(model, fam, [StateVector.basis(e) for e in states],
+    x = _average(model, [StateVector.basis(e) for e in states],
                  fam.inverse(d))
     # invariance under each sampled automorphism, exact
     for idx, aut in enumerate(aut_sample):
@@ -359,17 +352,17 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     for i in range(len(states) - 1):
         shear[i][i + 1] = ONE
     gp = xl.mat_mul(xl.transpose(shear), xl.mat_mul(fam.matrix(d), shear))
-    x2 = _average(model, fam,
+    x2 = _average(model,
                   [model.from_coords(d, col) for col in xl.transpose(shear)],
                   xl.inverse(gp))
     report.notes["basis_independent"] = bool(x2 == x)
     return x, report
 
 
-def _average(model: Model, fam, vectors, ginv) -> StateVector:
+def _average(model: Model, vectors, ginv) -> StateVector:
     """sum_{kl} (G^{-1})_{kl} (v_k)_{(-1)} v_l* over vectors v of Gram
     matrix G, one star per vector."""
-    stars = [star(model, v, fam) for v in vectors]
+    stars = [star(model, v) for v in vectors]
     x = StateVector()
     for vk, row in zip(vectors, ginv):
         for sl, w in zip(stars, row):

@@ -32,8 +32,7 @@ from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table, write_norm_csv
 from .scalars import Q, rat_from_str
-from .serialize import (ModelCache, save_model, spec_digest, spec_from_dict,
-                        spec_to_dict)
+from .serialize import ModelCache, save_model, spec_digest
 from .unitary_structure import family_of
 
 REPORT_SCHEMA = "voacert-report/1"
@@ -112,11 +111,25 @@ def _add_check_flags(parser, fields):
 # ---------------------------------------------------------------------------
 # check types (shared by `certify` and `suite`)
 
+
+def _at_least(low: int):
+    """Parser of an int that is at least low."""
+
+    def parse(value):
+        if int(value) < low:
+            raise ValueError(value)
+        return int(value)
+
+    return parse
+
+
 # Every field a check may read, with its parser.  A one-check verb has a
 # flag of the same name for each field of its type (`certify`: every field),
-# `--m-max` for m_max and `--damping` for q.
+# `--m-max` for m_max and `--damping` for q.  A window bound is at least 0
+# and a sample count at least 1, so no check passes on an empty window.
 FIELDS = {
-    "state": str, "with": str, "m_max": int, "n_max": int, "samples": int,
+    "state": str, "with": str, "m_max": _at_least(0), "n_max": _at_least(0),
+    "samples": _at_least(1),
     "seed": int, "degree_cap": int, "p": int, "degree": int, "d": int,
     "q": rat_from_str, "s": rat_from_str,
 }
@@ -281,9 +294,8 @@ def _suite_model(memo: dict, spec: ModelSpec, pad, corrupt, cache_dir):
     return model
 
 
-def _task(spec_dict, pad, corrupt, cache_dir, check, tolerance, output_dir):
-    model = _suite_model(_task_models, spec_from_dict(spec_dict), pad,
-                         corrupt, cache_dir)
+def _task(spec, pad, corrupt, cache_dir, check, tolerance, output_dir):
+    model = _suite_model(_task_models, spec, pad, corrupt, cache_dir)
     return run_check(model, check, tolerance, output_dir)
 
 
@@ -313,12 +325,9 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
                    for check in config.checks]
     else:
         with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
-            futures = []
-            for check in config.checks:
-                spec, *rest = entry(check)
-                futures.append(pool.submit(
-                    _task, spec_to_dict(spec), *rest, check,
-                    config.tolerance, output_dir))
+            futures = [pool.submit(_task, *entry(check), check,
+                                   config.tolerance, output_dir)
+                       for check in config.checks]
             # merge strictly in config order, not completion order
             results = [f.result() for f in futures]
 

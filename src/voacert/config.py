@@ -118,7 +118,7 @@ def spec_from_fields(where: str, fields: dict):
     pad, corrupt = parsed.pop("pad", None), parsed.pop("corrupt", None)
     spec = ModelSpec(**parsed)
     try:
-        spec.validate()
+        spec.validate(pad)
     except SpecError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return spec, pad, corrupt

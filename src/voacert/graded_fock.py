@@ -34,10 +34,14 @@ class ModelSpec:
     c: object = None  # rational central charge, Virasoro only
     q: int = 0  # <gamma,gamma>, lattice only
 
-    def validate(self):
+    def validate(self, pad: int = None):
+        """Raise SpecError for an invalid spec, or for a pad outside [0, N]
+        when one is given."""
         if self.N < 2:
             raise SpecError("truncation too small to hold the conformal state "
                             "(need N >= 2)")
+        if pad is not None and not 0 <= pad <= self.N:
+            raise SpecError(f"pad {pad} lies outside [0, {self.N}]")
         if self.kind == "heisenberg":
             if self.rank < 1:
                 raise SpecError("Heisenberg rank must be positive")
@@ -720,9 +724,10 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
     corrupt, when given, is (gid, m, src_degree, row, col, delta): the named
     structure constant is shifted after the build (mutation testing hook).
     pad overrides the internal working margin above N (Virasoro only);
-    modes of composite words of length L need pad >= L - 1.
+    modes of composite words of length L need pad >= L - 1.  A pad outside
+    [0, N] is a SpecError.
     """
-    spec.validate()
+    spec.validate(pad)
     if spec.kind == "heisenberg":
         model = _build_heisenberg(spec)
     elif spec.kind == "virasoro":

@@ -192,42 +192,40 @@ class ModeMatrix:
         return all(xl.is_zero(m) for m in self.blocks.values())
 
 
-def _assemble(model: Model, getter, shift: int, owner: str,
-              convention: str, index: int, state: StateVector,
-              sources=None) -> ModeMatrix:
-    if sources is None:
-        sources = [s for s in range(model.N + 1) if s - shift <= model.N]
-    blocks = {s: getter(s) for s in sources}
-    return ModeMatrix(model, shift, blocks, owner, convention, index, state)
+def _mode_matrix(model: Model, vec: StateVector, shift: int, owner: str,
+                 convention: str, index: int, what: str) -> ModeMatrix:
+    """The mode of vec at plain index shift: one _vec_block per source
+    degree whose target fits the truncation; TruncationError naming `what`
+    when none does, unless vec is zero."""
+    sources = [s for s in range(model.N + 1) if s - shift <= model.N]
+    if not sources and not vec.is_zero():
+        raise TruncationError(-shift, model.N, what)
+    blocks = {s: _vec_block(model, vec, shift, s) for s in sources}
+    return ModeMatrix(model, shift, blocks, owner, convention, index, vec)
 
 
 def generator_mode(model: Model, gen: int, m: int) -> ModeMatrix:
     """Exact matrix of the plain m-th mode of a generator."""
     if gen not in model.generators:
         raise KeyError(f"no generator {gen}")
-    sources = [s for s in range(model.N + 1) if s - m <= model.N]
-    if not sources:
-        raise TruncationError(-m, model.N, f"generator mode {m}")
     info = model.generators[gen]
-    return _assemble(model, lambda s: model.gen_block(gen, m, s), m,
-                     info.name, "plain", m, StateVector.basis(info.state),
-                     sources)
+    return _mode_matrix(model, StateVector.basis(info.state), m, info.name,
+                        "plain", m, f"generator mode {m}")
 
 
 def mode_of_state(model: Model, a, k: int,
                   convention: str = "plain") -> ModeMatrix:
-    """Exact matrix of the k-th mode of a homogeneous state."""
+    """Exact matrix of the k-th mode of a homogeneous state.
+
+    The zero vector has zero blocks on every source degree whose target
+    degree s - k fits the truncation, in either convention.
+    """
     vec = _as_vector(a)
-    if vec.is_zero():
-        return _assemble(model, lambda s: xl.zeros(
-            model.dim(s - k) if s >= k else 0, model.dim(s)),
-            k, "0", convention, k, vec)
-    shift = _plain_index(model, vec, k, convention)
-    sources = [s for s in range(model.N + 1) if s - shift <= model.N]
-    if not sources:
-        raise TruncationError(-shift, model.N, f"mode {k}")
-    return _assemble(model, lambda s: _vec_block(model, vec, shift, s),
-                     shift, repr(a), convention, k, vec, sources)
+    if vec.is_zero():  # no degree to convert the index by
+        shift, owner = k, "0"
+    else:
+        shift, owner = _plain_index(model, vec, k, convention), repr(a)
+    return _mode_matrix(model, vec, shift, owner, convention, k, f"mode {k}")
 
 
 def state_product(model: Model, a, n: int, b) -> StateVector:
@@ -419,19 +417,33 @@ def translation_residual(model: Model, a, n: int,
 # randomized identity sweeps
 
 
+# identity -> (residual, basis states drawn, mode indices drawn)
+_SAMPLED = {
+    "borcherds": (borcherds_residual, 3, 3),
+    "skewsymmetry": (skewsymmetry_residual, 2, 1),
+    "commutator": (commutator_residual, 2, 2),
+    "translation": (translation_residual, 1, 1),
+}
+
+
 def sample_residuals(model: Model, identity: str, count: int,
                      seed: int = 0, degree_cap: int = None,
                      index_span: int = 3):
     """Evaluate one identity on randomly drawn valid tuples.
 
     Returns (checked, failures) where failures is a list of
-    (tuple, residual) pairs; every residual must be exactly zero.  Tuples
-    are drawn uniformly from basis states up to degree_cap and mode
-    indices in [-index_span, index_span], rejecting windows that do not
-    fit the truncation.
+    (tuple, residual) pairs; every residual must be exactly zero.  Each
+    draw takes its basis states uniformly from those up to degree_cap,
+    then its mode indices from [-index_span, index_span]; the tuple is the
+    residual's arguments, so a commutator tuple is (a, p, b, q).  A draw
+    whose window does not fit the truncation is rejected: the residual
+    itself raises TruncationError, and the sampler holds no window rule.
     """
     import random
 
+    if identity not in _SAMPLED:
+        raise ValueError(f"unknown identity {identity!r}")
+    residual, n_states, n_indices = _SAMPLED[identity]
     rng = random.Random(seed)
     cap = degree_cap if degree_cap is not None else max(2, model.N // 2)
     pool = [st for d in range(cap + 1) for st in model.basis.states(d)]
@@ -446,46 +458,14 @@ def sample_residuals(model: Model, identity: str, count: int,
             raise RuntimeError(
                 f"sampling for {identity} rejects too often; "
                 "loosen the caps or raise N")
-        if identity == "borcherds":
-            a, b, c = (rng.choice(pool) for _ in range(3))
-            m, n, k = (rng.randint(-index_span, index_span)
-                       for _ in range(3))
-            if borcherds_required_truncation(model, a, b, c, m, n, k) \
-                    > model.N:
-                continue
-            res = borcherds_residual(model, a, b, c, m, n, k)
-            tup = (a, b, c, m, n, k)
-        elif identity == "skewsymmetry":
-            a, b = rng.choice(pool), rng.choice(pool)
-            n = rng.randint(-index_span, index_span)
-            da = model.basis.degree_of(a)
-            db = model.basis.degree_of(b)
-            if max(da, db, da + db - n - 1) > model.N:
-                continue
-            res = skewsymmetry_residual(model, a, b, n)
-            tup = (a, b, n)
-        elif identity == "commutator":
-            a, b = rng.choice(pool), rng.choice(pool)
-            p, q = (rng.randint(-index_span, index_span) for _ in range(2))
-            da = model.basis.degree_of(a)
-            db = model.basis.degree_of(b)
-            if da + db - 1 > model.N:
-                continue
-            try:
-                res = commutator_residual(model, a, p, b, q)
-            except TruncationError:
-                continue
-            tup = (a, p, b, q)
-        elif identity == "translation":
-            a = rng.choice(pool)
-            n = rng.randint(-index_span, index_span)
-            try:
-                res = translation_residual(model, a, n)
-            except TruncationError:
-                continue
-            tup = (a, n)
-        else:
-            raise ValueError(f"unknown identity {identity!r}")
+        tup = tuple(rng.choice(pool) for _ in range(n_states)) + tuple(
+            rng.randint(-index_span, index_span) for _ in range(n_indices))
+        if identity == "commutator":  # drawn (a, b, p, q)
+            tup = (tup[0], tup[2], tup[1], tup[3])
+        try:
+            res = residual(model, *tup)
+        except TruncationError:
+            continue
         checked += 1
         if not res.is_zero:
             failures.append((tup, res))

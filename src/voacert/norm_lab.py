@@ -9,7 +9,11 @@ coordinates from the per-degree Cholesky factors of the invariant form.
 composite b_{-m} a_m, and memoizes it per model (blocks are read-only once
 built, so an entry never goes stale); ``_graded_max`` takes the optionally
 weighted max over degrees.  Every norm here and in ``bound_certifier``
-goes through these two.  ``graded_norm_certified`` gives an exact
+goes through these two.  One window rule, ``_in_window``, serves
+``graded_norm`` (a mode, or the pair composite b_{-m} a_m), the certified
+norm, ``cstar_gap`` and ``damped_norm``: V_{<=n} is empty for n < 0, and
+a source degree n or target degree n - m past N raises TruncationError.
+``graded_norm_certified`` gives an exact
 rational enclosure of the squared norm instead, by a bisection decided at
 every step by an exact LDL^T factorization and started from a bracket
 around the float value, which usually holds after two checks per degree;
@@ -84,16 +88,25 @@ def _graded_max(model: Model, inner: StateVector, m: int, n: int,
     return best
 
 
-def graded_norm(model: Model, a, m: int, n: int) -> float:
-    """Norm of a_m (plain index) restricted to the filtration space V_{<=n}."""
+def _in_window(model: Model, m: int, n: int, what: str) -> bool:
+    """The window rule of every graded norm of a mode m on V_{<=n}: False
+    when V_{<=n} is empty (n < 0), TruncationError naming `what` when n or
+    the target degree n - m lies past N, True otherwise."""
     if n < 0:
-        return 0.0
+        return False
     if n > model.N or n - m > model.N:
-        raise TruncationError(max(n, n - m), model.N, "graded norm window")
+        raise TruncationError(max(n, n - m), model.N, what)
+    return True
+
+
+def graded_norm(model: Model, a, m: int, n: int,
+                outer: StateVector = None) -> float:
+    """Norm of a_m (plain index) restricted to the filtration space V_{<=n};
+    of the degree-preserving composite outer_{-m} a_m when outer is given."""
     avec = _as_vector(a)
-    if avec.is_zero():
+    if not _in_window(model, m, n, "graded norm window") or avec.is_zero():
         return 0.0
-    return _graded_max(model, avec, m, n)
+    return _graded_max(model, avec, m, n, outer=outer)
 
 
 def _seed_bracket(guess, tol):
@@ -149,10 +162,8 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
     r^2 > sigma_s^2, so lo <= max_s sigma_s^2 <= hi is a certificate, with
     hi - lo <= tol * max(1, hi).  Blocks of any size are handled.
     """
-    if n < 0:
+    if not _in_window(model, m, n, "graded norm window"):
         return ZERO, ZERO
-    if n > model.N or n - m > model.N:
-        raise TruncationError(max(n, n - m), model.N, "graded norm window")
     avec = _as_vector(a)
     fam = family_of(model)
     lo_best, hi_best = ZERO, ZERO
@@ -177,12 +188,10 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
 
 def cstar_gap(model: Model, a, m: int, n: int) -> float:
     """|  ||a*_{-m} a_m||_n - ||a_m||_n^2 |, both computed spectrally."""
-    if n < 0:
+    if not _in_window(model, m, n, "C*-identity window"):
         return 0.0
-    if n > model.N or n - m > model.N:
-        raise TruncationError(max(n, n - m), model.N, "C*-identity window")
     avec = _as_vector(a)
-    conj = star(model, avec, family_of(model))
+    conj = star(model, avec)
     norm = graded_norm(model, avec, m, n)
     return abs(_graded_max(model, avec, m, n, outer=conj) - norm * norm)
 
@@ -192,10 +201,8 @@ def damped_norm(model: Model, a, q, n: int) -> float:
     qf = float(q)
     if not 0.0 < qf < 1.0:
         raise ValueError("damping must lie strictly between 0 and 1")
-    if n < 0:
+    if not _in_window(model, 0, n, "damped norm window"):
         return 0.0
-    if n > model.N:
-        raise TruncationError(n, model.N, "damped norm window")
     return _graded_max(model, _as_vector(a), 0, n, weight=lambda s: qf ** s)
 
 

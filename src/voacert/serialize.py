@@ -110,9 +110,13 @@ def _stored_pad(spec: ModelSpec, data: dict):
     if spec.kind != "virasoro":
         return None
     n_internal = data.get("n_internal")
-    if type(n_internal) is not int or not 0 <= n_internal - spec.N <= spec.N:
-        raise ModelBugError(f"stored n_internal {n_internal!r} gives a pad "
-                            f"outside [0, {spec.N}]")
+    try:
+        if type(n_internal) is not int:
+            raise SpecError("not an int")
+        spec.validate(n_internal - spec.N)
+    except SpecError as exc:
+        raise ModelBugError(f"stored n_internal {n_internal!r}: {exc}") \
+            from None
     return n_internal - spec.N
 
 

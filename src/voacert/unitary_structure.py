@@ -152,7 +152,7 @@ def family_of(model: Model) -> GramFamily:
     return fam
 
 
-def star(model: Model, a, fam: GramFamily = None) -> StateVector:
+def star(model: Model, a) -> StateVector:
     """Conjugate state: the unique a* with (a*_{-n} b | c) = (b | a_n c).
 
     For a of degree d the conjugate has components in every degree up to d
@@ -165,19 +165,18 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
     a = _as_vector(a)
     if a.is_zero():
         return StateVector()
-    if fam is None:
-        fam = family_of(model)
     parts = model.coords_by_degree(a)
     if len(parts) > 1:
         total = StateVector()
         for e, coords in parts.items():
-            total = total + star(model, model.from_coords(e, coords), fam)
+            total = total + star(model, model.from_coords(e, coords))
         return total
     (d, _), = parts.items()
     if d == 0:
         return a.copy()
     if d > model.N:
         raise TruncationError(d, model.N, "star degree")
+    fam = family_of(model)
     comps = {}
     total = StateVector()
     for e in range(d + 1):
@@ -197,17 +196,15 @@ def star(model: Model, a, fam: GramFamily = None) -> StateVector:
     return total
 
 
-def adjoint_residual(model: Model, a, m: int,
-                     fam: GramFamily = None) -> Residual:
+def adjoint_residual(model: Model, a, m: int) -> Residual:
     """Exact deviation of the G-adjoint of a_m from (a*)_{-m}.
 
     Plain index m; compares G_s^{-1} (a_m block)^T G_{s-m} with the block
     of (a*)_{-m} on every source degree where both sides live.
     """
     a = _as_vector(a)
-    if fam is None:
-        fam = family_of(model)
-    conj = star(model, a, fam)
+    fam = family_of(model)
+    conj = star(model, a)
     worst = ZERO
     checked = []
     for s in range(max(0, m), model.N + 1 + min(0, m)):
@@ -222,8 +219,7 @@ def adjoint_residual(model: Model, a, m: int,
     return Residual("adjoint", worst, {"m": m, "sources": checked})
 
 
-def kac_moody_residual(model: Model, a, b, m: int, n: int,
-                       fam: GramFamily = None) -> Residual:
+def kac_moody_residual(model: Model, a, b, m: int, n: int) -> Residual:
     """Current-algebra bracket check for degree-1 states.
 
     [a_m, b_n] must equal ([a,b])_{m+n} + m (a*|b) delta_{m,-n} id, with
@@ -232,10 +228,9 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int,
     a, b = _as_vector(a), _as_vector(b)
     if model.degree_of(a) != 1 or model.degree_of(b) != 1:
         raise ValueError("current-algebra check needs degree-1 states")
-    if fam is None:
-        fam = family_of(model)
     bracket = state_product(model, a, 0, b)
-    central = Q(m) * fam.pairing(star(model, a, fam), b) if m == -n else ZERO
+    central = Q(m) * family_of(model).pairing(star(model, a), b) \
+        if m == -n else ZERO
 
     def rhs(s):
         out = _vec_block(model, bracket, m + n, s) if not bracket.is_zero() \

@@ -131,8 +131,7 @@ def test_criterion_3_norm_oracles(capsys, heis12, ising8, lat2_8):
         (lat2_8, StateVector.basis(BasisState(1, ())), range(-2, 3), 6),
     ]
     for model, state, ms, n_max in tables:
-        fam = family_of(model)
-        conj = star(model, state, fam)
+        conj = star(model, state)
         table = norm_table(model, state, ms, n_max)
         for m, n, v in table.cells():
             if n - m < 0 or n - m > model.N:

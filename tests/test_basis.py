@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from voacert.errors import SpecError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  canonical_factors, heisenberg_spec,
                                  lattice_spec, vertex_mode_block,
@@ -286,3 +287,18 @@ def test_vertex_blocks_match_full_laurent_expansion(q, n):
                 assert got == want, (charge, m, s)
                 assert [[type(x) for x in row] for row in got] == \
                     [[type(x) for x in row] for row in want], (charge, m, s)
+
+
+@pytest.mark.parametrize("pad", [-3, -1, 9, 100])
+def test_a_pad_outside_zero_to_n_is_a_spec_error(pad):
+    # pad -3 used to build dims [1, 0, 1, 1, 2, 2, 0, 0, 0]; pad 100 a
+    # Virasoro quotient up to degree 108
+    with pytest.raises(SpecError, match=r"lies outside \[0, 8\]"):
+        build_model(virasoro_spec("1/2", 8), pad=pad)
+
+
+@pytest.mark.parametrize("pad", [0, 6])
+def test_a_pad_of_zero_or_n_builds(pad):
+    model = build_model(virasoro_spec("1/2", 6), pad=pad)
+    assert model.n_internal == 6 + pad
+    assert [model.dim(d) for d in range(7)] == [1, 0, 1, 1, 2, 2, 3]

@@ -436,3 +436,68 @@ def test_negative_suite_jobs_is_a_config_error(tmp_path, capsys):
                  "--jobs", "-3"]) == EXIT_CONFIG
     assert "jobs must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+# -- an empty window, sample run or out-of-range pad exits 2 ------------------
+
+VIR6 = ["--kind", "virasoro", "--c", "1/2", "--N", "6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", *VIR6, "--check", "virasoro_bound", "--m-max", "-1",
+     "--n-max", "-1"],
+    ["certify", *VIR6, "--check", "product_lemma", "--m-max", "-1",
+     "--n-max", "-1"],
+    ["certify", *VIR6, "--check", "trace_domination", "--n-max", "-1"],
+    ["norms", *VIR6, "--m-max", "-2"],
+    ["axioms", "--kind", "heisenberg", "--N", "6", "--samples", "0"],
+    ["axioms", "--kind", "heisenberg", "--N", "6", "--samples", "-4"],
+    ["certify", "--kind", "lattice", "--q", "2", "--N", "6", "--check",
+     "bootstrap", "--n-max", "-1"]],
+    ids=["virasoro_bound", "product_lemma", "trace_domination", "norms",
+         "samples0", "samples-4", "bootstrap"])
+def test_an_empty_window_or_sample_run_exits_with_config_code(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert "bad value for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m_max", "-1"), ("m_max", "-9"), ("n_max", "-1"), ("samples", "0"),
+    ("samples", "-4")])
+def test_a_flag_below_its_field_range_exits_with_config_code(
+        capsys, field, value):
+    ctype = "axioms" if field == "samples" else "virasoro_bound"
+    assert main(["certify", *VIR6, "--check", ctype,
+                 "--" + field.replace("_", "-"), value]) == EXIT_CONFIG
+    assert f"bad value for {field}: '{value}'" in capsys.readouterr().err
+
+
+def test_a_suite_window_below_zero_exits_with_config_code(tmp_path, capsys):
+    # m_max + n_max = -3 used to fit N = 6 and pass on no cells
+    path = tmp_path / "suite.cfg"
+    path.write_text("model.v.kind = virasoro\nmodel.v.c = 1/2\n"
+                    "model.v.N = 6\ncheck.b.type = virasoro_bound\n"
+                    "check.b.model = v\ncheck.b.m_max = -9\n"
+                    "check.b.n_max = 6\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert "bad value for m_max" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("pad", ["-3", "-1", "9", "100"])
+def test_a_pad_outside_zero_to_n_exits_with_config_code(
+        tmp_path, capsys, pad):
+    vir8 = ["--kind", "virasoro", "--c", "1/2", "--N", "8", "--pad", pad]
+    assert main(["certify", *vir8, "--check", "unitarity"]) == EXIT_CONFIG
+    assert f"pad {pad} lies outside [0, 8]" in capsys.readouterr().err
+    out = tmp_path / "m.json"
+    assert main(["build", *vir8, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pad", ["0", "4"])
+def test_a_pad_of_zero_or_n_builds(capsys, pad):
+    assert main(["certify", "--kind", "virasoro", "--c", "1/2", "--N", "4",
+                 "--pad", pad, "--check", "unitarity"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pass"]

@@ -156,3 +156,45 @@ def test_bad_model_field_is_a_config_error(field):
 def test_corrupt_needs_six_fields():
     with pytest.raises(ConfigError, match="bad value for corrupt"):
         parse_config(GOOD + "model.h.corrupt = 0,-1,2\n")
+
+
+# values that leave a window or a sample run empty, so nothing is checked
+BELOW_RANGE = [("m_max", "-1"), ("m_max", "-9"), ("n_max", "-1"),
+               ("samples", "0"), ("samples", "-4")]
+
+
+@pytest.mark.parametrize("field, value", BELOW_RANGE)
+def test_a_value_below_its_field_range_is_a_config_error(field, value):
+    ctype = "axioms" if field == "samples" else "virasoro_bound"
+    text = GOOD + (f"check.x.type = {ctype}\ncheck.x.model = v\n"
+                   f"check.x.{field} = {value}\n")
+    with pytest.raises(ConfigError,
+                       match=f"check 'x': bad value for {field}: '{value}'"):
+        parse_config(text)
+
+
+def test_the_lowest_value_of_each_field_range_is_accepted():
+    config = parse_config(GOOD + "check.x.type = virasoro_bound\n"
+                                 "check.x.model = v\ncheck.x.m_max = 0\n"
+                                 "check.x.n_max = 0\n"
+                                 "check.y.type = axioms\ncheck.y.model = h\n"
+                                 "check.y.samples = 1\n")
+    checks = {c["name"]: c for c in config.checks}
+    assert (checks["x"]["m_max"], checks["x"]["n_max"]) == (0, 0)
+    assert checks["y"]["samples"] == 1
+
+
+VIR6 = "model.w.kind = virasoro\nmodel.w.c = 1/2\nmodel.w.N = 6\n"
+
+
+@pytest.mark.parametrize("pad", [-1, 7])
+def test_a_pad_outside_zero_to_n_is_a_config_error(pad):
+    with pytest.raises(ConfigError,
+                       match=rf"model 'w': pad {pad} lies outside \[0, 6\]"):
+        parse_config(GOOD + VIR6 + f"model.w.pad = {pad}\n")
+
+
+@pytest.mark.parametrize("pad", [0, 6])
+def test_a_pad_of_zero_or_n_is_accepted(pad):
+    assert parse_config(GOOD + VIR6 + f"model.w.pad = {pad}\n").pads["w"] \
+        == pad

@@ -17,7 +17,7 @@ from voacert.norm_lab import (cstar_gap, damped_norm, graded_norm,
                               graded_norm_certified, norm_table,
                               write_norm_csv)
 from voacert.scalars import Q
-from voacert.unitary_structure import GramFamily, family_of, star
+from voacert.unitary_structure import GramFamily, star
 
 REL = 1e-9
 
@@ -144,7 +144,7 @@ def test_cstar_identity_gap(heis12, ising8, lat2_8):
 def test_shift_identity(heis12):
     # ||a_m||_n = ||a*_{-m}||_{n-m}
     a = current(heis12)
-    conj = star(heis12, a, family_of(heis12))
+    conj = star(heis12, a)
     for m in range(-3, 4):
         for n in range(9):
             if n - m < 0 or n - m > heis12.N:
@@ -269,10 +269,9 @@ REFERENCE_MODELS = ["heis6", "ising8", "lat2_6"]
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
 def test_norms_equal_the_per_degree_loops(request, name):
     model = request.getfixturevalue(name)
-    fam = family_of(model)
     qf = float(Q(1, 3))
     for vec in probes(model):
-        conj = star(model, vec, fam)
+        conj = star(model, vec)
         for m in range(-2, 3):
             for n in range(-1, model.N - 1):
                 norm = loop_norm(model, vec, m, n)

@@ -26,6 +26,7 @@ from .scalars import ONE, Q, ZERO, rational
 from .unitary_structure import family_of, star
 
 DEFAULT_TOL = 1e-8
+_SAMPLE_DEGREE = 3  # of the product lemma's exact vector-level check
 
 
 @dataclass
@@ -156,20 +157,19 @@ def _square_completion(model: Model, a: StateVector) -> StateVector:
 
 
 def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
-                          tol: float = DEFAULT_TOL,
-                          sample_degree: int = 3) -> BoundReport:
+                          tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_m||_n^2 <= ||(a_{-d}a*)_0||_n for m >= 0.
 
     Also verifies the underlying vector inequality
     ||a_m b||^2 <= (b | (a_{-d}a*)_0 b) exactly on all basis states b of
-    degree <= sample_degree.
+    degree <= min(3, N).
     """
     avec = _as_vector(a)
     fam = family_of(model)
     x = _square_completion(model, avec)
     report = BoundReport(
         "product_lemma", model.spec.describe(), repr(a),
-        {"m_max": m_max, "n_max": n_max, "sample_degree": sample_degree},
+        {"m_max": m_max, "n_max": n_max, "sample_degree": _SAMPLE_DEGREE},
         {"completion_degree": max((model.basis.degree_of(st)
                                    for st in x.terms), default=0)},
         tolerance=tol)
@@ -179,7 +179,7 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
         lambda m, n: graded_norm(model, x, 0, n))
     # exact vector-level inequality on sampled b
     exact_ok = True
-    for deg in range(min(sample_degree, model.N) + 1):
+    for deg in range(min(_SAMPLE_DEGREE, model.N) + 1):
         for b in model.basis.states(deg):
             bvec = StateVector.basis(b)
             rhs = fam.pairing(bvec, apply_mode(model, x, 0, bvec))
@@ -344,9 +344,7 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
                  fam.inverse(d))
     # invariance under each sampled automorphism, exact
     for idx, aut in enumerate(aut_sample):
-        image = aut.apply_exact(x)
-        ok = image is not None and image == x
-        report.notes[f"invariant_{aut.kind}_{idx}"] = bool(ok)
+        report.notes[f"invariant_{aut.kind}_{idx}"] = aut.apply_exact(x) == x
     # basis independence: recompute in a sheared basis
     shear = xl.identity(len(states))
     for i in range(len(states) - 1):

@@ -95,7 +95,7 @@ def _add_model_flags(parser):
     parser.add_argument("--c", help="central charge (virasoro), e.g. 1/2")
     parser.add_argument("--q", help="lattice square (even)")
     parser.add_argument("--rank", help="heisenberg rank (default 1)")
-    parser.add_argument("--pad", help="internal working margin above N")
+    parser.add_argument("--pad", help="virasoro working margin above N")
 
 
 def _add_check_flags(parser, fields):
@@ -130,7 +130,7 @@ def _at_least(low: int):
 FIELDS = {
     "state": str, "with": str, "m_max": _at_least(0), "n_max": _at_least(0),
     "samples": _at_least(1),
-    "seed": int, "degree_cap": int, "p": int, "degree": int, "d": int,
+    "seed": int, "degree_cap": int, "p": int, "d": int,
     "q": rat_from_str, "s": rat_from_str,
 }
 
@@ -185,12 +185,16 @@ def _run_bootstrap(model, check, tol, output_dir):
 
 
 def _run_orbifold(model, check, tol, output_dir):
-    degree = check.get("degree", 1)
+    """The average x over V_d, d the state's degree, and the chain step,
+    which holds only for a state of V_d."""
+    state = resolve_state(model, check.get("state", "basis:1:0"))
+    degree = model.degree_of(state)
+    if degree is None:
+        raise ValueError("orbifold state is zero and has no degree")
     auts = [Automorphism(model, "charge_conjugation")]
     if model.spec.kind == "lattice":
-        auts.append(Automorphism(model, "torus_phase", Q(1, 2)))
+        auts.append(Automorphism(model, "torus_phase"))
     x, avg_report = orbifold_average(model, degree, auts)
-    state = resolve_state(model, check.get("state", f"basis:{degree}:0"))
     chain = certify_orbifold_chain(model, state, x,
                                    float(check.get("s", 1)),
                                    check["n_max"], tol=tol)
@@ -221,7 +225,7 @@ CHECKS = {
     "unitarity": CheckType((), (), _run_unitarity),
     "norms": CheckType(_BOUND, ("m_max", "n_max"), _run_norms),
     "bootstrap": CheckType(("n_max", "d"), ("n_max",), _run_bootstrap),
-    "orbifold": CheckType(("state", "degree", "s", "n_max"), ("n_max",),
+    "orbifold": CheckType(("state", "s", "n_max"), ("n_max",),
                           _run_orbifold),
     "trace_domination": CheckType(
         ("state", "q", "n_max"), ("n_max",),
@@ -257,6 +261,12 @@ CHECKS = {
 }
 
 
+def window_defaults(check: dict, n: int) -> dict:
+    """The check with m_max 4 and n_max min(6, n) unless it sets them, n the
+    model's N; run_check and the suite pre-flight both read it."""
+    return {"m_max": 4, "n_max": min(6, n), **check}
+
+
 def run_check(model: Model, check: dict, tolerance: float,
               output_dir: str = None) -> dict:
     """Run one check; a ValueError of its runner, or a window beyond the
@@ -265,7 +275,7 @@ def run_check(model: Model, check: dict, tolerance: float,
     if ctype not in CHECKS:
         raise ConfigError(f"unknown check type {ctype!r}")
     name = check.get("name", ctype)
-    check = {"m_max": 4, "n_max": min(6, model.N), **check, "name": name}
+    check = {**window_defaults(check, model.N), "name": name}
     out = {"name": name, "type": ctype, "model": model.spec.describe()}
     try:
         out.update(CHECKS[ctype].run(model, check, tolerance, output_dir))

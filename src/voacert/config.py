@@ -35,7 +35,7 @@ class SuiteConfig:
     cache_dir: str = ""
 
     def validate(self):
-        from .cli import CHECKS  # cli imports this module
+        from .cli import CHECKS, window_defaults  # cli imports this module
 
         for check in self.checks:
             name, ctype = check.get("name"), check.get("type")
@@ -45,12 +45,12 @@ class SuiteConfig:
             if mname not in self.models:
                 raise ConfigError(
                     f"check {name!r}: unknown model {mname!r}")
-            window = CHECKS[ctype].window
-            size = sum(check.get(f, 0) for f in window)
-            if size > self.models[mname].N:
+            window, n = CHECKS[ctype].window, self.models[mname].N
+            size = sum(window_defaults(check, n)[f] for f in window)
+            if size > n:
                 raise ConfigError(
                     f"check {name!r}: window {'+'.join(window)} = {size} "
-                    f"exceeds truncation N={self.models[mname].N}")
+                    f"exceeds truncation N={n}")
         if self.jobs < 0:
             raise ConfigError("jobs must be nonnegative")
         return self
@@ -85,12 +85,12 @@ def _corrupt(value: str):
     return tuple(int(x) for x in parts)
 
 
-# Every model field with its parser.  Every kind reads kind, N, pad and
-# corrupt; KIND_FIELDS names what each kind reads besides, and REQUIRED the
-# fields that have no default.
+# Every model field with its parser.  Every kind reads kind, N and corrupt;
+# KIND_FIELDS names what each kind reads besides, and REQUIRED the fields
+# that have no default.
 MODEL_FIELDS = {"kind": str, "N": int, "pad": int, "corrupt": _corrupt,
                 "rank": int, "metric": _metric, "c": rational, "q": int}
-KIND_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c",),
+KIND_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c", "pad"),
                "lattice": ("q",)}
 REQUIRED = ("N", "c", "q")
 
@@ -107,7 +107,7 @@ def spec_from_fields(where: str, fields: dict):
     kind = parsed.get("kind")
     if kind not in KIND_FIELDS:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
-    reads = ("kind", "N", "pad", "corrupt") + KIND_FIELDS[kind]
+    reads = ("kind", "N", "corrupt") + KIND_FIELDS[kind]
     for name in parsed:
         if name not in reads:
             raise ConfigError(f"{where}: field {name!r} does not apply to "

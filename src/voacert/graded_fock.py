@@ -35,11 +35,14 @@ class ModelSpec:
     q: int = 0  # <gamma,gamma>, lattice only
 
     def validate(self, pad: int = None):
-        """Raise SpecError for an invalid spec, or for a pad outside [0, N]
-        when one is given."""
+        """Raise SpecError for an invalid spec, or, when a pad is given, for
+        a pad on a kind other than Virasoro or outside [0, N]."""
         if self.N < 2:
             raise SpecError("truncation too small to hold the conformal state "
                             "(need N >= 2)")
+        if pad is not None and self.kind != "virasoro":
+            raise SpecError(f"pad applies to virasoro models only, not "
+                            f"{self.kind}")
         if pad is not None and not 0 <= pad <= self.N:
             raise SpecError(f"pad {pad} lies outside [0, {self.N}]")
         if self.kind == "heisenberg":
@@ -723,9 +726,9 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
 
     corrupt, when given, is (gid, m, src_degree, row, col, delta): the named
     structure constant is shifted after the build (mutation testing hook).
-    pad overrides the internal working margin above N (Virasoro only);
-    modes of composite words of length L need pad >= L - 1.  A pad outside
-    [0, N] is a SpecError.
+    pad overrides the internal working margin above N; modes of composite
+    words of length L need pad >= L - 1.  A pad on another kind than
+    Virasoro, or outside [0, N], is a SpecError.
     """
     spec.validate(pad)
     if spec.kind == "heisenberg":
@@ -751,36 +754,29 @@ def conformal_state(model: Model) -> StateVector:
 
 
 class Automorphism:
-    """Degree-preserving unitary automorphism with exact phase data.
+    """Degree-preserving unitary automorphism of order two, exact.
 
-    Basis states map to (state, phase) with the phase recorded as a
-    rational number of turns.
+    kind is "charge_conjugation" (sector m -> -m, sign (-1)^word length) or
+    "torus_phase", the half turn of the torus (sector m picks up (-1)^m).
     """
 
-    def __init__(self, model: Model, kind: str, turns=ZERO):
+    def __init__(self, model: Model, kind: str):
+        if kind not in ("charge_conjugation", "torus_phase"):
+            raise ValueError(f"unknown automorphism kind {kind!r}")
         self.model = model
         self.kind = kind
-        self.turns = rational(turns)
 
     def image(self, state: BasisState):
-        """(target state, phase in turns, sign)."""
+        """(target state, sign)."""
         if self.kind == "charge_conjugation":
-            sign = -ONE if state.word_length() % 2 else ONE
-            return BasisState(-state.sector, state.factors), ZERO, sign
-        # torus phase: sector m picks up exp(2*pi*i * m * turns)
-        frac = self.turns * state.sector
-        frac = frac - (frac.numerator // frac.denominator)  # mod 1, in [0,1)
-        return state, frac, ONE
+            sign = -1 if state.word_length() % 2 else 1
+            return BasisState(-state.sector, state.factors), sign
+        return state, -1 if state.sector % 2 else 1
 
-    def apply_exact(self, vec: StateVector):
-        """Exact image when every phase is rational (+1/-1); None otherwise."""
+    def apply_exact(self, vec: StateVector) -> StateVector:
+        """The exact image of a vector."""
         out = StateVector()
         for st, co in vec.terms.items():
-            tstate, turns, sign = self.image(st)
-            if turns == 0:
-                out.add_term(tstate, sign * co)
-            elif turns == Q(1, 2):
-                out.add_term(tstate, -sign * co)
-            else:
-                return None
+            tstate, sign = self.image(st)
+            out.add_term(tstate, sign * co)
         return out

@@ -389,18 +389,15 @@ def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
                                           "sources": sources})
 
 
-def translation_residual(model: Model, a, n: int,
-                         quasi_primary: bool = None) -> Residual:
+def translation_residual(model: Model, a, n: int) -> Residual:
     """Residual of [L_{-1}, a_n] = (-n - d + 1) a_{n-1} on the valid range.
 
-    When a is quasi-primary (detected unless overridden), the commutation
-    family [L_m, a_n] = ((d-1)m - n) a_{m+n} is checked for m in {-1,0,1}.
+    When a is quasi-primary (L_1 a = nu_(2) a = 0), the commutation family
+    [L_m, a_n] = ((d-1)m - n) a_{m+n} is checked for m in {-1,0,1}.
     """
     avec = _as_vector(a)
     d = model.degree_of(avec)
-    if quasi_primary is None:
-        l1a = state_product(model, model.nu, 2, avec)  # L_1 = nu_(2)
-        quasi_primary = l1a.is_zero()
+    quasi_primary = state_product(model, model.nu, 2, avec).is_zero()
     checked = {}
     for m in (-1, 0, 1) if quasi_primary else (-1,):
         coeff = (d - 1) * m - n
@@ -424,20 +421,20 @@ _SAMPLED = {
     "commutator": (commutator_residual, 2, 2),
     "translation": (translation_residual, 1, 1),
 }
+_INDEX_SPAN = 3
 
 
 def sample_residuals(model: Model, identity: str, count: int,
-                     seed: int = 0, degree_cap: int = None,
-                     index_span: int = 3):
+                     seed: int = 0, degree_cap: int = None):
     """Evaluate one identity on randomly drawn valid tuples.
 
     Returns (checked, failures) where failures is a list of
     (tuple, residual) pairs; every residual must be exactly zero.  Each
-    draw takes its basis states uniformly from those up to degree_cap,
-    then its mode indices from [-index_span, index_span]; the tuple is the
-    residual's arguments, so a commutator tuple is (a, p, b, q).  A draw
-    whose window does not fit the truncation is rejected: the residual
-    itself raises TruncationError, and the sampler holds no window rule.
+    draw takes its basis states uniformly from those up to degree_cap, then
+    its mode indices from [-3, 3]; the tuple is the residual's arguments,
+    so a commutator tuple is (a, p, b, q).  A draw whose window does not
+    fit the truncation is rejected: the residual itself raises
+    TruncationError, and the sampler holds no window rule.
     """
     import random
 
@@ -459,7 +456,7 @@ def sample_residuals(model: Model, identity: str, count: int,
                 f"sampling for {identity} rejects too often; "
                 "loosen the caps or raise N")
         tup = tuple(rng.choice(pool) for _ in range(n_states)) + tuple(
-            rng.randint(-index_span, index_span) for _ in range(n_indices))
+            rng.randint(-_INDEX_SPAN, _INDEX_SPAN) for _ in range(n_indices))
         if identity == "commutator":  # drawn (a, b, p, q)
             tup = (tup[0], tup[2], tup[1], tup[3])
         try:

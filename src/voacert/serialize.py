@@ -176,20 +176,17 @@ def load_model(path: str) -> Model:
 
 
 class ModelCache:
-    """Directory of built models keyed by the spec digest."""
+    """Directory of built models keyed by the spec digest.  It holds no
+    model in memory: each get_or_build call loads or builds one."""
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._live = {}
 
     def path_for(self, spec: ModelSpec) -> str:
         return os.path.join(self.directory, spec_digest(spec) + ".json")
 
     def get_or_build(self, spec: ModelSpec, pad: int = None) -> Model:
-        key = (spec_digest(spec), pad)
-        if key in self._live:
-            return self._live[key]
         path = self.path_for(spec)
         model = None
         if pad is None and os.path.exists(path):
@@ -208,5 +205,4 @@ class ModelCache:
             model = build_model(spec, pad=pad)
             if pad is None:
                 save_model(model, path)
-        self._live[key] = model
         return model

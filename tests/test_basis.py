@@ -302,3 +302,11 @@ def test_a_pad_of_zero_or_n_builds(pad):
     model = build_model(virasoro_spec("1/2", 6), pad=pad)
     assert model.n_internal == 6 + pad
     assert [model.dim(d) for d in range(7)] == [1, 0, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("spec", [heisenberg_spec(1, 6), lattice_spec(2, 6)],
+                         ids=["heisenberg", "lattice"])
+@pytest.mark.parametrize("pad", [0, 3])
+def test_a_pad_on_another_kind_than_virasoro_is_a_spec_error(spec, pad):
+    with pytest.raises(SpecError, match="pad applies to virasoro models"):
+        build_model(spec, pad=pad)

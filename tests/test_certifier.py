@@ -96,6 +96,22 @@ def test_orbifold_average_is_the_current_square(heis8):
     assert report.notes["invariant_charge_conjugation_0"] is True
 
 
+def test_automorphism_rejects_an_unknown_kind(heis8):
+    with pytest.raises(ValueError, match="unknown automorphism kind"):
+        Automorphism(heis8, "charge_conjugaton")
+
+
+def test_automorphisms_map_basis_states_to_signed_states(lat2_6):
+    torus = Automorphism(lat2_6, "torus_phase")
+    conj = Automorphism(lat2_6, "charge_conjugation")
+    cur = BasisState(1, ((0, -1),))
+    assert torus.image(cur) == (cur, -1)
+    assert torus.image(BasisState(-2, ())) == (BasisState(-2, ()), 1)
+    assert conj.image(cur) == (BasisState(-1, ((0, -1),)), -1)
+    vec = StateVector.basis(cur, Q(1, 2))
+    assert torus.apply_exact(vec) == StateVector.basis(cur, Q(-1, 2))
+
+
 def test_orbifold_chain(heis8):
     x, _ = orbifold_average(heis8, 1, ())
     for s in (0.5, 1.0):

@@ -5,10 +5,11 @@ import re
 
 import pytest
 
+from voacert import cli
 from voacert.cli import (CHECKS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION,
                          FIELDS, _build_parser, main, resolve_state,
-                         run_suite)
-from voacert.config import parse_config
+                         run_check, run_suite)
+from voacert.config import KIND_FIELDS, MODEL_FIELDS, parse_config
 from voacert.errors import ConfigError
 from voacert.graded_fock import build_model, heisenberg_spec, lattice_spec
 from voacert.norm_lab import norm_table
@@ -221,7 +222,8 @@ def test_invalid_model_spec_fails_suite_with_config_code(tmp_path, capsys,
 # inside the check: an orbifold average of degree 3 needs N >= 6, and a
 # zero-mode bound at n_max = N reads ||a_0|| at degree N + 1
 @pytest.mark.parametrize("model, check, what", [
-    ("kind = heisenberg\nmodel.x.N = 4", "type = orbifold\ncheck.w.degree = 3",
+    ("kind = heisenberg\nmodel.x.N = 4",
+     "type = orbifold\ncheck.w.state = basis:3:0",
      "orbifold average degree"),
     ("kind = lattice\nmodel.x.q = 4\nmodel.x.N = 6",
      "type = zero_mode_product\ncheck.w.state = top:1\n"
@@ -501,3 +503,96 @@ def test_a_pad_of_zero_or_n_builds(capsys, pad):
     assert main(["certify", "--kind", "virasoro", "--c", "1/2", "--N", "4",
                  "--pad", pad, "--check", "unitarity"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["pass"]
+
+
+# -- the orbifold degree is the state's, pad is Virasoro's --------------------
+
+
+@pytest.mark.parametrize("selector, degree", [
+    ("vac", 0), ("basis:1:0", 1), ("nu", 2)])
+def test_orbifold_average_is_taken_at_the_state_degree(heis6, selector,
+                                                       degree):
+    result = run_check(heis6, {"type": "orbifold", "state": selector,
+                               "n_max": 2}, 1e-8)
+    assert result["average"]["window"]["degree"] == degree
+
+
+ORBIFOLD = ["certify", "--kind", "heisenberg", "--N", "6", "--check",
+            "orbifold", "--n-max", "4"]
+
+
+# --degree is argparse's abbreviation of --degree-cap, which orbifold does
+# not read; each of these passed or found a "violation" while the degree
+# was a setting of its own
+@pytest.mark.parametrize("extra", [
+    ["--state", "basis:1:0", "--degree", "-1"],
+    ["--state", "basis:1:0", "--degree", "0"],
+    ["--state", "nu", "--degree", "1"]])
+def test_certify_orbifold_takes_no_degree(capsys, extra):
+    assert main(ORBIFOLD + extra) == EXIT_CONFIG
+    assert "does not apply to type 'orbifold'" in capsys.readouterr().err
+
+
+def test_suite_orbifold_takes_no_degree(tmp_path, capsys):
+    path = tmp_path / "suite.cfg"
+    path.write_text(SUITE + "check.o.type = orbifold\ncheck.o.model = h\n"
+                            "check.o.degree = 1\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert "field 'degree' does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector, why", [
+    ("0*nu", "state is zero"), ("nu+vac", "not homogeneous")])
+def test_orbifold_state_without_one_degree_exits_with_config_code(
+        capsys, selector, why):
+    assert main(ORBIFOLD + ["--state", selector]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "check 'orbifold'" in err and why in err
+
+
+@pytest.mark.parametrize("model", [
+    ["--kind", "heisenberg"], ["--kind", "lattice", "--q", "2"]],
+    ids=["heisenberg", "lattice"])
+@pytest.mark.parametrize("pad", ["0", "3"])
+def test_a_pad_on_another_kind_than_virasoro_exits_with_config_code(
+        capsys, model, pad):
+    assert main(["certify", *model, "--N", "6", "--pad", pad,
+                 "--check", "unitarity"]) == EXIT_CONFIG
+    assert "command line: field 'pad' does not apply" in \
+        capsys.readouterr().err
+
+
+# a window default counted as 0 passed the pre-flight, and the check failed
+# only after the model was built (41 s for virasoro(1, 14))
+@pytest.mark.parametrize("window, size", [
+    ("check.b.n_max = 8", 12), ("check.b.m_max = 3", 9)])
+def test_suite_window_defaults_are_checked_before_any_build(
+        tmp_path, capsys, monkeypatch, window, size):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a model for a window past N")
+
+    monkeypatch.setattr(cli, "build_model", no_build)
+    path = tmp_path / "suite.cfg"
+    path.write_text("model.v.kind = virasoro\nmodel.v.c = 1/2\n"
+                    "model.v.N = 8\ncheck.b.type = virasoro_bound\n"
+                    f"check.b.model = v\n{window}\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert f"window m_max+n_max = {size} exceeds truncation N=8" in \
+        capsys.readouterr().err
+
+
+def test_readme_model_table_lists_the_fields_of_every_kind():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().split("## Models", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in text.splitlines():
+        match = re.match(r"\| `(\w+)` +\| ([^|]*)\|", line)
+        if match:
+            rows[match.group(1)] = tuple(re.findall(r"`(\w+)`",
+                                                    match.group(2)))
+    assert rows == KIND_FIELDS
+    common = re.search(r"every kind reads ([^.]*)\.", text).group(1)
+    own = {f for fields in KIND_FIELDS.values() for f in fields}
+    assert set(re.findall(r"`(\w+)`", common)) == set(MODEL_FIELDS) - own

@@ -110,7 +110,7 @@ def test_rational_fields_are_parsed_with_the_config():
 def test_every_registered_type_parses_with_every_field_it_reads():
     values = {"state": "nu", "with": "nu", "m_max": "1", "n_max": "2",
               "samples": "3", "seed": "4", "degree_cap": "2", "p": "0",
-              "degree": "1", "d": "1", "q": "1/2", "s": "1"}
+              "d": "1", "q": "1/2", "s": "1"}
     assert set(values) == set(FIELDS)
     for ctype, entry in CHECKS.items():
         lines = [f"check.x.type = {ctype}", "check.x.model = h"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -393,30 +394,31 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
 
 def _build_parser():
     parser = argparse.ArgumentParser(
-        prog="voacert",
+        prog="voacert", allow_abbrev=False,
         description="exact truncated vertex-algebra models and "
                     "energy-bound certification")
     sub = parser.add_subparsers(dest="verb", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("build", help="build a model and save its container")
+    p = add("build", help="build a model and save its container")
     _add_model_flags(p)
     p.add_argument("--out", default="model.json")
 
-    p = sub.add_parser("axioms", help="randomized exact identity checks")
+    p = add("axioms", help="randomized exact identity checks")
     _add_check_flags(p, CHECKS["axioms"].fields)
-    p = sub.add_parser("norms", help="graded norm table for one state")
+    p = add("norms", help="graded norm table for one state")
     _add_check_flags(p, CHECKS["norms"].fields)
     p.add_argument("--csv")
-    p = sub.add_parser("certify", help="run one check of any type")
+    p = add("certify", help="run one check of any type")
     _add_check_flags(p, FIELDS)
     p.add_argument("--check", required=True)
 
-    p = sub.add_parser("suite", help="run a configured certification suite")
+    p = add("suite", help="run a configured certification suite")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=None)
 
-    p = sub.add_parser("export", help="re-emit a report bundle")
+    p = add("export", help="re-emit a report bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out", default=".")

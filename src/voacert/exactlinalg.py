@@ -1,21 +1,18 @@
-"""Exact linear algebra on dense row lists.
+"""Exact linear algebra: sparse mode blocks and dense row lists.
 
-An entry is an ``int`` when it is integral and a ``Q`` otherwise
-(``canonical`` stores a block that way), so integer-valued mode blocks add
-and multiply as ints.  No kernel divides two entries with a bare ``/``: the
-numerator is lifted to ``Q`` first, so int input never turns into floats.
+A mode block is a ``Block``: per row, a dict from the column of each
+nonzero entry to its int numerator, over one denominator (FLINT's
+``fmpq_mat`` layout).  ``add_scaled`` and ``add_product`` add into a block
+on ints, raising its denominator to the lcm as terms arrive, and
+``Block.reduced`` brings a sum to lowest terms once.  Read as a sequence,
+a block is its dense view, built on first read and memoized.
 
-Mode blocks are mostly zeros, and the hot-path kernels skip them:
-``add_product`` (``acc += s*outer@inner``) and ``add_scaled`` (``acc +=
-s*b``) work in place over nonzero entries without building a product,
-``mat_mul`` skips the zero entries of both factors, and ``mat_add``,
-``mat_sub``, ``mat_scale`` and ``max_abs`` do no arithmetic on a zero.
-Elimination is fraction-free: ``rref`` (behind ``kernel_basis`` and
-``inverse``) scales its input to ints once and runs Bareiss updates, whose
-divisions are exact, so no intermediate rational is ever built; ``ldl``
-works in ``Q`` and skips the zero entries below each pivot, so a diagonal
-Gram matrix costs no division.  An entry that is not an exact rational (a
-float) raises TypeError.  Every result stays exact.
+Gram matrices, inverses and eliminations are dense lists of int/Q rows: an
+int operand goes on the right of each product and sum, so none takes Q's
+slower reflected operator, no kernel divides two ints with a bare ``/``,
+and none does arithmetic on a zero.  ``rref`` (behind ``kernel_basis`` and
+``inverse``) scales its input to ints once and runs fraction-free Bareiss
+updates; ``ldl`` works in ``Q``.  A float entry raises TypeError.
 """
 
 from __future__ import annotations
@@ -25,6 +22,60 @@ import math
 import numpy as np
 
 from .scalars import ONE, Q, ZERO, canon
+
+
+class Block:
+    """Sparse exact matrix: rows[i] maps columns to int numerators over
+    den > 0 (lowest terms once cached); as a sequence, its dense view."""
+
+    __slots__ = ("rows", "cols", "den", "_dense")
+
+    def __init__(self, rows: list, cols: int, den: int = 1):
+        self.rows, self.cols, self.den, self._dense = rows, cols, den, None
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.dense()[i]
+
+    def __eq__(self, o):
+        return self.dense() == (o.dense() if type(o) is Block else o)
+
+    def dense(self):
+        if self._dense is None:
+            den, self._dense = self.den, zeros(len(self.rows), self.cols)
+            for out, row in zip(self._dense, self.rows):
+                for j, x in row.items():
+                    out[j] = x // den if x % den == 0 else Q(x, den)
+        return self._dense
+
+    def reduced(self) -> Block:
+        """The block in lowest terms, without zero entries."""
+        g = 1 if self.den == 1 else math.gcd(
+            self.den, *(x for row in self.rows for x in row.values()))
+        return Block([{j: x // g for j, x in row.items() if x}
+                      for row in self.rows], self.cols, self.den // g)
+
+    def over(self, den: int) -> int:
+        """Lift self.den to a multiple of den; the factor of terms over den."""
+        self._dense = None
+        if self.den % den:
+            up = den // math.gcd(self.den, den)
+            self.rows = [{j: x * up for j, x in row.items()}
+                         for row in self.rows]
+            self.den *= up
+        return self.den // den
+
+
+def zero_block(rows: int, cols: int, den: int = 1) -> Block:
+    return Block([{} for _ in range(rows)], cols, den)
+
+
+def to_block(a, cols: int) -> Block:
+    """The block of a dense matrix with cols columns, in lowest terms."""
+    rs, den = _integer_rows(a)
+    return Block([{j: x for j, x in enumerate(r) if x} for r in rs], cols, den)
 
 
 def zeros(rows: int, cols: int):
@@ -38,70 +89,63 @@ def identity(n: int):
     return out
 
 
-def canonical(a):
-    """a with every integral entry stored as an int, in place; returns a."""
-    for row in a:
-        for j, x in enumerate(row):
-            if type(x) is not int:
-                row[j] = canon(x)
-    return a
-
-
 def shape(a):
     return len(a), len(a[0]) if a else 0
 
 
+def _plus(a: Block, b: Block, s) -> Block:
+    """a + s * b as a new block."""
+    acc = Block([dict(row) for row in a.rows], a.cols, a.den)
+    add_scaled(acc, b, s)
+    return acc
+
+
 def mat_add(a, b):
-    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+    if type(a) is Block:
+        return _plus(a, b, 1)
+    return [[((y + x if type(x) is int else x + y) if x else y) if y else x
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
+    if type(a) is Block:
+        return _plus(a, b, -1)
     return [[(x - y if x else -y) if y else x for x, y in zip(ra, rb)]
             for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, s):
+    if type(a) is Block:
+        return _plus(zero_block(len(a), a.cols), a, s)
     if not s:
         return [[0] * len(row) for row in a]
-    if type(s) is int:  # on the right, as in add_scaled
+    if type(s) is int:  # on the right: Q's forward operator serves it
         return [[x * s if x else x for x in row] for row in a]
     return [[s * x if x else x for x in row] for row in a]
 
 
-def add_scaled(acc, b, s):
-    """acc += s * b in place, touching only the nonzero entries of b.
-
-    An int operand goes on the right of each product and sum, so none of
-    them takes Q's slower reflected operator.
-    """
-    if not s:
-        return
-    left = type(s) is not int
-    for ra, rb in zip(acc, b):
-        for j, y in enumerate(rb):
-            if y:
-                p = s * y if left else y * s
-                x = ra[j]
-                ra[j] = p + x if type(x) is int else x + p
+def add_scaled(acc: Block, b: Block, s=1):
+    """acc += s * b in place, over the entries of b."""
+    num, den = _ratio(s)
+    if num:
+        f = acc.over(b.den * den) * num
+        for ra, rb in zip(acc.rows, b.rows):
+            for j, y in rb.items():
+                ra[j] = ra.get(j, 0) + f * y
 
 
-def add_product(acc, outer, inner, s):
-    """acc += s * outer @ inner in place, over nonzero entries only.
-
-    The product is never built, and neither operand is changed.  Shapes
-    follow compose: an operand with an empty graded piece adds nothing.
-    """
-    if not s:
-        return
-    # nonzero (column, entry) pairs of each row of inner
-    inner_rows = [[(j, y) for j, y in enumerate(row) if y] for row in inner]
-    for ra, ro in zip(acc, outer):
-        for x, bx in zip(ro, inner_rows):
-            if x and bx:
-                sx = x * s
-                for j, y in bx:
-                    ra[j] += sx * y
+def add_product(acc: Block, outer: Block, inner: Block, s=1):
+    """acc += s * outer @ inner in place; the product is never built."""
+    num, den = _ratio(s)
+    if num:
+        f = acc.over(outer.den * inner.den * den) * num
+        inner_rows = inner.rows
+        for ra, ro in zip(acc.rows, outer.rows):
+            get = ra.get
+            for k, x in ro.items():
+                fx = f * x
+                for j, y in inner_rows[k].items():
+                    ra[j] = get(j, 0) + fx * y
 
 
 def mat_mul(a, b):
@@ -114,31 +158,40 @@ def mat_mul(a, b):
     for ai, row in zip(a, out):
         for x, bx in zip(ai, b_rows):
             if x and bx:
+                left = type(x) is not int
                 for j, y in bx:
-                    row[j] += x * y
+                    p, r = x * y if left else y * x, row[j]
+                    row[j] = p + r if type(r) is int else r + p
     return out
 
 
-def compose(outer, inner, rows: int, cols: int):
-    """outer @ inner with the result shape given explicitly.
-
-    Zero-row matrices cannot carry a column count in the row-list
-    representation, so compositions through an empty graded piece must be
-    told their shape.
-    """
-    if rows == 0 or cols == 0 or len(inner) == 0 or not outer or \
-            len(outer[0]) == 0:
-        return zeros(rows, cols)
-    return mat_mul(outer, inner)
+def compose(outer, inner, rows: int, cols: int) -> Block:
+    """outer @ inner as a rows x cols block; dense operands are converted."""
+    if type(outer) is not Block:
+        outer, inner = to_block(outer, len(inner)), to_block(inner, cols)
+    acc = zero_block(rows, cols)
+    add_product(acc, outer, inner)
+    return acc
 
 
 def mat_vec(a, v):
     """a @ v over nonzero pairs; an all-int row sums to an int.
 
-    Each sum starts from int 0, and an int operand goes on the right of
-    each product and sum, as in add_scaled.
+    Each sum starts from int 0 with an int operand on the right of each
+    product and sum; a block row divides its sum by den once.
     """
     out = []
+    if type(a) is Block:
+        for row in a.rows:
+            s = 0
+            for j, x in row.items():
+                y = v[j]
+                if y:
+                    p = y * x
+                    s = p + s if type(s) is int else s + p
+            out.append(canon(s / a.den) if type(s) is not int else
+                       s // a.den if s % a.den == 0 else Q(s, a.den))
+        return out
     for row in a:
         s = 0
         for x, y in zip(row, v):
@@ -154,6 +207,9 @@ def transpose(a):
 
 
 def max_abs(a):
+    if type(a) is Block:
+        m = max((abs(x) for row in a.rows for x in row.values()), default=0)
+        return canon(Q(m, a.den)) if m else ZERO
     m = ZERO
     for row in a:
         for x in row:
@@ -164,11 +220,17 @@ def max_abs(a):
     return m
 
 
-def is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
+def is_zero(a: Block) -> bool:
+    return not any(any(row.values()) for row in a.rows)
 
 
 def to_numpy(a) -> np.ndarray:
+    if type(a) is Block:  # num / den is the float of Q(num, den)
+        out = np.zeros((len(a), a.cols))
+        for i, row in enumerate(a.rows):
+            for j, x in row.items():
+                out[i, j] = x / a.den
+        return out
     return np.array(a, dtype=float).reshape(shape(a))
 
 
@@ -187,10 +249,10 @@ def _ratio(x):
 
 
 def _integer_rows(a):
-    """a times the lcm of its denominators, as a new matrix of ints."""
+    """(a times the lcm of its denominators as a new matrix of ints, lcm)."""
     pairs = [[_ratio(x) for x in row] for row in a]
     scale = math.lcm(*(den for row in pairs for _, den in row))
-    return [[num * (scale // den) for num, den in row] for row in pairs]
+    return [[num * (scale // den) for num, den in row] for row in pairs], scale
 
 
 def rref(a):
@@ -203,7 +265,7 @@ def rref(a):
     Comp. 22, 1968).  Every pivot row is divided by its pivot at the end;
     the reduced form is unique, so the result is the rational one.
     """
-    r = _integer_rows(a)
+    r, _ = _integer_rows(a)
     n, m = shape(r)
     pivots = []
     lead = 0

@@ -316,8 +316,8 @@ class Model:
 
     Construction is a single-writer phase; afterwards the object is
     treated as immutable (caches fill idempotently).  Generator blocks are
-    built on first use by block(model, gid, m, src), which stores integral
-    entries as ints, and memoized;
+    built on first use by block(model, gid, m, src), an xl.Block, and
+    memoized;
     reduce(model, factors), when given, is the class of a canonical word
     that is not a basis label (the Virasoro quotient).
     """
@@ -382,13 +382,13 @@ class Model:
     def gen_block(self, gid: int, m: int, src_degree: int):
         """Exact block of generator plain mode m: degree src -> src - m.
 
-        Returns a (dim_target x dim_src) matrix; empty target gives a
-        0-row matrix.  Raises TruncationError when the target escapes the
+        Returns a (dim_target x dim_src) xl.Block; empty target gives a
+        0-row block.  Raises TruncationError when the target escapes the
         internal truncation.
         """
         tgt = src_degree - m
         if tgt < 0:
-            return xl.zeros(0, self.basis.dim(src_degree))
+            return xl.zero_block(0, self.basis.dim(src_degree))
         if tgt > self.n_internal or src_degree > self.n_internal:
             raise TruncationError(max(tgt, src_degree), self.n_internal,
                                   f"generator {gid} mode {m}")
@@ -449,14 +449,15 @@ def _current_action(metric, gid, m, st: BasisState):
 
 def _current_block(metric):
     """Block builder of the currents alpha^i with the given metric."""
+    den = math.lcm(*(x.denominator for row in metric for x in row))
 
     def block(model, gid, m, src):
         basis = model.basis
-        mat = xl.zeros(basis.dim(src - m), basis.dim(src))
+        acc = xl.zero_block(basis.dim(src - m), basis.dim(src), den)
         for col, st in enumerate(basis.states(src)):
             for tstate, coeff in _current_action(metric, gid, m, st):
-                mat[basis.index[tstate][1]][col] = canon(coeff)
-        return mat
+                acc.rows[basis.index[tstate][1]][col] = int(coeff * den)
+        return acc.reduced()
 
     return block
 
@@ -543,7 +544,7 @@ def _word_block(engine: _VermaEngine, basis: GradedBasis, coords):
             word = tuple(-mm for _, mm in st.factors)
             for i, val in enumerate(coords(engine.apply(m, word), tgt)):
                 mat[i][j] = val
-        return xl.canonical(mat)
+        return xl.to_block(mat, basis.dim(src))
 
     return block
 
@@ -582,8 +583,7 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     for deg in range(n_internal + 1):
         r, pivots = xl.rref(verma_forms.matrix(deg))
         kept_by_degree.append(pivots)
-        # int zeros and ones, which mat_vec skips or multiplies cheaply
-        coords_by_degree.append(xl.canonical(r[:len(pivots)]))
+        coords_by_degree.append(xl.to_block(r[:len(pivots)], verma.dim(deg)))
     if not kept_by_degree[2]:
         raise ModelBugError("conformal state lies in the Gram radical")
     basis = GradedBasis([[verma.states(d)[i] for i in kept_by_degree[d]]
@@ -638,17 +638,15 @@ def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
     Lepowsky and Meurman 1988), and the plain mode m is the coefficient of
     z^{-m - c*c*q/2}.  Each term of the annihilation half E^+ fixes the
     degree d of the creation half E^- that reaches that power, so a column
-    sums integer numerators over tgt! (d <= tgt) and each entry is one
-    rational, stored as an int when integral.
+    sums integer numerators over tgt! (d <= tgt), and the block is those
+    numerators over tgt!, reduced once.
     """
     q = model.spec.q
     basis = model.basis
     tgt = src_degree - m
-    mat = xl.zeros(basis.dim(tgt), basis.dim(src_degree))
-    if not mat:
-        return mat
-    want_power = -m - charge * charge * q // 2
     den = math.factorial(tgt)
+    acc = xl.zero_block(basis.dim(tgt), basis.dim(src_degree), den)
+    want_power = -m - charge * charge * q // 2
     for col, st in enumerate(basis.states(src_degree)):
         sector = st.sector + charge
         room = want_power - charge * st.sector * q
@@ -662,11 +660,9 @@ def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
                 # one generator id: canonical order is the tuples' reverse
                 key = tuple(sorted(rest + word, reverse=True))
                 nums[key] = nums.get(key, 0) + scale * num
-        for factors, num in nums.items():
-            if num:
-                row = basis.index[BasisState(sector, factors)][1]
-                mat[row][col] = canon(Q(num, den))
-    return mat
+        for factors, num in nums.items():  # reduced() drops the zeros
+            acc.rows[basis.index[BasisState(sector, factors)][1]][col] = num
+    return acc.reduced()
 
 
 def _annihilation(model: Model, charge: int, factors: tuple):
@@ -740,7 +736,10 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
     if corrupt is not None:
         gid, m, src, row, col, delta = corrupt
         block = model.gen_block(gid, m, src)
-        block[row][col] = canon(block[row][col] + rational(delta))
+        shift = xl.zeros(len(block), block.cols)
+        shift[row][col] = rational(delta)
+        model._gen_blocks[(gid, m)][src] = xl.mat_add(
+            block, xl.to_block(shift, block.cols)).reduced()
     return model
 
 

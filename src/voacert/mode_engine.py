@@ -1,12 +1,15 @@
 """Exact mode matrices and the defining-identity residuals.
 
-Every homogeneous state a of a Model gets degree-shifting block matrices
-for its modes: a_(n) in the round convention, a_n = a_(n+d-1) in the plain
-one.  Composite states are peeled by their leading canonical factor using
-the homogeneous mode-expansion formula, with j-cutoffs supplied by the
-annihilation thresholds of the truncation, so every block is exact.
-The blocks of basis states and of the conformal vector nu, whose modes
-L_n = nu_(n+1) every identity check reads, are memoized per model.
+Every homogeneous state a of a Model gets degree-shifting blocks for its
+modes (``exactlinalg.Block``: int numerators over one denominator): a_(n)
+in the round convention, a_n = a_(n+d-1) in the plain one.  Composite
+states are peeled by their leading canonical factor using the homogeneous
+mode-expansion formula, with j-cutoffs supplied by the annihilation
+thresholds of the truncation; every term adds into one block on ints,
+reduced once at the end, so every block is exact.  The blocks of basis
+states and of the conformal vector nu, whose modes L_n = nu_(n+1) every
+identity check reads, are memoized per model in that form, which
+brackets, residuals and mode application read directly.
 """
 
 from __future__ import annotations
@@ -25,14 +28,10 @@ from .scalars import ONE, ZERO, binomial
 
 
 def _state_block(model: Model, state: BasisState, k: int, s: int):
-    """Block of the plain mode k of a basis state: degree s -> s - k.
-
-    Cached blocks hold their integral entries as ints: the blocks built
-    here pass through xl.canonical, generator blocks already did.
-    """
+    """Block of the plain mode k of a basis state: degree s -> s - k."""
     tgt = s - k
     if tgt < 0:
-        return xl.zeros(0, model.basis.dim(s))
+        return xl.zero_block(0, model.basis.dim(s))
     if s > model.n_internal or tgt > model.n_internal:
         raise TruncationError(max(s, tgt), model.n_internal,
                               f"mode {k} of {state} at source degree {s}")
@@ -56,8 +55,8 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
         if state.sector == 0:
             # vacuum: plain mode k is delta_{k,0} identity
             if k == 0:
-                return xl.identity(basis.dim(s))
-            return xl.zeros(basis.dim(tgt), basis.dim(s))
+                return xl.to_block(xl.identity(basis.dim(s)), basis.dim(s))
+            return xl.zero_block(basis.dim(tgt), basis.dim(s))
         from .graded_fock import vertex_mode_block
 
         return vertex_mode_block(model, state.sector, k, s)
@@ -65,7 +64,7 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
     gid, n0 = state.factors[0]
     dg = model.generators[gid].degree
     tail = model.reduce_word(state.sector, state.factors[1:])
-    acc = xl.zeros(basis.dim(tgt), basis.dim(s))
+    acc = xl.zero_block(basis.dim(tgt), basis.dim(s))
     j1_max = s - k + n0  # beyond this the inner tail mode annihilates V_s
     j2_max = s + dg - 1  # beyond this the inner generator mode annihilates
     for j in range(0, max(j1_max, j2_max) + 1):
@@ -84,7 +83,7 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
             outer = _vec_block(model, tail, k - j + dg - 1, mid)
             sign2 = sign if (n0 + dg) % 2 == 0 else -sign
             xl.add_product(acc, outer, inner, sign2 * binom)
-    return xl.canonical(acc)
+    return acc.reduced()
 
 
 def _vec_block(model: Model, vec: StateVector, k: int, s: int):
@@ -93,12 +92,12 @@ def _vec_block(model: Model, vec: StateVector, k: int, s: int):
     A single basis state with coefficient 1 is served by _state_block.  A
     vector equal to the conformal vector nu (compared by value, so copies
     hit too) is summed once and cached under (None, k, s) in the model's
-    block cache, with its integral entries as ints.  The result may be a
-    shared cache entry in both cases, so callers must not mutate it.
+    block cache.  The result may be a shared cache entry in both cases, so
+    callers must not mutate it.
     """
     tgt = s - k
     if tgt < 0:
-        return xl.zeros(0, model.basis.dim(s))
+        return xl.zero_block(0, model.basis.dim(s))
     terms = vec.terms
     if len(terms) == 1:
         (st, co), = terms.items()
@@ -110,11 +109,11 @@ def _vec_block(model: Model, vec: StateVector, k: int, s: int):
         hit = model._state_mode_cache.get(key)
         if hit is not None:
             return hit
-    acc = xl.zeros(model.basis.dim(tgt), model.basis.dim(s))
+    acc = xl.zero_block(model.basis.dim(tgt), model.basis.dim(s))
     for st, co in terms.items():
         xl.add_scaled(acc, _state_block(model, st, k, s), co)
     if is_nu:
-        acc = model._state_mode_cache[key] = xl.canonical(acc)
+        acc = model._state_mode_cache[key] = acc.reduced()
     return acc
 
 
@@ -343,7 +342,7 @@ def _bracket_residual(model: Model, a: StateVector, p: int, b: StateVector,
     worst = ZERO
     for s in sources:
         tgt_dim, dim = model.dim(s - p - q), model.dim(s)
-        comm = xl.zeros(tgt_dim, dim)
+        comm = xl.zero_block(tgt_dim, dim)
         if s - q >= 0:
             bq = _vec_block(model, b, q, s)
             ap_after = _vec_block(model, a, p, s - q)
@@ -376,7 +375,7 @@ def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
             products.append((binom, xj))
 
     def rhs(s):
-        out = xl.zeros(model.dim(s - p - q), model.dim(s))
+        out = xl.zero_block(model.dim(s - p - q), model.dim(s))
         for binom, xj in products:
             for st, co in xj.terms.items():
                 xl.add_scaled(out, _state_block(model, st, p + q, s),

@@ -41,8 +41,7 @@ def _ortho_block(model: Model, blk, src: int, tgt: int) -> np.ndarray:
     fam = family_of(model)
     ls = fam.cholesky(src)
     lt = fam.cholesky(tgt)
-    a = xl.to_numpy(blk) if model.dim(tgt) and model.dim(src) \
-        else np.zeros((model.dim(tgt), model.dim(src)))
+    a = xl.to_numpy(blk)
     if a.size == 0:
         return a
     # solve X L_src^T = A  <=>  L_src X^T = A^T

@@ -8,9 +8,9 @@ fractions.Fraction on the word sizes that show up in Gram recursions.
 An exact scalar is an ``int`` when it is integral and a ``Q`` otherwise
 (``canon``); an int equals its Q, and integer arithmetic is far cheaper.
 Two ints must never meet in a bare ``/``, which would float them: every
-division lifts one side to ``Q`` first.  Fraction serves ``int op Fraction``
-through its slower reflected operator, so hot loops put the operand that is
-more likely rational on the left.
+division lifts one side to ``Q`` first.  Mode blocks hold int numerators
+over one denominator (``exactlinalg.Block``), so their hot loops run on
+ints alone.
 """
 
 from __future__ import annotations

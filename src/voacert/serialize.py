@@ -21,7 +21,7 @@ import os
 from .errors import ConfigError, ModelBugError, SpecError
 from .graded_fock import BasisState, Model, ModelSpec, build_model, \
     default_n_internal
-from .scalars import rat_from_str, rat_to_str
+from .scalars import Q, rat_from_str, rat_to_str
 
 SCHEMA = "voacert-model/2"
 
@@ -60,10 +60,10 @@ def _state_label(state: BasisState) -> str:
     return f"{state.sector}|{factors}"
 
 
-def _mat_to_sparse(mat, cols: int):
-    return [len(mat), cols, [[i, j, rat_to_str(x)]
-                             for i, row in enumerate(mat)
-                             for j, x in enumerate(row) if x]]
+def _mat_to_sparse(block, cols: int):
+    return [len(block), cols, [[i, j, rat_to_str(Q(x, block.den))]
+                               for i, row in enumerate(block.rows)
+                               for j, x in sorted(row.items())]]
 
 
 def model_to_dict(model: Model) -> dict:

@@ -233,11 +233,10 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int) -> Residual:
         if m == -n else ZERO
 
     def rhs(s):
-        out = _vec_block(model, bracket, m + n, s) if not bracket.is_zero() \
-            else xl.zeros(model.dim(s - m - n), model.dim(s))
+        out = _vec_block(model, bracket, m + n, s)
         if central:
-            out = xl.mat_add(out, xl.mat_scale(xl.identity(model.dim(s)),
-                                               central))
+            unit = xl.to_block(xl.identity(model.dim(s)), model.dim(s))
+            out = xl.mat_add(out, xl.mat_scale(unit, central))
         return out
 
     worst, _ = _bracket_residual(model, a, m, b, n, rhs,

@@ -217,12 +217,11 @@ def test_criterion_5_mechanisms(capsys, heis12):
 # -- 6: mutation sensitivity -------------------------------------------------
 
 
-def _mutation_detected(bad):
-    a = current(bad)
+def _mutation_detected(bad, a, b):
     for p in range(-3, 4):
         for q in range(-3, 4):
             try:
-                if not commutator_residual(bad, a, p, a, q).is_zero:
+                if not commutator_residual(bad, a, p, b, q).is_zero:
                     return True
             except TruncationError:
                 continue
@@ -236,18 +235,27 @@ def _mutation_detected(bad):
     return bool(failures)
 
 
-def test_criterion_6_mutation_sensitivity(capsys, tmp_path):
-    clean = build_model(heisenberg_spec(1, 3))
+def _missed_mutations(spec, gid, a, b, max_src):
+    """(m, src, row, col) of every single-entry corruption of a block of
+    generator gid from source degree <= max_src that the commutators of
+    a and b, the translations of a and sampled Borcherds tuples all miss."""
+    clean = build_model(spec)
     missed = []
-    for src in range(4):
-        for tgt in range(4):
+    for src in range(max_src + 1):
+        for tgt in range(spec.N + 1):
             m = src - tgt
             for row in range(clean.dim(tgt)):
                 for col in range(clean.dim(src)):
-                    bad = build_model(heisenberg_spec(1, 3),
-                                      corrupt=(0, m, src, row, col, 1))
-                    if not _mutation_detected(bad):
+                    bad = build_model(spec, corrupt=(gid, m, src, row, col,
+                                                     1))
+                    if not _mutation_detected(bad, a, b):
                         missed.append((m, src, row, col))
+    return missed
+
+
+def test_criterion_6_mutation_sensitivity(capsys, tmp_path):
+    cur = BasisState(0, ((0, -1),))
+    missed = _missed_mutations(heisenberg_spec(1, 3), 0, cur, cur, 3)
     ok = not missed
 
     config = tmp_path / "suite.cfg"
@@ -266,6 +274,14 @@ def test_criterion_6_mutation_sensitivity(capsys, tmp_path):
     report(capsys, 6, "every single structure-constant perturbation is "
                       "detected and fails the suite (exit 1)"
                       + (f"; missed {missed}" if missed else ""), ok)
+
+
+def test_vertex_block_mutations_are_detected():
+    """Every single-entry corruption of an e+ block of lattice(2, 4) from
+    source degree <= 3, written through the block form, breaks a
+    commutator of e+ with the current."""
+    ep, cur = BasisState(1, ()), BasisState(0, ((0, -1),))
+    assert _missed_mutations(lattice_spec(2, 4), 1, ep, cur, 3) == []
 
 
 # -- 7: determinism ----------------------------------------------------------

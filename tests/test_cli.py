@@ -165,7 +165,7 @@ def test_selector_outside_the_basis_is_a_config_error(heis8, selector):
      "--state", "x*top:1"],
     # windows beyond the truncation, as in the suite test below
     ["--kind", "heisenberg", "--N", "4", "--check", "orbifold",
-     "--degree", "3"],
+     "--state", "basis:3:0"],
     ["--kind", "lattice", "--q", "4", "--N", "6", "--check",
      "zero_mode_product", "--state", "top:1", "--with", "basis:1:0",
      "--n-max", "6"],
@@ -521,16 +521,27 @@ ORBIFOLD = ["certify", "--kind", "heisenberg", "--N", "6", "--check",
             "orbifold", "--n-max", "4"]
 
 
-# --degree is argparse's abbreviation of --degree-cap, which orbifold does
-# not read; each of these passed or found a "violation" while the degree
-# was a setting of its own
+# orbifold does not read --degree-cap; each of these passed or found a
+# "violation" while the degree was a setting of its own
 @pytest.mark.parametrize("extra", [
-    ["--state", "basis:1:0", "--degree", "-1"],
-    ["--state", "basis:1:0", "--degree", "0"],
-    ["--state", "nu", "--degree", "1"]])
+    ["--state", "basis:1:0", "--degree-cap", "-1"],
+    ["--state", "basis:1:0", "--degree-cap", "0"],
+    ["--state", "nu", "--degree-cap", "1"]])
 def test_certify_orbifold_takes_no_degree(capsys, extra):
     assert main(ORBIFOLD + extra) == EXIT_CONFIG
     assert "does not apply to type 'orbifold'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ORBIFOLD + ["--state", "basis:1:0", "--degree", "1"],
+    ["certify", "--kind", "heisenberg", "--N", "6", "--check", "axioms",
+     "--degree", "3"]])
+def test_flag_prefixes_are_rejected(capsys, argv):
+    """--degree is no abbreviation of --degree-cap."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --degree" in capsys.readouterr().err
 
 
 def test_suite_orbifold_takes_no_degree(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -119,19 +121,6 @@ def mul_operands(draw):
     return draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
 
 
-@given(add_operands(), st.one_of(st.just(ZERO), st.just(ONE), small_q,
-                                 st.integers(-3, 3)))
-@example(([[], []], [[], []]), Q(3))  # 2x0
-@example(([], []), Q(3))  # 0x0
-def test_add_scaled_matches_dense_reference(operands, s):
-    acc, b = operands
-    want = dense_add_scaled(acc, b, s)
-    b_before = [list(row) for row in b]
-    xl.add_scaled(acc, b, s)
-    assert acc == want
-    assert b == b_before
-
-
 @given(mul_operands())
 @example(([[], []], []))  # 2x0 times 0x0
 @example(([[Q(1)], [Q(2)]], [[]]))  # 2x1 times 1x0
@@ -144,32 +133,6 @@ def test_mat_mul_matches_dense_reference(operands):
     assert xl.shape(out) == (len(a), len(b[0]) if b else 0)
     assert a == a_before and b == b_before
 
-
-
-@st.composite
-def product_operands(draw):
-    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
-    if n == 0:
-        k = 0  # a 0-row matrix cannot carry its column count
-    return (draw(sparse_matrix(n, m)), draw(sparse_matrix(n, k)),
-            draw(sparse_matrix(k, m)))
-
-
-@given(product_operands(),
-       st.one_of(st.just(0), st.just(1), small_q, st.integers(-3, 3)))
-@example(([[], []], [[], []], []), Q(3))  # 2x0 acc, 2x0 times 0x0
-@example(([], [], []), Q(3))  # 0x0
-@example(([[], []], [[Q(1)], [2]], [[]]), Q(3))  # 2x1 times 1x0
-@example(([[1, Q(1, 2)]], [[2]], [[3, Q(4)]]), 0)  # s = 0
-@example(([[1, 2]], [[]], []), 5)  # 1x0 times 0x2 adds nothing
-def test_add_product_matches_dense_reference(operands, s):
-    acc, a, b = operands
-    want = dense_add_product(acc, a, b, s)
-    a_before, b_before = [list(r) for r in a], [list(r) for r in b]
-    xl.add_product(acc, a, b, s)
-    assert acc == want
-    exact_entries(acc)
-    assert a == a_before and b == b_before
 
 
 @given(add_operands(), st.one_of(st.just(0), st.just(ZERO), small_q,
@@ -226,6 +189,138 @@ def test_mat_vec_matches_dense_reference(operands):
     got = xl.mat_vec(a, v)
     assert got == want
     exact_entries(got)
+
+
+# -- sparse blocks against the dense references ------------------------------
+
+
+def assert_reduced(b):
+    """b's form is in lowest terms: nonzero int numerators over an int
+    den > 0 that shares no factor with all of them."""
+    nums = [x for row in b.rows for x in row.values()]
+    assert all(type(x) is int and x for x in nums)
+    assert type(b.den) is int and b.den > 0 and math.gcd(b.den, *nums) == 1
+
+
+def canonical_entries(a):
+    """Every dense entry is an int when integral and a Q otherwise."""
+    assert all(type(x) is int or x.denominator != 1
+               for x in exact_entries(a))
+
+
+def block_of(a, cols):
+    """xl.to_block(a, cols), checked to be reduced and to round-trip to a
+    canonical dense view that is built once."""
+    b = xl.to_block(a, cols)
+    assert_reduced(b)
+    assert b.dense() == a and b.dense() is b.dense()
+    assert xl.shape(b.dense()) == (len(a), cols if a else 0)
+    canonical_entries(b.dense())
+    return b
+
+
+def assert_block_equals(got, want, cols):
+    """A block result against its dense reference: values, shape, reduced
+    form, canonical entries and bit-identical floats."""
+    assert got == want and got.cols == cols
+    reduced = got.reduced()
+    assert_reduced(reduced)
+    assert reduced == want
+    assert reduced.den == math.lcm(*(Q(x).denominator for row in want
+                                     for x in row))
+    canonical_entries(got.dense())
+    assert xl.to_numpy(got).shape == (len(want), cols)
+    assert xl.to_numpy(got).tolist() == [[float(x) for x in row]
+                                         for row in want]
+
+
+@st.composite
+def block_operands(draw):
+    """Shapes n, k, m in [0, 5] with n x m matrices acc and other, an
+    n x k matrix a and a k x m matrix b."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    return (n, k, m, draw(sparse_matrix(n, m)), draw(sparse_matrix(n, k)),
+            draw(sparse_matrix(k, m)), draw(sparse_matrix(n, m)))
+
+
+block_scalars = st.one_of(st.just(0), st.just(ZERO), st.just(ONE), small_q,
+                          st.integers(-3, 3))
+DENOMINATOR_GROWS = (  # 1/2, then 1/3 and 1/6 raise the running lcm
+    1, 1, 2, [[Q(1, 2), 0]], [[Q(1, 3)]], [[Q(1, 2), 3]], [[Q(1, 2), 0]])
+REDUCES_TO_INTS = (  # 1/2 + 1/2 and 3 * 1/3: the sums are integral
+    1, 1, 2, [[Q(1, 2), 0]], [[3]], [[Q(1, 3), 0]], [[Q(1, 2), 0]])
+
+
+@given(block_operands(), block_scalars)
+@example((2, 0, 0, [[], []], [[], []], [], [[], []]), Q(3))  # 2x0
+@example((0, 0, 3, [], [], [], []), Q(3))  # 0x3
+@example(DENOMINATOR_GROWS, Q(1, 6))
+@example(REDUCES_TO_INTS, 1)
+def test_add_scaled_matches_dense_reference(operands, s):
+    _, _, m, acc, _, _, other = operands
+    got, term = block_of(acc, m), block_of(other, m)
+    xl.add_scaled(got, term, s)
+    assert_block_equals(got, dense_add_scaled(acc, other, s), m)
+    assert term == other
+
+
+@given(block_operands(), block_scalars)
+@example((2, 0, 0, [[], []], [[], []], [], [[], []]), Q(3))  # 2x0 times 0x0
+@example((0, 0, 0, [], [], [], []), Q(3))  # 0x0
+@example((2, 1, 0, [[], []], [[Q(1)], [2]], [[]], [[], []]), Q(3))  # 1x0
+@example((1, 1, 2, [[1, Q(1, 2)]], [[2]], [[3, Q(4)]], [[0, 0]]), 0)
+@example((1, 0, 2, [[1, 2]], [[]], [], [[0, 0]]), 5)  # 1x0 times 0x2
+@example(DENOMINATOR_GROWS, Q(2, 3))
+@example(REDUCES_TO_INTS, 1)
+def test_add_product_matches_dense_reference(operands, s):
+    n, k, m, acc, a, b, _ = operands
+    got, outer, inner = block_of(acc, m), block_of(a, k), block_of(b, m)
+    xl.add_product(got, outer, inner, s)
+    assert_block_equals(got, dense_add_product(acc, a, b, s), m)
+    assert outer == a and inner == b
+
+
+@given(block_operands(), block_scalars)
+@example((2, 0, 3, [[0] * 3] * 2, [[], []], [], [[0] * 3] * 2), Q(1, 2))
+@example((0, 2, 2, [], [], [[1, 2], [3, 4]], []), 2)  # 0x2 times 2x2
+@example(DENOMINATOR_GROWS, Q(2, 3))
+@example(REDUCES_TO_INTS, 2)
+def test_block_kernels_match_dense_references(operands, s):
+    n, k, m, acc, a, b, other = operands
+    x, y = block_of(acc, m), block_of(other, m)
+    cases = [
+        (xl.compose(block_of(a, k), block_of(b, m), n, m),
+         dense_add_product(xl.zeros(n, m), a, b, 1)),
+        (xl.mat_add(x, y), dense_add_scaled(acc, other, 1)),
+        (xl.mat_sub(x, y), dense_add_scaled(acc, other, -1)),
+        (xl.mat_scale(x, s), [[s * v for v in row] for row in acc])]
+    for got, want in cases:
+        assert_block_equals(got, want, m)
+        top = xl.max_abs(got)
+        assert top == max((abs(v) for row in want for v in row), default=ZERO)
+        canonical_entries([top] if top else [])
+        assert xl.is_zero(got) == all(not v for row in want for v in row)
+    vec = other[0] if other else [ZERO] * m
+    got = xl.mat_vec(x, vec)
+    assert got == [sum((p * q for p, q in zip(row, vec)), ZERO)
+                   for row in acc]
+    canonical_entries(got)
+    assert x == acc and y == other
+
+
+@given(st.lists(st.tuples(sparse_matrix(2, 3), block_scalars), max_size=6))
+@example([([[Q(1, 2), 0, 0], [0, 0, 0]], 1),  # den 1 -> 2 -> 6 -> 30 -> 1
+          ([[0, 0, 0], [0, Q(1, 3), 0]], 3),
+          ([[0, 4, 0], [0, 0, 0]], Q(1, 5)),
+          ([[Q(1, 2), Q(-4, 5), 0], [0, 0, 0]], 1)])
+def test_block_sum_grows_its_denominator_and_reduces_once(terms):
+    got, want = xl.zero_block(2, 3), xl.zeros(2, 3)
+    for mat, s in terms:
+        xl.add_scaled(got, block_of(mat, 3), s)
+        want = dense_add_scaled(want, mat, s)
+        assert got.den % math.lcm(*(Q(x).denominator for row in want
+                                    for x in row)) == 0
+    assert_block_equals(got, want, 3)
 
 
 # -- exact division on int input ---------------------------------------------

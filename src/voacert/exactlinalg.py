@@ -1,18 +1,19 @@
-"""Exact linear algebra: sparse mode blocks and dense row lists.
+"""Exact linear algebra: sparse blocks over one denominator, dense row lists.
 
-A mode block is a ``Block``: per row, a dict from the column of each
-nonzero entry to its int numerator, over one denominator (FLINT's
-``fmpq_mat`` layout).  ``add_scaled`` and ``add_product`` add into a block
-on ints, raising its denominator to the lcm as terms arrive, and
+A mode block or a Gram matrix is a ``Block``: per row, a dict from the
+column of each nonzero entry to its int numerator, over one denominator
+(FLINT's ``fmpq_mat`` layout).  ``add_scaled`` and ``add_product`` add into
+a block on ints, raising its denominator to the lcm as terms arrive, and
 ``Block.reduced`` brings a sum to lowest terms once.  Read as a sequence,
 a block is its dense view, built on first read and memoized.
 
-Gram matrices, inverses and eliminations are dense lists of int/Q rows: an
-int operand goes on the right of each product and sum, so none takes Q's
-slower reflected operator, no kernel divides two ints with a bare ``/``,
-and none does arithmetic on a zero.  ``rref`` (behind ``kernel_basis`` and
-``inverse``) scales its input to ints once and runs fraction-free Bareiss
-updates; ``ldl`` works in ``Q``.  A float entry raises TypeError.
+Dense products, inverses, eliminations and LDL^T factors are lists of
+int/Q rows: an int operand goes on the right of each product and sum, so
+none takes Q's slower reflected operator, no kernel divides two ints with
+a bare ``/``, and none does arithmetic on a zero.  ``rref`` (behind
+``kernel_basis`` and ``inverse``) reads a block's int numerators, making a
+dense input a block first (a nonzero float entry raises TypeError), and
+runs fraction-free Bareiss updates; ``ldl`` works in ``Q``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ class Block:
 
     def __getitem__(self, i):
         return self.dense()[i]
+
+    def __iter__(self):
+        return iter(self.dense())
 
     def __eq__(self, o):
         return self.dense() == (o.dense() if type(o) is Block else o)
@@ -74,8 +78,18 @@ def zero_block(rows: int, cols: int, den: int = 1) -> Block:
 
 def to_block(a, cols: int) -> Block:
     """The block of a dense matrix with cols columns, in lowest terms."""
-    rs, den = _integer_rows(a)
-    return Block([{j: x for j, x in enumerate(r) if x} for r in rs], cols, den)
+    return sparse_block([{j: x for j, x in enumerate(r) if x} for r in a],
+                        cols)
+
+
+def sparse_block(rows, cols: int) -> Block:
+    """The block of rows given as {column: nonzero exact rational} dicts,
+    over the lcm of their denominators (so in lowest terms)."""
+    pairs = [[(j, *_ratio(x)) for j, x in row.items()] if row else ()
+             for row in rows]
+    den = math.lcm(*(d for row in pairs for _, _, d in row))
+    return Block([{j: n * (den // d) for j, n, d in row} if row else {}
+                  for row in pairs], cols, den)
 
 
 def zeros(rows: int, cols: int):
@@ -90,6 +104,8 @@ def identity(n: int):
 
 
 def shape(a):
+    if type(a) is Block:
+        return len(a.rows), a.cols
     return len(a), len(a[0]) if a else 0
 
 
@@ -203,6 +219,12 @@ def mat_vec(a, v):
 
 
 def transpose(a):
+    if type(a) is Block:
+        out = zero_block(a.cols, len(a.rows), a.den)
+        for i, row in enumerate(a.rows):
+            for j, x in row.items():
+                out.rows[j][i] = x
+        return out
     return [list(col) for col in zip(*a)] if a else []
 
 
@@ -248,25 +270,25 @@ def _ratio(x):
         raise TypeError(f"not an exact rational: {x!r}") from None
 
 
-def _integer_rows(a):
-    """(a times the lcm of its denominators as a new matrix of ints, lcm)."""
-    pairs = [[_ratio(x) for x in row] for row in a]
-    scale = math.lcm(*(den for row in pairs for _, den in row))
-    return [[num * (scale // den) for num, den in row] for row in pairs], scale
-
-
 def rref(a):
     """Reduced row echelon form.
 
     Returns (r, pivot_cols) where r is the echelon matrix (a new matrix of
-    ``Q`` entries).  The elimination is fraction-free: the input is scaled
-    to ints once, then column-order Gauss-Jordan runs on ints with Bareiss
-    updates (p*x - f*y) // prev, each an exact division (Bareiss, Math.
-    Comp. 22, 1968).  Every pivot row is divided by its pivot at the end;
-    the reduced form is unique, so the result is the rational one.
+    ``Q`` entries).  The elimination is fraction-free: it reads the int
+    numerators of a block (a dense input is made one first), since scaling
+    leaves the reduced form alone, then column-order Gauss-Jordan runs on
+    ints with Bareiss updates (p*x - f*y) // prev, each an exact division
+    (Bareiss, Math. Comp. 22, 1968).  Every pivot row is divided by its
+    pivot at the end; the reduced form is unique, so the result is the
+    rational one.
     """
-    r, _ = _integer_rows(a)
-    n, m = shape(r)
+    if type(a) is not Block:
+        a = to_block(a, shape(a)[1])
+    n, m = shape(a)
+    r = zeros(n, m)
+    for out, row in zip(r, a.rows):
+        for j, x in row.items():
+            out[j] = x
     pivots = []
     lead = 0
     prev = 1
@@ -318,7 +340,10 @@ def kernel_basis(a):
 def inverse(a):
     n, m = shape(a)
     assert n == m
-    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
+    if type(a) is not Block:
+        a = to_block(a, n)
+    aug = Block([{**row, n + i: a.den} for i, row in enumerate(a.rows)],
+                2 * n, a.den)  # [a | 1]
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix in exact inverse")

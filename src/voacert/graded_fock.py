@@ -160,9 +160,10 @@ def _acc(d, key, val):
     if not val:
         return
     cur = d.get(key)
-    cur = val if cur is None else cur + val
-    if cur:
-        d[key] = canon(cur)
+    if cur is not None:  # Q on the left: int + Q is Q's reflected add
+        val = val + cur if type(cur) is int else cur + val
+    if val:
+        d[key] = canon(val)
     else:
         d.pop(key, None)
 
@@ -563,8 +564,8 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
 
     def verma_coords(vec: dict, degree: int):
         full, pos = [0] * verma.dim(degree), index_by_degree[degree]
-        for w, co in vec.items():
-            full[pos[w]] += co
+        for w, co in vec.items():  # distinct words: one entry each
+            full[pos[w]] = co
         return full
 
     # The Verma Gram G is the invariant-form family's, on a throwaway model

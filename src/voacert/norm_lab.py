@@ -174,8 +174,9 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
         if xl.is_zero(blk):
             continue
         fam.exact_cholesky(s)  # G_s positive definite: the search ends
-        comp = xl.mat_mul(xl.transpose(blk),
-                          xl.mat_mul(fam.matrix(tgt), blk))
+        dim = model.dim(s)
+        comp = xl.compose(xl.transpose(blk), xl.compose(
+            fam.matrix(tgt), blk, model.dim(tgt), dim), dim, dim)
         try:  # a float failure only loses the seed
             guess = _sigma(model, avec, m, s) ** 2
         except (ModelBugError, np.linalg.LinAlgError, OverflowError):

@@ -3,9 +3,12 @@
 The normalized invariant form is built degree by degree with exact
 rationals by peeling creation modes against the star data of the
 generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
-unit-normalized sector tops, two matrix products per leading factor.
-Everything downstream (Cholesky coordinates, operator norms, trace bounds,
-Gram adjoints) and the Virasoro builder's Verma Gram read these matrices.
+unit-normalized sector tops, two block products per leading factor on int
+numerators.  Each Gram matrix is one xl.Block in lowest terms: the
+symmetry check, ``pairing``, the float Cholesky factor and the
+eliminations (``inverse``, ``radical``, the Virasoro builder's quotient)
+read its form; LDL^T, single entries and the products of the Gram adjoint
+read its memoized dense view.
 """
 
 from __future__ import annotations
@@ -54,14 +57,16 @@ class GramFamily:
 
     # -- matrices ---------------------------------------------------------
 
-    def matrix(self, degree: int):
+    def matrix(self, degree: int) -> xl.Block:
         """Exact Gram matrix, built from lower degrees per leading factor.
 
         A basis state u = g_{n0} tail has the row (tail | (g*)_{-n0} .),
         so the rows of all states led by g_{n0} are tails * G_{degree+n0}
         * B, with tails the coordinate rows of their tails and B the block
-        of (g*)_{-n0} on V_degree: two products per leading factor.  A
-        sector top has a unit row.
+        of (g*)_{-n0} on V_degree.  Both products run on int numerators
+        and add into one block; a sector top has a unit row.  The result
+        is one read-only xl.Block in lowest terms; dense readers share its
+        memoized dense view.
         """
         if degree > self.model.N:
             raise TruncationError(degree, self.model.N, "Gram degree")
@@ -70,21 +75,29 @@ class GramFamily:
             return hit
         model = self.model
         states = model.basis.states(degree)
-        g = xl.identity(len(states))
-        led = {}  # leading factor -> (position, tail) of each state it leads
+        dim, index = len(states), model.basis.index
+        led, tops = {}, []  # leading factor -> {position: tail coordinates}
         for pos, u in enumerate(states):
             if u.factors:
-                led.setdefault(u.factors[0], []).append(
-                    (pos, model.reduce_word(u.sector, u.factors[1:])))
-        for (gid, n0), rows in led.items():
-            tails = [model.coords_by_degree(tail)[degree + n0]
-                     for _, tail in rows]
-            block = model.gen_block(model.generators[gid].star, -n0, degree)
-            prod = xl.mat_mul(xl.mat_mul(tails, self.matrix(degree + n0)),
-                              block)
-            for (pos, _), row in zip(rows, prod):
-                g[pos] = row
-        if xl.transpose(g) != g:
+                tail = model.reduce_word(u.sector, u.factors[1:])
+                led.setdefault(u.factors[0], {})[pos] = {
+                    index[st][1]: co for st, co in tail.terms.items()}
+            else:
+                tops.append(pos)
+        acc = xl.zero_block(dim, dim)
+        for (gid, n0), tails in led.items():
+            up, width = degree + n0, model.dim(degree + n0)
+            rows = xl.sparse_block([tails.get(pos, {}) for pos in range(dim)],
+                                   width)
+            tg = xl.compose(rows, self.matrix(up), dim, width)
+            star_block = model.gen_block(model.generators[gid].star, -n0,
+                                         degree)
+            xl.add_product(acc, tg, star_block)
+        for pos in tops:
+            acc.rows[pos] = {pos: acc.den}
+        g = acc.reduced()
+        if any(g.rows[j].get(i) != x
+               for i, row in enumerate(g.rows) for j, x in row.items()):
             raise ModelBugError(
                 f"invariant form not symmetric at degree {degree}; "
                 "star data is inconsistent")

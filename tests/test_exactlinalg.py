@@ -500,6 +500,43 @@ def test_fraction_free_elimination_matches_gauss_jordan(a):
     assert a == before
 
 
+@st.composite
+def block_forms(draw):
+    """An n x m block (n, m in [0, 5]) straight from a form: int numerators
+    over a den in [1, 6], often with empty rows, not always in lowest
+    terms."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    nums = st.integers(-9, 9).filter(bool)
+    rows = [draw(st.dictionaries(st.sampled_from(range(m)), nums))
+            if m and draw(st.booleans()) else {} for _ in range(n)]
+    return xl.Block(rows, m, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300)
+@given(block_forms())
+@example(xl.Block([], 4))  # 0 x n
+@example(xl.Block([{}, {}, {}], 0))  # n x 0
+@example(xl.Block([{0: 2, 1: 4}, {}, {0: 3, 1: 6}], 2, 6))  # rank 1
+@example(xl.Block([{1: 3}, {0: 3}], 2, 3))  # needs a row swap
+def test_rref_reads_a_block_form(b):
+    before = [dict(row) for row in b.rows], b.den
+    r, pivots = xl.rref(b)
+    assert (r, pivots) == xl.rref(b.dense())
+    exact_entries(r)
+    n, m = xl.shape(b)
+    if n:
+        assert xl.kernel_basis(b) == xl.kernel_basis(b.dense())
+    if n == m:
+        try:
+            want = xl.inverse(b.dense())
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                xl.inverse(b)
+        else:
+            assert xl.inverse(b) == want
+    assert ([dict(row) for row in b.rows], b.den) == before
+
+
 @pytest.mark.parametrize("fn", [xl.rref, xl.kernel_basis, xl.inverse])
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1.0)])
 def test_elimination_rejects_inexact_entries(fn, bad):

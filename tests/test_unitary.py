@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from voacert import exactlinalg as xl
 from voacert.errors import ModelBugError, SpecError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
-                                 heisenberg_spec, virasoro_spec)
+                                 heisenberg_spec, lattice_spec,
+                                 virasoro_spec)
 from voacert.scalars import Q
 from voacert.unitary_structure import (GramFamily, adjoint_residual,
                                        family_of, gram_family,
@@ -119,6 +122,73 @@ def test_inconsistent_star_data_is_caught():
     model = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
     with pytest.raises(ModelBugError):
         gram_family(model).matrix(2)
+
+
+def dense_gram_reference(model, degree, lower):
+    """G_degree on dense views, unchecked: a unit row for each sector top
+    and tails * G_up * B for a state g_{n0} tail, with lower[d] = G_d."""
+    states = model.basis.states(degree)
+    g = xl.identity(len(states))
+    for pos, u in enumerate(states):
+        if u.factors:
+            gid, n0 = u.factors[0]
+            up = degree + n0
+            tail = model.reduce_word(u.sector, u.factors[1:])
+            tails = [model.coords_by_degree(tail).get(up, [0] * model.dim(up))]
+            block = model.gen_block(model.generators[gid].star, -n0, degree)
+            g[pos] = xl.mat_mul(xl.mat_mul(tails, lower[up]),
+                                block.dense())[0]
+    return g
+
+
+GRAM_FORM_CASES = [
+    (heisenberg_spec(2, 6, [[2, 1], [1, 2]]), None),
+    (lattice_spec(2, 8), None), (lattice_spec(4, 8), None),
+    (virasoro_spec("1/2", 10), 1), (virasoro_spec(1, 10), 1),
+    (virasoro_spec("-22/5", 10), 1)]
+
+
+@pytest.mark.parametrize("spec,pad", GRAM_FORM_CASES,
+                         ids=[s.describe() for s, _ in GRAM_FORM_CASES])
+def test_gram_block_matches_dense_reference(spec, pad):
+    model = build_model(spec, pad=pad)
+    fam = GramFamily(model)
+    ref = {}
+    for d in range(model.N + 1):
+        ref[d] = dense_gram_reference(model, d, ref)
+        g = fam.matrix(d)
+        assert type(g) is xl.Block and g.cols == len(g) == model.dim(d)
+        assert g == ref[d]
+        nums = [x for row in g.rows for x in row.values()]
+        assert all(type(x) is int and x for x in nums)
+        assert math.gcd(g.den, *nums) == 1
+
+
+def test_gram_family_never_multiplies_dense(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("dense mat_mul in a Gram build")
+
+    monkeypatch.setattr(xl, "mat_mul", refuse)
+    for spec, pad in ((lattice_spec(2, 8), None),
+                      (heisenberg_spec(1, 8), None),
+                      (virasoro_spec("1/2", 10), 1)):
+        model = build_model(spec, pad=pad)
+        fam = GramFamily(model)
+        for d in range(model.N + 1):
+            fam.matrix(d)
+
+
+def test_asymmetric_entry_with_absent_mirror_is_caught():
+    # a_1 a_{-2} Om = a_{-1} Om after the shift: row a_{-1}^2 Om of G_2
+    # gains a (1, 0) entry while the (0, 1) entry stays zero, so the form
+    # holds no mirror entry at all
+    model = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
+    ref = {0: [[1]], 1: [[1]]}
+    g2 = dense_gram_reference(model, 2, ref)
+    assert g2[1][0] and not g2[0][1]
+    fam = GramFamily(model)
+    with pytest.raises(ModelBugError, match="not symmetric at degree 2"):
+        fam.matrix(2)
 
 
 FORM_DIGEST_CASES = [

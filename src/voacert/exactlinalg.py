@@ -13,7 +13,8 @@ none takes Q's slower reflected operator, no kernel divides two ints with
 a bare ``/``, and none does arithmetic on a zero.  ``rref`` (behind
 ``kernel_basis`` and ``inverse``) reads a block's int numerators, making a
 dense input a block first (a nonzero float entry raises TypeError), and
-runs fraction-free Bareiss updates; ``ldl`` works in ``Q``.
+runs fraction-free Bareiss updates; ``positive_definite`` eliminates a
+block's int numerators too, and ``ldl`` works in ``Q``.
 """
 
 from __future__ import annotations
@@ -374,6 +375,34 @@ def ldl(a):
             for j in range(k, n):
                 g[i][j] -= f * g[k][j]
     return low, diag
+
+
+def positive_definite(a) -> bool:
+    """Whether a symmetric matrix is positive definite, on ints.
+
+    Symmetric elimination on the block's numerators (a dense input is made
+    a block first): row i becomes piv * row_i - f * row_k, then is divided
+    by its content gcd.  Both are positive row scalings, which keep the
+    sign of every later pivot, so each pivot has the sign of its LDL^T
+    pivot.  The working matrix stays a positive row scaling of a
+    symmetric one, so the rows below k with a column-k entry are row k's
+    columns past k, and a diagonal input is never updated.
+    """
+    if type(a) is not Block:
+        a = to_block(a, shape(a)[1])
+    rows = list(a.rows)  # each updated row is a new dict
+    for k, pk in enumerate(rows):
+        piv = pk.get(k, 0)
+        if piv <= 0:
+            return False
+        for i in [j for j in pk if j > k]:
+            f = rows[i].get(k, 0)
+            ri = {j: piv * x for j, x in rows[i].items()}
+            for j, y in pk.items():  # clears column k
+                ri[j] = ri.get(j, 0) - f * y
+            g = math.gcd(*ri.values()) or 1
+            rows[i] = {j: x // g for j, x in ri.items() if x}
+    return True
 
 
 def trace(a):

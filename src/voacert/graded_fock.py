@@ -4,7 +4,9 @@ Three families are supported: rank-r Heisenberg Fock spaces, Virasoro
 vacuum modules (Verma quotients by the radical of the Verma Gram, which
 the invariant-form family computes), and rank-1 even lattice models with
 trivial cocycle.  A built Model builds each exact generator mode block on
-first use, memoizes it, and is otherwise immutable.
+first use, memoizes it, and is otherwise immutable.  Virasoro blocks come
+from the action of L_p on Verma words, kept on int numerators over the
+denominator of c/2.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class ModelSpec:
                                 f"{self.rank}, the rank")
             if xl.transpose(m) != m:
                 raise SpecError("Heisenberg metric must be symmetric")
-            if xl.ldl(m) is None:
+            if not xl.positive_definite(m):
                 raise SpecError("Heisenberg metric must be positive definite")
         elif self.kind == "virasoro":
             if self.c is None:
@@ -154,8 +156,7 @@ class GradedBasis:
 def _acc(d, key, val):
     """d[key] += val, dropping zero entries and storing integral ones as int.
 
-    The one accumulator of exact coefficients: StateVector terms and Verma
-    words go through it.
+    The accumulator of StateVector terms (Verma words keep int numerators).
     """
     if not val:
         return
@@ -486,41 +487,48 @@ def _build_heisenberg(spec: ModelSpec) -> Model:
 
 
 class _VermaEngine:
-    """Exact action of Virasoro modes on vacuum-Verma words (parts >= 2)."""
+    """Exact action of Virasoro modes on vacuum-Verma words (parts >= 2),
+    as int numerators over den, the denominator of c/2 in lowest terms.
+
+    One annihilation mode L_p moves right through a word: it passes each
+    letter with an integer factor or contracts once with the central term
+    c/12*(p^3 - p) = (c/2)*(p^3 - p)/6, in Z*(c/2); creation modes never
+    contract.  So every coefficient lies in Z + Z*(c/2)."""
 
     def __init__(self, c, nmax: int):
-        self.c = c
+        half = Q(c) / 2
+        self.den, self._half = int(half.denominator), int(half.numerator)
         self.nmax = nmax
         self._cache = {}
 
     def apply(self, p: int, word: tuple):
         """L_p acting on the word L_{-k1} L_{-k2} ... Omega (k ascending).
 
-        Returns dict word -> coefficient; words of degree > nmax dropped.
+        Returns dict word -> numerator; words of degree > nmax dropped.
         """
         if sum(word) - p > self.nmax:
             return {}
         key = (p, word)
         if key in self._cache:
             return self._cache[key]
-        if not word:
-            out = {(-p,): ONE} if p <= -2 else {}
-        elif p <= -2 and -p <= word[0]:
-            out = {(-p,) + word: ONE}
+        den = self.den
+        if p <= -2 and (not word or -p <= word[0]):
+            out = {(-p,) + word: den}
+        elif not word:
+            out = {}
         else:
             k1, rest = word[0], word[1:]
             out = {}
             for w, co in self.apply(p, rest).items():
+                # a creation mode's coefficients are multiples of den
                 for w2, co2 in self.apply(-k1, w).items():
-                    _acc(out, w2, co * co2)
-            fac = Q(p + k1)
-            if fac:
+                    out[w2] = out.get(w2, 0) + co * co2 // den
+            if p + k1:
                 for w, co in self.apply(p - k1, rest).items():
-                    _acc(out, w, fac * co)
+                    out[w] = out.get(w, 0) + (p + k1) * co
             if p == k1:
-                central = self.c / 12 * Q(p ** 3 - p)
-                if central:
-                    _acc(out, rest, central)
+                out[rest] = out.get(rest, 0) + self._half * (p ** 3 - p) // 6
+            out = {w: co for w, co in out.items() if co}
         self._cache[key] = out
         return out
 
@@ -534,18 +542,20 @@ def default_n_internal(spec: ModelSpec) -> int:
     return spec.N + spec.N // 2 if spec.kind == "virasoro" else spec.N
 
 
-def _word_block(engine: _VermaEngine, basis: GradedBasis, coords):
+def _word_block(engine: _VermaEngine, basis: GradedBasis, columns):
     """Block builder of the Virasoro modes on a basis of Verma words;
-    coords(vec, degree) are the basis coordinates of a Verma vector."""
+    columns[d] = (word -> {row: int}, den), degree-d words' coordinates."""
 
     def block(model, gid, m, src):
         tgt = src - m
-        mat = xl.zeros(basis.dim(tgt), basis.dim(src))
+        cols, den = columns[tgt]
+        rows = [{} for _ in range(basis.dim(tgt))]
         for j, st in enumerate(basis.states(src)):
-            word = tuple(-mm for _, mm in st.factors)
-            for i, val in enumerate(coords(engine.apply(m, word), tgt)):
-                mat[i][j] = val
-        return xl.to_block(mat, basis.dim(src))
+            word = tuple(-k for _, k in st.factors)
+            for w, x in engine.apply(m, word).items():
+                for i, y in cols[w].items():
+                    rows[i][j] = rows[i].get(j, 0) + x * y
+        return xl.Block(rows, basis.dim(src), den * engine.den).reduced()
 
     return block
 
@@ -557,53 +567,44 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     c = rational(spec.c)
     engine = _VermaEngine(c, n_internal)
     verma = _enumerate_internal(spec, n_internal)
-    index_by_degree = [  # Verma word -> position in its degree
-        {tuple(-m for _, m in st.factors): i
-         for i, st in enumerate(verma.states(d))}
-        for d in range(n_internal + 1)]
-
-    def verma_coords(vec: dict, degree: int):
-        full, pos = [0] * verma.dim(degree), index_by_degree[degree]
-        for w, co in vec.items():  # distinct words: one entry each
-            full[pos[w]] = co
-        return full
+    words = [[tuple(-m for _, m in st.factors) for st in verma.states(d)]
+             for d in range(n_internal + 1)]
 
     # The Verma Gram G is the invariant-form family's, on a throwaway model
     # of the full Verma basis with L_{-2} Om as its own star.  One
     # elimination per degree: R = rref(G) with r pivots, the kept columns
     # K.  E*G = R for an invertible E and R[:r] is the identity on K, so
-    # G[:, K]*x = G*v solves to x = R[:r]*v: the quotient-class
-    # coordinates of a Verma vector v.  No positivity of G is assumed.
+    # G[:, K]*x = G*v solves to x = R[:r]*v: a word's quotient-class
+    # coordinates are its column of R[:r].  No positivity of G is assumed.
     nu_state = BasisState(0, ((0, -2),))
     gens = {0: GeneratorInfo("virasoro", 2, 0, nu_state)}
+    units = [({w: {i: 1} for i, w in enumerate(ws)}, 1) for ws in words]
     verma_forms = GramFamily(Model(
         replace(spec, N=n_internal), n_internal, verma, gens,
-        StateVector.basis(nu_state), c,
-        _word_block(engine, verma, verma_coords)))
-    kept_by_degree, coords_by_degree = [], []
-    for deg in range(n_internal + 1):
+        StateVector.basis(nu_state), c, _word_block(engine, verma, units)))
+    kept_by_degree, columns = [], []
+    for deg, ws in enumerate(words):
         r, pivots = xl.rref(verma_forms.matrix(deg))
         kept_by_degree.append(pivots)
-        coords_by_degree.append(xl.to_block(r[:len(pivots)], verma.dim(deg)))
+        coords = xl.transpose(xl.to_block(r[:len(pivots)], len(ws)))
+        columns.append((dict(zip(ws, coords.rows)), coords.den))
     if not kept_by_degree[2]:
         raise ModelBugError("conformal state lies in the Gram radical")
     basis = GradedBasis([[verma.states(d)[i] for i in kept_by_degree[d]]
                          for d in range(n_internal + 1)])
-
-    def project(vec: dict, degree: int):
-        """Quotient-class coordinates of a Verma vector at fixed degree."""
-        return xl.mat_vec(coords_by_degree[degree],
-                          verma_coords(vec, degree))
 
     def reduce(model, factors):
         word = tuple(-m for _, m in factors)
         deg = sum(word)
         if deg > n_internal:
             raise TruncationError(deg, n_internal, "word degree")
-        return model.from_coords(deg, project({word: ONE}, deg))
+        cols, den = columns[deg]
+        states = basis.states(deg)
+        return StateVector({states[i]: canon(Q(x, den))
+                            for i, x in cols[word].items()})
 
     return Model(spec, n_internal, basis, gens, StateVector.basis(nu_state),
-                 c, _word_block(engine, basis, project), reduce)
+                 c, _word_block(engine, basis, columns), reduce)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ rationals by peeling creation modes against the star data of the
 generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
 unit-normalized sector tops, two block products per leading factor on int
 numerators.  Each Gram matrix is one xl.Block in lowest terms: the
-symmetry check, ``pairing``, the float Cholesky factor and the
-eliminations (``inverse``, ``radical``, the Virasoro builder's quotient)
-read its form; LDL^T, single entries and the products of the Gram adjoint
-read its memoized dense view.
+symmetry check, ``pairing``, the float Cholesky factor, the positivity
+test and the eliminations (``inverse``, ``radical``, the Virasoro
+builder's quotient) read its form; LDL^T, single entries and the products
+of the Gram adjoint read its memoized dense view.
 """
 
 from __future__ import annotations
@@ -120,8 +120,9 @@ class GramFamily:
         return xl.kernel_basis(self.matrix(degree))
 
     def positive_definite(self, degree: int) -> bool:
-        """Exact check: every LDL^T pivot of G_degree is positive."""
-        return xl.ldl(self.matrix(degree)) is not None
+        """Exact check that every LDL^T pivot of G_degree is positive,
+        decided by fraction-free elimination on the block's numerators."""
+        return xl.positive_definite(self.matrix(degree))
 
     def cholesky(self, degree: int) -> np.ndarray:
         """Floating lower-triangular factor of G_degree."""

@@ -4,9 +4,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voacert.errors import SpecError
-from voacert.graded_fock import (BasisState, StateVector, build_model,
+from voacert.graded_fock import (BasisState, StateVector, _VermaEngine,
+                                 build_model,
                                  canonical_factors, heisenberg_spec,
                                  lattice_spec, vertex_mode_block,
                                  virasoro_spec)
@@ -310,3 +313,66 @@ def test_a_pad_of_zero_or_n_builds(pad):
 def test_a_pad_on_another_kind_than_virasoro_is_a_spec_error(spec, pad):
     with pytest.raises(SpecError, match="pad applies to virasoro models"):
         build_model(spec, pad=pad)
+
+
+# -- the Verma word action against the rational recursion --------------------
+
+
+class RationalVermaEngine:
+    """L_p on vacuum-Verma words with every coefficient in Q: the rational
+    reference for _VermaEngine, which keeps int numerators over the
+    denominator of c/2."""
+
+    def __init__(self, c, nmax):
+        self.c, self.nmax, self._cache = c, nmax, {}
+
+    def apply(self, p, word):
+        if sum(word) - p > self.nmax:
+            return {}
+        key = (p, word)
+        if key in self._cache:
+            return self._cache[key]
+        if not word:
+            out = {(-p,): ONE} if p <= -2 else {}
+        elif p <= -2 and -p <= word[0]:
+            out = {(-p,) + word: ONE}
+        else:
+            k1, rest = word[0], word[1:]
+            out = {}
+            for w, co in self.apply(p, rest).items():
+                for w2, co2 in self.apply(-k1, w).items():
+                    _acc(out, w2, co * co2)
+            fac = Q(p + k1)
+            if fac:
+                for w, co in self.apply(p - k1, rest).items():
+                    _acc(out, w, fac * co)
+            if p == k1:
+                central = self.c / 12 * Q(p ** 3 - p)
+                if central:
+                    _acc(out, rest, central)
+        self._cache[key] = out
+        return out
+
+
+central_charges = st.one_of(
+    st.sampled_from([Q(0), Q(1, 2), Q(1), Q(-2), Q(-22, 5), Q(3, 7),
+                     Q(7, 10), Q(25), Q(1, 1000003), Q(-5, 999)]),
+    st.fractions(min_value=-30, max_value=30, max_denominator=1000)
+    .map(lambda f: Q(f.numerator, f.denominator)))
+verma_words = st.lists(st.integers(2, 10), max_size=5).map(
+    lambda parts: tuple(sorted(parts))).filter(lambda w: sum(w) <= 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(central_charges, st.integers(-6, 6), verma_words)
+@example(Q(0), 2, (2,))  # the central term vanishes
+@example(Q(-22, 5), 4, (2, 2))  # c/2 = -11/5
+@example(Q(1, 1000003), 6, (2, 2, 2))
+def test_integer_verma_engine_matches_rationals(c, p, word):
+    engine, ref = _VermaEngine(c, 16), RationalVermaEngine(c, 16)
+    got, want = engine.apply(p, word), ref.apply(p, word)
+    assert got.keys() == want.keys()
+    assert all(type(x) is int  # every memoized coefficient
+               for out in engine._cache.values() for x in out.values())
+    assert {w: Q(x, engine.den) for w, x in got.items()} == want
+    assert engine.den == (c / 2).denominator

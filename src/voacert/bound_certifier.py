@@ -22,7 +22,7 @@ from .errors import TruncationError
 from .graded_fock import BasisState, Model, StateVector
 from .mode_engine import _as_vector, _vec_block, apply_mode, state_product
 from .norm_lab import NormTable, _graded_max, graded_norm, norm_table
-from .scalars import ONE, Q, ZERO, rational
+from .scalars import Q, ZERO, rational
 from .unitary_structure import family_of, star
 
 DEFAULT_TOL = 1e-8
@@ -346,9 +346,9 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     for idx, aut in enumerate(aut_sample):
         report.notes[f"invariant_{aut.kind}_{idx}"] = aut.apply_exact(x) == x
     # basis independence: recompute in a sheared basis
-    shear = xl.identity(len(states))
-    for i in range(len(states) - 1):
-        shear[i][i + 1] = ONE
+    n = len(states)
+    shear = xl.Block([{i: 1, i + 1: 1} for i in range(n - 1)] + [{n - 1: 1}],
+                     n)  # 1 on the diagonal and the superdiagonal
     gp = xl.mat_mul(xl.transpose(shear), xl.mat_mul(fam.matrix(d), shear))
     x2 = _average(model,
                   [model.from_coords(d, col) for col in xl.transpose(shear)],
@@ -362,10 +362,10 @@ def _average(model: Model, vectors, ginv) -> StateVector:
     matrix G, one star per vector."""
     stars = [star(model, v) for v in vectors]
     x = StateVector()
-    for vk, row in zip(vectors, ginv):
-        for sl, w in zip(stars, row):
-            if w:
-                x = x + state_product(model, vk, -1, sl).scale(w)
+    for vk, row in zip(vectors, ginv.rows):
+        for col, w in row.items():
+            x = x + state_product(model, vk, -1, stars[col]).scale(
+                Q(w, ginv.den))
     return x
 
 

@@ -1,20 +1,19 @@
-"""Exact linear algebra: sparse blocks over one denominator, dense row lists.
+"""Exact linear algebra on one matrix type: sparse blocks over one denominator.
 
-A mode block or a Gram matrix is a ``Block``: per row, a dict from the
-column of each nonzero entry to its int numerator, over one denominator
-(FLINT's ``fmpq_mat`` layout).  ``add_scaled`` and ``add_product`` add into
-a block on ints, raising its denominator to the lcm as terms arrive, and
-``Block.reduced`` brings a sum to lowest terms once.  Read as a sequence,
-a block is its dense view, built on first read and memoized.
+Every matrix is a ``Block``: per row, a dict from the column of each
+nonzero entry to its int numerator, over one denominator (FLINT's
+``fmpq_mat`` layout).  Exact rationals enter through ``sparse_block``,
+which rejects anything else (a float) with TypeError.  ``add_scaled`` and
+``add_product`` add into a block on ints, raising its denominator to the
+lcm as terms arrive, and ``Block.reduced`` brings a sum to lowest terms
+once; sums, scalings and products are built from them.  Read as a
+sequence, a block is its dense view of int/Q entries, built on first read
+and memoized.
 
-Dense products, inverses, eliminations and LDL^T factors are lists of
-int/Q rows: an int operand goes on the right of each product and sum, so
-none takes Q's slower reflected operator, no kernel divides two ints with
-a bare ``/``, and none does arithmetic on a zero.  ``rref`` (behind
-``kernel_basis`` and ``inverse``) reads a block's int numerators, making a
-dense input a block first (a nonzero float entry raises TypeError), and
-runs fraction-free Bareiss updates; ``positive_definite`` eliminates a
-block's int numerators too, and ``ldl`` works in ``Q``.
+``rref`` (behind ``kernel_basis`` and ``inverse``) runs fraction-free
+Bareiss updates on a block's int numerators and returns a block;
+``positive_definite`` eliminates a block's int numerators too, and ``ldl``
+works in ``Q`` on the dense view.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ class Block:
 
     def dense(self):
         if self._dense is None:
-            den, self._dense = self.den, zeros(len(self.rows), self.cols)
+            den = self.den
+            self._dense = [[0] * self.cols for _ in self.rows]
             for out, row in zip(self._dense, self.rows):
                 for j, x in row.items():
                     out[j] = x // den if x % den == 0 else Q(x, den)
@@ -77,12 +77,6 @@ def zero_block(rows: int, cols: int, den: int = 1) -> Block:
     return Block([{} for _ in range(rows)], cols, den)
 
 
-def to_block(a, cols: int) -> Block:
-    """The block of a dense matrix with cols columns, in lowest terms."""
-    return sparse_block([{j: x for j, x in enumerate(r) if x} for r in a],
-                        cols)
-
-
 def sparse_block(rows, cols: int) -> Block:
     """The block of rows given as {column: nonzero exact rational} dicts,
     over the lcm of their denominators (so in lowest terms)."""
@@ -93,21 +87,12 @@ def sparse_block(rows, cols: int) -> Block:
                   for row in pairs], cols, den)
 
 
-def zeros(rows: int, cols: int):
-    return [[0] * cols for _ in range(rows)]
+def identity(n: int) -> Block:
+    return Block([{i: 1} for i in range(n)], n)
 
 
-def identity(n: int):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
-def shape(a):
-    if type(a) is Block:
-        return len(a.rows), a.cols
-    return len(a), len(a[0]) if a else 0
+def shape(a: Block):
+    return len(a.rows), a.cols
 
 
 def _plus(a: Block, b: Block, s) -> Block:
@@ -117,28 +102,16 @@ def _plus(a: Block, b: Block, s) -> Block:
     return acc
 
 
-def mat_add(a, b):
-    if type(a) is Block:
-        return _plus(a, b, 1)
-    return [[((y + x if type(x) is int else x + y) if x else y) if y else x
-             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_add(a: Block, b: Block) -> Block:
+    return _plus(a, b, 1)
 
 
-def mat_sub(a, b):
-    if type(a) is Block:
-        return _plus(a, b, -1)
-    return [[(x - y if x else -y) if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+def mat_sub(a: Block, b: Block) -> Block:
+    return _plus(a, b, -1)
 
 
-def mat_scale(a, s):
-    if type(a) is Block:
-        return _plus(zero_block(len(a), a.cols), a, s)
-    if not s:
-        return [[0] * len(row) for row in a]
-    if type(s) is int:  # on the right: Q's forward operator serves it
-        return [[x * s if x else x for x in row] for row in a]
-    return [[s * x if x else x for x in row] for row in a]
+def mat_scale(a: Block, s) -> Block:
+    return _plus(zero_block(len(a.rows), a.cols), a, s)
 
 
 def add_scaled(acc: Block, b: Block, s=1):
@@ -165,96 +138,60 @@ def add_product(acc: Block, outer: Block, inner: Block, s=1):
                     ra[j] = get(j, 0) + fx * y
 
 
-def mat_mul(a, b):
-    n, k = shape(a)
-    k2, m = shape(b)
-    assert k == k2, f"shape mismatch {shape(a)} x {shape(b)}"
-    # nonzero (column, entry) pairs of each row of b
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = zeros(n, m)
-    for ai, row in zip(a, out):
-        for x, bx in zip(ai, b_rows):
-            if x and bx:
-                left = type(x) is not int
-                for j, y in bx:
-                    p, r = x * y if left else y * x, row[j]
-                    row[j] = p + r if type(r) is int else r + p
-    return out
+def mat_mul(a: Block, b: Block) -> Block:
+    assert a.cols == len(b.rows), f"shape mismatch {shape(a)} x {shape(b)}"
+    return compose(a, b, len(a.rows), b.cols)
 
 
-def compose(outer, inner, rows: int, cols: int) -> Block:
-    """outer @ inner as a rows x cols block; dense operands are converted."""
-    if type(outer) is not Block:
-        outer, inner = to_block(outer, len(inner)), to_block(inner, cols)
+def compose(outer: Block, inner: Block, rows: int, cols: int) -> Block:
+    """outer @ inner as a rows x cols block (the shape of an empty path)."""
     acc = zero_block(rows, cols)
     add_product(acc, outer, inner)
     return acc
 
 
-def mat_vec(a, v):
+def mat_vec(a: Block, v):
     """a @ v over nonzero pairs; an all-int row sums to an int.
 
-    Each sum starts from int 0 with an int operand on the right of each
-    product and sum; a block row divides its sum by den once.
+    Each sum starts from int 0 with the int numerator on the right of each
+    product and sum, and is divided by den once.
     """
     out = []
-    if type(a) is Block:
-        for row in a.rows:
-            s = 0
-            for j, x in row.items():
-                y = v[j]
-                if y:
-                    p = y * x
-                    s = p + s if type(s) is int else s + p
-            out.append(canon(s / a.den) if type(s) is not int else
-                       s // a.den if s % a.den == 0 else Q(s, a.den))
-        return out
-    for row in a:
+    for row in a.rows:
         s = 0
-        for x, y in zip(row, v):
-            if x and y:
-                p = y * x if type(x) is int else x * y
+        for j, x in row.items():
+            y = v[j]
+            if y:
+                p = y * x
                 s = p + s if type(s) is int else s + p
-        out.append(s)
+        out.append(canon(s / a.den) if type(s) is not int else
+                   s // a.den if s % a.den == 0 else Q(s, a.den))
     return out
 
 
-def transpose(a):
-    if type(a) is Block:
-        out = zero_block(a.cols, len(a.rows), a.den)
-        for i, row in enumerate(a.rows):
-            for j, x in row.items():
-                out.rows[j][i] = x
-        return out
-    return [list(col) for col in zip(*a)] if a else []
+def transpose(a: Block) -> Block:
+    out = zero_block(a.cols, len(a.rows), a.den)
+    for i, row in enumerate(a.rows):
+        for j, x in row.items():
+            out.rows[j][i] = x
+    return out
 
 
-def max_abs(a):
-    if type(a) is Block:
-        m = max((abs(x) for row in a.rows for x in row.values()), default=0)
-        return canon(Q(m, a.den)) if m else ZERO
-    m = ZERO
-    for row in a:
-        for x in row:
-            if x:
-                ax = -x if x < 0 else x
-                if ax > m:
-                    m = ax
-    return m
+def max_abs(a: Block):
+    m = max((abs(x) for row in a.rows for x in row.values()), default=0)
+    return canon(Q(m, a.den)) if m else ZERO
 
 
 def is_zero(a: Block) -> bool:
     return not any(any(row.values()) for row in a.rows)
 
 
-def to_numpy(a) -> np.ndarray:
-    if type(a) is Block:  # num / den is the float of Q(num, den)
-        out = np.zeros((len(a), a.cols))
-        for i, row in enumerate(a.rows):
-            for j, x in row.items():
-                out[i, j] = x / a.den
-        return out
-    return np.array(a, dtype=float).reshape(shape(a))
+def to_numpy(a: Block) -> np.ndarray:
+    out = np.zeros((len(a.rows), a.cols))
+    for i, row in enumerate(a.rows):
+        for j, x in row.items():
+            out[i, j] = x / a.den  # the float of Q(x, den)
+    return out
 
 
 def _ratio(x):
@@ -271,22 +208,20 @@ def _ratio(x):
         raise TypeError(f"not an exact rational: {x!r}") from None
 
 
-def rref(a):
+def rref(a: Block):
     """Reduced row echelon form.
 
-    Returns (r, pivot_cols) where r is the echelon matrix (a new matrix of
-    ``Q`` entries).  The elimination is fraction-free: it reads the int
-    numerators of a block (a dense input is made one first), since scaling
-    leaves the reduced form alone, then column-order Gauss-Jordan runs on
-    ints with Bareiss updates (p*x - f*y) // prev, each an exact division
-    (Bareiss, Math. Comp. 22, 1968).  Every pivot row is divided by its
-    pivot at the end; the reduced form is unique, so the result is the
-    rational one.
+    Returns (r, pivot_cols) where r is the echelon matrix, a new block in
+    lowest terms.  The elimination is fraction-free: it reads the int
+    numerators of the block, since scaling leaves the reduced form alone,
+    then column-order Gauss-Jordan runs on ints with Bareiss updates
+    (p*x - f*y) // prev, each an exact division (Bareiss, Math. Comp. 22,
+    1968).  After the last step every pivot entry equals the last pivot
+    and every row below the rank is zero, so the reduced form is the int
+    matrix over that pivot; being unique, it is the rational one.
     """
-    if type(a) is not Block:
-        a = to_block(a, shape(a)[1])
     n, m = shape(a)
-    r = zeros(n, m)
+    r = [[0] * m for _ in range(n)]
     for out, row in zip(r, a.rows):
         for j, x in row.items():
             out[j] = x
@@ -317,41 +252,39 @@ def rref(a):
         prev = p
         pivots.append(col)
         lead += 1
-    out = [[Q(x, row[col]) if x else ZERO for x in row]
-           for row, col in zip(r, pivots)]
-    out.extend([ZERO] * m for _ in range(n - lead))
-    return out, pivots
+    sign = -1 if prev < 0 else 1
+    return Block([{j: sign * x for j, x in enumerate(row) if x} for row in r],
+                 m, sign * prev).reduced(), pivots
 
 
-def kernel_basis(a):
+def kernel_basis(a: Block):
     """Basis of the right null space, as a list of column vectors."""
-    n, m = shape(a)
+    m = a.cols
     r, pivots = rref(a)
-    free = [j for j in range(m) if j not in pivots]
     basis = []
-    for f in free:
+    for f in (j for j in range(m) if j not in pivots):
         v = [ZERO] * m
         v[f] = ONE
-        for row_idx, p in enumerate(pivots):
-            v[p] = -r[row_idx][f]
+        for row, p in zip(r.rows, pivots):
+            v[p] = Q(-row.get(f, 0), r.den)
         basis.append(v)
     return basis
 
 
-def inverse(a):
+def inverse(a: Block) -> Block:
     n, m = shape(a)
     assert n == m
-    if type(a) is not Block:
-        a = to_block(a, n)
     aug = Block([{**row, n + i: a.den} for i, row in enumerate(a.rows)],
                 2 * n, a.den)  # [a | 1]
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix in exact inverse")
-    return [r[i][n:] for i in range(n)]
+    # the left half is the identity, so the right half is in lowest terms
+    return Block([{j - n: x for j, x in row.items() if j >= n}
+                  for row in r.rows], n, r.den)
 
 
-def ldl(a):
+def ldl(a: Block):
     """Exact LDL^T of a symmetric matrix: symmetric elimination, no pivoting.
 
     Returns (low, diag), low unit lower-triangular and diag the pivots, or
@@ -361,7 +294,7 @@ def ldl(a):
     """
     g = [list(row) for row in a]
     n = len(g)
-    low = identity(n)
+    low = [[int(i == j) for j in range(n)] for i in range(n)]
     diag = []
     for k in range(n):
         piv = g[k][k]
@@ -377,19 +310,16 @@ def ldl(a):
     return low, diag
 
 
-def positive_definite(a) -> bool:
+def positive_definite(a: Block) -> bool:
     """Whether a symmetric matrix is positive definite, on ints.
 
-    Symmetric elimination on the block's numerators (a dense input is made
-    a block first): row i becomes piv * row_i - f * row_k, then is divided
-    by its content gcd.  Both are positive row scalings, which keep the
-    sign of every later pivot, so each pivot has the sign of its LDL^T
-    pivot.  The working matrix stays a positive row scaling of a
+    Symmetric elimination on the block's numerators: row i becomes
+    piv * row_i - f * row_k, then is divided by its content gcd.  Both
+    are positive row scalings, which keep the sign of every later pivot,
+    so each pivot has the sign of its LDL^T pivot.  The working matrix stays a positive row scaling of a
     symmetric one, so the rows below k with a column-k entry are row k's
     columns past k, and a diagonal input is never updated.
     """
-    if type(a) is not Block:
-        a = to_block(a, shape(a)[1])
     rows = list(a.rows)  # each updated row is a new dict
     for k, pk in enumerate(rows):
         piv = pk.get(k, 0)
@@ -405,5 +335,5 @@ def positive_definite(a) -> bool:
     return True
 
 
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), ZERO)
+def trace(a: Block):
+    return Q(sum(row.get(i, 0) for i, row in enumerate(a.rows)), a.den)

@@ -50,11 +50,11 @@ class ModelSpec:
         if self.kind == "heisenberg":
             if self.rank < 1:
                 raise SpecError("Heisenberg rank must be positive")
-            m = self.metric_matrix()
-            if len(m) != self.rank or any(len(row) != self.rank
-                                          for row in m):
+            if self.metric and (len(self.metric) != self.rank or any(
+                    len(row) != self.rank for row in self.metric)):
                 raise SpecError(f"Heisenberg metric must be {self.rank} x "
                                 f"{self.rank}, the rank")
+            m = self.metric_matrix()
             if xl.transpose(m) != m:
                 raise SpecError("Heisenberg metric must be symmetric")
             if not xl.positive_definite(m):
@@ -68,9 +68,11 @@ class ModelSpec:
         else:
             raise SpecError(f"unknown model kind {self.kind!r}")
 
-    def metric_matrix(self):
+    def metric_matrix(self) -> xl.Block:
         if self.metric:
-            return [[rational(x) for x in row] for row in self.metric]
+            return xl.sparse_block(
+                [{j: x for j, x in enumerate(map(rational, row)) if x}
+                 for row in self.metric], self.rank)
         return xl.identity(self.rank)
 
     def describe(self) -> str:
@@ -202,10 +204,13 @@ class StateVector:
         return out
 
     def scale(self, s):
+        """s times the vector; an int s goes on the right of each product,
+        so a Q coefficient takes Q's forward operator."""
         out = StateVector()
         if s:
+            left = type(s) is not int
             for st, co in self.terms.items():
-                _acc(out.terms, st, s * co)
+                _acc(out.terms, st, s * co if left else co * s)
         return out
 
     def is_zero(self) -> bool:
@@ -422,43 +427,44 @@ class Model:
 # Heisenberg builder
 
 
-def _current_action(metric, gid, m, st: BasisState):
-    """Terms of alpha^gid_m applied to one basis state.
+def _current_action(metric: xl.Block, gid, m, st: BasisState):
+    """Terms of alpha^gid_m applied to one basis state, as int numerators
+    over metric.den.
 
-    metric[i][j] is the two-point constant of alpha^i and alpha^j.  The
-    lattice current is the rank-1 case metric [[q]]: its zero mode on
-    sector k is k*q.
+    metric.rows[i][j] / metric.den is the two-point constant of alpha^i
+    and alpha^j.  The lattice current is the rank-1 case metric [[q]]: its
+    zero mode on sector k is k*q.
     """
+    row = metric.rows[gid]
     if m == 0:
         if st.sector:
-            yield st, st.sector * metric[gid][gid]
+            yield st, st.sector * row.get(gid, 0)
         return
     if m < 0:
-        yield BasisState(st.sector,
-                         canonical_factors(st.factors + ((gid, m),))), 1
+        yield BasisState(st.sector, canonical_factors(
+            st.factors + ((gid, m),))), metric.den
         return
     seen = set()
     for g, mode in st.factors:
         if mode != -m or (g, mode) in seen:
             continue
         seen.add((g, mode))
-        coeff = metric[gid][g] * (m * st.factors.count((g, mode)))
+        coeff = row.get(g, 0) * (m * st.factors.count((g, mode)))
         if coeff:
             rest = list(st.factors)
             rest.remove((g, mode))
             yield BasisState(st.sector, tuple(rest)), coeff
 
 
-def _current_block(metric):
+def _current_block(metric: xl.Block):
     """Block builder of the currents alpha^i with the given metric."""
-    den = math.lcm(*(x.denominator for row in metric for x in row))
 
     def block(model, gid, m, src):
         basis = model.basis
-        acc = xl.zero_block(basis.dim(src - m), basis.dim(src), den)
+        acc = xl.zero_block(basis.dim(src - m), basis.dim(src), metric.den)
         for col, st in enumerate(basis.states(src)):
-            for tstate, coeff in _current_action(metric, gid, m, st):
-                acc.rows[basis.index[tstate][1]][col] = int(coeff * den)
+            for tstate, num in _current_action(metric, gid, m, st):
+                acc.rows[basis.index[tstate][1]][col] = num
         return acc.reduced()
 
     return block
@@ -470,12 +476,10 @@ def _build_heisenberg(spec: ModelSpec) -> Model:
     metric = spec.metric_matrix()
     minv = xl.inverse(metric)
     nu = StateVector()
-    for i in range(spec.rank):
-        for j in range(spec.rank):
-            co = minv[i][j] / 2
-            if co:
-                st = BasisState(0, canonical_factors(((i, -1), (j, -1))))
-                nu.add_term(st, co)
+    for i, row in enumerate(minv.rows):
+        for j, x in row.items():
+            st = BasisState(0, canonical_factors(((i, -1), (j, -1))))
+            nu.add_term(st, Q(x, 2 * minv.den))
     gens = {i: GeneratorInfo(f"alpha{i}", 1, i, BasisState(0, ((i, -1),)))
             for i in range(spec.rank)}
     return Model(spec, n_internal, basis, gens, nu, Q(spec.rank),
@@ -586,7 +590,7 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     for deg, ws in enumerate(words):
         r, pivots = xl.rref(verma_forms.matrix(deg))
         kept_by_degree.append(pivots)
-        coords = xl.transpose(xl.to_block(r[:len(pivots)], len(ws)))
+        coords = xl.transpose(xl.Block(r.rows[:len(pivots)], r.cols, r.den))
         columns.append((dict(zip(ws, coords.rows)), coords.den))
     if not kept_by_degree[2]:
         raise ModelBugError("conformal state lies in the Gram radical")
@@ -623,7 +627,7 @@ def _build_lattice(spec: ModelSpec) -> Model:
         1: GeneratorInfo("e+", half, 2, BasisState(1, ())),
         2: GeneratorInfo("e-", half, 1, BasisState(-1, ())),
     }
-    current = _current_block([[spec.q]])
+    current = _current_block(xl.Block([{0: spec.q}], 1))
 
     def block(model, gid, m, src):
         if gid == 0:
@@ -738,10 +742,11 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
     if corrupt is not None:
         gid, m, src, row, col, delta = corrupt
         block = model.gen_block(gid, m, src)
-        shift = xl.zeros(len(block), block.cols)
-        shift[row][col] = rational(delta)
+        shift = [{} for _ in block.rows]
+        # col is read like an index into a dense row of the block
+        shift[row] = {range(block.cols)[col]: rational(delta)}
         model._gen_blocks[(gid, m)][src] = xl.mat_add(
-            block, xl.to_block(shift, block.cols)).reduced()
+            block, xl.sparse_block(shift, block.cols)).reduced()
     return model
 
 

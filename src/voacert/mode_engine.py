@@ -55,7 +55,7 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
         if state.sector == 0:
             # vacuum: plain mode k is delta_{k,0} identity
             if k == 0:
-                return xl.to_block(xl.identity(basis.dim(s)), basis.dim(s))
+                return xl.identity(basis.dim(s))
             return xl.zero_block(basis.dim(tgt), basis.dim(s))
         from .graded_fock import vertex_mode_block
 

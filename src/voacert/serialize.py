@@ -60,8 +60,8 @@ def _state_label(state: BasisState) -> str:
     return f"{state.sector}|{factors}"
 
 
-def _mat_to_sparse(block, cols: int):
-    return [len(block), cols, [[i, j, rat_to_str(Q(x, block.den))]
+def _mat_to_sparse(block):
+    return [len(block.rows), block.cols, [[i, j, rat_to_str(Q(x, block.den))]
                                for i, row in enumerate(block.rows)
                                for j, x in sorted(row.items())]]
 
@@ -70,8 +70,7 @@ def model_to_dict(model: Model) -> dict:
     blocks = {}
     for (gid, m), per_src in sorted(model._gen_blocks.items()):
         for src in sorted(per_src):
-            blocks[f"{gid}:{m}:{src}"] = _mat_to_sparse(per_src[src],
-                                                        model.dim(src))
+            blocks[f"{gid}:{m}:{src}"] = _mat_to_sparse(per_src[src])
     return {
         "schema": SCHEMA,
         "spec": spec_to_dict(model.spec),

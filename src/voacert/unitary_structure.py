@@ -4,11 +4,12 @@ The normalized invariant form is built degree by degree with exact
 rationals by peeling creation modes against the star data of the
 generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
 unit-normalized sector tops, two block products per leading factor on int
-numerators.  Each Gram matrix is one xl.Block in lowest terms: the
-symmetry check, ``pairing``, the float Cholesky factor, the positivity
-test and the eliminations (``inverse``, ``radical``, the Virasoro
-builder's quotient) read its form; LDL^T, single entries and the products
-of the Gram adjoint read its memoized dense view.
+numerators.  Each Gram matrix is one xl.Block in lowest terms, and so
+are its inverse and every Gram adjoint: the symmetry check, ``pairing``,
+the float Cholesky factor, the positivity test, the eliminations
+(``inverse``, ``radical``, the Virasoro builder's quotient) and the
+adjoint's products read its form; only LDL^T and single entries read its
+memoized dense view.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int) -> Residual:
     def rhs(s):
         out = _vec_block(model, bracket, m + n, s)
         if central:
-            unit = xl.to_block(xl.identity(model.dim(s)), model.dim(s))
-            out = xl.mat_add(out, xl.mat_scale(unit, central))
+            out = xl.mat_add(out, xl.mat_scale(xl.identity(model.dim(s)),
+                                               central))
         return out
 
     worst, _ = _bracket_residual(model, a, m, b, n, rhs,

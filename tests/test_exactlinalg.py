@@ -13,28 +13,51 @@ def qmat(rows):
     return [[Q(x) for x in row] for row in rows]
 
 
+def zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+def block(a, cols=None):
+    """The block of a dense matrix; cols defaults to its row length (0 for
+    a matrix without rows)."""
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    return xl.sparse_block([{j: x for j, x in enumerate(row) if x}
+                            for row in a], cols)
+
+
+def dense(obj):
+    """obj with every block replaced by its dense view."""
+    if type(obj) is xl.Block:
+        return obj.dense()
+    if isinstance(obj, (list, tuple)):
+        return [dense(x) for x in obj]
+    return obj
+
+
 def test_shapes_and_identity():
-    a = xl.zeros(2, 3)
+    a = xl.zero_block(2, 3)
     assert xl.shape(a) == (2, 3)
     i3 = xl.identity(3)
+    assert type(i3) is xl.Block and i3 == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert xl.mat_mul(i3, i3) == i3
-    assert xl.transpose(qmat([[1, 2], [3, 4]])) == qmat([[1, 3], [2, 4]])
-    assert xl.trace(qmat([[2, 0], [0, 3]])) == Q(5)
+    assert xl.transpose(block(qmat([[1, 2], [3, 4]]))) \
+        == qmat([[1, 3], [2, 4]])
+    assert xl.trace(block(qmat([[2, 0], [0, 3]]))) == Q(5)
 
 
 def test_compose_keeps_explicit_shape():
     # a path through an empty graded piece must still have the right shape
-    empty = xl.zeros(0, 2)
-    tall = xl.zeros(3, 0)
+    empty = xl.zero_block(0, 2)
+    tall = xl.zero_block(3, 0)
     out = xl.compose(tall, empty, 3, 2)
     assert xl.shape(out) == (3, 2)
     a = qmat([[1, 2], [3, 4]])
-    b = qmat([[1, 0], [0, 1]])
-    assert xl.compose(a, b, 2, 2) == a
+    assert xl.compose(block(a), xl.identity(2), 2, 2) == a
 
 
 def test_rank_and_kernel():
-    a = qmat([[1, 1], [1, 1]])
+    a = block(qmat([[1, 1], [1, 1]]))
     assert len(xl.rref(a)[1]) == 1
     ker = xl.kernel_basis(a)
     assert len(ker) == 1
@@ -43,11 +66,12 @@ def test_rank_and_kernel():
 
 
 def test_inverse_known():
-    a = qmat([[2, 1], [1, 1]])
+    a = block(qmat([[2, 1], [1, 1]]))
     inv = xl.inverse(a)
+    assert type(inv) is xl.Block
     assert xl.mat_mul(a, inv) == xl.identity(2)
     with pytest.raises(ZeroDivisionError):
-        xl.inverse(qmat([[1, 1], [1, 1]]))
+        xl.inverse(block(qmat([[1, 1], [1, 1]])))
 
 
 small_q = st.fractions(min_value=-5, max_value=5, max_denominator=6) \
@@ -57,21 +81,22 @@ small_q = st.fractions(min_value=-5, max_value=5, max_denominator=6) \
 @given(st.lists(st.lists(small_q, min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_inverse_round_trip_random(rows):
+    a = block(rows, 3)
     try:
-        inv = xl.inverse(rows)
+        inv = xl.inverse(a)
     except ZeroDivisionError:
         assume(False)
-    assert xl.mat_mul(rows, inv) == xl.identity(3)
-    assert xl.mat_mul(inv, rows) == xl.identity(3)
+    assert xl.mat_mul(a, inv) == xl.identity(3)
+    assert xl.mat_mul(inv, a) == xl.identity(3)
 
 
 # -- zero-skipping kernels against dense references --------------------------
 
 
-def dense_mat_mul(a, b):
-    """Naive triple loop over every entry, zeros included."""
+def dense_mat_mul(a, b, m):
+    """Naive triple loop over every entry, zeros included; b has m
+    columns."""
     k = len(b)
-    m = len(b[0]) if b else 0
     return [[sum((row[t] * b[t][j] for t in range(k)), ZERO)
              for j in range(m)] for row in a]
 
@@ -116,23 +141,22 @@ def add_operands(draw):
 @st.composite
 def mul_operands(draw):
     n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
-    if n == 0:
-        k = 0  # a 0-row matrix cannot carry its column count
-    return draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
+    return k, m, draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
 
 
 @given(mul_operands())
-@example(([[], []], []))  # 2x0 times 0x0
-@example(([[Q(1)], [Q(2)]], [[]]))  # 2x1 times 1x0
-@example(([], []))  # 0x0 times 0x0
+@example((0, 0, [[], []], []))  # 2x0 times 0x0
+@example((1, 0, [[Q(1)], [Q(2)]], [[]]))  # 2x1 times 1x0
+@example((0, 0, [], []))  # 0x0 times 0x0
+@example((2, 3, [], [[1, 0, 2], [0, Q(1, 2), 0]]))  # 0x2 times 2x3
 def test_mat_mul_matches_dense_reference(operands):
-    a, b = operands
-    a_before, b_before = [list(r) for r in a], [list(r) for r in b]
-    out = xl.mat_mul(a, b)
-    assert out == dense_mat_mul(a, b)
-    assert xl.shape(out) == (len(a), len(b[0]) if b else 0)
-    assert a == a_before and b == b_before
-
+    k, m, a, b = operands
+    x, y = block(a, k), block(b, m)
+    out = xl.mat_mul(x, y)
+    assert type(out) is xl.Block
+    assert out == dense_mat_mul(a, b, m)
+    assert xl.shape(out) == (len(a), m)
+    assert x == a and y == b
 
 
 @given(add_operands(), st.one_of(st.just(0), st.just(ZERO), small_q,
@@ -141,19 +165,19 @@ def test_mat_mul_matches_dense_reference(operands):
 @example(([], []), Q(3))  # 0x0
 def test_zero_skipping_kernels_match_dense_references(operands, s):
     a, b = operands
-    a_before, b_before = [list(r) for r in a], [list(r) for r in b]
-    assert xl.mat_add(a, b) == [[x + y for x, y in zip(ra, rb)]
-                                for ra, rb in zip(a, b)]
-    assert xl.mat_sub(a, b) == [[x - y for x, y in zip(ra, rb)]
-                                for ra, rb in zip(a, b)]
-    scaled = xl.mat_scale(a, s)
+    ba, bb = block(a), block(b)
+    assert xl.mat_add(ba, bb) == [[x + y for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(a, b)]
+    assert xl.mat_sub(ba, bb) == [[x - y for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(a, b)]
+    scaled = xl.mat_scale(ba, s)
     assert scaled == [[s * x for x in row] for row in a]
     assert [len(row) for row in scaled] == [len(row) for row in a]
-    assert xl.max_abs(a) == max((abs(x) for row in a for x in row),
-                                default=ZERO)
-    exact_entries([xl.mat_add(a, b), xl.mat_sub(a, b), scaled,
-                   xl.max_abs(a)])
-    assert a == a_before and b == b_before
+    assert xl.max_abs(ba) == max((abs(x) for row in a for x in row),
+                                 default=ZERO)
+    exact_entries(dense([xl.mat_add(ba, bb), xl.mat_sub(ba, bb), scaled,
+                         xl.max_abs(ba)]))
+    assert ba == a and bb == b
 
 
 @given(add_operands())
@@ -162,8 +186,8 @@ def test_zero_skipping_kernels_match_dense_references(operands, s):
 @example(([[10 ** 30, Q(10 ** 40 + 1, 7 ** 30), 2 ** 63 + 1]], []))
 def test_to_numpy_matches_per_entry_float(operands):
     a, _ = operands
-    out = xl.to_numpy(a)
-    assert out.dtype == float and out.shape == xl.shape(a)
+    out = xl.to_numpy(block(a))
+    assert out.dtype == float and out.shape == xl.shape(block(a))
     assert out.tolist() == [[float(x) for x in row] for row in a]
 
 
@@ -175,8 +199,8 @@ def test_to_numpy_matches_per_entry_float(operands):
 @example(([], []))  # 0x0
 def test_mat_vec_on_int_input_returns_ints(operands):
     rows, v = operands
-    got = xl.mat_vec(rows, v)
-    assert got == xl.mat_vec(qmat(rows), [Q(y) for y in v])
+    got = xl.mat_vec(block(rows), v)
+    assert got == xl.mat_vec(block(qmat(rows)), [Q(y) for y in v])
     assert got == [sum(x * y for x, y in zip(row, v)) for row in rows]
     assert all(type(x) is int for x in got)
 
@@ -186,7 +210,7 @@ def test_mat_vec_matches_dense_reference(operands):
     a, b = operands
     v = b[0] if b else []
     want = [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
-    got = xl.mat_vec(a, v)
+    got = xl.mat_vec(block(a), v)
     assert got == want
     exact_entries(got)
 
@@ -209,12 +233,13 @@ def canonical_entries(a):
 
 
 def block_of(a, cols):
-    """xl.to_block(a, cols), checked to be reduced and to round-trip to a
+    """block(a, cols), checked to be reduced and to round-trip to a
     canonical dense view that is built once."""
-    b = xl.to_block(a, cols)
+    b = block(a, cols)
     assert_reduced(b)
     assert b.dense() == a and b.dense() is b.dense()
-    assert xl.shape(b.dense()) == (len(a), cols if a else 0)
+    assert xl.shape(b) == (len(a), cols)
+    assert all(len(row) == cols for row in b.dense())
     canonical_entries(b.dense())
     return b
 
@@ -290,7 +315,7 @@ def test_block_kernels_match_dense_references(operands, s):
     x, y = block_of(acc, m), block_of(other, m)
     cases = [
         (xl.compose(block_of(a, k), block_of(b, m), n, m),
-         dense_add_product(xl.zeros(n, m), a, b, 1)),
+         dense_add_product(zeros(n, m), a, b, 1)),
         (xl.mat_add(x, y), dense_add_scaled(acc, other, 1)),
         (xl.mat_sub(x, y), dense_add_scaled(acc, other, -1)),
         (xl.mat_scale(x, s), [[s * v for v in row] for row in acc])]
@@ -314,7 +339,7 @@ def test_block_kernels_match_dense_references(operands, s):
           ([[0, 4, 0], [0, 0, 0]], Q(1, 5)),
           ([[Q(1, 2), Q(-4, 5), 0], [0, 0, 0]], 1)])
 def test_block_sum_grows_its_denominator_and_reduces_once(terms):
-    got, want = xl.zero_block(2, 3), xl.zeros(2, 3)
+    got, want = xl.zero_block(2, 3), zeros(2, 3)
     for mat, s in terms:
         xl.add_scaled(got, block_of(mat, 3), s)
         want = dense_add_scaled(want, mat, s)
@@ -327,7 +352,8 @@ def test_block_sum_grows_its_denominator_and_reduces_once(terms):
 
 
 def _same_outcome(fn, ints, rats):
-    """fn on int input equals fn on the same input as Q, or both raise."""
+    """fn on an int block equals fn on the same matrix over a larger
+    denominator, or both raise."""
     try:
         want = fn(rats)
     except ZeroDivisionError as exc:
@@ -336,7 +362,14 @@ def _same_outcome(fn, ints, rats):
         return
     got = fn(ints)
     assert got == want
-    exact_entries(got)
+    exact_entries(dense(got))
+
+
+def over(b, den):
+    """The matrix of block b as numerators over b.den * den, not in lowest
+    terms."""
+    return xl.Block([{j: den * x for j, x in row.items()} for row in b.rows],
+                    b.cols, b.den * den)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
@@ -345,13 +378,12 @@ def _same_outcome(fn, ints, rats):
 @example([[1, 2], [2, 4]])  # singular
 @example([[0, -2], [1, 0]])  # nonsingular, needs a row swap
 def test_elimination_on_int_input_matches_rationals(rows):
-    rats = qmat(rows)
+    ints = block(rows)
     k = min(len(rows), len(rows[0]))
-    square_ints = [row[:k] for row in rows[:k]]
-    square_rats = qmat(square_ints)
+    square_ints = block([row[:k] for row in rows[:k]])
     for fn in (xl.rref, xl.kernel_basis):
-        _same_outcome(fn, rows, rats)
-    _same_outcome(xl.inverse, square_ints, square_rats)
+        _same_outcome(fn, ints, over(ints, 6))
+    _same_outcome(xl.inverse, square_ints, over(square_ints, 6))
 
 
 # -- LDL^T against Sylvester minors ------------------------------------------
@@ -391,17 +423,18 @@ def sylvester(a):
 def test_ldl_matches_sylvester_minors(rows, gram):
     a = symmetric(rows, gram)
     n = len(a)
-    factors = xl.ldl(a)
+    factors = xl.ldl(block(a, n))
     assert (factors is not None) == sylvester(a)
     assert gram <= sylvester(a)
-    assert xl.ldl(qmat(a)) == factors
+    assert xl.ldl(over(block(a, n), 6)) == factors
     if factors is not None:
         low, diag = factors
         exact_entries(factors)
-        dmat = xl.zeros(n, n)
+        dmat = zeros(n, n)
         for i, x in enumerate(diag):
             dmat[i][i] = x
-        assert xl.mat_mul(low, xl.mat_mul(dmat, xl.transpose(low))) == a
+        assert dense_mat_mul(low, dense_mat_mul(
+            dmat, [list(col) for col in zip(*low)], n), n) == a
         assert all(low[i][i] == 1 and not any(low[i][i + 1:])
                    for i in range(n))
 
@@ -429,23 +462,25 @@ def symmetric_input(draw):
 @example([[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 0], [0, 0, 0, -1]], 3)
 @example([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(1, 5)]], 1)  # minors 1/2, 1/90
 def test_positive_definite_matches_sylvester_minors(a, den):
-    before = [list(row) for row in a]
+    b = block(a, len(a))
+    before = [dict(row) for row in b.rows], b.den
     want = sylvester(a)
-    assert xl.positive_definite(a) is want
-    assert xl.positive_definite(qmat(a)) is want
-    b = xl.to_block(a, len(a))  # the same numerators over den > 1
+    assert xl.positive_definite(b) is want
+    assert xl.positive_definite(over(b, den)) is want
+    # the same numerators over den > 1
     assert xl.positive_definite(xl.Block(b.rows, b.cols, b.den * den)) \
         is want
-    assert a == before
+    assert ([dict(row) for row in b.rows], b.den) == before
 
 
 # -- fraction-free elimination against rational Gauss-Jordan -----------------
 
 
-def gauss_jordan_rref(a):
-    """Column-order Gauss-Jordan in Q: the rational reference for rref."""
+def gauss_jordan_rref(a, m):
+    """Column-order Gauss-Jordan in Q on a dense n x m matrix: the rational
+    reference for rref."""
     r = [[Q(x) for x in row] for row in a]
-    n, m = xl.shape(r)
+    n = len(r)
     pivots = []
     lead = 0
     for col in range(m):
@@ -466,9 +501,8 @@ def gauss_jordan_rref(a):
     return r, pivots
 
 
-def gauss_jordan_kernel(a):
-    m = xl.shape(a)[1]
-    r, pivots = gauss_jordan_rref(a)
+def gauss_jordan_kernel(a, m):
+    r, pivots = gauss_jordan_rref(a, m)
     basis = []
     for f in (j for j in range(m) if j not in pivots):
         v = [ZERO] * m
@@ -482,7 +516,7 @@ def gauss_jordan_kernel(a):
 def gauss_jordan_inverse(a):
     n = len(a)
     r, pivots = gauss_jordan_rref([list(row) + [int(i == j) for j in range(n)]
-                                   for i, row in enumerate(a)])
+                                   for i, row in enumerate(a)], 2 * n)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in r]
@@ -490,8 +524,8 @@ def gauss_jordan_inverse(a):
 
 @st.composite
 def elimination_input(draw):
-    """An n x m int or rational matrix, often of low rank, with zero rows
-    and columns."""
+    """(a, m): an n x m int or rational matrix a, often of low rank, with
+    zero rows and columns."""
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     if draw(st.booleans()):  # rank <= k: an n x k times a k x m matrix
         k = draw(st.integers(0, max(n, m)))
@@ -506,35 +540,40 @@ def elimination_input(draw):
     zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
     return [[0 if i in zero_rows or j in zero_cols else x
-             for j, x in enumerate(row)] for i, row in enumerate(a)]
+             for j, x in enumerate(row)] for i, row in enumerate(a)], m
 
 
 @settings(max_examples=300)
 @given(elimination_input())
-@example([])  # 0 x m: no row carries the column count
-@example([[], [], []])  # n x 0
-@example([[0, 0], [0, 0]])
-@example([[Q(1, 3), Q(2, 5)], [Q(2, 3), Q(4, 5)]])  # rank 1, rational
-@example([[0, 4, 6], [0, 2, 3], [1, 0, 0]])  # skipped column, row swap
-def test_fraction_free_elimination_matches_gauss_jordan(a):
-    before = [list(row) for row in a]
-    r, pivots = xl.rref(a)
-    assert (r, pivots) == gauss_jordan_rref(a)
-    assert xl.shape(r) == xl.shape(a)
-    exact_entries(r)
-    assert xl.kernel_basis(a) == gauss_jordan_kernel(a)
-    k = min(xl.shape(a))
+@example(([], 0))  # 0 x 0
+@example(([], 4))  # 0 x m: the block carries the column count
+@example(([[], [], []], 0))  # n x 0
+@example(([[0, 0], [0, 0]], 2))
+@example(([[Q(1, 3), Q(2, 5)], [Q(2, 3), Q(4, 5)]], 2))  # rank 1, rational
+@example(([[0, 4, 6], [0, 2, 3], [1, 0, 0]], 3))  # skipped column, row swap
+def test_fraction_free_elimination_matches_gauss_jordan(operands):
+    a, m = operands
+    b = block(a, m)
+    before = [dict(row) for row in b.rows], b.den
+    r, pivots = xl.rref(b)
+    assert (r, pivots) == gauss_jordan_rref(a, m)
+    assert xl.shape(r) == xl.shape(b)
+    assert_reduced(r)
+    exact_entries(r.dense())
+    assert xl.kernel_basis(b) == gauss_jordan_kernel(a, m)
+    k = min(len(a), m)
     square = [row[:k] for row in a[:k]]
     try:
         want = gauss_jordan_inverse(square)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            xl.inverse(square)
+            xl.inverse(block(square, k))
     else:
-        got = xl.inverse(square)
+        got = xl.inverse(block(square, k))
         assert got == want
-        exact_entries(got)
-    assert a == before
+        assert_reduced(got)
+        exact_entries(got.dense())
+    assert ([dict(row) for row in b.rows], b.den) == before
 
 
 @st.composite
@@ -552,20 +591,21 @@ def block_forms(draw):
 @settings(max_examples=300)
 @given(block_forms())
 @example(xl.Block([], 4))  # 0 x n
+@example(xl.Block([], 3))  # 0 x n: the kernel is every unit vector
 @example(xl.Block([{}, {}, {}], 0))  # n x 0
 @example(xl.Block([{0: 2, 1: 4}, {}, {0: 3, 1: 6}], 2, 6))  # rank 1
 @example(xl.Block([{1: 3}, {0: 3}], 2, 3))  # needs a row swap
 def test_rref_reads_a_block_form(b):
     before = [dict(row) for row in b.rows], b.den
     r, pivots = xl.rref(b)
-    assert (r, pivots) == xl.rref(b.dense())
-    exact_entries(r)
     n, m = xl.shape(b)
-    if n:
-        assert xl.kernel_basis(b) == xl.kernel_basis(b.dense())
+    assert (r, pivots) == gauss_jordan_rref(b.dense(), m)
+    assert_reduced(r)
+    exact_entries(r.dense())
+    assert xl.kernel_basis(b) == gauss_jordan_kernel(b.dense(), m)
     if n == m:
         try:
-            want = xl.inverse(b.dense())
+            want = gauss_jordan_inverse(b.dense())
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 xl.inverse(b)
@@ -577,5 +617,7 @@ def test_rref_reads_a_block_form(b):
 @pytest.mark.parametrize("fn", [xl.rref, xl.kernel_basis, xl.inverse])
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1.0)])
 def test_elimination_rejects_inexact_entries(fn, bad):
+    # an inexact entry is refused where entries enter a block, so no
+    # elimination ever reads one
     with pytest.raises(TypeError, match="not an exact rational"):
-        fn([[Q(1, 2), 1], [bad, 3]])
+        fn(xl.sparse_block([{0: Q(1, 2), 1: 1}, {0: bad, 1: 3}], 2))

@@ -108,7 +108,8 @@ def test_certified_norm_is_seeded_by_the_float_norm(monkeypatch):
 def test_certified_norm_widens_a_bad_seed(tol):
     # a guess off the mark, missing or not finite only costs checks; a tol
     # far below float range still gives a seed and a bracket
-    gram, comp = [[1, 0], [0, 2]], [[3, 0], [0, 2]]  # sigma^2 = 3
+    gram = xl.Block([{0: 1}, {1: 2}], 2)  # diag(1, 2)
+    comp = xl.Block([{0: 3}, {1: 2}], 2)  # diag(3, 2): sigma^2 = 3
     for guess in (None, 0.0, -1.0, 1e-30, 1.0, 2.9, 3.0, 7.5, 1e300,
                   math.inf, math.nan):
         lo, hi = norm_lab._bisect_sigma_sq(gram, comp, tol, guess)
@@ -131,7 +132,7 @@ def test_certified_norm_rejects_a_non_positive_gram():
     # without the check the search for an upper bound would never end
     model = build_model(heisenberg_spec(1, 4))
     fam = GramFamily(model)  # private family on a private model
-    fam._mats[2] = [[-1, 0], [0, 1]]
+    fam._mats[2] = xl.Block([{0: -1}, {1: 1}], 2)
     model._gram_family = fam
     with pytest.raises(ModelBugError):
         graded_norm_certified(model, current(model), 1, 2)

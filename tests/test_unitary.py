@@ -41,14 +41,26 @@ def test_conformal_state_squared_length(heis8, ising8, c1_8, lat2_6):
         assert fam.pairing(model.nu, model.nu) == model.c / 2
 
 
+def block(a, cols):
+    """The block of a dense matrix with cols columns."""
+    return xl.sparse_block([{j: x for j, x in enumerate(row) if x}
+                            for row in a], cols)
+
+
+def dense_mat_mul(a, b, cols):
+    """Naive product of dense matrices; b has cols columns."""
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), 0)
+             for j in range(cols)] for row in a]
+
+
 def test_exact_cholesky_reconstructs(heis8):
     fam = family_of(heis8)
     for d in (2, 3, 4):
         low, diag = fam.exact_cholesky(d)
-        dmat = xl.zeros(len(diag), len(diag))
-        for i, x in enumerate(diag):
-            dmat[i][i] = x
-        assert xl.mat_mul(low, xl.mat_mul(dmat, xl.transpose(low))) \
+        n = len(diag)
+        dmat = xl.sparse_block([{i: x} for i, x in enumerate(diag)], n)
+        lows = block(low, n)
+        assert xl.mat_mul(lows, xl.mat_mul(dmat, xl.transpose(lows))) \
             == fam.matrix(d)
 
 
@@ -79,7 +91,7 @@ def test_fraction_free_positivity_agrees_with_ldl(c):
 def test_non_positive_form_is_flagged(heis8):
     fam = GramFamily(heis8)  # private family: the shared one stays intact
     fam.matrix(2)
-    fam._mats[2] = [[Q(1), Q(2)], [Q(2), Q(1)]]
+    fam._mats[2] = block([[Q(1), Q(2)], [Q(2), Q(1)]], 2)
     assert fam.positive_definite(2) is False
     with pytest.raises(ModelBugError):
         fam.exact_cholesky(2)
@@ -136,16 +148,19 @@ def dense_gram_reference(model, degree, lower):
     """G_degree on dense views, unchecked: a unit row for each sector top
     and tails * G_up * B for a state g_{n0} tail, with lower[d] = G_d."""
     states = model.basis.states(degree)
-    g = xl.identity(len(states))
+    dim = len(states)
+    g = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for pos, u in enumerate(states):
         if u.factors:
             gid, n0 = u.factors[0]
             up = degree + n0
             tail = model.reduce_word(u.sector, u.factors[1:])
             tails = [model.coords_by_degree(tail).get(up, [0] * model.dim(up))]
-            block = model.gen_block(model.generators[gid].star, -n0, degree)
-            g[pos] = xl.mat_mul(xl.mat_mul(tails, lower[up]),
-                                block.dense())[0]
+            star_block = model.gen_block(model.generators[gid].star, -n0,
+                                         degree)
+            g[pos] = dense_mat_mul(dense_mat_mul(tails, lower[up],
+                                                 model.dim(up)),
+                                   star_block.dense(), dim)[0]
     return g
 
 

@@ -53,7 +53,7 @@ def resolve_state(model: Model, selector: str) -> StateVector:
 
     Tokens: `nu`, `vac`, `top:<sector>`, `basis:<degree>:<pos>`, joined by
     `+` with an optional rational prefix `c*`.  A malformed token, or one
-    naming no state of the model's basis, raises ConfigError.
+    naming no state of the model's basis up to degree N, raises ConfigError.
     """
     total = StateVector()
     for token in selector.split("+"):
@@ -73,6 +73,9 @@ def resolve_state(model: Model, selector: str) -> StateVector:
             state = model.vacuum
         elif kind == "top" and len(index) == 1:
             state = BasisState(index[0], ())
+        elif kind == "basis" and len(index) == 2 and index[0] > model.N:
+            raise ConfigError(f"state selector {token!r} names degree "
+                              f"{index[0]} above the truncation N = {model.N}")
         elif kind == "basis" and len(index) == 2 and \
                 0 <= index[1] < model.dim(index[0]):
             state = model.basis.states(index[0])[index[1]]

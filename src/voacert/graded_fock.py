@@ -6,7 +6,9 @@ the invariant-form family computes), and rank-1 even lattice models with
 trivial cocycle.  A built Model builds each exact generator mode block on
 first use, memoizes it, and is otherwise immutable.  Virasoro blocks come
 from the action of L_p on Verma words, kept on int numerators over the
-denominator of c/2.
+denominator of c/2.  A basis label (BasisState) is a NamedTuple: it equals
+its plain (sector, factors) tuple, is iterable and ordered, and keeps its
+hash, so label-keyed dicts hash and compare it in C.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, SpecError, TruncationError
@@ -96,8 +99,7 @@ def lattice_spec(q: int = 2, N: int = 6) -> ModelSpec:
     return ModelSpec(kind="lattice", N=N, q=q)
 
 
-@dataclass(frozen=True)
-class BasisState:
+class BasisState(NamedTuple):
     """Canonical PBW label: charge sector plus a creation-mode multiset.
 
     factors are (generator id, plain mode index < 0) sorted by generator id
@@ -280,20 +282,15 @@ def enumerate_basis(spec: ModelSpec) -> GradedBasis:
 
 
 def _enumerate_internal(spec: ModelSpec, nmax: int) -> GradedBasis:
+    sectors = [0]
     if spec.kind == "heisenberg":
         gens = [(i, 1) for i in range(spec.rank)]
-        sectors = [0]
     elif spec.kind == "virasoro":
         gens = [(0, 2)]
-        sectors = [0]
     else:
-        gens = [(0, 1)]
-        sectors = []
-        m = 0
+        gens, m = [(0, 1)], 1
         while _sector_ground(spec, m) <= nmax:
-            sectors.append(m)
-            if m > 0:
-                sectors.append(-m)
+            sectors += [m, -m]
             m += 1
     by_degree = [[] for _ in range(nmax + 1)]
     for sector in sectors:

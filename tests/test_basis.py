@@ -1,7 +1,9 @@
 """Graded dimension oracles computed independently of the package."""
 
+import functools
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +107,26 @@ def test_vacuum_and_positions(heis8):
         for i, st in enumerate(heis8.basis.states(d)):
             assert heis8.basis.position_of(st) == i
             assert heis8.basis.degree_of(st) == d
+
+
+def test_basis_labels_hash_and_compare_as_plain_tuples(heis6, ising8,
+                                                       lat2_6):
+    """Label-keyed dicts hash and compare in C, with the hash of the
+    (sector, factors) tuple, so dict orders and digests are unchanged."""
+    assert BasisState.__hash__ is tuple.__hash__
+    assert BasisState.__eq__ is tuple.__eq__
+    for model in (heis6, ising8, lat2_6):
+        for st in model.basis.index:
+            assert hash(st) == hash((st.sector, st.factors))
+            assert st == (st.sector, st.factors)
+    assert repr(BasisState(0, ((0, -1),))) == "<g0[-1]Om>"
+    assert repr(BasisState(1, ())) == "<e(1)>"
+    st = BasisState(0, ((0, -1),))
+    with pytest.raises(AttributeError):
+        st.sector = 1
+    # labels must survive pickling, as across the parallel suite's workers
+    back = pickle.loads(pickle.dumps(st))
+    assert back == st and type(back) is BasisState
 
 
 def test_canonical_factor_ordering():
@@ -220,8 +242,13 @@ def _partitions(n, max_part=None):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=None)
 def expansion_creation_words(charge, room):
-    """exp(sum_n charge*gamma_{-n} z^n / n) up to degree room, in Q."""
+    """exp(sum_n charge*gamma_{-n} z^n / n) up to degree room, in Q.
+
+    A pure function of (charge, room), memoized: the oracle below asks for
+    it once per state and z-power.
+    """
     out = []
     for deg in range(room + 1):
         for lam in _partitions(deg):
@@ -230,7 +257,7 @@ def expansion_creation_words(charge, room):
                 mult = len(list(mult))
                 coeff *= Q(charge, part) ** mult / math.factorial(mult)
             out.append((deg, tuple((0, -k) for k in sorted(lam)), coeff))
-    return out
+    return tuple(out)
 
 
 def vertex_expansion(model, charge, src_state):

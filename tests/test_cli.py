@@ -148,6 +148,37 @@ def test_selector_outside_the_basis_is_a_config_error(heis8, selector):
         resolve_state(heis8, selector)
 
 
+PAD_STATE = ["--kind", "virasoro", "--c", "1/2", "--N", "8", "--pad", "2",
+             "--check", "norms"]
+
+
+@pytest.mark.parametrize("selector,window", [
+    ("basis:10:0", []), ("basis:9:0", ["--m-max", "1", "--n-max", "1"])])
+def test_a_basis_state_above_n_is_a_config_error_naming_n(
+        capsys, selector, window):
+    # degrees 9 and 10 exist only in the internal pad; such a state once
+    # passed a small window with all-zero norms
+    argv = ["certify"] + PAD_STATE + ["--state", selector] + window
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{selector!r} names degree {selector.split(':')[1]} above " \
+           "the truncation N = 8" in err
+    assert "(-1, 8)" not in err
+
+
+def test_a_basis_state_above_n_fails_suite_with_config_code(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("model.v.kind = virasoro\nmodel.v.c = 1/2\n"
+                   "model.v.N = 8\nmodel.v.pad = 2\n"
+                   "check.nm.type = norms\ncheck.nm.model = v\n"
+                   "check.nm.state = basis:10:0\ncheck.nm.m_max = 1\n"
+                   "check.nm.n_max = 1\n")
+    assert main(["suite", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert "above the truncation N = 8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "heisenberg", "--N", "8", "--check", "primary_bound",
      "--state", "nu", "--m-max", "2", "--n-max", "4"],

@@ -4,12 +4,12 @@ from .errors import (ConfigError, ModelBugError, SpecError, TruncationError,
                      VoacertError)
 from .graded_fock import (Automorphism, BasisState, GradedBasis, Model,
                           ModelSpec, StateVector, build_model,
-                          conformal_state, enumerate_basis, heisenberg_spec,
-                          lattice_spec, virasoro_spec)
-from .mode_engine import (ModeMatrix, Residual, borcherds_residual,
-                          commutator_residual, generator_mode, mode_of_state,
-                          sample_residuals, skewsymmetry_residual,
-                          state_product, translation_residual)
+                          enumerate_basis, heisenberg_spec, lattice_spec,
+                          virasoro_spec)
+from .mode_engine import (Residual, apply_mode, borcherds_residual,
+                          commutator_residual, sample_residuals,
+                          skewsymmetry_residual, state_product,
+                          translation_residual)
 from .bound_certifier import (BoundReport, BootstrapVerdict,
                               bootstrap_analyze, certify_orbifold_chain,
                               certify_pair_bound, certify_primary_bound,

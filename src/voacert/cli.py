@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Verbs: build, axioms, norms, certify, suite, export.  Exit codes:
-0 success, 1 violation found, 2 bad configuration or usage, 3 internal
-numerical failure (non-positive Gram and friends).
+0 success, 1 violation found, 2 bad configuration, usage or file path,
+3 internal numerical failure (non-positive Gram and friends).
 """
 
 from __future__ import annotations
@@ -359,10 +359,16 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
 
 
 def export_bundle(bundle_path: str, fmt: str, out_dir: str):
-    with open(bundle_path) as fh:
-        bundle = json.load(fh)
-    if bundle.get("schema") != REPORT_SCHEMA:
-        raise ConfigError("not a report bundle")
+    try:
+        with open(bundle_path) as fh:
+            bundle = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read bundle {bundle_path}: "
+                          f"{exc.strerror}") from None
+    except ValueError:  # not JSON, or not UTF-8
+        raise ConfigError(f"{bundle_path} is not JSON") from None
+    if not isinstance(bundle, dict) or bundle.get("schema") != REPORT_SCHEMA:
+        raise ConfigError(f"{bundle_path} is not a report bundle")
     if fmt == "json":
         path = os.path.join(out_dir, "bundle.json")
         with open(path, "w") as fh:
@@ -477,6 +483,9 @@ def main(argv=None) -> int:
     except ModelBugError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # an output path the user named
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except VoacertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -155,6 +155,7 @@ def make_check(name: str, ctype, fields: dict) -> dict:
 def parse_config(text: str) -> SuiteConfig:
     sections = {"model": {}, "check": {}}
     top = {}
+    set_on = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,6 +163,10 @@ def parse_config(text: str) -> SuiteConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key!r} repeats line "
+                              f"{set_on[key]}")
+        set_on[key] = lineno
         parts = key.split(".")
         if parts[0] in sections:
             if len(parts) != 3:
@@ -193,5 +198,10 @@ def parse_config(text: str) -> SuiteConfig:
 
 
 def load_config(path: str) -> SuiteConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") \
+            from None
+    return parse_config(text)

@@ -174,7 +174,7 @@ def _acc(d, key, val):
 
 
 class StateVector:
-    """Exact linear combination of basis labels, optionally degree-tagged."""
+    """Exact linear combination of basis labels."""
 
     __slots__ = ("terms",)
 
@@ -745,11 +745,6 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
         model._gen_blocks[(gid, m)][src] = xl.mat_add(
             block, xl.sparse_block(shift, block.cols)).reduced()
     return model
-
-
-def conformal_state(model: Model) -> StateVector:
-    """The conformal state; its plain modes are the L_n of the model."""
-    return model.nu.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,14 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
 
 
 def _vec_block(model: Model, vec: StateVector, k: int, s: int):
-    """Block of the plain mode k of a homogeneous vector.
+    """Block of the plain mode k of a vector.
 
-    A single basis state with coefficient 1 is served by _state_block.  A
-    vector equal to the conformal vector nu (compared by value, so copies
-    hit too) is summed once and cached under (None, k, s) in the model's
-    block cache.  The result may be a shared cache entry in both cases, so
-    callers must not mutate it.
+    Every term takes the same plain index k, so vec need not be
+    homogeneous.  A single basis state with coefficient 1 is served by
+    _state_block.  A vector equal to the conformal vector nu (compared by
+    value, so copies hit too) is summed once and cached under (None, k, s)
+    in the model's block cache.  The result may be a shared cache entry in
+    both cases, so callers must not mutate it.
     """
     tgt = s - k
     if tgt < 0:
@@ -142,89 +143,6 @@ def apply_mode(model: Model, a, k: int, b) -> StateVector:
         model.from_coords(tgt, xl.mat_vec(_vec_block(model, avec, k, s),
                                           coords), out)
     return out
-
-
-def _plain_index(model: Model, a: StateVector, n: int, convention: str) -> int:
-    """Translate a mode index to the plain convention (a_n = a_(n+d-1))."""
-    if convention == "plain":
-        return n
-    if convention == "round":
-        d = model.degree_of(a)
-        return n - d + 1
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-# ---------------------------------------------------------------------------
-# public matrix objects
-
-
-@dataclass
-class ModeMatrix:
-    """Degree-shifting exact matrix of one mode on the truncation.
-
-    blocks maps source degree -> (dim(source - shift) x dim(source))
-    matrix; shift is the plain index.
-    """
-
-    model: Model
-    shift: int
-    blocks: dict
-    owner: str = ""
-    convention: str = "plain"
-    index: int = 0
-    state: StateVector = None  # whose mode this is
-
-    def block(self, s: int):
-        if s not in self.blocks:
-            raise TruncationError(s - self.shift, self.model.N,
-                                  f"source degree {s} for {self.owner}")
-        return self.blocks[s]
-
-    def apply(self, vec: StateVector) -> StateVector:
-        return apply_mode(self.model, self.state, self.shift, vec)
-
-    def max_abs(self):
-        return max((xl.max_abs(m) for m in self.blocks.values()),
-                   default=ZERO)
-
-    def is_zero(self) -> bool:
-        return all(xl.is_zero(m) for m in self.blocks.values())
-
-
-def _mode_matrix(model: Model, vec: StateVector, shift: int, owner: str,
-                 convention: str, index: int, what: str) -> ModeMatrix:
-    """The mode of vec at plain index shift: one _vec_block per source
-    degree whose target fits the truncation; TruncationError naming `what`
-    when none does, unless vec is zero."""
-    sources = [s for s in range(model.N + 1) if s - shift <= model.N]
-    if not sources and not vec.is_zero():
-        raise TruncationError(-shift, model.N, what)
-    blocks = {s: _vec_block(model, vec, shift, s) for s in sources}
-    return ModeMatrix(model, shift, blocks, owner, convention, index, vec)
-
-
-def generator_mode(model: Model, gen: int, m: int) -> ModeMatrix:
-    """Exact matrix of the plain m-th mode of a generator."""
-    if gen not in model.generators:
-        raise KeyError(f"no generator {gen}")
-    info = model.generators[gen]
-    return _mode_matrix(model, StateVector.basis(info.state), m, info.name,
-                        "plain", m, f"generator mode {m}")
-
-
-def mode_of_state(model: Model, a, k: int,
-                  convention: str = "plain") -> ModeMatrix:
-    """Exact matrix of the k-th mode of a homogeneous state.
-
-    The zero vector has zero blocks on every source degree whose target
-    degree s - k fits the truncation, in either convention.
-    """
-    vec = _as_vector(a)
-    if vec.is_zero():  # no degree to convert the index by
-        shift, owner = k, "0"
-    else:
-        shift, owner = _plain_index(model, vec, k, convention), repr(a)
-    return _mode_matrix(model, vec, shift, owner, convention, k, f"mode {k}")
 
 
 def state_product(model: Model, a, n: int, b) -> StateVector:
@@ -360,30 +278,20 @@ def _bracket_residual(model: Model, a: StateVector, p: int, b: StateVector,
 def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
     """Residual of the commutator formula on plain indices p, q.
 
-    Compares [a_p, b_q] against sum_j C(p + d_a - 1, j) (a_{j+1-d_a} b)_{p+q}
-    block-by-block on the common valid source range.
+    Compares [a_p, b_q] against X_{p+q}, X = sum_j C(p + d_a - 1, j) a_(j) b
+    (round j = plain j+1-d_a), block-by-block on the common valid source
+    range.
     """
     avec, bvec = _as_vector(a), _as_vector(b)
     da, db = model.degree_of(avec), model.degree_of(bvec)
-    products = []
+    x = StateVector()
     for j in range(da + db):
         binom = binomial(p + da - 1, j)
-        if not binom:
-            continue
-        xj = state_product(model, avec, j, bvec)  # round j = plain j+1-d_a
-        if not xj.is_zero():
-            products.append((binom, xj))
-
-    def rhs(s):
-        out = xl.zero_block(model.dim(s - p - q), model.dim(s))
-        for binom, xj in products:
-            for st, co in xj.terms.items():
-                xl.add_scaled(out, _state_block(model, st, p + q, s),
-                              co * binom)
-        return out
-
-    worst, sources = _bracket_residual(model, avec, p, bvec, q, rhs,
-                                       "commutator window")
+        if binom:
+            x = x + state_product(model, avec, j, bvec).scale(binom)
+    worst, sources = _bracket_residual(
+        model, avec, p, bvec, q, lambda s: _vec_block(model, x, p + q, s),
+        "commutator window")
     return Residual("commutator", worst, {"p": p, "q": q,
                                           "sources": sources})
 

@@ -173,7 +173,9 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
         blk = _vec_block(model, avec, m, s)
         if xl.is_zero(blk):
             continue
-        fam.exact_cholesky(s)  # G_s positive definite: the search ends
+        if not fam.positive_definite(s):  # else the search never ends
+            raise ModelBugError(
+                f"Gram matrix at degree {s} is not positive definite")
         dim = model.dim(s)
         comp = xl.compose(xl.transpose(blk), xl.compose(
             fam.matrix(tgt), blk, model.dim(tgt), dim), dim, dim)

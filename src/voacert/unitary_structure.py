@@ -243,18 +243,13 @@ def kac_moody_residual(model: Model, a, b, m: int, n: int) -> Residual:
     a, b = _as_vector(a), _as_vector(b)
     if model.degree_of(a) != 1 or model.degree_of(b) != 1:
         raise ValueError("current-algebra check needs degree-1 states")
-    bracket = state_product(model, a, 0, b)
     central = Q(m) * family_of(model).pairing(star(model, a), b) \
         if m == -n else ZERO
-
-    def rhs(s):
-        out = _vec_block(model, bracket, m + n, s)
-        if central:
-            out = xl.mat_add(out, xl.mat_scale(xl.identity(model.dim(s)),
-                                               central))
-        return out
-
-    worst, _ = _bracket_residual(model, a, m, b, n, rhs,
-                                 "current bracket window")
+    # the vacuum's plain mode m + n = 0 is the identity
+    rhs = state_product(model, a, 0, b) + \
+        StateVector.basis(model.vacuum, central)
+    worst, _ = _bracket_residual(
+        model, a, m, b, n, lambda s: _vec_block(model, rhs, m + n, s),
+        "current bracket window")
     return Residual("kac_moody", worst,
                     {"m": m, "n": n, "central": central})

@@ -141,6 +141,35 @@ def test_export_verb(tmp_path, capsys):
         assert p.read_text().startswith("m,n,lhs,rhs,margin")
 
 
+def test_a_missing_config_exits_with_config_code(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert f"cannot read config {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,what", [
+    (None, "cannot read bundle"), ("m,n\n", "is not JSON"),
+    ("[]\n", "is not a report bundle")], ids=["missing", "text", "list"])
+def test_an_unreadable_bundle_exits_with_config_code(tmp_path, capsys,
+                                                     content, what):
+    path = tmp_path / "suite.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["export", "--bundle", str(path),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert what in err and str(path) in err
+
+
+def test_an_unwritable_output_exits_with_config_code(tmp_path, capsys):
+    path = tmp_path / "nodir" / "m.json"
+    assert main(["build", "--kind", "heisenberg", "--N", "4",
+                 "--out", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "file error" in err and str(path) in err
+
+
 @pytest.mark.parametrize("selector", [
     "basis:1:99", "top:99", "basis:1", "x*top:1", "basis:-1:0", "top:1:0"])
 def test_selector_outside_the_basis_is_a_config_error(heis8, selector):
@@ -222,12 +251,15 @@ def test_bad_check_input_fails_suite_with_config_code(tmp_path, capsys):
     "tolerance = -1"])
 def test_bad_model_field_or_tolerance_fails_suite_with_config_code(
         tmp_path, capsys, line):
+    # the bad line replaces SUITE's own value, since a key may be set once
+    key = line.split("=")[0].strip()
     path = tmp_path / "suite.cfg"
-    path.write_text(SUITE + line + "\n")
+    path.write_text(re.sub(rf"^{re.escape(key)} =.*\n", "", SUITE,
+                           flags=re.M) + line + "\n")
     assert main(["suite", "--config", str(path),
                  "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
-    field = line.split("=")[0].strip().split(".")[-1]
-    assert field in capsys.readouterr().err
+    field = key.split(".")[-1]
+    assert f"bad value for {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", [

@@ -46,6 +46,18 @@ def test_corrupt_field_parses():
     assert config.corrupts["h"] == (0, -1, 2, 0, 0, 1)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("model.h.N", "6"), ("check.ax.type", "unitarity"), ("jobs", "1")])
+def test_a_repeated_key_is_rejected(key, value):
+    # the last value once won silently: N = 6, or only the second type ran
+    first = next(i for i, line in enumerate(GOOD.splitlines(), 1)
+                 if line.startswith(key + " "))
+    again = len(GOOD.splitlines()) + 1
+    with pytest.raises(ConfigError, match=rf"line {again}: '{key}' repeats "
+                                          rf"line {first}$"):
+        parse_config(GOOD + f"{key} = {value}\n")
+
+
 def test_unknown_check_type_rejected():
     with pytest.raises(ConfigError):
         parse_config(GOOD + "check.bad.type = nonsense\n"
@@ -134,12 +146,12 @@ def test_zero_tolerance_is_accepted():
 
 
 BAD_MODEL_FIELDS = {
-    "N": "model.h.N = six\n",
+    "N": "model.x.kind = heisenberg\nmodel.x.N = six\n",
     "rank": "model.h.rank = two\n",
     "pad": "model.h.pad = x\n",
     "corrupt": "model.h.corrupt = 0,-1,2,0,zero,1\n",
-    "q": "model.l.q = two\n",
-    "c": "model.v.c = half\n",
+    "q": "model.x.kind = lattice\nmodel.x.q = two\n",
+    "c": "model.x.kind = virasoro\nmodel.x.c = half\n",
     "metric": "model.h.metric = a\n",
 }
 

@@ -3,17 +3,18 @@ import hashlib
 import json
 
 from voacert import exactlinalg as xl
+from voacert import mode_engine, unitary_structure
 from voacert.bound_certifier import certify_v1_bound, certify_virasoro_bound
 from voacert.cli import resolve_state
 from voacert.errors import TruncationError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
-                                 conformal_state, heisenberg_spec,
-                                 lattice_spec, virasoro_spec)
-from voacert.mode_engine import (_state_block, _vec_block,
-                                 commutator_residual, generator_mode,
-                                 mode_of_state, sample_residuals,
+                                 heisenberg_spec, lattice_spec,
+                                 virasoro_spec)
+from voacert.mode_engine import (_state_block, _vec_block, apply_mode,
+                                 commutator_residual, sample_residuals,
                                  state_product, translation_residual)
-from voacert.scalars import Q, rat_to_str
+from voacert.scalars import Q, binomial, rat_to_str
+from voacert.unitary_structure import family_of, kac_moody_residual, star
 
 import pytest
 
@@ -25,35 +26,43 @@ def current(model):
 def test_oscillator_commutator_is_central(heis8):
     """[a_p, a_{-p}] = p id on every degree block."""
     for p in (1, 2, 3):
-        ap = generator_mode(heis8, 0, p)
-        am = generator_mode(heis8, 0, -p)
         for s in range(p, heis8.N - 2 * p + 1):
             lhs = xl.mat_sub(
-                xl.compose(ap.block(s + p), am.block(s),
+                xl.compose(heis8.gen_block(0, p, s + p),
+                           heis8.gen_block(0, -p, s),
                            heis8.dim(s), heis8.dim(s)),
-                xl.compose(am.block(s - p), ap.block(s),
+                xl.compose(heis8.gen_block(0, -p, s - p),
+                           heis8.gen_block(0, p, s),
                            heis8.dim(s), heis8.dim(s)))
             assert lhs == xl.mat_scale(xl.identity(heis8.dim(s)), Q(p))
 
 
 def test_l0_is_grading(heis8):
-    l0 = mode_of_state(heis8, heis8.nu, 0)
     for s in range(heis8.N + 1):
-        assert l0.block(s) == xl.mat_scale(xl.identity(heis8.dim(s)), Q(s))
+        assert _vec_block(heis8, heis8.nu, 0, s) == \
+            xl.mat_scale(xl.identity(heis8.dim(s)), Q(s))
 
 
 def test_positive_modes_kill_vacuum(heis8):
     vac = StateVector.basis(heis8.vacuum)
     for m in (1, 2, 3):
-        assert generator_mode(heis8, 0, m).apply(vac).is_zero()
+        assert apply_mode(heis8, heis8.generators[0].state, m, vac).is_zero()
 
 
 def test_round_vs_plain_indexing(heis8):
+    # plain a_n = round a_(n+d-1): they agree for the degree-1 current and
+    # differ by one for nu, whose plain modes are L_n = nu_(n+1)
     a = current(heis8)
-    plain = mode_of_state(heis8, a, 2)
-    rnd = mode_of_state(heis8, a, 2, convention="round")
-    # for a degree-1 state the conventions agree: a_n = a_(n)
-    assert plain.blocks == rnd.blocks
+    for d in range(4):
+        for b in heis8.basis.states(d):
+            for n in (-2, 0, 2):
+                assert apply_mode(heis8, a, n, b) == \
+                    state_product(heis8, a, n, b)
+                assert apply_mode(heis8, heis8.nu, n, b) == \
+                    state_product(heis8, heis8.nu, n + 1, b)
+    b = heis8.basis.states(2)[0]
+    assert apply_mode(heis8, heis8.nu, 0, b) == \
+        StateVector.basis(b).scale(2)  # L_0 grades
 
 
 def test_state_products_of_the_current(heis8):
@@ -91,14 +100,14 @@ def test_commutator_on_composite_states(ising8):
 def test_window_overflow_raises(heis8):
     a = current(heis8)
     with pytest.raises(TruncationError):
-        mode_of_state(heis8, a, -2 * heis8.N)
+        apply_mode(heis8, a, -2 * heis8.N, heis8.vacuum)
 
 
 def test_mode_matrix_apply_matches_product(lat2_6):
     top = StateVector.basis(BasisState(1, ()))
     other = StateVector.basis(BasisState(-1, ()))
     for k in (-1, 0, 1):
-        applied = mode_of_state(lat2_6, top, k).apply(other)
+        applied = apply_mode(lat2_6, top, k, other)
         d = lat2_6.degree_of(top)
         prod = state_product(lat2_6, top, k + d - 1, other)
         assert applied == prod
@@ -177,11 +186,75 @@ def test_nu_blocks_are_memoized(request, name):
             blk = _vec_block(model, model.nu, k, s)
             assert model._state_mode_cache[(None, k, s)] is blk
             assert _vec_block(model, model.nu, k, s) is blk
-            assert _vec_block(model, conformal_state(model), k, s) is blk
+            assert _vec_block(model, model.nu.copy(), k, s) is blk
             assert _vec_block(model, resolve_state(model, "nu"), k, s) is blk
             assert blk == xl.mat_scale(_state_block(model, st, k, s), co)
             if k == 0:  # L_0 grades
                 assert blk == xl.mat_scale(xl.identity(model.dim(s)), s)
+
+
+def _reference_commutator_rhs(model, a, p, b, q, s):
+    """sum_j C(p + d_a - 1, j) (a_(j) b)_{p+q} on V_s, summed state by state
+    over every product, as commutator_residual once did."""
+    da, db = model.degree_of(a), model.degree_of(b)
+    out = xl.zero_block(model.dim(s - p - q), model.dim(s))
+    for j in range(da + db):
+        binom = binomial(p + da - 1, j)
+        if not binom:
+            continue
+        for st, co in state_product(model, a, j, b).terms.items():
+            xl.add_scaled(out, _state_block(model, st, p + q, s), co * binom)
+    return out
+
+
+def _reference_kac_moody_rhs(model, a, m, b, n, s):
+    """([a,b])_{m+n} + m (a*|b) delta_{m,-n} id on V_s, with the central
+    term added as a scaled identity, as kac_moody_residual once did."""
+    out = _vec_block(model, state_product(model, a, 0, b), m + n, s)
+    central = Q(m) * family_of(model).pairing(star(model, a), b) \
+        if m == -n else 0
+    if central:
+        out = xl.mat_add(out, xl.mat_scale(xl.identity(model.dim(s)),
+                                           central))
+    return out
+
+
+REFERENCE_RHS = {"commutator window": _reference_commutator_rhs,
+                 "current bracket window": _reference_kac_moody_rhs}
+
+
+@pytest.mark.parametrize("corrupt", [None, (0, -1, 2, 0, 0, 1)],
+                         ids=["clean", "corrupted"])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_bracket_right_sides_match_the_termwise_sums(monkeypatch, spec,
+                                                     corrupt):
+    """The commutator and current-algebra right sides, each one _vec_block
+    of a single vector, equal the termwise sums block for block."""
+    model = build_model(spec, corrupt=corrupt)
+    real = mode_engine._bracket_residual
+    compared = {what: 0 for what in REFERENCE_RHS}
+
+    def comparing(model, a, p, b, q, rhs, what):
+        worst, sources = real(model, a, p, b, q, rhs, what)
+        if what in REFERENCE_RHS:
+            for s in sources:
+                assert rhs(s) == REFERENCE_RHS[what](model, a, p, b, q, s), \
+                    (what, a, p, b, q, s)
+                compared[what] += 1
+        return worst, sources
+
+    monkeypatch.setattr(mode_engine, "_bracket_residual", comparing)
+    monkeypatch.setattr(unitary_structure, "_bracket_residual", comparing)
+    checked, failures = sample_residuals(model, "commutator", 100, seed=3)
+    assert checked == 100 and bool(failures) == (corrupt is not None)
+    currents = model.basis.states(1)
+    for a in currents:
+        for b in currents:
+            for m in range(-2, 3):
+                for n in range(-2, 3):
+                    kac_moody_residual(model, a, b, m, n)
+    assert compared["commutator window"] > 100
+    assert bool(compared["current bracket window"]) == bool(currents)
 
 
 def test_translation_tells_a_corrupted_lattice_from_the_clean_one(lat2_6):

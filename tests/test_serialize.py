@@ -6,7 +6,6 @@ from voacert import serialize
 from voacert.errors import ConfigError, ModelBugError
 from voacert.graded_fock import (build_model, heisenberg_spec, lattice_spec,
                                  virasoro_spec)
-from voacert.mode_engine import generator_mode
 from voacert.scalars import rat_from_str, rat_to_str
 from voacert.serialize import (ModelCache, load_model, model_to_dict,
                                save_model, spec_digest, spec_from_dict,
@@ -25,6 +24,14 @@ def test_digest_is_stable_and_distinguishing():
     assert a != spec_digest(lattice_spec(2, 6))
 
 
+def _with_current_blocks(model):
+    """Materialize generator 0's mode -1 on every source degree below N
+    (every block is built on first use)."""
+    for s in range(model.N):
+        model.gen_block(0, -1, s)
+    return model
+
+
 def _with_vertex_blocks(model):
     """Materialize some e+/e- blocks of a lattice model and one current
     block (every block is built on first use)."""
@@ -36,9 +43,8 @@ def _with_vertex_blocks(model):
 
 
 def test_save_load_round_trip(tmp_path, heis6, ising8, lat2_6):
-    generator_mode(heis6, 0, -1)
-    generator_mode(ising8, 0, -1)  # every Virasoro block is lazy
-    for model in (heis6, ising8, _with_vertex_blocks(lat2_6)):
+    for model in (_with_current_blocks(heis6), _with_current_blocks(ising8),
+                  _with_vertex_blocks(lat2_6)):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_model(model, str(first))
         again = load_model(str(first))
@@ -123,7 +129,7 @@ def test_cache_skips_disk_for_padded_builds(tmp_path):
 @pytest.mark.parametrize("pad", [0, 1, 6])
 def test_padded_virasoro_containers_round_trip(tmp_path, pad):
     model = build_model(virasoro_spec("1/2", 6), pad=pad)
-    generator_mode(model, 0, -1)  # every Virasoro block is lazy
+    _with_current_blocks(model)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_model(model, str(first))
     again = load_model(str(first))

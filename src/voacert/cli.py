@@ -369,6 +369,10 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
         raise ConfigError(f"{bundle_path} is not JSON") from None
     if not isinstance(bundle, dict) or bundle.get("schema") != REPORT_SCHEMA:
         raise ConfigError(f"{bundle_path} is not a report bundle")
+    results = bundle.get("results")
+    if not isinstance(results, list) or not all(
+            isinstance(result, dict) for result in results):
+        raise ConfigError(f"{bundle_path}: results is not a list of objects")
     if fmt == "json":
         path = os.path.join(out_dir, "bundle.json")
         with open(path, "w") as fh:
@@ -376,7 +380,7 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
             fh.write("\n")
         return [path]
     written = []
-    for result in bundle["results"]:
+    for result in results:
         report = result.get("report") or result.get("chain") or {}
         cells = report.get("cells")
         if "table" in result:

@@ -199,9 +199,11 @@ def parse_config(text: str) -> SuiteConfig:
 
 def load_config(path: str) -> SuiteConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") \
             from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {path} is not UTF-8 text") from None
     return parse_config(text)

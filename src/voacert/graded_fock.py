@@ -9,19 +9,27 @@ from the action of L_p on Verma words, kept on int numerators over the
 denominator of c/2.  A basis label (BasisState) is a NamedTuple: it equals
 its plain (sector, factors) tuple, is iterable and ordered, and keeps its
 hash, so label-keyed dicts hash and compare it in C.
+
+Lattice vertex blocks are in closed form.  On sector p, Y(e^{c gamma}, z)
+= E^-(z) E^+(z) z^{c p q} (Frenkel, Lepowsky and Meurman 1988), and both
+exponentials factor over the oscillator modes, so the coefficient of a
+target word mu (a_n parts n) on a source word lambda (k_n parts n) is
+prod_n f_n(k_n, a_n) with f_n(k, a) = sum_{l <= min(k, a)} C(k, l)
+(-c q)^{k-l} (c/n)^{a-l} / (a-l)!.  That Fock block depends only on the
+charge and the two oscillator degrees; a basis degree is sorted by
+(sector, word), with the same word order in every sector, so each vertex
+block is the memoized Fock blocks placed at the sectors' offsets.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, SpecError, TruncationError
-from .scalars import ONE, Q, ZERO, binomial, canon, rational
+from .scalars import ONE, Q, ZERO, canon, rational
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +135,8 @@ def canonical_factors(factors) -> tuple:
 
 
 class GradedBasis:
-    """Per-degree indexed lists of BasisState labels."""
+    """Per-degree indexed lists of BasisState labels, each sorted by
+    (sector, word length, factors)."""
 
     def __init__(self, states_by_degree):
         self.states_by_degree = states_by_degree
@@ -135,6 +144,7 @@ class GradedBasis:
         for deg, states in enumerate(states_by_degree):
             for pos, st in enumerate(states):
                 self.index[st] = (deg, pos)
+        self._sector_ranges = {}
 
     @property
     def max_degree(self) -> int:
@@ -155,6 +165,26 @@ class GradedBasis:
 
     def position_of(self, state: BasisState) -> int:
         return self.index[state][1]
+
+    def sector_ranges(self, degree: int) -> dict:
+        """{sector: range of its positions} at a degree, memoized; a
+        sector's labels are contiguous since the degree is sorted."""
+        hit = self._sector_ranges.get(degree)
+        if hit is None:
+            starts = {}
+            for pos, st in enumerate(self.states(degree)):
+                starts.setdefault(st.sector, pos)
+            ends = list(starts.values())[1:] + [self.dim(degree)]
+            hit = self._sector_ranges[degree] = {
+                p: range(start, end)
+                for (p, start), end in zip(starts.items(), ends)}
+        return hit
+
+    def words(self, osc: int):
+        """The creation words of oscillator degree osc in basis order: the
+        vacuum sector's labels at degree osc."""
+        states = self.states(osc)
+        return [states[i].factors for i in self.sector_ranges(osc)[0]]
 
 
 def _acc(d, key, val):
@@ -257,7 +287,8 @@ def _gen_words(gens, degree: int):
             yield ()
         return
     (gid, min_part), rest = gens[0], gens[1:]
-    for here in range(degree + 1):
+    # the last generator takes all the degree that is left
+    for here in range(degree + 1) if rest else (degree,):
         for lam in _partitions(here, min_part):
             head = tuple((gid, -k) for k in sorted(lam))
             for tail in _gen_words(rest, degree - here):
@@ -292,14 +323,16 @@ def _enumerate_internal(spec: ModelSpec, nmax: int) -> GradedBasis:
         while _sector_ground(spec, m) <= nmax:
             sectors += [m, -m]
             m += 1
+    # each degree's words once, in basis order; sectors ascending, so every
+    # degree comes out sorted by (sector, word length, factors)
+    words = [sorted(_gen_words(gens, osc), key=lambda w: (len(w), w))
+             for osc in range(nmax + 1)]
     by_degree = [[] for _ in range(nmax + 1)]
-    for sector in sectors:
+    for sector in sorted(sectors):
         ground = _sector_ground(spec, sector)
         for osc in range(nmax - ground + 1):
-            for word in _gen_words(gens, osc):
-                by_degree[ground + osc].append(BasisState(sector, word))
-    for states in by_degree:
-        states.sort(key=lambda s: (s.sector, s.word_length(), s.factors))
+            by_degree[ground + osc] += [BasisState(sector, w)
+                                        for w in words[osc]]
     return GradedBasis(by_degree)
 
 
@@ -341,7 +374,8 @@ class Model:
         self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
-        self._vertex_cache = {}  # (charge, factors) -> E+ terms, lattice
+        self._fock_blocks = {}  # (charge, k_s, k_t) -> _fock_block, lattice
+        self._fock_g = {}  # charge -> _g_table, lattice
         self._reduce_cache = {}
 
     # -- basic queries ------------------------------------------------------
@@ -639,81 +673,100 @@ def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
 
     On sector p, Y(e^{c*gamma}, z) = E^-(z) E^+(z) z^{c*p*q} (Frenkel,
     Lepowsky and Meurman 1988), and the plain mode m is the coefficient of
-    z^{-m - c*c*q/2}.  Each term of the annihilation half E^+ fixes the
-    degree d of the creation half E^- that reaches that power, so a column
-    sums integer numerators over tgt! (d <= tgt), and the block is those
-    numerators over tgt!, reduced once.
+    z^{-m - c*c*q/2}: it maps sector p at degree s to sector p + c at
+    tgt = s - m, Fock degree k_s = s - p*p*q/2 to k_t = tgt - (p+c)^2*q/2.
+    Its entry from a source word lambda (k_n parts n) to a target word mu
+    (a_n parts n) is (k_t!/z_mu) prod_n g_n(k_n, a_n) over k_t!, the
+    closed form of _fock_block, which depends on (c, k_s, k_t) alone and
+    is memoized on the model.  A degree's basis is sorted by (sector,
+    word) with the same word order in every sector, so the block is one
+    Fock block per source sector, placed at the two sectors' offsets;
+    each piece is lifted to the denominator tgt! and the block is reduced
+    once.
     """
     q = model.spec.q
     basis = model.basis
     tgt = src_degree - m
     den = math.factorial(tgt)
     acc = xl.zero_block(basis.dim(tgt), basis.dim(src_degree), den)
-    want_power = -m - charge * charge * q // 2
-    for col, st in enumerate(basis.states(src_degree)):
-        sector = st.sector + charge
-        room = want_power - charge * st.sector * q
-        nums = {}  # target factors -> numerator over den
-        for offset, rest, co in _annihilation(model, charge, st.factors):
-            d = room - offset
-            if d < 0:
-                continue
-            scale = co * (den // math.factorial(d))
-            for word, num in _creation(charge, d):
-                # one generator id: canonical order is the tuples' reverse
-                key = tuple(sorted(rest + word, reverse=True))
-                nums[key] = nums.get(key, 0) + scale * num
-        for factors, num in nums.items():  # reduced() drops the zeros
-            acc.rows[basis.index[BasisState(sector, factors)][1]][col] = num
+    targets = basis.sector_ranges(tgt)
+    for p, cols in basis.sector_ranges(src_degree).items():
+        k_t = tgt - (p + charge) ** 2 * q // 2
+        if k_t < 0:
+            continue
+        up, col0 = den // math.factorial(k_t), cols.start
+        fock = _fock_block(model, charge, src_degree - p * p * q // 2, k_t)
+        for i, row in zip(targets[p + charge], fock):
+            acc.rows[i] = {col0 + j: x * up for j, x in enumerate(row) if x}
     return acc.reduced()
 
 
-def _annihilation(model: Model, charge: int, factors: tuple):
-    """E^+(z) = exp(-sum_n charge*gamma_n z^-n / n) on an oscillator word.
+def _fock_block(model: Model, charge: int, k_s: int, k_t: int):
+    """Oscillator part of e^{charge*gamma}'s modes from Fock degree k_s to
+    k_t: dense rows of int numerators over k_t!, in the basis word order
+    (a dense row holds about half the bytes of a dict row).
 
-    Returns (z-power offset, kept factors, int coefficient) triples,
-    memoized per model.  gamma_n^t removes t of the k copies of the (0,-n)
-    factor with coefficient (n q)^t k!/(k-t)!, which the exponential's
-    (-charge/n)^t / t! turns into the integer (-charge q)^t C(k, t).
+    With [gamma_m, gamma_n] = m q delta_{m+n,0}, E^+ keeps l of a source
+    word's k_n parts n with coefficient C(k_n, l) (-c q)^{k_n - l}, and E^-
+    adds a_n - l with (c/n)^{a_n - l} / (a_n - l)!.  Summed over l, the
+    target word mu (a_n parts n) has coefficient prod_n g_n(k_n, a_n) /
+    z_mu, z_mu = prod_n n^{a_n} a_n! (Macdonald, Symmetric Functions,
+    ch. I), with g_n(k, a) = sum_l C(k, l) (-c q)^{k-l} c^{a-l} n^l
+    a!/(a-l)!; k_t!/z_mu is an integer.
     """
-    key = (charge, factors)
-    hit = model._vertex_cache.get(key)
+    key = (charge, k_s, k_t)
+    hit = model._fock_blocks.get(key)
     if hit is not None:
         return hit
-    step = -charge * model.spec.q
-    counts = [(n, factors.count((0, -n)))
-              for n in sorted({-k for _, k in factors})]
+    cq = charge * model.spec.q
+    g = model._fock_g.get(charge)
+    if g is None:
+        g = model._fock_g[charge] = _g_table(charge, model.spec.q,
+                                             model.n_internal)
+    # a part n of lambda that mu lacks gives g_n(k, 0) = (-c q)^k, so the
+    # product runs over mu's parts times (-c q) to lambda's other parts
+    powers = [(-cq) ** i for i in range(k_s + 1)]
+    sources = [(_part_counts(w), len(w)) for w in model.basis.words(k_s)]
+    fact = math.factorial(k_t)
     hit = []
-    for kept in itertools.product(*(range(k + 1) for _, k in counts)):
-        offset, rest, co = 0, (), 1
-        for (n, k), left in zip(counts, kept):
-            offset -= n * (k - left)
-            rest += ((0, -n),) * left
-            co *= step ** (k - left) * binomial(k, left)
-        hit.append((offset, rest, co))
-    model._vertex_cache[key] = hit
+    for mu in map(_part_counts, model.basis.words(k_t)):
+        z = 1
+        for n, a in mu.items():
+            z *= n ** a * math.factorial(a)
+        lead = fact // z
+        cols = [(n, g[n][a]) for n, a in mu.items()]
+        row = []
+        for lam, left in sources:
+            x = lead
+            for n, col in cols:
+                k = lam.get(n, 0)
+                x *= col[k]
+                left -= k
+            row.append(x * powers[left])
+        hit.append(row)
+    model._fock_blocks[key] = hit
     return hit
 
 
-@functools.lru_cache(maxsize=None)
-def _creation(charge: int, d: int) -> tuple:
-    """Degree-d part of E^-(z) = exp(sum_n charge*gamma_{-n} z^n / n).
+def _part_counts(word: tuple) -> dict:
+    """{n: number of parts n} of a one-generator oscillator word."""
+    out = {}
+    for _, k in word:
+        out[-k] = out.get(-k, 0) + 1
+    return out
 
-    Returns (factor tuple, numerator) pairs over the denominator d!: the
-    word of a partition lambda of d has coefficient charge^{len lambda} /
-    z_lambda, and d!/z_lambda is an integer (it counts the permutations of
-    cycle type lambda).  The table depends on (charge, d) alone, so it is
-    memoized once per process; it is an immutable tuple.
-    """
-    out = []
-    for lam in _partitions(d):
-        z = 1
-        for part, mult in itertools.groupby(lam):
-            mult = len(list(mult))
-            z *= part ** mult * math.factorial(mult)
-        out.append((tuple((0, -k) for k in reversed(lam)),
-                    charge ** len(lam) * (math.factorial(d) // z)))
-    return tuple(out)
+
+def _g_table(c: int, q: int, nmax: int) -> list:
+    """g[n][a][k] = g_n(k, a) for every part n and counts k, a with n*k and
+    n*a at most nmax; see _fock_block."""
+    cq, out = c * q, [None]
+    for n in range(1, nmax + 1):
+        most = nmax // n
+        out.append([[sum(math.comb(k, l) * (-cq) ** (k - l) * c ** (a - l)
+                         * n ** l * math.perm(a, l)
+                         for l in range(min(k, a) + 1))
+                     for k in range(most + 1)] for a in range(most + 1)])
+    return out
 
 
 # ---------------------------------------------------------------------------

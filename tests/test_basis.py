@@ -319,6 +319,119 @@ def test_vertex_blocks_match_full_laurent_expansion(q, n):
                     [[type(x) for x in row] for row in want], (charge, m, s)
 
 
+def _annihilation_terms(q, charge, factors):
+    """E^+ on an oscillator word: (z-power offset, kept factors, int
+    coefficient) triples, gamma_n^t removing t of the k copies of (0, -n)
+    with coefficient (-charge q)^t C(k, t)."""
+    counts = [(n, factors.count((0, -n)))
+              for n in sorted({-k for _, k in factors})]
+    out = []
+    for kept in itertools.product(*(range(k + 1) for _, k in counts)):
+        offset, rest, co = 0, (), 1
+        for (n, k), left in zip(counts, kept):
+            offset -= n * (k - left)
+            rest += ((0, -n),) * left
+            co *= (-charge * q) ** (k - left) * binomial(k, left)
+        out.append((offset, rest, co))
+    return out
+
+
+def _creation_terms(charge, d):
+    """Degree-d part of E^-: (word, numerator over d!) pairs, the word of a
+    partition lambda weighing charge^{len lambda} d!/z_lambda."""
+    out = []
+    for lam in _partitions(d):
+        z = 1
+        for part, mult in itertools.groupby(lam):
+            mult = len(list(mult))
+            z *= part ** mult * math.factorial(mult)
+        out.append((tuple((0, -k) for k in reversed(lam)),
+                    charge ** len(lam) * (math.factorial(d) // z)))
+    return out
+
+
+def pairwise_vertex_block(model, charge, m, src_degree):
+    """vertex_mode_block as a sum over (annihilation term, creation word)
+    pairs per source state, keyed by the sorted target word; the reference
+    for the closed-form Fock blocks.  Returns (rows, cols, den) in lowest
+    terms, each row's columns ascending."""
+    q, basis = model.spec.q, model.basis
+    tgt = src_degree - m
+    den = math.factorial(tgt)
+    rows = [{} for _ in range(basis.dim(tgt))]
+    want_power = -m - charge * charge * q // 2
+    for col, st in enumerate(basis.states(src_degree)):
+        room = want_power - charge * st.sector * q
+        nums = {}
+        for offset, rest, co in _annihilation_terms(q, charge, st.factors):
+            d = room - offset
+            if d < 0:
+                continue
+            for word, num in _creation_terms(charge, d):
+                key = tuple(sorted(rest + word, reverse=True))
+                nums[key] = (nums.get(key, 0)
+                             + co * (den // math.factorial(d)) * num)
+        for factors, num in nums.items():
+            if num:
+                rows[basis.position_of(
+                    BasisState(st.sector + charge, factors))][col] = num
+    g = math.gcd(den, *(x for row in rows for x in row.values()))
+    return ([{j: x // g for j, x in row.items()} for row in rows],
+            basis.dim(src_degree), den // g)
+
+
+@pytest.mark.parametrize("corrupt", [None, (1, 0, 3, 0, 0, 1)],
+                         ids=["clean", "corrupted"])
+@pytest.mark.parametrize("q,n", [(2, 9), (4, 9), (6, 9), (8, 9)])
+def test_vertex_blocks_match_the_pairwise_sum(q, n, corrupt):
+    """The closed-form blocks equal the per-pair enumeration block for
+    block: rows with the same entries in the same column order, cols and
+    the lowest-terms denominator.  A corrupted model changes its stored
+    e+ block only, never the Fock blocks behind vertex_mode_block."""
+    model = build_model(lattice_spec(q, n), corrupt=corrupt)
+    for charge in (1, -1, 2, -2, 3, -3):
+        for s in range(n + 1):
+            for m in range(s - n, s + 1):
+                got = vertex_mode_block(model, charge, m, s)
+                rows, cols, den = pairwise_vertex_block(model, charge, m, s)
+                assert [list(row.items()) for row in got.rows] == \
+                    [list(row.items()) for row in rows], (charge, m, s)
+                assert (got.cols, got.den) == (cols, den), (charge, m, s)
+                assert math.gcd(got.den, *(x for row in got.rows
+                                           for x in row.values())) == 1
+
+
+def test_no_voacert_function_has_a_process_wide_cache():
+    """Every memo lives on a model, so a fresh model does its own work:
+    perfbench rounds build cold models and must pay for every block."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import voacert
+
+    cached = []
+    for info in pkgutil.iter_modules(voacert.__path__):
+        module = importlib.import_module(f"voacert.{info.name}")
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if inspect.isclass(obj) else ()
+            for label, fn in [(name, obj)] + [
+                    (f"{name}.{attr}", member) for attr, member in members]:
+                if hasattr(fn, "cache_info") or hasattr(fn, "cache_clear"):
+                    cached.append(f"{info.name}.{label}")
+    assert cached == []
+
+
+def test_a_fresh_lattice_model_has_empty_fock_tables():
+    first = build_model(lattice_spec(2, 6))
+    first.gen_block(1, 0, 4)
+    assert first._fock_blocks and first._fock_g
+    second = build_model(lattice_spec(2, 6))
+    assert second._fock_blocks == {} and second._fock_g == {}
+    assert second.gen_block(1, 0, 4) == first.gen_block(1, 0, 4)
+    assert second._fock_blocks.keys() == first._fock_blocks.keys()
+
+
 @pytest.mark.parametrize("pad", [-3, -1, 9, 100])
 def test_a_pad_outside_zero_to_n_is_a_spec_error(pad):
     # pad -3 used to build dims [1, 0, 1, 1, 2, 2, 0, 0, 0]; pad 100 a

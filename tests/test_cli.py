@@ -148,9 +148,24 @@ def test_a_missing_config_exits_with_config_code(tmp_path, capsys):
     assert f"cannot read config {path}" in capsys.readouterr().err
 
 
+def test_a_config_that_is_not_utf8_exits_with_config_code(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe model.h.kind = heisenberg\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert f"config {path} is not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content,what", [
     (None, "cannot read bundle"), ("m,n\n", "is not JSON"),
-    ("[]\n", "is not a report bundle")], ids=["missing", "text", "list"])
+    ("[]\n", "is not a report bundle"),
+    ('{"schema": "voacert-report/1", "results": 5}\n',
+     "results is not a list of objects"),
+    ('{"schema": "voacert-report/1"}\n', "results is not a list of objects"),
+    ('{"schema": "voacert-report/1", "results": [3]}\n',
+     "results is not a list of objects")],
+    ids=["missing", "text", "list", "int-results", "no-results",
+         "int-result"])
 def test_an_unreadable_bundle_exits_with_config_code(tmp_path, capsys,
                                                      content, what):
     path = tmp_path / "suite.json"

@@ -486,7 +486,8 @@ def bootstrap_analyze(kseq, d_const, s, d: int,
                 m += 1
             verdict.witness_ok = ok
             return verdict
-    for n in range(len(kseq) - d):
+    # with no cell in the window, cell 0 fails: no pass on zero cells
+    for n in range(max(len(kseq) - d, 1)):
         if not _recursion_holds(kseq, d_const, s, d, n, tol):
             verdict.failing_cell = n
             return verdict

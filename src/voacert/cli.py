@@ -24,8 +24,8 @@ from .bound_certifier import (bootstrap_analyze, certify_orbifold_chain,
                               certify_zero_mode_product, fit_recursion,
                               measure_sector_growth, orbifold_average,
                               trace_domination_check)
-from .config import (KIND_FIELDS, MODEL_FIELDS, SuiteConfig, load_config,
-                     make_check, spec_from_fields)
+from .config import (KIND_FIELDS, MODEL_FIELDS, NAME, SuiteConfig,
+                     load_config, make_check, spec_from_fields)
 from .errors import (ConfigError, ModelBugError, TruncationError,
                      VoacertError)
 from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
@@ -33,7 +33,7 @@ from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table, write_norm_csv
 from .scalars import Q, rat_from_str
-from .serialize import ModelCache, save_model, spec_digest
+from .serialize import ModelCache, save_model
 from .unitary_structure import family_of
 
 REPORT_SCHEMA = "voacert-report/1"
@@ -129,12 +129,12 @@ def _at_least(low: int):
 
 # Every field a check may read, with its parser.  A one-check verb has a
 # flag of the same name for each field of its type (`certify`: every field),
-# `--m-max` for m_max and `--damping` for q.  A window bound is at least 0
-# and a sample count at least 1, so no check passes on an empty window.
+# `--m-max` for m_max and `--damping` for q.  A window bound is at least 0,
+# a sample count and step d at least 1: no check passes on an empty window.
 FIELDS = {
     "state": str, "with": str, "m_max": _at_least(0), "n_max": _at_least(0),
     "samples": _at_least(1),
-    "seed": int, "degree_cap": int, "p": int, "d": int,
+    "seed": int, "degree_cap": int, "p": int, "d": _at_least(1),
     "q": rat_from_str, "s": rat_from_str,
 }
 
@@ -297,7 +297,7 @@ def run_check(model: Model, check: dict, tolerance: float,
 def _suite_model(memo: dict, spec: ModelSpec, pad, corrupt, cache_dir):
     """A suite's model, built once per memo; read from and saved to
     cache_dir when one is set, unless it is corrupted on purpose."""
-    key = (spec_digest(spec), pad, corrupt)
+    key = (spec, pad, corrupt)
     model = memo.get(key)
     if model is None:
         if cache_dir and corrupt is None:
@@ -379,6 +379,11 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
             json.dump(bundle, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return [path]
+    for result in results:  # a name is a file name: checked before any write
+        name = result.get("name")
+        if not (isinstance(name, str) and NAME.fullmatch(name)):
+            raise ConfigError(f"{bundle_path}: result name {name!r} is not "
+                              "[A-Za-z0-9_-]+")
     written = []
     for result in results:
         report = result.get("report") or result.get("chain") or {}

@@ -16,6 +16,7 @@ else is a top-level setting.  Example:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, SpecError
@@ -54,6 +55,10 @@ class SuiteConfig:
         if self.jobs < 0:
             raise ConfigError("jobs must be nonnegative")
         return self
+
+
+# A model or check name: it names the check's files in the output directory.
+NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _parse_field(where: str, fields: dict, name: str, parse, default=None):
@@ -172,6 +177,9 @@ def parse_config(text: str) -> SuiteConfig:
             if len(parts) != 3:
                 raise ConfigError(f"line {lineno}: {parts[0]} keys look like "
                                   f"{parts[0]}.<name>.<field>")
+            if not NAME.fullmatch(parts[1]):
+                raise ConfigError(f"line {lineno}: {parts[0]} name "
+                                  f"{parts[1]!r} is not [A-Za-z0-9_-]+")
             sections[parts[0]].setdefault(parts[1], {})[parts[2]] = value
         elif len(parts) == 1:
             top[key] = value

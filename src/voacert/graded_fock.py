@@ -354,13 +354,12 @@ class Model:
     Construction is a single-writer phase; afterwards the object is
     treated as immutable (caches fill idempotently).  Generator blocks are
     built on first use by block(model, gid, m, src), an xl.Block, and
-    memoized;
-    reduce(model, factors), when given, is the class of a canonical word
-    that is not a basis label (the Virasoro quotient).
+    memoized.  Every label's tail BasisState(sector, factors[1:]) is a
+    label: Fock bases are complete, and _build_virasoro checks its quotient.
     """
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
-                 generators, nu: StateVector, c, block, reduce=None):
+                 generators, nu: StateVector, c, block):
         self.spec = spec
         self.N = spec.N
         self.n_internal = n_internal
@@ -370,13 +369,11 @@ class Model:
         self.nu = nu
         self.c = c
         self._block = block
-        self._reduce = reduce
         self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
         self._fock_blocks = {}  # (charge, k_s, k_t) -> _fock_block, lattice
         self._fock_g = {}  # charge -> _g_table, lattice
-        self._reduce_cache = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -437,21 +434,6 @@ class Model:
         if hit is None:
             hit = blocks[src_degree] = self._block(self, gid, m, src_degree)
         return hit
-
-    # -- canonical word reduction (identity except for Virasoro quotient) ---
-
-    def reduce_word(self, sector: int, factors) -> StateVector:
-        """Class of a canonical word in the model basis."""
-        factors = canonical_factors(factors)
-        state = BasisState(sector, factors)
-        if state in self.basis.index:
-            return StateVector.basis(state)
-        if self._reduce is None:
-            raise KeyError(f"state {state} not in basis")
-        hit = self._reduce_cache.get(state)
-        if hit is None:
-            hit = self._reduce_cache[state] = self._reduce(self, factors)
-        return hit.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +610,16 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     basis = GradedBasis([[verma.states(d)[i] for i in kept_by_degree[d]]
                          for d in range(n_internal + 1)])
 
-    def reduce(model, factors):
-        word = tuple(-m for _, m in factors)
-        deg = sum(word)
-        if deg > n_internal:
-            raise TruncationError(deg, n_internal, "word degree")
-        cols, den = columns[deg]
-        states = basis.states(deg)
-        return StateVector({states[i]: canon(Q(x, den))
-                            for i, x in cols[word].items()})
-
+    # Kept words are closed under dropping the leading factor, the smallest
+    # part k of w = L_{-k} t, in (length, factors) order: were t a sum of
+    # earlier words t' modulo the radical, a submodule, then w = sum of
+    # L_{-k} t', each the earlier word (k, t') (a t' < t of equal length has
+    # parts >= k) or reordered into shorter words; so w is not a pivot.
+    for st in basis.index:
+        if st.factors and BasisState(0, st.factors[1:]) not in basis.index:
+            raise ModelBugError(f"the tail of kept word {st} is not kept")
     return Model(spec, n_internal, basis, gens, StateVector.basis(nu_state),
-                 c, _word_block(engine, basis, columns), reduce)
+                 c, _word_block(engine, basis, columns))
 
 
 # ---------------------------------------------------------------------------

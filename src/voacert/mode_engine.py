@@ -63,24 +63,22 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
     # peel the leading factor: state = g_{n0} . tail
     gid, n0 = state.factors[0]
     dg = model.generators[gid].degree
-    tail = model.reduce_word(state.sector, state.factors[1:])
+    tail = BasisState(state.sector, state.factors[1:])  # a label: see Model
     acc = xl.zero_block(basis.dim(tgt), basis.dim(s))
     j1_max = s - k + n0  # beyond this the inner tail mode annihilates V_s
     j2_max = s + dg - 1  # beyond this the inner generator mode annihilates
     for j in range(0, max(j1_max, j2_max) + 1):
-        binom = binomial(n0 + dg - 1, j)
-        if not binom:
-            continue
+        binom = binomial(n0 + dg - 1, j)  # never 0: n0 + dg - 1 < 0
         sign = -1 if j % 2 else 1
         if j <= j1_max:
             mid = s - (k - n0 + j)
-            inner = _vec_block(model, tail, k - n0 + j, s)
+            inner = _state_block(model, tail, k - n0 + j, s)
             outer = model.gen_block(gid, n0 - j, mid)
             xl.add_product(acc, outer, inner, sign * binom)
         if j <= j2_max:
             mid = s - (j + 1 - dg)
             inner = model.gen_block(gid, j + 1 - dg, s)
-            outer = _vec_block(model, tail, k - j + dg - 1, mid)
+            outer = _state_block(model, tail, k - j + dg - 1, mid)
             sign2 = sign if (n0 + dg) % 2 == 0 else -sign
             xl.add_product(acc, outer, inner, sign2 * binom)
     return acc.reduced()

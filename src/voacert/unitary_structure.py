@@ -62,12 +62,12 @@ class GramFamily:
         """Exact Gram matrix, built from lower degrees per leading factor.
 
         A basis state u = g_{n0} tail has the row (tail | (g*)_{-n0} .),
-        so the rows of all states led by g_{n0} are tails * G_{degree+n0}
-        * B, with tails the coordinate rows of their tails and B the block
-        of (g*)_{-n0} on V_degree.  Both products run on int numerators
-        and add into one block; a sector top has a unit row.  The result
-        is one read-only xl.Block in lowest terms; dense readers share its
-        memoized dense view.
+        and its tail BasisState(u.sector, u.factors[1:]) is a label (see
+        Model), so the rows of all states led by g_{n0} are G_{degree+n0}'s
+        rows at their tails times B, the block of (g*)_{-n0} on V_degree,
+        added into one block on int numerators; a sector top has a unit
+        row.  The result is one read-only xl.Block in lowest terms; dense
+        readers share its memoized dense view.
         """
         if degree > self.model.N:
             raise TruncationError(degree, self.model.N, "Gram degree")
@@ -77,23 +77,20 @@ class GramFamily:
         model = self.model
         states = model.basis.states(degree)
         dim, index = len(states), model.basis.index
-        led, tops = {}, []  # leading factor -> {position: tail coordinates}
+        led, tops = {}, []  # leading factor -> {position: tail position}
         for pos, u in enumerate(states):
             if u.factors:
-                tail = model.reduce_word(u.sector, u.factors[1:])
-                led.setdefault(u.factors[0], {})[pos] = {
-                    index[st][1]: co for st, co in tail.terms.items()}
+                led.setdefault(u.factors[0], {})[pos] = index[
+                    BasisState(u.sector, u.factors[1:])][1]
             else:
                 tops.append(pos)
         acc = xl.zero_block(dim, dim)
         for (gid, n0), tails in led.items():
-            up, width = degree + n0, model.dim(degree + n0)
-            rows = xl.sparse_block([tails.get(pos, {}) for pos in range(dim)],
-                                   width)
-            tg = xl.compose(rows, self.matrix(up), dim, width)
-            star_block = model.gen_block(model.generators[gid].star, -n0,
-                                         degree)
-            xl.add_product(acc, tg, star_block)
+            up = self.matrix(degree + n0)
+            tg = xl.Block([up.rows[tails[pos]] if pos in tails else {}
+                           for pos in range(dim)], up.cols, up.den)
+            xl.add_product(acc, tg, model.gen_block(
+                model.generators[gid].star, -n0, degree))
         for pos in tops:
             acc.rows[pos] = {pos: acc.den}
         g = acc.reduced()

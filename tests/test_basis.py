@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voacert.errors import SpecError
+from voacert.errors import ModelBugError, SpecError
 from voacert.graded_fock import (BasisState, StateVector, _VermaEngine,
                                  build_model,
                                  canonical_factors, heisenberg_spec,
@@ -82,6 +82,58 @@ def test_c1_dims_match_free_field_character(c1_8):
     vir16 = build_model(virasoro_spec(1, 16), pad=1)
     assert vir16.n_internal == 17
     assert [vir16.dim(n) for n in range(18)] == expect
+
+
+def product_dims(residues, modulus, n_max):
+    """Coefficients of prod over n = residue (mod modulus) of 1/(1 - q^n)."""
+    out = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        if part % modulus in residues:
+            for n in range(part, n_max + 1):
+                out[n] += out[n - part]
+    return out
+
+
+@pytest.mark.parametrize("c, p, n_max, residues, modulus, dims", [
+    ("-22/5", 5, 14, (2, 3), 5,
+     [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8]),
+    ("-68/7", 7, 12, (2, 3, 4, 5), 7,
+     [1, 0, 1, 1, 2, 2, 3, 3, 5, 6, 8, 9, 13])],
+    ids=["lee-yang", "c=-68/7"])
+def test_nonunitary_dims_match_product_characters(c, p, n_max, residues,
+                                                  modulus, dims):
+    """The (p, 2) minimal vacuum characters are the Rogers-Ramanujan and
+    Andrews-Gordon products; at these non-unitary c the quotient's
+    dimensions match them and the alternating sum."""
+    assert product_dims(residues, modulus, n_max) == dims
+    assert minimal_vacuum_dims(p, 2, n_max) == dims
+    model = build_model(virasoro_spec(c, n_max), pad=0)
+    assert [model.dim(n) for n in range(n_max + 1)] == dims
+
+
+@pytest.mark.parametrize("c", ["1/2", "7/10", "1", "-2", "25", "-22/5",
+                               "-68/7"])
+def test_kept_virasoro_words_are_closed_under_peeling(c):
+    model = build_model(virasoro_spec(c, 12), pad=0)
+    index = model.basis.index
+    assert all(BasisState(0, st.factors[1:]) in index
+               for st in index if st.factors)
+
+
+def test_a_kept_word_whose_tail_is_not_kept_is_a_model_bug(monkeypatch):
+    from voacert import exactlinalg as xl
+
+    rref = xl.rref
+
+    def drop_second_pivot_of_two(g):
+        # the two-word Verma degrees are 4 and 5: L_-2 L_-2 and L_-2 L_-3
+        # are dropped, so the kept L_-2 L_-2 L_-2 at c = 1 has no tail
+        r, pivots = rref(g)
+        return r, pivots[:1] if len(g.rows) == 2 else pivots
+
+    monkeypatch.setattr(xl, "rref", drop_second_pivot_of_two)
+    with pytest.raises(ModelBugError, match="tail of kept word"):
+        build_model(virasoro_spec(1, 6), pad=0)
 
 
 def test_lattice_dims_match_theta_over_eta(lat2_6):

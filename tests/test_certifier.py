@@ -187,6 +187,13 @@ def test_bootstrap_detects_exponential_growth():
     assert verdict.n_bar >= 0
 
 
+def test_bootstrap_with_no_recursion_cell_is_inconclusive():
+    # len(kseq) <= d: no cell fits, which used to certify on zero cells
+    verdict = bootstrap_analyze([0.5, 0.9], 1.0, 0.0, 3)
+    assert verdict.kind == "inconclusive"
+    assert verdict.failing_cell == 0
+
+
 def test_bootstrap_measured_lattice_growth(lat2_8):
     kseq = measure_sector_growth(lat2_8, 8)
     assert kseq[0] == 0 and kseq[1] > 0

@@ -177,6 +177,45 @@ def test_an_unreadable_bundle_exits_with_config_code(tmp_path, capsys,
     assert what in err and str(path) in err
 
 
+def test_a_check_name_naming_a_path_fails_suite_before_any_write(
+        tmp_path, capsys):
+    # the check's csv used to go to <tmp_path>/x/evil.csv, outside rep/
+    evil = tmp_path / "x" / "evil"
+    os.makedirs(evil.parent)
+    path = tmp_path / "suite.cfg"
+    path.write_text("model.h.kind = heisenberg\nmodel.h.N = 4\n"
+                    f"check.{evil}.type = norms\ncheck.{evil}.model = h\n"
+                    f"check.{evil}.m_max = 1\ncheck.{evil}.n_max = 2\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert f"check name '{evil}' is not" in capsys.readouterr().err
+    assert not list(evil.parent.iterdir())
+    assert not (tmp_path / "rep").exists()
+
+
+def test_a_bundle_result_name_naming_a_path_exits_before_any_write(
+        tmp_path, capsys):
+    cells = {"cells": [{"m": 0, "n": 0, "norm": "1"}]}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"schema": "voacert-report/1", "results": [
+        {"name": "ok", "table": cells},
+        {"name": "../escaped", "table": cells}]}))
+    dest = tmp_path / "ex"
+    os.makedirs(dest)
+    assert main(["export", "--bundle", str(path),
+                 "--out", str(dest)]) == EXIT_CONFIG
+    assert "result name '../escaped' is not" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.csv").exists()
+    assert not list(dest.iterdir())
+
+
+def test_a_bootstrap_window_with_no_cell_does_not_pass(capsys):
+    assert main(["certify", "--check", "bootstrap", "--kind", "lattice",
+                 "--q", "2", "--N", "6", "--n-max", "0", "--d", "1"]) \
+        == EXIT_VIOLATION
+    assert '"kind": "inconclusive"' in capsys.readouterr().out
+
+
 def test_an_unwritable_output_exits_with_config_code(tmp_path, capsys):
     path = tmp_path / "nodir" / "m.json"
     assert main(["build", "--kind", "heisenberg", "--N", "4",
@@ -533,9 +572,12 @@ VIR6 = ["--kind", "virasoro", "--c", "1/2", "--N", "6"]
     ["axioms", "--kind", "heisenberg", "--N", "6", "--samples", "0"],
     ["axioms", "--kind", "heisenberg", "--N", "6", "--samples", "-4"],
     ["certify", "--kind", "lattice", "--q", "2", "--N", "6", "--check",
-     "bootstrap", "--n-max", "-1"]],
+     "bootstrap", "--n-max", "-1"],
+    *(["certify", "--check", "bootstrap", "--kind", "lattice", "--q", "2",
+       "--N", "6", "--n-max", "4", "--d", d] for d in ("-1", "0"))],
     ids=["virasoro_bound", "product_lemma", "trace_domination", "norms",
-         "samples0", "samples-4", "bootstrap"])
+         "samples0", "samples-4", "bootstrap", "bootstrap-d-1",
+         "bootstrap-d0"])
 def test_an_empty_window_or_sample_run_exits_with_config_code(capsys, argv):
     assert main(argv) == EXIT_CONFIG
     assert "bad value for" in capsys.readouterr().err

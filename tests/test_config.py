@@ -210,3 +210,13 @@ def test_a_pad_outside_zero_to_n_is_a_config_error(pad):
 def test_a_pad_of_zero_or_n_is_accepted(pad):
     assert parse_config(GOOD + VIR6 + f"model.w.pad = {pad}\n").pads["w"] \
         == pad
+
+
+@pytest.mark.parametrize("key", [
+    "check./tmp/x/evil.type", "check.sub/evil.type", "check.a b.type",
+    "model./tmp/x/m.kind", "model.é.kind"])
+def test_a_name_outside_the_name_alphabet_is_a_config_error(key):
+    section, name, _ = key.split(".")
+    with pytest.raises(ConfigError,
+                       match=f"{section} name {name!r} is not"):
+        parse_config(GOOD + f"{key} = norms\n")

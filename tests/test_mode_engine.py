@@ -124,8 +124,8 @@ SPEC_IDS = ["heisenberg", "virasoro", "lattice"]
 def test_shared_blocks_are_never_mutated(spec):
     """Mode blocks are handed out uncopied; no consumer may write to one.
 
-    Peeling accumulates into a fresh block in place, and Virasoro peels
-    through reduce_word, so every family is covered.
+    Peeling accumulates into a fresh block in place and reads each tail
+    as a basis label, the same path in every family.
     """
     model = build_model(spec)
     for identity in IDENTITIES:

@@ -154,7 +154,7 @@ def dense_gram_reference(model, degree, lower):
         if u.factors:
             gid, n0 = u.factors[0]
             up = degree + n0
-            tail = model.reduce_word(u.sector, u.factors[1:])
+            tail = StateVector.basis(BasisState(u.sector, u.factors[1:]))
             tails = [model.coords_by_degree(tail).get(up, [0] * model.dim(up))]
             star_block = model.gen_block(model.generators[gid].star, -n0,
                                          degree)

@@ -96,7 +96,7 @@ class BoundReport:
 def _virasoro_central_charge(model: Model, a: StateVector):
     """Verify the Virasoro products of a and return its central charge."""
     two_a = state_product(model, a, 1, a)
-    if two_a != a.copy().scale(Q(2)):
+    if two_a != a.scale(2):
         raise ValueError("state does not satisfy a_(1)a = 2a")
     if not state_product(model, a, 2, a).is_zero():
         raise ValueError("state does not satisfy a_(2)a = 0")
@@ -364,8 +364,7 @@ def _average(model: Model, vectors, ginv) -> StateVector:
     x = StateVector()
     for vk, row in zip(vectors, ginv.rows):
         for col, w in row.items():
-            x = x + state_product(model, vk, -1, stars[col]).scale(
-                Q(w, ginv.den))
+            x.add(state_product(model, vk, -1, stars[col]), Q(w, ginv.den))
     return x
 
 
@@ -476,7 +475,7 @@ def bootstrap_analyze(kseq, d_const, s, d: int,
         if alpha > 1 + tol:
             verdict.kind = "growth_detected"
             verdict.n_bar = n
-            ok = True
+            ok = n + d < len(alphas)  # a chain of no step witnesses nothing
             m = 1
             while n + m * d < len(alphas):
                 lo = alphas[n + (m - 1) * d] ** 2

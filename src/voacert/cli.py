@@ -67,7 +67,7 @@ def resolve_state(model: Model, selector: str) -> StateVector:
             kind = None
         state = None
         if kind == "nu" and not index:
-            total = total + model.nu.copy().scale(coeff)
+            total.add(model.nu, coeff)
             continue
         if kind == "vac" and not index:
             state = model.vacuum
@@ -81,7 +81,7 @@ def resolve_state(model: Model, selector: str) -> StateVector:
             state = model.basis.states(index[0])[index[1]]
         if state not in model.basis.index:
             raise ConfigError(f"bad state selector {token!r}")
-        total = total + StateVector.basis(state).scale(coeff)
+        total.add_term(state, coeff)
     return total
 
 

@@ -24,6 +24,7 @@ block is the memoized Fock blocks placed at the sectors' offsets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -145,6 +146,7 @@ class GradedBasis:
             for pos, st in enumerate(states):
                 self.index[st] = (deg, pos)
         self._sector_ranges = {}
+        self._part_counts = {}
 
     @property
     def max_degree(self) -> int:
@@ -180,11 +182,17 @@ class GradedBasis:
                 for (p, start), end in zip(starts.items(), ends)}
         return hit
 
-    def words(self, osc: int):
-        """The creation words of oscillator degree osc in basis order: the
-        vacuum sector's labels at degree osc."""
-        states = self.states(osc)
-        return [states[i].factors for i in self.sector_ranges(osc)[0]]
+    def part_counts(self, osc: int):
+        """{n: number of parts n} of each one-generator creation word of
+        oscillator degree osc (the vacuum sector's labels at degree osc),
+        in basis order, memoized."""
+        hit = self._part_counts.get(osc)
+        if hit is None:
+            states = self.states(osc)
+            hit = self._part_counts[osc] = [
+                Counter(-k for _, k in states[i].factors)
+                for i in self.sector_ranges(osc)[0]]
+        return hit
 
 
 def _acc(d, key, val):
@@ -204,7 +212,9 @@ def _acc(d, key, val):
 
 
 class StateVector:
-    """Exact linear combination of basis labels."""
+    """Exact linear combination of basis labels.  add works in place: call
+    it only on a vector its caller built, never on an argument or model.nu
+    (`mode_engine._as_vector` returns a vector argument itself)."""
 
     __slots__ = ("terms",)
 
@@ -223,27 +233,24 @@ class StateVector:
     def add_term(self, state: BasisState, coeff):
         _acc(self.terms, state, coeff)
 
-    def __add__(self, other):
-        out = self.copy()
-        for st, co in other.terms.items():
-            out.add_term(st, co)
-        return out
-
-    def __sub__(self, other):
-        out = self.copy()
-        for st, co in other.terms.items():
-            out.add_term(st, -co)
-        return out
-
-    def scale(self, s):
-        """s times the vector; an int s goes on the right of each product,
-        so a Q coefficient takes Q's forward operator."""
-        out = StateVector()
+    def add(self, other, s=1):
+        """self += s * other in place; returns self.  An int s goes on the
+        right of each product (a Q coefficient takes Q's forward operator)."""
         if s:
             left = type(s) is not int
-            for st, co in self.terms.items():
-                _acc(out.terms, st, s * co if left else co * s)
-        return out
+            for st, co in other.terms.items():
+                _acc(self.terms, st, s * co if left else co * s)
+        return self
+
+    def __add__(self, other):
+        return self.copy().add(other)
+
+    def __sub__(self, other):
+        return self.copy().add(other, -1)
+
+    def scale(self, s):
+        """s times the vector, as a new vector."""
+        return StateVector().add(self, s)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -706,10 +713,11 @@ def _fock_block(model: Model, charge: int, k_s: int, k_t: int):
     # a part n of lambda that mu lacks gives g_n(k, 0) = (-c q)^k, so the
     # product runs over mu's parts times (-c q) to lambda's other parts
     powers = [(-cq) ** i for i in range(k_s + 1)]
-    sources = [(_part_counts(w), len(w)) for w in model.basis.words(k_s)]
+    sources = [(lam, sum(lam.values()))
+               for lam in model.basis.part_counts(k_s)]
     fact = math.factorial(k_t)
     hit = []
-    for mu in map(_part_counts, model.basis.words(k_t)):
+    for mu in model.basis.part_counts(k_t):
         z = 1
         for n, a in mu.items():
             z *= n ** a * math.factorial(a)
@@ -726,14 +734,6 @@ def _fock_block(model: Model, charge: int, k_s: int, k_t: int):
         hit.append(row)
     model._fock_blocks[key] = hit
     return hit
-
-
-def _part_counts(word: tuple) -> dict:
-    """{n: number of parts n} of a one-generator oscillator word."""
-    out = {}
-    for _, k in word:
-        out[-k] = out.get(-k, 0) + 1
-    return out
 
 
 def _g_table(c: int, q: int, nmax: int) -> list:

@@ -14,13 +14,12 @@ brackets, residuals and mode application read directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import exactlinalg as xl
 from .errors import TruncationError
-from .graded_fock import BasisState, Model, StateVector
-from .scalars import ONE, ZERO, binomial
+from .graded_fock import BasisState, Model, StateVector, vertex_mode_block
+from .scalars import Q, ZERO, binomial
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +56,6 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
             if k == 0:
                 return xl.identity(basis.dim(s))
             return xl.zero_block(basis.dim(tgt), basis.dim(s))
-        from .graded_fock import vertex_mode_block
-
         return vertex_mode_block(model, state.sector, k, s)
     # peel the leading factor: state = g_{n0} . tail
     gid, n0 = state.factors[0]
@@ -189,55 +186,40 @@ def borcherds_residual(model: Model, a, b, c, m: int, n: int,
     da, db, dc = (model.degree_of(v) for v in (avec, bvec, cvec))
     needed = borcherds_required_truncation(model, a, b, c, m, n, k)
     _require(model, needed, "Borcherds window")
-    lhs = StateVector()
+    diff = StateVector()  # left side minus right side
     for j in range(da + db - n):
         binom = binomial(m, j)
-        if not binom:
-            continue
-        sj = state_product(model, avec, n + j, bvec)
-        if sj.is_zero():
-            continue
-        lhs = lhs + state_product(model, sj, m + k - j, cvec).scale(binom)
-    rhs = StateVector()
+        if binom:
+            sj = state_product(model, avec, n + j, bvec)
+            diff.add(state_product(model, sj, m + k - j, cvec), binom)
     for j in range(db + dc - k):
         binom = binomial(n, j)
-        if not binom:
-            continue
-        inner = state_product(model, bvec, k + j, cvec)
-        if inner.is_zero():
-            continue
-        sign = -ONE if j % 2 else ONE
-        rhs = rhs + state_product(model, avec, m + n - j, inner) \
-            .scale(sign * binom)
+        if binom:
+            inner = state_product(model, bvec, k + j, cvec)
+            diff.add(state_product(model, avec, m + n - j, inner),
+                     binom if j % 2 else -binom)
     for j in range(da + dc - m):
         binom = binomial(n, j)
-        if not binom:
-            continue
-        inner = state_product(model, avec, m + j, cvec)
-        if inner.is_zero():
-            continue
-        sign = -ONE if (j + n) % 2 else ONE
-        rhs = rhs - state_product(model, bvec, n + k - j, inner) \
-            .scale(sign * binom)
-    diff = lhs - rhs
+        if binom:
+            inner = state_product(model, avec, m + j, cvec)
+            diff.add(state_product(model, bvec, n + k - j, inner),
+                     -binom if (j + n) % 2 else binom)
     return Residual("borcherds", diff.max_abs(),
                     {"m": m, "n": n, "k": k, "degrees": (da, db, dc)})
 
 
 def skewsymmetry_residual(model: Model, a, b, n: int) -> Residual:
-    """Residual of a_(n) b = -sum_j ((-1)^(j+n)/j!) L_{-1}^j b_(n+j) a."""
+    """Residual of a_(n) b = -sum_j ((-1)^(j+n)/j!) L_{-1}^j b_(n+j) a, the
+    sum by Horner: S_j = (-1)^(j+n) b_(n+j) a + L_{-1} S_{j+1} / (j+1)."""
     avec, bvec = _as_vector(a), _as_vector(b)
     da, db = model.degree_of(avec), model.degree_of(bvec)
     _require(model, max(da, db, da + db - n - 1), "skewsymmetry window")
-    total = state_product(model, avec, n, bvec)
-    for j in range(da + db - n):
-        term = state_product(model, bvec, n + j, avec)
-        if term.is_zero():
-            continue
-        for _ in range(j):
-            term = apply_mode(model, model.nu, -1, term)
-        sign = -ONE if (j + n) % 2 else ONE
-        total = total + term.scale(sign / math.factorial(j))
+    total = StateVector()
+    for j in reversed(range(da + db - n)):
+        total = apply_mode(model, model.nu, -1, total).scale(Q(1, j + 1))
+        total.add(state_product(model, bvec, n + j, avec),
+                  -1 if (j + n) % 2 else 1)
+    total.add(state_product(model, avec, n, bvec))
     return Residual("skewsymmetry", total.max_abs(), {"n": n})
 
 
@@ -286,7 +268,7 @@ def commutator_residual(model: Model, a, p: int, b, q: int) -> Residual:
     for j in range(da + db):
         binom = binomial(p + da - 1, j)
         if binom:
-            x = x + state_product(model, avec, j, bvec).scale(binom)
+            x.add(state_product(model, avec, j, bvec), binom)
     worst, sources = _bracket_residual(
         model, avec, p, bvec, q, lambda s: _vec_block(model, x, p + q, s),
         "commutator window")

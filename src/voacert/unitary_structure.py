@@ -181,7 +181,7 @@ def star(model: Model, a) -> StateVector:
     if len(parts) > 1:
         total = StateVector()
         for e, coords in parts.items():
-            total = total + star(model, model.from_coords(e, coords))
+            total.add(star(model, model.from_coords(e, coords)))
         return total
     (d, _), = parts.items()
     if d == 0:
@@ -201,10 +201,10 @@ def star(model: Model, a) -> StateVector:
             up = comps[ep]
             for _ in range(e - ep):  # L_{-1}^{e-ep}
                 up = apply_mode(model, model.nu, -1, up)
-            corr = corr - up.scale(Q(1, math.factorial(e - ep)))
+            corr.add(up, Q(-1, math.factorial(e - ep)))
         if not corr.is_zero():
             comps[e] = corr
-            total = total + corr
+            total.add(corr)
     return total
 
 

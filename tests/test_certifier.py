@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from voacert import bound_certifier
 from voacert import exactlinalg as xl
 from voacert.bound_certifier import (BoundReport, bootstrap_analyze,
                                      certify_orbifold_chain,
@@ -64,6 +65,19 @@ def test_product_lemma_includes_exact_vector_level(heis8):
             report = certify_product_lemma(heis8, st, 3, 5)
             assert report.passed
             assert report.notes["vector_level_exact"] is True
+
+
+def test_product_lemma_reports_an_exact_vector_level_violation(monkeypatch):
+    # a square completion a quarter too small breaks ||a_m b||^2 <= (b|x_0 b)
+    model = build_model(heisenberg_spec(1, 8))
+    real = bound_certifier._square_completion
+    monkeypatch.setattr(bound_certifier, "_square_completion",
+                        lambda m, a: real(m, a).scale(Q(1, 4)))
+    report = certify_product_lemma(model, current(model), 2, 4)
+    assert report.notes["vector_level_exact"] is False
+    assert report.notes["exact_violation"].startswith(
+        "b=<g0[-1]g0[-1]g0[-1]Om> m=1 ")
+    assert not report.passed
 
 
 def test_pair_bound(lat4_8):
@@ -192,6 +206,15 @@ def test_bootstrap_with_no_recursion_cell_is_inconclusive():
     verdict = bootstrap_analyze([0.5, 0.9], 1.0, 0.0, 3)
     assert verdict.kind == "inconclusive"
     assert verdict.failing_cell == 0
+
+
+@pytest.mark.parametrize("kseq, d", [([2.0], 1), ([2.0, 0.5], 3),
+                                     ([0.5, 2.0], 1)])
+def test_bootstrap_witness_needs_a_chain_step(kseq, d):
+    # alpha_n > 1 but n + d lies past the window: the chain checked nothing
+    verdict = bootstrap_analyze(kseq, 1.0, 0.0, d)
+    assert verdict.kind == "growth_detected"
+    assert verdict.witness_ok is False
 
 
 def test_bootstrap_measured_lattice_growth(lat2_8):

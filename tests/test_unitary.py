@@ -129,6 +129,21 @@ def test_adjoint_of_non_quasi_primary_states(heis8):
             assert adjoint_residual(heis8, st, m).is_zero
 
 
+def test_adjoint_residual_sees_a_corrupted_current(heis6):
+    bad = build_model(heisenberg_spec(1, 6), corrupt=(0, -1, 2, 0, 0, 1))
+    a = bad.basis.states(1)[0]
+    assert adjoint_residual(bad, a, -1).max_abs == Q(3, 2)
+    assert adjoint_residual(bad, a, 1).max_abs == 1
+    for m in (-1, 1):
+        assert adjoint_residual(heis6, a, m).is_zero
+
+
+def test_current_algebra_check_rejects_a_degree_two_state(heis8):
+    with pytest.raises(ValueError, match="degree-1"):
+        kac_moody_residual(heis8, heis8.basis.states(2)[0],
+                           heis8.basis.states(1)[0], 0, 0)
+
+
 def test_current_algebra_bracket(lat2_6):
     tops = [st for st in lat2_6.basis.states(1) if not st.factors]
     ep, em = tops

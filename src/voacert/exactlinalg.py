@@ -13,7 +13,11 @@ and memoized.
 ``rref`` (behind ``kernel_basis`` and ``inverse``) runs fraction-free
 Bareiss updates on a block's int numerators and returns a block;
 ``positive_definite`` eliminates a block's int numerators too, and ``ldl``
-works in ``Q`` on the dense view.
+works in ``Q`` on the dense view.  ``nonsingular_mod_p`` eliminates a
+square block's numerators mod the prime 2**31 - 1 in int64: True proves
+the block nonsingular over Q, since the rank mod a prime never exceeds
+the rank over Q (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 5), and lets a full-rank block skip ``rref``.
 """
 
 from __future__ import annotations
@@ -255,6 +259,36 @@ def rref(a: Block):
     sign = -1 if prev < 0 else 1
     return Block([{j: sign * x for j, x in enumerate(row) if x} for row in r],
                  m, sign * prev).reduced(), pivots
+
+
+PRIME = 2 ** 31 - 1  # residues < 2**31, so each product fits an int64
+
+
+def nonsingular_mod_p(a: Block) -> bool:
+    """Whether a square block's int numerators are nonsingular mod PRIME.
+
+    Gaussian elimination on int64 residues, stopping at the first column
+    with no pivot.  The rank mod a prime never exceeds the rank over Q, so
+    True proves the block nonsingular; False proves nothing (PRIME may
+    divide the determinant).
+    """
+    n, m = shape(a)
+    assert n == m, f"not square: {n} x {m}"
+    r = np.zeros((n, n), dtype=np.int64)
+    for i, row in enumerate(a.rows):
+        for j, x in row.items():
+            r[i, j] = x % PRIME
+    for col in range(n):
+        nonzero = np.flatnonzero(r[col:, col])
+        if not len(nonzero):
+            return False
+        piv = col + nonzero[0]
+        r[[col, piv]] = r[[piv, col]]
+        below = r[col + 1:]
+        f = below[:, col] * pow(int(r[col, col]), -1, PRIME) % PRIME
+        below -= np.outer(f, r[col])
+        below %= PRIME
+    return True
 
 
 def kernel_basis(a: Block):

@@ -2,9 +2,13 @@
 
 Three families are supported: rank-r Heisenberg Fock spaces, Virasoro
 vacuum modules (Verma quotients by the radical of the Verma Gram, which
-the invariant-form family computes), and rank-1 even lattice models with
-trivial cocycle.  A built Model builds each exact generator mode block on
-first use, memoizes it, and is otherwise immutable.  Virasoro blocks come
+the invariant-form family computes, at every degree up to N; the working
+margin above N keeps every Verma word), and rank-1 even lattice models
+with trivial cocycle.  A Virasoro degree whose Gram is nonsingular modulo
+a prime is nonsingular over Q and keeps every word without an
+elimination; only the others run the exact rref.  A built Model builds
+each exact generator mode block on first use, memoizes it, and is
+otherwise immutable.  Virasoro blocks come
 from the action of L_p on Verma words, kept on int numerators over the
 denominator of c/2.  A basis label (BasisState) is a NamedTuple: it equals
 its plain (sector, factors) tuple, is iterable and ordered, and keeps its
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import exactlinalg as xl
@@ -313,7 +317,7 @@ def enumerate_basis(spec: ModelSpec) -> GradedBasis:
 
     For Virasoro this is the free (Verma) enumeration with parts >= 2; the
     built model may be smaller after the quotient by the radical of the
-    Verma Gram, which the invariant-form family computes.
+    Verma Gram, which the invariant-form family computes, up to N.
     """
     spec.validate()
     return _enumerate_internal(spec, spec.N)
@@ -361,8 +365,11 @@ class Model:
     Construction is a single-writer phase; afterwards the object is
     treated as immutable (caches fill idempotently).  Generator blocks are
     built on first use by block(model, gid, m, src), an xl.Block, and
-    memoized.  Every label's tail BasisState(sector, factors[1:]) is a
-    label: Fock bases are complete, and _build_virasoro checks its quotient.
+    memoized.  The tail BasisState(sector, factors[1:]) of every label of
+    degree <= N, the only labels that are peeled or paired, is a label:
+    Fock bases are complete, and _build_virasoro checks its quotient.  A
+    Virasoro model's degrees N+1 .. n_internal hold every Verma word, in
+    which peeling's intermediate vectors live.
     """
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
@@ -562,6 +569,7 @@ def default_n_internal(spec: ModelSpec) -> int:
 
     Virasoro composite-word mode recursions climb one degree per peeled
     factor; the default padding N // 2 covers every word that fits below N.
+    The pad degrees keep every Verma word and cost no elimination.
     """
     return spec.N + spec.N // 2 if spec.kind == "virasoro" else spec.N
 
@@ -595,36 +603,48 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
              for d in range(n_internal + 1)]
 
     # The Verma Gram G is the invariant-form family's, on a throwaway model
-    # of the full Verma basis with L_{-2} Om as its own star.  One
-    # elimination per degree: R = rref(G) with r pivots, the kept columns
-    # K.  E*G = R for an invertible E and R[:r] is the identity on K, so
-    # G[:, K]*x = G*v solves to x = R[:r]*v: a word's quotient-class
-    # coordinates are its column of R[:r].  No positivity of G is assumed.
+    # of the full Verma basis with L_{-2} Om as its own star.  At a degree
+    # <= N where G is nonsingular mod a prime it is nonsingular over Q, so
+    # every word is kept with unit coordinates.  Otherwise one elimination:
+    # R = rref(G) with r pivots, the kept columns K.  E*G = R for an
+    # invertible E and R[:r] is the identity on K, so G[:, K]*x = G*v
+    # solves to x = R[:r]*v: a word's quotient-class coordinates are its
+    # column of R[:r].  No positivity of G is assumed.  Degrees above N
+    # keep every Verma word with unit coordinates: the radical is a
+    # submodule every mode preserves, so a product carried through Verma
+    # coordinates there and projected at a target <= N is the quotient's.
     nu_state = BasisState(0, ((0, -2),))
     gens = {0: GeneratorInfo("virasoro", 2, 0, nu_state)}
     units = [({w: {i: 1} for i, w in enumerate(ws)}, 1) for ws in words]
     verma_forms = GramFamily(Model(
-        replace(spec, N=n_internal), n_internal, verma, gens,
-        StateVector.basis(nu_state), c, _word_block(engine, verma, units)))
-    kept_by_degree, columns = [], []
-    for deg, ws in enumerate(words):
-        r, pivots = xl.rref(verma_forms.matrix(deg))
-        kept_by_degree.append(pivots)
-        coords = xl.transpose(xl.Block(r.rows[:len(pivots)], r.cols, r.den))
-        columns.append((dict(zip(ws, coords.rows)), coords.den))
+        spec, n_internal, verma, gens, StateVector.basis(nu_state), c,
+        _word_block(engine, verma, units)))
+    kept_by_degree = [range(len(ws)) for ws in words]
+    columns = list(units)
+    for deg in range(spec.N + 1):
+        g = verma_forms.matrix(deg)
+        if not xl.nonsingular_mod_p(g):
+            r, pivots = xl.rref(g)
+            kept_by_degree[deg] = pivots
+            coords = xl.transpose(xl.Block(r.rows[:len(pivots)], r.cols,
+                                           r.den))
+            columns[deg] = (dict(zip(words[deg], coords.rows)), coords.den)
     if not kept_by_degree[2]:
         raise ModelBugError("conformal state lies in the Gram radical")
     basis = GradedBasis([[verma.states(d)[i] for i in kept_by_degree[d]]
                          for d in range(n_internal + 1)])
 
-    # Kept words are closed under dropping the leading factor, the smallest
-    # part k of w = L_{-k} t, in (length, factors) order: were t a sum of
-    # earlier words t' modulo the radical, a submodule, then w = sum of
-    # L_{-k} t', each the earlier word (k, t') (a t' < t of equal length has
-    # parts >= k) or reordered into shorter words; so w is not a pivot.
-    for st in basis.index:
-        if st.factors and BasisState(0, st.factors[1:]) not in basis.index:
-            raise ModelBugError(f"the tail of kept word {st} is not kept")
+    # Kept words of degree <= N, the only ones peeled or paired, are closed
+    # under dropping the leading factor, the smallest part k of
+    # w = L_{-k} t, in (length, factors) order: were t a sum of earlier
+    # words t' modulo the radical, a submodule, then w = sum of L_{-k} t',
+    # each the earlier word (k, t') (a t' < t of equal length has parts
+    # >= k) or reordered into shorter words; so w is not a pivot.
+    for d in range(spec.N + 1):
+        for st in basis.states(d):
+            tail = BasisState(0, st.factors[1:])
+            if st.factors and tail not in basis.index:
+                raise ModelBugError(f"the tail of kept word {st} is not kept")
     return Model(spec, n_internal, basis, gens, StateVector.basis(nu_state),
                  c, _word_block(engine, basis, columns))
 

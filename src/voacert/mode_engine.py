@@ -317,11 +317,13 @@ def sample_residuals(model: Model, identity: str, count: int,
 
     Returns (checked, failures) where failures is a list of
     (tuple, residual) pairs; every residual must be exactly zero.  Each
-    draw takes its basis states uniformly from those up to degree_cap, then
-    its mode indices from [-3, 3]; the tuple is the residual's arguments,
-    so a commutator tuple is (a, p, b, q).  A draw whose window does not
-    fit the truncation is rejected: the residual itself raises
-    TruncationError, and the sampler holds no window rule.
+    draw takes its basis states uniformly from those up to degree_cap
+    (default max(2, N // 2); above N, where a Virasoro model keeps Verma
+    words, it is a ValueError), then its mode indices from [-3, 3]; the
+    tuple is the residual's arguments, so a commutator tuple is
+    (a, p, b, q).  A draw whose window does not fit the truncation is
+    rejected: the residual itself raises TruncationError, and the sampler
+    holds no window rule.
     """
     import random
 
@@ -330,6 +332,9 @@ def sample_residuals(model: Model, identity: str, count: int,
     residual, n_states, n_indices = _SAMPLED[identity]
     rng = random.Random(seed)
     cap = degree_cap if degree_cap is not None else max(2, model.N // 2)
+    if cap > model.N:
+        raise ValueError(f"degree cap {cap} lies above the truncation "
+                         f"N = {model.N}")
     pool = [st for d in range(cap + 1) for st in model.basis.states(d)]
     if not pool:
         raise ValueError("no states below the degree cap")

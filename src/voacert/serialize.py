@@ -1,15 +1,17 @@
 """Model persistence and the content-addressed build cache.
 
-The on-disk container (schema voacert-model/2) records the model
+The on-disk container (schema voacert-model/3) records the model
 specification, graded dimensions, basis labels, the conformal state, and
 every materialized generator block as [rows, cols, [[i, j, "p/q"], ...]]
-over its nonzero entries.  Loading rebuilds the model from its spec (the
-construction is deterministic; a Virasoro model with the working margin
-n_internal - N it was stored with), materializes the stored blocks, and
-requires the rebuild to serialize to exactly the stored fields; rationals
-are canonical "p/q" strings, so comparing text is exact.  load_model
-returns the rebuilt model, never stored data, so a cache hit can never
-drift from a cold build.
+over its nonzero entries.  A Virasoro model's degrees above N hold every
+Verma word (voacert-model/2 stored the quotient there), so a container of
+the older schema is rebuilt, not compared.  Loading rebuilds the model
+from its spec (the construction is deterministic; a Virasoro model with
+the working margin n_internal - N it was stored with), materializes the
+stored blocks, and requires the rebuild to serialize to exactly the
+stored fields; rationals are canonical "p/q" strings, so comparing text
+is exact.  load_model returns the rebuilt model, never stored data, so a
+cache hit can never drift from a cold build.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .graded_fock import BasisState, Model, ModelSpec, build_model, \
     default_n_internal
 from .scalars import Q, rat_from_str, rat_to_str
 
-SCHEMA = "voacert-model/2"
+SCHEMA = "voacert-model/3"
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

@@ -172,7 +172,9 @@ def star(model: Model, a) -> StateVector:
     recovered triangularly from the Gram adjoints of the annihilation
     blocks a_e : V_e -> V_0, since applying the defining relation to the
     vacuum gives (a_e)^dag Om = sum_{e' <= e} L_{-1}^{e-e'}/(e-e')!
-    applied to the degree-e' component.
+    applied to the degree-e' component.  Each component's running power
+    L_{-1}^{e-e'} is carried from one e to the next, one L_{-1} per
+    component and degree.
     """
     a = _as_vector(a)
     if a.is_zero():
@@ -189,21 +191,20 @@ def star(model: Model, a) -> StateVector:
     if d > model.N:
         raise TruncationError(d, model.N, "star degree")
     fam = family_of(model)
-    comps = {}
+    ups = {}  # e' -> L_{-1}^{e-e'} of the degree-e' component
     total = StateVector()
     for e in range(d + 1):
+        for ep in ups:
+            ups[ep] = apply_mode(model, model.nu, -1, ups[ep])
         if model.dim(e) == 0:
             continue
         down = _vec_block(model, a, e, e)  # V_e -> V_0, one row
         coords = xl.mat_vec(fam.inverse(e), down[0])
         corr = model.from_coords(e, coords)
-        for ep in sorted(comps, reverse=True):
-            up = comps[ep]
-            for _ in range(e - ep):  # L_{-1}^{e-ep}
-                up = apply_mode(model, model.nu, -1, up)
-            corr.add(up, Q(-1, math.factorial(e - ep)))
+        for ep in sorted(ups, reverse=True):
+            corr.add(ups[ep], Q(-1, math.factorial(e - ep)))
         if not corr.is_zero():
-            comps[e] = corr
+            ups[e] = corr
             total.add(corr)
     return total
 

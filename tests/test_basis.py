@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from voacert.errors import ModelBugError, SpecError
 from voacert.graded_fock import (BasisState, StateVector, _VermaEngine,
-                                 build_model,
-                                 canonical_factors, heisenberg_spec,
+                                 build_model, canonical_factors,
+                                 enumerate_basis, heisenberg_spec,
                                  lattice_spec, vertex_mode_block,
                                  virasoro_spec)
 from voacert.scalars import ONE, Q, binomial, canon
@@ -67,10 +67,17 @@ def test_heisenberg_dims_are_partition_numbers(heis8):
 def test_ising_dims_match_minimal_model_character(ising8):
     expect = minimal_vacuum_dims(4, 3, 8)
     assert [ising8.dim(n) for n in range(9)] == expect
-    # the criterion-4 truncation, through its working margin
+    # the criterion-4 truncation: the quotient through N, and Verma words
+    # in its working margin, which no selector or Gram reads
     vir16 = build_model(virasoro_spec("1/2", 16), pad=1)
     assert vir16.n_internal == 17
-    assert [vir16.dim(n) for n in range(18)] == \
+    assert [vir16.dim(n) for n in range(17)] == \
+        minimal_vacuum_dims(4, 3, 16)
+    assert vir16.basis.states(17) == \
+        enumerate_basis(virasoro_spec("1/2", 17)).states(17)
+    # the quotient at degree 17, read at N = 17
+    vir17 = build_model(virasoro_spec("1/2", 17), pad=0)
+    assert [vir17.dim(n) for n in range(18)] == \
         minimal_vacuum_dims(4, 3, 17)
 
 
@@ -132,6 +139,8 @@ def test_a_kept_word_whose_tail_is_not_kept_is_a_model_bug(monkeypatch):
         return r, pivots[:1] if len(g.rows) == 2 else pivots
 
     monkeypatch.setattr(xl, "rref", drop_second_pivot_of_two)
+    # every degree is nonsingular at c = 1: force the elimination to run
+    monkeypatch.setattr(xl, "nonsingular_mod_p", lambda g: False)
     with pytest.raises(ModelBugError, match="tail of kept word"):
         build_model(virasoro_spec(1, 6), pad=0)
 
@@ -215,7 +224,7 @@ def test_conformal_state_degree_two(heis8, ising8, lat2_6):
 def test_virasoro_quotient_is_one_elimination_per_degree(monkeypatch):
     from voacert import exactlinalg as xl
 
-    calls = {"rref": 0, "inverse": 0}
+    calls = {"rref": 0, "inverse": 0, "nonsingular_mod_p": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -227,7 +236,11 @@ def test_virasoro_quotient_is_one_elimination_per_degree(monkeypatch):
         monkeypatch.setattr(xl, name, counted(name, getattr(xl, name)))
     model = build_model(virasoro_spec("1/2", 8), pad=2)
     model.gen_block(0, -2, 6)  # a lazy block projects without eliminating
-    assert calls == {"rref": model.n_internal + 1, "inverse": 0}
+    # one full-rank check per degree <= N; the radical starts at degree 6,
+    # so only degrees 6, 7 and 8 eliminate, and the pad degrees 9 and 10
+    # neither check nor eliminate
+    assert calls == {"rref": 3, "inverse": 0,
+                     "nonsingular_mod_p": model.N + 1}
 
 
 BLOCK_DIGEST_CASES = [
@@ -239,13 +252,16 @@ BLOCK_DIGEST_CASES = [
 def test_generator_blocks_match_pinned_digest():
     """sha256 over every generator block of modes -3..3 on every source
     degree, recorded from the eagerly tabulated current blocks; every
-    integral entry is stored as an int."""
+    integral entry is stored as an int.  Blocks between degrees <= N go to
+    one digest, pinned to the bytes of the quotient built through the pad;
+    blocks touching a Virasoro pad degree, which is kept in Verma
+    coordinates, go to the other."""
     import hashlib
     import json
 
     from voacert.scalars import rat_to_str
 
-    digest = hashlib.sha256()
+    low, above = hashlib.sha256(), hashlib.sha256()
     for spec, pad in BLOCK_DIGEST_CASES:
         model = build_model(spec, pad=pad)
         n = model.n_internal
@@ -258,10 +274,14 @@ def test_generator_blocks_match_pinned_digest():
                     assert all(type(x) is int or x.denominator != 1
                                for row in entries for x in row)
                     block = [[rat_to_str(x) for x in row] for row in entries]
+                    digest = low if max(s, s - m) <= spec.N else above
                     digest.update(json.dumps(
                         [spec.describe(), gid, m, s, block]).encode())
-    assert digest.hexdigest() == ("99debd24a6cea772c188a51694830bd9"
-                                  "624e609e26af6152366ab7b8e91408e1")
+    assert (low.hexdigest(), above.hexdigest()) == (
+        "9fec4c2636a4ff9c599907f6c2eca28e"
+        "0966cf80679b7cb1bfc4548d6b509398",
+        "266a05ddd0fd834f6da1576a8f887e2a"
+        "b498f81cc4ee444cbf1649e2a8c98a3a")
 
 
 def test_fresh_models_hold_no_generator_blocks():

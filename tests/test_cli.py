@@ -249,6 +249,17 @@ def test_a_basis_state_above_n_is_a_config_error_naming_n(
     assert "(-1, 8)" not in err
 
 
+@pytest.mark.parametrize("cap", ["9", "100"])
+def test_an_axioms_degree_cap_above_n_is_a_config_error_naming_n(capsys,
+                                                                 cap):
+    # degrees 9 and up exist only in the internal pad, in Verma words
+    argv = ["certify", "--kind", "virasoro", "--c", "1/2", "--N", "8",
+            "--check", "axioms", "--samples", "1", "--degree-cap", cap]
+    assert main(argv) == EXIT_CONFIG
+    assert f"degree cap {cap} lies above the truncation N = 8" in \
+        capsys.readouterr().err
+
+
 def test_a_basis_state_above_n_fails_suite_with_config_code(tmp_path,
                                                             capsys):
     cfg = tmp_path / "suite.cfg"

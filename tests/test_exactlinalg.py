@@ -621,3 +621,61 @@ def test_elimination_rejects_inexact_entries(fn, bad):
     # elimination ever reads one
     with pytest.raises(TypeError, match="not an exact rational"):
         fn(xl.sparse_block([{0: Q(1, 2), 1: 1}, {0: bad, 1: 3}], 2))
+
+
+@st.composite
+def square_forms(draw):
+    """(a, shift, den): an n x n int matrix a (n in [0, 6]) with entries in
+    [-5, 5] or, often, a product of n x k and k x n such matrices (rank <=
+    k); shift multiples of PRIME to add entrywise, and a denominator.  Each
+    factor's determinant is below PRIME, so a's rank mod PRIME is its rank
+    over Q."""
+    n = draw(st.integers(0, 6))
+    small = st.integers(-5, 5)
+
+    def mat(rows, cols):
+        return draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        left, right = mat(n, k), mat(k, n)
+        a = [[sum((x * y for x, y in zip(row, col)), 0)
+              for col in zip(*right)] if k else [0] * n for row in left]
+    else:
+        a = mat(n, n)
+    shift = mat(n, n) if draw(st.booleans()) else [[0] * n] * n
+    return a, shift, draw(st.integers(1, 6))
+
+
+def _form(a, den=1):
+    return xl.Block([{j: x for j, x in enumerate(row) if x} for row in a],
+                    len(a), den)
+
+
+@settings(max_examples=300)
+@given(square_forms())
+@example(([], [], 1))  # 0 x 0: nonsingular
+@example(([[0, 0], [0, 1]], [[1, 0], [0, 0]], 1))  # diag(p, 1)
+@example(([[1, 2], [2, 4]], [[0, 0], [0, 0]], 3))  # rank 1
+@example(([[0, 1], [1, 0]], [[0, 0], [0, 0]], 1))  # needs a row swap
+def test_nonsingular_mod_p_agrees_with_rref_pivots(operands):
+    a, shift, den = operands
+    n = len(a)
+    full = len(xl.rref(_form(a))[1]) == n
+    b = _form([[x + xl.PRIME * s for x, s in zip(row, srow)]
+               for row, srow in zip(a, shift)], den)
+    before = [dict(row) for row in b.rows], b.den
+    # b is a mod PRIME, whose rank there is its rank over Q
+    assert xl.nonsingular_mod_p(b) == full
+    if full:  # nonsingular mod PRIME proves nonsingular over Q
+        assert xl.rref(b)[1] == list(range(n))
+    assert ([dict(row) for row in b.rows], b.den) == before
+
+
+def test_diag_p_1_is_singular_mod_p_and_takes_the_rref_path():
+    """diag(p, 1) is nonsingular over Q; mod p it is not, so the check says
+    False and the elimination finds both pivots."""
+    b = xl.Block([{0: xl.PRIME}, {1: 1}], 2)
+    assert not xl.nonsingular_mod_p(b)
+    assert xl.rref(b)[1] == [0, 1]

@@ -277,6 +277,18 @@ def _exact(x):
     return rat_to_str(x)
 
 
+@pytest.mark.parametrize("cap", [9, 100])
+def test_a_degree_cap_above_n_is_a_value_error(ising8, cap):
+    """The degrees above N of a Virasoro model hold Verma words, not the
+    quotient; no draw is taken from them."""
+    assert ising8.n_internal >= 9 and ising8.dim(9)
+    with pytest.raises(ValueError, match=f"degree cap {cap} lies above "
+                                         "the truncation N = 8"):
+        sample_residuals(ising8, "translation", 1, degree_cap=cap)
+    assert sample_residuals(ising8, "translation", 2, seed=0,
+                            degree_cap=8) == (2, [])
+
+
 def test_sampler_stream_is_pinned():
     """sample_residuals draws the same tuples and finds the same residuals.
 

@@ -23,7 +23,8 @@ KERNELS = {
     "add_product": (3, None), "mat_mul": (2, "block"),
     "compose": (2, "block"), "mat_vec": (1, None),
     "transpose": (1, "block"), "max_abs": (1, None), "is_zero": (1, None),
-    "to_numpy": (1, None), "rref": (1, "pair"), "kernel_basis": (1, None),
+    "to_numpy": (1, None), "rref": (1, "pair"),
+    "nonsingular_mod_p": (1, None), "kernel_basis": (1, None),
     "inverse": (1, "block"), "ldl": (1, None),
     "positive_definite": (1, None), "trace": (1, None),
 }
@@ -88,8 +89,9 @@ def test_every_matrix_operand_and_result_is_a_block(monkeypatch):
     assert not wrong, sorted(wrong)
     assert {c["type"] for c, _ in CHECKS} == set(cli.CHECKS)
     # the elimination, product and adjoint paths all ran under the wrappers
-    assert {"rref", "inverse", "mat_mul", "compose", "transpose", "mat_vec",
-            "trace", "identity", "positive_definite"} <= seen
+    assert {"rref", "nonsingular_mod_p", "inverse", "mat_mul", "compose",
+            "transpose", "mat_vec", "trace", "identity",
+            "positive_definite"} <= seen
 
 
 def test_the_kernel_table_names_every_public_kernel():

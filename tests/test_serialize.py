@@ -171,7 +171,31 @@ def test_cache_rebuilds_containers_of_another_schema(tmp_path):
     got = cache.get_or_build(spec)
     assert model_to_dict(got) == model_to_dict(cold)
     with open(path) as fh:
-        assert json.load(fh)["schema"] == "voacert-model/2"
+        assert json.load(fh)["schema"] == serialize.SCHEMA
+
+    # voacert-model/2 stored a Virasoro pad's quotient: the pad degrees 9
+    # to 12 of virasoro(1/2,8) held 5, 7, 8 and 11 words, not the 8, 12, 14
+    # and 21 Verma words a rebuild keeps there
+    spec = virasoro_spec("1/2", 8)
+    cold = build_model(spec)
+    quotient = build_model(virasoro_spec("1/2", cold.n_internal), pad=0)
+    legacy = model_to_dict(cold)
+    for key in ("dims", "states"):
+        legacy[key] = model_to_dict(quotient)[key]
+    assert legacy["dims"][9:] == [5, 7, 8, 11]
+    assert model_to_dict(cold)["dims"][9:] == [8, 12, 14, 21]
+    path = cache.path_for(spec)
+    with open(path, "w") as fh:
+        json.dump(legacy, fh)
+    with pytest.raises(ModelBugError, match="stored dims disagrees"):
+        load_model(path)  # read as the current schema, it is stale
+    legacy["schema"] = "voacert-model/2"
+    with open(path, "w") as fh:
+        json.dump(legacy, fh)
+    got = cache.get_or_build(spec)
+    assert model_to_dict(got) == model_to_dict(cold)
+    with open(path) as fh:
+        assert json.load(fh)["schema"] == serialize.SCHEMA
 
 
 def _container_of_another_spec(cache_dir):
@@ -271,7 +295,7 @@ def test_suite_on_a_container_without_spec_exits_with_numerical_code(
     cache = tmp_path / "cache"
     path = ModelCache(str(cache)).path_for(heisenberg_spec(1, 5))
     with open(path, "w") as fh:
-        json.dump({"schema": "voacert-model/2"}, fh)
+        json.dump({"schema": serialize.SCHEMA}, fh)
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("model.h.kind = heisenberg\nmodel.h.N = 5\n"
                    "check.u.type = unitarity\ncheck.u.model = h\n"
@@ -288,7 +312,7 @@ def test_suite_on_a_corrupted_cache_exits_with_numerical_code(tmp_path,
     cache = tmp_path / "cache"
     path = ModelCache(str(cache)).path_for(heisenberg_spec(1, 5))
     with open(path, "w") as fh:
-        fh.write('{"schema": "voacert-model/2", "spec": {')
+        fh.write('{"schema": "%s", "spec": {' % serialize.SCHEMA)
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("model.h.kind = heisenberg\nmodel.h.N = 5\n"
                    "check.u.type = unitarity\ncheck.u.model = h\n"

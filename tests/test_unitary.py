@@ -106,6 +106,57 @@ def test_star_is_an_involution(heis8, lat2_6):
                 assert star(model, star(model, vec)) == vec
 
 
+def termwise_star(model, a):
+    """The conjugate of a homogeneous vector with each L_{-1}^{e-e'} applied
+    afresh for every pair e' < e: C(d+1, 3) applications at degree d."""
+    from voacert.mode_engine import _vec_block, apply_mode
+
+    d = model.degree_of(a)
+    fam = family_of(model)
+    comps = {}
+    total = StateVector()
+    for e in range(d + 1):
+        if model.dim(e) == 0:
+            continue
+        down = _vec_block(model, a, e, e)
+        corr = model.from_coords(e, xl.mat_vec(fam.inverse(e), down[0]))
+        for ep in sorted(comps, reverse=True):
+            up = comps[ep]
+            for _ in range(e - ep):
+                up = apply_mode(model, model.nu, -1, up)
+            corr.add(up, Q(-1, math.factorial(e - ep)))
+        if not corr.is_zero():
+            comps[e] = corr
+            total.add(corr)
+    return total
+
+
+def test_star_carries_each_components_l_minus_1_power(monkeypatch, ising8,
+                                                      lat2_6):
+    """One L_{-1} per carried component and degree: d(d-1)/2 applications
+    for a degree-d vector with a component at every degree 1..d, against
+    C(d+1, 3) termwise; the conjugate is the termwise one, term order
+    included."""
+    from voacert import unitary_structure
+
+    heis10 = build_model(heisenberg_spec(1, 10))
+    calls = []
+    apply_mode = unitary_structure.apply_mode
+    monkeypatch.setattr(unitary_structure, "apply_mode",
+                        lambda *args: calls.append(1) or apply_mode(*args))
+    for model, degrees in ((heis10, range(2, 7)), (ising8, range(2, 6)),
+                           (lat2_6, range(1, 5))):
+        for d in degrees:
+            a = StateVector({st: Q(i + 1, 3) for i, st in
+                             enumerate(model.basis.states(d))})
+            del calls[:]
+            got = star(model, a)
+            if model is heis10:
+                assert len(calls) == d * (d - 1) // 2  # 15, not 35, at 6
+            assert list(got.terms.items()) == \
+                list(termwise_star(model, a).terms.items())
+
+
 def test_star_swaps_lattice_charges(lat2_6):
     ep = StateVector.basis(BasisState(1, ()))
     em = StateVector.basis(BasisState(-1, ()))
@@ -238,7 +289,10 @@ FORM_DIGEST_CASES = [
 def test_invariant_forms_match_pinned_digest():
     """sha256 over the basis labels, every generator block of modes -3..3
     and every Gram matrix through degree N, for non-unitary central
-    charges (the quotient has a radical) and a two-generator metric."""
+    charges (the quotient has a radical) and a two-generator metric.
+    Labels, blocks and Grams of degrees <= N go to one digest, pinned to
+    the bytes of the quotient built through the pad; the Virasoro pad
+    degrees, kept in Verma coordinates, go to the other."""
     import hashlib
     import json
 
@@ -247,21 +301,28 @@ def test_invariant_forms_match_pinned_digest():
     def text(mat):
         return [[rat_to_str(x) for x in row] for row in mat]
 
-    digest = hashlib.sha256()
+    low, above = hashlib.sha256(), hashlib.sha256()
     for spec, pad in FORM_DIGEST_CASES:
         model = build_model(spec, pad=pad)
         n = model.n_internal
         labels = [[repr(st) for st in model.basis.states(d)]
                   for d in range(n + 1)]
-        digest.update(json.dumps([spec.describe(), labels]).encode())
+        low.update(json.dumps([spec.describe(), labels[:spec.N + 1]]
+                              ).encode())
+        above.update(json.dumps([spec.describe(), labels[spec.N + 1:]]
+                                ).encode())
         for gid in sorted(model.generators):
             for m in range(-3, 4):
                 for s in range(max(m, 0), min(n, n + m) + 1):
+                    digest = low if max(s, s - m) <= spec.N else above
                     digest.update(json.dumps(
                         [gid, m, s, text(model.gen_block(gid, m, s))]
                     ).encode())
         fam = GramFamily(model)
         for d in range(model.N + 1):
-            digest.update(json.dumps([d, text(fam.matrix(d))]).encode())
-    assert digest.hexdigest() == ("a99b4487a93d22afca9ad7ae8c638433"
-                                  "1de79a83054ad932479f97cfa2849052")
+            low.update(json.dumps([d, text(fam.matrix(d))]).encode())
+    assert (low.hexdigest(), above.hexdigest()) == (
+        "4877ee01b22698be296bc1e5356f59b4"
+        "b5e001da66a74d8e3137f842029c33f1",
+        "ed9ef667f4cd72456bc1e82293b922a7"
+        "8b3a6d7ab6769f8d835194db2c473458")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .errors import TruncationError
-from .graded_fock import BasisState, Model, StateVector
+from .graded_fock import Model, StateVector
 from .mode_engine import _as_vector, _vec_block, apply_mode, state_product
 from .norm_lab import NormTable, _graded_max, graded_norm, norm_table
 from .scalars import Q, ZERO, rational
@@ -531,12 +531,11 @@ def measure_sector_growth(model: Model, n_max: int):
     The sector tops of a lattice model over its charge-zero subalgebra play
     the role of the module generators in the zero-mode recursion.
     """
-    if model.spec.kind != "lattice":
-        raise ValueError("sector growth defined for lattice models")
-    tops = [BasisState(st.sector, ())
-            for d in range(model.N + 1)
-            for st in model.basis.states(d)
+    tops = [st for d in range(model.N + 1) for st in model.basis.states(d)
             if not st.factors and st.sector != 0]
+    if not tops:
+        raise ValueError(f"sector growth needs a model with charge sectors, "
+                         f"and {model.spec.describe()} has none")
     kseq = []
     for n in range(n_max + 1):
         best = 0.0

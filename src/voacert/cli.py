@@ -195,9 +195,7 @@ def _run_orbifold(model, check, tol, output_dir):
     degree = model.degree_of(state)
     if degree is None:
         raise ValueError("orbifold state is zero and has no degree")
-    auts = [Automorphism(model, "charge_conjugation")]
-    if model.spec.kind == "lattice":
-        auts.append(Automorphism(model, "torus_phase"))
+    auts = [Automorphism(model, kind) for kind in model.automorphisms]
     x, avg_report = orbifold_average(model, degree, auts)
     chain = certify_orbifold_chain(model, state, x,
                                    float(check.get("s", 1)),
@@ -379,31 +377,45 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
             json.dump(bundle, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return [path]
-    for result in results:  # a name is a file name: checked before any write
+    tables = []  # every name and cell is checked before any write
+    for result in results:
         name = result.get("name")
         if not (isinstance(name, str) and NAME.fullmatch(name)):
             raise ConfigError(f"{bundle_path}: result name {name!r} is not "
                               "[A-Za-z0-9_-]+")
+        cells = _csv_rows(result)
+        if cells is None:
+            raise ConfigError(f"{bundle_path}: result {name!r} has malformed "
+                              "cells")
+        tables.append((name, cells))
     written = []
-    for result in results:
-        report = result.get("report") or result.get("chain") or {}
-        cells = report.get("cells")
-        if "table" in result:
-            cells = [{"m": c["m"], "n": c["n"], "lhs": c["norm"],
-                      "rhs": "", "margin": ""}
-                     for c in result["table"]["cells"]]
+    for name, cells in tables:
         if not cells:
             continue
-        path = os.path.join(out_dir, f"{result['name']}.csv")
+        path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w") as fh:
             fh.write("m,n,lhs,rhs,margin\n")
-            for cell in cells:
-                fh.write(f"{cell['m']},{cell['n']},{cell['lhs']},"
-                         f"{cell['rhs']},{cell['margin']}\n")
+            fh.writelines(",".join(map(str, cell)) + "\n" for cell in cells)
         written.append(path)
     if not written:
         raise ConfigError("empty table: nothing to export")
     return written
+
+
+def _csv_rows(result: dict):
+    """The m,n,lhs,rhs,margin rows of a result's report, chain or table
+    cells (a table's norm is lhs), or None if they are malformed."""
+    fields, pad = ("m", "n", "lhs", "rhs", "margin"), ()
+    report = result.get("report") or result.get("chain") or {}
+    if "table" in result:
+        report, fields, pad = result["table"], ("m", "n", "norm"), ("", "")
+    cells = report.get("cells", []) if isinstance(report, dict) else None
+    if not isinstance(cells, list) or not all(
+            isinstance(cell, dict) and all(isinstance(
+                cell.get(f), (str, int, float)) for f in fields)
+            for cell in cells):
+        return None
+    return [tuple(cell[f] for f in fields) + pad for cell in cells]
 
 
 # ---------------------------------------------------------------------------

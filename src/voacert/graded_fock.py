@@ -1,18 +1,21 @@
 """Graded bases and truncated model construction.
 
-Three families are supported: rank-r Heisenberg Fock spaces, Virasoro
-vacuum modules (Verma quotients by the radical of the Verma Gram, which
+The free-field builder makes rank-r Heisenberg Fock spaces of a metric,
+and rank-1 even lattice models with trivial cocycle: the Heisenberg model
+of the metric [[q]] as charge-0 sector (Frenkel, Lepowsky and Meurman
+1988) plus the charge sectors and e^{+-gamma}.  The Virasoro builder makes
+vacuum modules: Verma quotients by the radical of the Verma Gram, which
 the invariant-form family computes, at every degree up to N; the working
-margin above N keeps every Verma word), and rank-1 even lattice models
-with trivial cocycle.  A Virasoro degree whose Gram is nonsingular modulo
-a prime is nonsingular over Q and keeps every word without an
-elimination; only the others run the exact rref.  A built Model builds
-each exact generator mode block on first use, memoizes it, and is
-otherwise immutable.  Virasoro blocks come
-from the action of L_p on Verma words, kept on int numerators over the
-denominator of c/2.  A basis label (BasisState) is a NamedTuple: it equals
-its plain (sector, factors) tuple, is iterable and ordered, and keeps its
-hash, so label-keyed dicts hash and compare it in C.
+margin above N keeps every Verma word.  A Virasoro degree whose Gram is
+nonsingular modulo a prime is nonsingular over Q and keeps every word
+without an elimination; only the others run the exact rref.  Each builder
+names its model's automorphisms.  A built Model builds each exact
+generator mode block on first use, memoizes it, and is otherwise
+immutable.  Virasoro blocks come from the action of L_p on Verma words,
+kept on int numerators over the denominator of c/2.  A basis label
+(BasisState) is a NamedTuple: it equals its plain (sector, factors)
+tuple, is iterable and ordered, and keeps its hash, so label-keyed dicts
+hash and compare it in C.
 
 Lattice vertex blocks are in closed form.  On sector p, Y(e^{c gamma}, z)
 = E^-(z) E^+(z) z^{c p q} (Frenkel, Lepowsky and Meurman 1988), and both
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, SpecError, TruncationError
-from .scalars import ONE, Q, ZERO, canon, rational
+from .scalars import Q, ZERO, canon, rational
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +88,9 @@ class ModelSpec:
             raise SpecError(f"unknown model kind {self.kind!r}")
 
     def metric_matrix(self) -> xl.Block:
+        """The currents' two-point constants; [[q]] for a lattice."""
+        if self.kind == "lattice":
+            return xl.sparse_block([{0: rational(self.q)}], 1)
         if self.metric:
             return xl.sparse_block(
                 [{j: x for j, x in enumerate(map(rational, row)) if x}
@@ -306,10 +312,9 @@ def _gen_words(gens, degree: int):
                 yield head + tail
 
 
-def _sector_ground(spec: ModelSpec, sector: int) -> int:
-    if spec.kind != "lattice":
-        return 0
-    return sector * sector * spec.q // 2
+def _sector_ground(spec: ModelSpec, p: int) -> int:
+    """Degree p^2 q/2 of the top e^{p gamma} of charge sector p."""
+    return p * p * spec.q // 2
 
 
 def enumerate_basis(spec: ModelSpec) -> GradedBasis:
@@ -325,13 +330,11 @@ def enumerate_basis(spec: ModelSpec) -> GradedBasis:
 
 def _enumerate_internal(spec: ModelSpec, nmax: int) -> GradedBasis:
     sectors = [0]
-    if spec.kind == "heisenberg":
-        gens = [(i, 1) for i in range(spec.rank)]
-    elif spec.kind == "virasoro":
+    if spec.kind == "virasoro":
         gens = [(0, 2)]
-    else:
-        gens, m = [(0, 1)], 1
-        while _sector_ground(spec, m) <= nmax:
+    else:  # free field: the currents, and a lattice's charge sectors
+        gens, m = [(i, 1) for i in range(spec.rank)], 1
+        while spec.kind == "lattice" and _sector_ground(spec, m) <= nmax:
             sectors += [m, -m]
             m += 1
     # each degree's words once, in basis order; sectors ascending, so every
@@ -353,7 +356,6 @@ def _enumerate_internal(spec: ModelSpec, nmax: int) -> GradedBasis:
 
 @dataclass
 class GeneratorInfo:
-    name: str
     degree: int
     star: int  # generator id of the star partner (coefficient +1)
     state: BasisState  # the basis state whose modes are this generator's
@@ -373,7 +375,7 @@ class Model:
     """
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
-                 generators, nu: StateVector, c, block):
+                 generators, nu: StateVector, c, block, automorphisms=()):
         self.spec = spec
         self.N = spec.N
         self.n_internal = n_internal
@@ -383,6 +385,7 @@ class Model:
         self.nu = nu
         self.c = c
         self._block = block
+        self.automorphisms = automorphisms  # the Automorphism kinds it has
         self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
@@ -451,7 +454,7 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg builder
+# free-field builder
 
 
 def _current_action(metric: xl.Block, gid, m, st: BasisState):
@@ -459,8 +462,7 @@ def _current_action(metric: xl.Block, gid, m, st: BasisState):
     over metric.den.
 
     metric.rows[i][j] / metric.den is the two-point constant of alpha^i
-    and alpha^j.  The lattice current is the rank-1 case metric [[q]]: its
-    zero mode on sector k is k*q.
+    and alpha^j; a lattice current's zero mode on sector k is k*q.
     """
     row = metric.rows[gid]
     if m == 0:
@@ -483,23 +485,12 @@ def _current_action(metric: xl.Block, gid, m, st: BasisState):
             yield BasisState(st.sector, tuple(rest)), coeff
 
 
-def _current_block(metric: xl.Block):
-    """Block builder of the currents alpha^i with the given metric."""
-
-    def block(model, gid, m, src):
-        basis = model.basis
-        acc = xl.zero_block(basis.dim(src - m), basis.dim(src), metric.den)
-        for col, st in enumerate(basis.states(src)):
-            for tstate, num in _current_action(metric, gid, m, st):
-                acc.rows[basis.index[tstate][1]][col] = num
-        return acc.reduced()
-
-    return block
-
-
-def _build_heisenberg(spec: ModelSpec) -> Model:
-    n_internal = spec.N
-    basis = _enumerate_internal(spec, n_internal)
+def _build_free_field(spec: ModelSpec) -> Model:
+    """The Heisenberg Fock space of spec's metric G, with conformal vector
+    nu = 1/2 sum (G^-1)_ij alpha^i_{-1} alpha^j_{-1} Omega.  A lattice is
+    the metric [[q]] plus the charge sectors, on which e^{+-gamma} act by
+    vertex_mode_block; its charge-0 sector is the Heisenberg model."""
+    basis = _enumerate_internal(spec, spec.N)
     metric = spec.metric_matrix()
     minv = xl.inverse(metric)
     nu = StateVector()
@@ -507,10 +498,25 @@ def _build_heisenberg(spec: ModelSpec) -> Model:
         for j, x in row.items():
             st = BasisState(0, canonical_factors(((i, -1), (j, -1))))
             nu.add_term(st, Q(x, 2 * minv.den))
-    gens = {i: GeneratorInfo(f"alpha{i}", 1, i, BasisState(0, ((i, -1),)))
+    gens = {i: GeneratorInfo(1, i, BasisState(0, ((i, -1),)))
             for i in range(spec.rank)}
-    return Model(spec, n_internal, basis, gens, nu, Q(spec.rank),
-                 _current_block(metric))
+    automorphisms = ("charge_conjugation",)
+    if spec.kind == "lattice":
+        gens[1] = GeneratorInfo(spec.q // 2, 2, BasisState(1, ()))
+        gens[2] = GeneratorInfo(spec.q // 2, 1, BasisState(-1, ()))
+        automorphisms += ("torus_phase",)
+
+    def block(model, gid, m, src):
+        if gid >= spec.rank:  # e^{gamma} (generator 1) or e^{-gamma}
+            return vertex_mode_block(model, 1 if gid == 1 else -1, m, src)
+        acc = xl.zero_block(basis.dim(src - m), basis.dim(src), metric.den)
+        for col, st in enumerate(basis.states(src)):
+            for tstate, num in _current_action(metric, gid, m, st):
+                acc.rows[basis.index[tstate][1]][col] = num
+        return acc.reduced()
+
+    return Model(spec, spec.N, basis, gens, nu, Q(spec.rank), block,
+                 automorphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +620,7 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     # submodule every mode preserves, so a product carried through Verma
     # coordinates there and projected at a target <= N is the quotient's.
     nu_state = BasisState(0, ((0, -2),))
-    gens = {0: GeneratorInfo("virasoro", 2, 0, nu_state)}
+    gens = {0: GeneratorInfo(2, 0, nu_state)}
     units = [({w: {i: 1} for i, w in enumerate(ws)}, 1) for ws in words]
     verma_forms = GramFamily(Model(
         spec, n_internal, verma, gens, StateVector.basis(nu_state), c,
@@ -650,29 +656,7 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# lattice builder
-
-
-def _build_lattice(spec: ModelSpec) -> Model:
-    n_internal = spec.N
-    basis = _enumerate_internal(spec, n_internal)
-    nu = StateVector.basis(
-        BasisState(0, canonical_factors(((0, -1), (0, -1)))),
-        Q(1, 2 * spec.q))
-    half = spec.q // 2
-    gens = {
-        0: GeneratorInfo("current", 1, 0, BasisState(0, ((0, -1),))),
-        1: GeneratorInfo("e+", half, 2, BasisState(1, ())),
-        2: GeneratorInfo("e-", half, 1, BasisState(-1, ())),
-    }
-    current = _current_block(xl.Block([{0: spec.q}], 1))
-
-    def block(model, gid, m, src):
-        if gid == 0:
-            return current(model, gid, m, src)
-        return vertex_mode_block(model, 1 if gid == 1 else -1, m, src)
-
-    return Model(spec, n_internal, basis, gens, nu, ONE, block)
+# lattice vertex operators
 
 
 def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
@@ -691,18 +675,18 @@ def vertex_mode_block(model: Model, charge: int, m: int, src_degree: int):
     each piece is lifted to the denominator tgt! and the block is reduced
     once.
     """
-    q = model.spec.q
-    basis = model.basis
+    spec, basis = model.spec, model.basis
     tgt = src_degree - m
     den = math.factorial(tgt)
     acc = xl.zero_block(basis.dim(tgt), basis.dim(src_degree), den)
     targets = basis.sector_ranges(tgt)
     for p, cols in basis.sector_ranges(src_degree).items():
-        k_t = tgt - (p + charge) ** 2 * q // 2
+        k_t = tgt - _sector_ground(spec, p + charge)
         if k_t < 0:
             continue
         up, col0 = den // math.factorial(k_t), cols.start
-        fock = _fock_block(model, charge, src_degree - p * p * q // 2, k_t)
+        fock = _fock_block(model, charge,
+                           src_degree - _sector_ground(spec, p), k_t)
         for i, row in zip(targets[p + charge], fock):
             acc.rows[i] = {col0 + j: x * up for j, x in enumerate(row) if x}
     return acc.reduced()
@@ -783,12 +767,10 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
     Virasoro, or outside [0, N], is a SpecError.
     """
     spec.validate(pad)
-    if spec.kind == "heisenberg":
-        model = _build_heisenberg(spec)
-    elif spec.kind == "virasoro":
+    if spec.kind == "virasoro":
         model = _build_virasoro(spec, pad)
     else:
-        model = _build_lattice(spec)
+        model = _build_free_field(spec)
     if corrupt is not None:
         gid, m, src, row, col, delta = corrupt
         block = model.gen_block(gid, m, src)
@@ -808,12 +790,14 @@ class Automorphism:
     """Degree-preserving unitary automorphism of order two, exact.
 
     kind is "charge_conjugation" (sector m -> -m, sign (-1)^word length) or
-    "torus_phase", the half turn of the torus (sector m picks up (-1)^m).
+    "torus_phase", the half turn of the torus (sector m picks up (-1)^m),
+    and one of model.automorphisms (a Virasoro model has neither).
     """
 
     def __init__(self, model: Model, kind: str):
-        if kind not in ("charge_conjugation", "torus_phase"):
-            raise ValueError(f"unknown automorphism kind {kind!r}")
+        if kind not in model.automorphisms:
+            raise ValueError(f"unknown automorphism kind {kind!r} for "
+                             f"{model.spec.describe()}")
         self.model = model
         self.kind = kind
 

@@ -284,6 +284,34 @@ def test_generator_blocks_match_pinned_digest():
         "b498f81cc4ee444cbf1649e2a8c98a3a")
 
 
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_a_lattice_charge_0_sector_is_the_heisenberg_model_of_its_metric(q):
+    """The charge-0 sector of V_L, L = Z gamma with (gamma|gamma) = q, is
+    the Heisenberg VOA of the metric [[q]] (Frenkel, Lepowsky and Meurman
+    1988): same labels, conformal state, current modes and Gram matrices."""
+    from voacert.unitary_structure import GramFamily
+
+    n = 8
+    lat = build_model(lattice_spec(q, n))
+    heis = build_model(heisenberg_spec(1, n, metric=[[q]]))
+    zero = [lat.basis.sector_ranges(d)[0] for d in range(n + 1)]
+
+    def sector_0(block, tgt, src):
+        return [[block[i][j] for j in zero[src]] for i in zero[tgt]]
+
+    for d in range(n + 1):
+        assert [lat.basis.states(d)[i] for i in zero[d]] == \
+            heis.basis.states(d)
+    assert lat.nu == heis.nu
+    for m in range(-3, 4):
+        for s in range(max(0, m), min(n, n + m) + 1):
+            assert sector_0(lat.gen_block(0, m, s), s - m, s) == \
+                heis.gen_block(0, m, s), (m, s)
+    lat_forms, heis_forms = GramFamily(lat), GramFamily(heis)
+    for d in range(n + 1):
+        assert sector_0(lat_forms.matrix(d), d, d) == heis_forms.matrix(d)
+
+
 def test_fresh_models_hold_no_generator_blocks():
     for spec in (heisenberg_spec(2, 4), virasoro_spec("1/2", 6),
                  lattice_spec(2, 6)):

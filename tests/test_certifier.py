@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,14 @@ def test_automorphism_rejects_an_unknown_kind(heis8):
         Automorphism(heis8, "charge_conjugaton")
 
 
+@pytest.mark.parametrize("model", ["ising8", "c1_8"])
+def test_a_virasoro_model_has_no_charge_conjugation(request, model):
+    vir = request.getfixturevalue(model)
+    assert vir.automorphisms == ()
+    with pytest.raises(ValueError, match=re.escape(vir.spec.describe())):
+        Automorphism(vir, "charge_conjugation")
+
+
 def test_automorphisms_map_basis_states_to_signed_states(lat2_6):
     torus = Automorphism(lat2_6, "torus_phase")
     conj = Automorphism(lat2_6, "charge_conjugation")
@@ -215,6 +224,11 @@ def test_bootstrap_witness_needs_a_chain_step(kseq, d):
     verdict = bootstrap_analyze(kseq, 1.0, 0.0, d)
     assert verdict.kind == "growth_detected"
     assert verdict.witness_ok is False
+
+
+def test_sector_growth_needs_charge_sectors(heis8):
+    with pytest.raises(ValueError, match="needs a model with charge sectors"):
+        measure_sector_growth(heis8, 4)
 
 
 def test_bootstrap_measured_lattice_growth(lat2_8):

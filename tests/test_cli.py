@@ -209,6 +209,33 @@ def test_a_bundle_result_name_naming_a_path_exits_before_any_write(
     assert not list(dest.iterdir())
 
 
+CELL = {"m": 0, "n": 0, "lhs": "1", "rhs": "2", "margin": "1"}
+
+
+# each of these exited 1 with a KeyError, TypeError or AttributeError, and
+# the first left a header-only a.csv behind
+@pytest.mark.parametrize("results", [
+    [{"name": "a", "report": {"cells": [CELL, {"m": 1}]}}],
+    [{"name": "a", "table": 3}],
+    [{"name": "a", "report": {"cells": 5}}],
+    [{"name": "a", "report": [1]}],
+    [{"name": "ok", "chain": {"cells": [CELL]}},
+     {"name": "a", "table": {"cells": [{"m": 0, "n": 0}]}}]],
+    ids=["cell", "table", "cells", "report", "after-a-good-result"])
+def test_a_malformed_bundle_exits_before_any_write(tmp_path, capsys,
+                                                  results):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"schema": "voacert-report/1",
+                                "results": results}))
+    dest = tmp_path / "ex"
+    os.makedirs(dest)
+    assert main(["export", "--bundle", str(path),
+                 "--out", str(dest)]) == EXIT_CONFIG
+    assert f"{path}: result 'a' has malformed cells" in \
+        capsys.readouterr().err
+    assert not list(dest.iterdir())
+
+
 def test_a_bootstrap_window_with_no_cell_does_not_pass(capsys):
     assert main(["certify", "--check", "bootstrap", "--kind", "lattice",
                  "--q", "2", "--N", "6", "--n-max", "0", "--d", "1"]) \
@@ -691,6 +718,32 @@ def test_orbifold_state_without_one_degree_exits_with_config_code(
     assert main(ORBIFOLD + ["--state", selector]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "check 'orbifold'" in err and why in err
+
+
+# the sign (-1)^{word length} is not an automorphism of Vir_c; sampling it
+# reported invariant_charge_conjugation_0: false, and the check exited 1
+@pytest.mark.parametrize("c", ["1/2", "1"])
+@pytest.mark.parametrize("selector", ["basis:3:0", "basis:4:0", "basis:4:1"])
+def test_a_virasoro_orbifold_samples_no_automorphism(capsys, c, selector):
+    assert main(["certify", "--check", "orbifold", "--kind", "virasoro",
+                 "--c", c, "--N", "8", "--state", selector,
+                 "--n-max", "2"]) == EXIT_OK
+    notes = json.loads(capsys.readouterr().out)["average"]["notes"]
+    assert notes == {"basis_independent": True}
+
+
+@pytest.mark.parametrize("model, kinds", [
+    (["--kind", "heisenberg"], ["charge_conjugation"]),
+    (["--kind", "lattice", "--q", "2"], ["charge_conjugation",
+                                         "torus_phase"])],
+    ids=["heisenberg", "lattice"])
+def test_an_orbifold_samples_the_automorphisms_of_its_model(capsys, model,
+                                                           kinds):
+    assert main(["certify", "--check", "orbifold", "--N", "6",
+                 "--n-max", "4"] + model) == EXIT_OK
+    notes = json.loads(capsys.readouterr().out)["average"]["notes"]
+    assert notes == {"basis_independent": True, **{
+        f"invariant_{kind}_{i}": True for i, kind in enumerate(kinds)}}
 
 
 @pytest.mark.parametrize("model", [

@@ -352,7 +352,7 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     gp = xl.mat_mul(xl.transpose(shear), xl.mat_mul(fam.matrix(d), shear))
     x2 = _average(model,
                   [model.from_coords(d, col) for col in xl.transpose(shear)],
-                  xl.inverse(gp))
+                  xl.solve_symmetric(gp, xl.identity(n)))
     report.notes["basis_independent"] = bool(x2 == x)
     return x, report
 

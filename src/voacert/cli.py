@@ -383,6 +383,9 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
         if not (isinstance(name, str) and NAME.fullmatch(name)):
             raise ConfigError(f"{bundle_path}: result name {name!r} is not "
                               "[A-Za-z0-9_-]+")
+        if any(name == seen for seen, _ in tables):
+            raise ConfigError(f"{bundle_path}: two results are named "
+                              f"{name!r}, so both would write {name}.csv")
         cells = _csv_rows(result)
         if cells is None:
             raise ConfigError(f"{bundle_path}: result {name!r} has malformed "

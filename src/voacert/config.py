@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, SpecError
-from .graded_fock import ModelSpec
+from .graded_fock import SPEC_FIELDS, ModelSpec
 from .scalars import rat_from_str, rational
 
 
@@ -95,8 +95,7 @@ def _corrupt(value: str):
 # that have no default.
 MODEL_FIELDS = {"kind": str, "N": int, "pad": int, "corrupt": _corrupt,
                 "rank": int, "metric": _metric, "c": rational, "q": int}
-KIND_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c", "pad"),
-               "lattice": ("q",)}
+KIND_FIELDS = {**SPEC_FIELDS, "virasoro": SPEC_FIELDS["virasoro"] + ("pad",)}
 REQUIRED = ("N", "c", "q")
 
 

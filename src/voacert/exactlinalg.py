@@ -5,19 +5,23 @@ nonzero entry to its int numerator, over one denominator (FLINT's
 ``fmpq_mat`` layout).  Exact rationals enter through ``sparse_block``,
 which rejects anything else (a float) with TypeError.  ``add_scaled`` and
 ``add_product`` add into a block on ints, raising its denominator to the
-lcm as terms arrive, and ``Block.reduced`` brings a sum to lowest terms
-once; sums, scalings and products are built from them.  Read as a
-sequence, a block is its dense view of int/Q entries, built on first read
-and memoized.
+lcm as terms arrive (an operand with no entry adds nothing and does no
+work), and ``Block.reduced`` brings a sum to lowest terms once; sums,
+scalings and products are built from them.  Read as a sequence, a block
+is its dense view of int/Q entries, built on first read and memoized.
 
 ``rref`` (behind ``kernel_basis`` and ``inverse``) runs fraction-free
-Bareiss updates on a block's int numerators and returns a block;
-``positive_definite`` eliminates a block's int numerators too, and ``ldl``
-works in ``Q`` on the dense view.  ``nonsingular_mod_p`` eliminates a
-square block's numerators mod the prime 2**31 - 1 in int64: True proves
-the block nonsingular over Q, since the rank mod a prime never exceeds
-the rank over Q (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 5), and lets a full-rank block skip ``rref``.
+Bareiss updates on a block's int numerators and returns a block.
+``positive_definite`` and ``solve_symmetric`` share one fraction-free
+symmetric sweep on a block's int numerators: the first stops at the first
+pivot <= 0, the second carries a right side through the sweep and
+back-substitutes, so a symmetric solve forms no inverse and a diagonal
+matrix costs no row operation.  ``ldl`` works in ``Q`` on the dense view.
+``nonsingular_mod_p`` eliminates a square block's numerators mod the
+prime 2**31 - 1 in int64: True proves the block nonsingular over Q, since
+the rank mod a prime never exceeds the rank over Q (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 5), and lets a full-rank block skip
+``rref``.
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ def mat_scale(a: Block, s) -> Block:
 
 def add_scaled(acc: Block, b: Block, s=1):
     """acc += s * b in place, over the entries of b."""
+    if not any(b.rows):
+        return
     num, den = _ratio(s)
     if num:
         f = acc.over(b.den * den) * num
@@ -130,6 +136,8 @@ def add_scaled(acc: Block, b: Block, s=1):
 
 def add_product(acc: Block, outer: Block, inner: Block, s=1):
     """acc += s * outer @ inner in place; the product is never built."""
+    if not (any(outer.rows) and any(inner.rows)):
+        return
     num, den = _ratio(s)
     if num:
         f = acc.over(outer.den * inner.den * den) * num
@@ -344,29 +352,86 @@ def ldl(a: Block):
     return low, diag
 
 
-def positive_definite(a: Block) -> bool:
-    """Whether a symmetric matrix is positive definite, on ints.
+def _sweep(rows: list, rhs: list):
+    """Fraction-free symmetric elimination, in place, yielding each pivot.
 
-    Symmetric elimination on the block's numerators: row i becomes
-    piv * row_i - f * row_k, then is divided by its content gcd.  Both
-    are positive row scalings, which keep the sign of every later pivot,
-    so each pivot has the sign of its LDL^T pivot.  The working matrix stays a positive row scaling of a
-    symmetric one, so the rows below k with a column-k entry are row k's
-    columns past k, and a diagonal input is never updated.
+    rows are a symmetric matrix's int numerators, rhs the rows of a right
+    side.  Pivot k is yielded before it is used; then each row i below
+    with a column-k entry becomes piv * row_i - f * row_k, on rows and rhs
+    alike, and is divided by the content gcd of both.  The working matrix
+    stays a nonzero row scaling of the symmetric Schur complement, so the
+    rows below k with a column-k entry are row k's columns past k, and a
+    diagonal input makes no row operation.  A caller stops the sweep by
+    not asking for the next pivot.
     """
-    rows = list(a.rows)  # each updated row is a new dict
     for k, pk in enumerate(rows):
         piv = pk.get(k, 0)
-        if piv <= 0:
-            return False
+        yield piv
+        sk = rhs[k]
         for i in [j for j in pk if j > k]:
             f = rows[i].get(k, 0)
             ri = {j: piv * x for j, x in rows[i].items()}
             for j, y in pk.items():  # clears column k
                 ri[j] = ri.get(j, 0) - f * y
-            g = math.gcd(*ri.values()) or 1
+            si = {j: piv * x for j, x in rhs[i].items()}
+            for j, y in sk.items():
+                si[j] = si.get(j, 0) - f * y
+            g = math.gcd(*ri.values(), *si.values()) or 1
             rows[i] = {j: x // g for j, x in ri.items() if x}
-    return True
+            rhs[i] = {j: x // g for j, x in si.items() if x}
+
+
+def positive_definite(a: Block) -> bool:
+    """Whether a symmetric matrix is positive definite, on ints.
+
+    The symmetric sweep on the block's numerators, stopped at the first
+    pivot <= 0.  Until then every row operation is a positive row scaling
+    (piv > 0, and the gcd), which keeps the sign of every later pivot, so
+    each pivot has the sign of its LDL^T pivot.
+    """
+    return all(piv > 0 for piv in _sweep(list(a.rows),
+                                         [{} for _ in a.rows]))
+
+
+def solve_symmetric(a: Block, b: Block) -> Block:
+    """X with a @ X = b for a symmetric block a, in lowest terms.
+
+    The symmetric sweep of ``positive_definite`` runs on a's numerators
+    with every row operation applied to b's rows too, leaving an upper
+    triangular system; back substitution then gives each row of X over its
+    own denominator.  Pivots may be negative; a zero pivot (a zero leading
+    principal minor) raises ZeroDivisionError.  A diagonal a costs
+    O(nnz b), since the sweep makes no row operation on it.
+    """
+    n = len(a.rows)
+    assert a.cols == n == len(b.rows), \
+        f"shape mismatch {shape(a)}, {shape(b)}"
+    rows, rhs = list(a.rows), list(b.rows)
+    for piv in _sweep(rows, rhs):
+        if not piv:
+            raise ZeroDivisionError("zero pivot in symmetric solve")
+    # rows[k] @ X = rhs[k]: row k of X is (rhs_k - sum_j u_kj X_j) / u_kk
+    # over the j > k of row k, kept as int numerators over dens[k] != 0
+    out, dens = [None] * n, [1] * n
+    for k in reversed(range(n)):
+        uk = rows[k]
+        later = [j for j in uk if j > k]
+        den = math.lcm(*(dens[j] for j in later))
+        acc = {j: den * y for j, y in rhs[k].items()}
+        for j in later:
+            f = uk[j] * (den // dens[j])
+            get = acc.get
+            for col, y in out[j].items():
+                acc[col] = get(col, 0) - f * y
+        den *= uk[k]
+        g = math.gcd(den, *acc.values())
+        out[k] = {j: x // g for j, x in acc.items() if x}
+        dens[k] = den // g
+    # a = A / a.den and b = B / b.den, so X = A^-1 B * a.den / b.den
+    den = math.lcm(*dens)
+    return Block([{j: x * (den // d) * a.den for j, x in row.items()}
+                  for row, d in zip(out, dens)],
+                 b.cols, den * b.den).reduced()
 
 
 def trace(a: Block):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import exactlinalg as xl
@@ -42,6 +42,12 @@ from .scalars import Q, ZERO, canon, rational
 
 # ---------------------------------------------------------------------------
 # specs and basis labels
+
+
+# The spec fields each kind reads besides kind and N; every other field
+# must keep its default.
+SPEC_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c",),
+               "lattice": ("q",)}
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,9 @@ class ModelSpec:
     q: int = 0  # <gamma,gamma>, lattice only
 
     def validate(self, pad: int = None):
-        """Raise SpecError for an invalid spec, or, when a pad is given, for
-        a pad on a kind other than Virasoro or outside [0, N]."""
+        """Raise SpecError for an invalid spec (a field its kind does not
+        read off its default among them), or, when a pad is given, for a
+        pad on a kind other than Virasoro or outside [0, N]."""
         if self.N < 2:
             raise SpecError("truncation too small to hold the conformal state "
                             "(need N >= 2)")
@@ -66,6 +73,13 @@ class ModelSpec:
                             f"{self.kind}")
         if pad is not None and not 0 <= pad <= self.N:
             raise SpecError(f"pad {pad} lies outside [0, {self.N}]")
+        if self.kind not in SPEC_FIELDS:
+            raise SpecError(f"unknown model kind {self.kind!r}")
+        for f in fields(self):
+            if f.name not in ("kind", "N") + SPEC_FIELDS[self.kind] and \
+                    getattr(self, f.name) != f.default:
+                raise SpecError(f"field {f.name!r} does not apply to kind "
+                                f"{self.kind!r}")
         if self.kind == "heisenberg":
             if self.rank < 1:
                 raise SpecError("Heisenberg rank must be positive")
@@ -81,11 +95,8 @@ class ModelSpec:
         elif self.kind == "virasoro":
             if self.c is None:
                 raise SpecError("Virasoro model needs a central charge")
-        elif self.kind == "lattice":
-            if self.q < 2 or self.q % 2 != 0:
-                raise SpecError("lattice <gamma,gamma> must be even and >= 2")
-        else:
-            raise SpecError(f"unknown model kind {self.kind!r}")
+        elif self.q < 2 or self.q % 2 != 0:
+            raise SpecError("lattice <gamma,gamma> must be even and >= 2")
 
     def metric_matrix(self) -> xl.Block:
         """The currents' two-point constants; [[q]] for a lattice."""

@@ -7,9 +7,16 @@ unit-normalized sector tops, two block products per leading factor on int
 numerators.  Each Gram matrix is one xl.Block in lowest terms, and so
 are its inverse and every Gram adjoint: the symmetry check, ``pairing``,
 the float Cholesky factor, the positivity test, the eliminations
-(``inverse``, ``radical``, the Virasoro builder's quotient) and the
+(``radical``, the Virasoro builder's quotient), the solves and the
 adjoint's products read its form; only LDL^T and single entries read its
 memoized dense view.
+
+Adjoints are solves.  The Gram adjoint G_s^{-1} B^T G_t of a block B is
+``xl.solve_symmetric(G_s, B^T G_t)``, the fraction-free symmetric sweep of
+the positivity test carried through a right side, and the inverse that
+``star`` reads is the solve against the identity.  No Gauss-Jordan runs
+on a Gram, and a diagonal Gram (every rank-1 Heisenberg or lattice one)
+costs no row operation.
 """
 
 from __future__ import annotations
@@ -103,16 +110,19 @@ class GramFamily:
         return g
 
     def inverse(self, degree: int):
+        """G_degree^{-1}, the symmetric solve against the identity."""
         hit = self._invs.get(degree)
         if hit is None:
-            hit = xl.inverse(self.matrix(degree))
+            g = self.matrix(degree)
+            hit = xl.solve_symmetric(g, xl.identity(len(g)))
             self._invs[degree] = hit
         return hit
 
     def adjoint(self, blk, src: int, tgt: int):
-        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt."""
-        return xl.mat_mul(self.inverse(src),
-                          xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
+        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt,
+        solved from G_src X = B^T G_tgt with no inverse formed."""
+        return xl.solve_symmetric(
+            self.matrix(src), xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
 
     def radical(self, degree: int):
         return xl.kernel_basis(self.matrix(degree))
@@ -170,7 +180,8 @@ def star(model: Model, a) -> StateVector:
     For a of degree d the conjugate has components in every degree up to d
     (only the top one survives when a is quasi-primary).  They are
     recovered triangularly from the Gram adjoints of the annihilation
-    blocks a_e : V_e -> V_0, since applying the defining relation to the
+    blocks a_e : V_e -> V_0, each a solve against G_e (its memoized
+    ``GramFamily.inverse``), since applying the defining relation to the
     vacuum gives (a_e)^dag Om = sum_{e' <= e} L_{-1}^{e-e'}/(e-e')!
     applied to the degree-e' component.  Each component's running power
     L_{-1}^{e-e'} is carried from one e to the next, one L_{-1} per
@@ -212,8 +223,9 @@ def star(model: Model, a) -> StateVector:
 def adjoint_residual(model: Model, a, m: int) -> Residual:
     """Exact deviation of the G-adjoint of a_m from (a*)_{-m}.
 
-    Plain index m; compares G_s^{-1} (a_m block)^T G_{s-m} with the block
-    of (a*)_{-m} on every source degree where both sides live.
+    Plain index m; compares the solve X of G_s X = (a_m block)^T G_{s-m}
+    with the block of (a*)_{-m} on every source degree where both sides
+    live.
     """
     a = _as_vector(a)
     fam = family_of(model)

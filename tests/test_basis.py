@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voacert.errors import ModelBugError, SpecError
-from voacert.graded_fock import (BasisState, StateVector, _VermaEngine,
-                                 build_model, canonical_factors,
+from voacert.graded_fock import (BasisState, ModelSpec, StateVector,
+                                 _VermaEngine, build_model, canonical_factors,
                                  enumerate_basis, heisenberg_spec,
                                  lattice_spec, vertex_mode_block,
                                  virasoro_spec)
@@ -553,6 +553,23 @@ def test_a_pad_of_zero_or_n_builds(pad):
 def test_a_pad_on_another_kind_than_virasoro_is_a_spec_error(spec, pad):
     with pytest.raises(SpecError, match="pad applies to virasoro models"):
         build_model(spec, pad=pad)
+
+
+@pytest.mark.parametrize("spec,field", [
+    (ModelSpec("lattice", N=6, q=2, metric=((3,),), c=5), "metric"),
+    (ModelSpec("lattice", N=6, q=2, c=5), "c"),
+    (ModelSpec("lattice", N=6, q=2, rank=2), "rank"),
+    (ModelSpec("heisenberg", N=6, q=4), "q"),
+    (ModelSpec("heisenberg", N=6, c=Q(1)), "c"),
+    (ModelSpec("virasoro", N=6, c=Q(1, 2), metric=((1,),)), "metric"),
+    (ModelSpec("virasoro", N=6, c=Q(1, 2), q=2), "q"),
+    (ModelSpec("virasoro", N=6, c=Q(1, 2), rank=2), "rank")])
+def test_a_field_the_kind_does_not_read_is_a_spec_error(spec, field):
+    # the first two built lattice(q=2, N=6) and the fourth a plain
+    # Heisenberg model, silently
+    with pytest.raises(SpecError, match=f"field '{field}' does not apply "
+                                        f"to kind '{spec.kind}'"):
+        build_model(spec)
 
 
 # -- the Verma word action against the rational recursion --------------------

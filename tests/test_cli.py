@@ -236,6 +236,21 @@ def test_a_malformed_bundle_exits_before_any_write(tmp_path, capsys,
     assert not list(dest.iterdir())
 
 
+def test_two_results_with_one_name_exit_before_any_write(tmp_path, capsys):
+    # the second a.csv used to replace the first, with exit 0
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"schema": "voacert-report/1", "results": [
+        {"name": "a", "report": {"cells": [CELL]}},
+        {"name": "b", "report": {"cells": [CELL]}},
+        {"name": "a", "chain": {"cells": [dict(CELL, m=1)]}}]}))
+    dest = tmp_path / "ex"
+    os.makedirs(dest)
+    assert main(["export", "--bundle", str(path),
+                 "--out", str(dest)]) == EXIT_CONFIG
+    assert f"{path}: two results are named 'a'" in capsys.readouterr().err
+    assert not list(dest.iterdir())
+
+
 def test_a_bootstrap_window_with_no_cell_does_not_pass(capsys):
     assert main(["certify", "--check", "bootstrap", "--kind", "lattice",
                  "--q", "2", "--N", "6", "--n-max", "0", "--d", "1"]) \

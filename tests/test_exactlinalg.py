@@ -679,3 +679,72 @@ def test_diag_p_1_is_singular_mod_p_and_takes_the_rref_path():
     b = xl.Block([{0: xl.PRIME}, {1: 1}], 2)
     assert not xl.nonsingular_mod_p(b)
     assert xl.rref(b)[1] == [0, 1]
+
+
+# -- symmetric solve against the Gauss-Jordan inverse ------------------------
+
+nonzero_q = st.one_of(st.integers(-4, 4), small_q).filter(bool)
+
+
+@st.composite
+def symmetric_system(draw):
+    """(a, b, k): a symmetric n x n matrix a (n in [0, 5]) whose leading
+    principal minors are nonzero, and an n x k right side b, as dense
+    lists.  a is M^T M + 1 (positive definite), L D L^T with L unit
+    lower-triangular and D of mixed signs (indefinite), or diagonal."""
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    form = draw(st.sampled_from(["gram", "ldl", "diagonal"]))
+    if form == "gram":
+        a = symmetric(draw(st.lists(st.lists(
+            st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n, max_size=n)), True)
+    else:
+        d = draw(st.lists(nonzero_q, min_size=n, max_size=n))
+        low = [[1 if i == j else draw(sparse_q) if j < i and form == "ldl"
+                else 0 for j in range(n)] for i in range(n)]
+        a = [[sum((low[i][t] * d[t] * low[j][t] for t in range(n)), 0)
+              for j in range(n)] for i in range(n)]
+    return a, draw(sparse_matrix(n, k)), k
+
+
+@settings(max_examples=300)
+@given(symmetric_system(), st.integers(1, 6))
+@example(([], [], 3), 1)  # 0 x 0 with a 0 x 3 right side
+@example(([[Q(-3, 2)]], [[1, Q(2, 5)]], 2), 2)  # 1 x 1, negative
+@example(([[1, 2], [2, 1]], [[1, 0], [0, 1]], 2), 1)  # pivots 1, -3
+@example(([[2, 0, 0], [0, -1, 0], [0, 0, Q(1, 3)]],
+          [[1, 0], [0, 0], [0, Q(1, 7)]], 2), 5)  # diagonal
+def test_solve_symmetric_matches_the_gauss_jordan_inverse(system, den):
+    a, rhs, k = system
+    n = len(a)
+    ab, bb = block(a, n), block(rhs, k)
+    before = [([dict(r) for r in x.rows], x.den) for x in (ab, bb)]
+    want = xl.mat_mul(xl.inverse(ab), bb)
+    got = xl.solve_symmetric(ab, bb)
+    assert got == want and xl.shape(got) == (n, k)
+    assert_reduced(got)
+    exact_entries(got.dense())
+    # the same matrices over larger denominators, not in lowest terms
+    assert xl.solve_symmetric(over(ab, den), over(bb, 7)) == want
+    assert [([dict(r) for r in x.rows], x.den) for x in (ab, bb)] == before
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 0]],  # nonsingular, first leading minor zero
+    [[1, 1], [1, 1]],  # singular
+    [[2, 0, 0], [0, 0, 0], [0, 0, 1]],  # diagonal, zero pivot
+])
+def test_solve_symmetric_raises_at_a_zero_leading_minor(a):
+    with pytest.raises(ZeroDivisionError):
+        xl.solve_symmetric(block(a, len(a)), xl.identity(len(a)))
+
+
+def test_solve_symmetric_rejects_inexact_entries():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        xl.solve_symmetric(xl.sparse_block([{0: 2, 1: 0.5}, {0: 0.5}], 2),
+                           xl.identity(2))
+    # a float numerator in a hand-built block is refused as well
+    with pytest.raises(TypeError):
+        xl.solve_symmetric(xl.Block([{0: 2.0}], 1), xl.identity(1))
+    with pytest.raises(TypeError):
+        xl.solve_symmetric(xl.identity(1), xl.Block([{0: 0.5}], 1))

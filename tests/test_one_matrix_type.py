@@ -26,7 +26,8 @@ KERNELS = {
     "to_numpy": (1, None), "rref": (1, "pair"),
     "nonsingular_mod_p": (1, None), "kernel_basis": (1, None),
     "inverse": (1, "block"), "ldl": (1, None),
-    "positive_definite": (1, None), "trace": (1, None),
+    "positive_definite": (1, None), "solve_symmetric": (2, "block"),
+    "trace": (1, None),
 }
 
 MODELS = {

@@ -336,3 +336,17 @@ def test_save_model_replaces_the_container_atomically(tmp_path,
         save_model(build_model(heisenberg_spec(1, 6)), str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.parametrize("spec", [
+    heisenberg_spec(1, 4), heisenberg_spec(2, 4, metric=[[2, 1], [1, 2]]),
+    virasoro_spec("1/2", 4), lattice_spec(4, 4)],
+    ids=["heisenberg", "heisenberg_metric", "virasoro", "lattice"])
+def test_a_stored_spec_keeps_the_defaults_of_unread_fields(spec, tmp_path):
+    # a container stores every field, so a kind's unread fields must load
+    stored = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert stored == spec
+    stored.validate()
+    path = str(tmp_path / "model.json")
+    save_model(build_model(spec), path)
+    assert load_model(path).spec == spec

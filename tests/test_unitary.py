@@ -3,6 +3,7 @@ import math
 import pytest
 
 from voacert import exactlinalg as xl
+from voacert.bound_certifier import trace_domination_check
 from voacert.errors import ModelBugError, SpecError
 from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  heisenberg_spec, lattice_spec,
@@ -326,3 +327,56 @@ def test_invariant_forms_match_pinned_digest():
         "b5e001da66a74d8e3137f842029c33f1",
         "ed9ef667f4cd72456bc1e82293b922a7"
         "8b3a6d7ab6769f8d835194db2c473458")
+
+
+# -- Gram solves against Gauss-Jordan ----------------------------------------
+
+GRAM_SOLVE_MODELS = {
+    "heisenberg_metric": (heisenberg_spec(2, 6, metric=[[2, 1], [1, 2]]),
+                          None),
+    "lattice2": (lattice_spec(2, 8), None),
+    "lattice4": (lattice_spec(4, 8), None),
+    "virasoro_half": (virasoro_spec("1/2", 10), 1),
+    "virasoro_one": (virasoro_spec(1, 10), 1),
+    "virasoro_nonunitary": (virasoro_spec("-22/5", 10), 1),
+}
+
+
+@pytest.mark.parametrize("key", list(GRAM_SOLVE_MODELS))
+def test_gram_inverses_and_adjoints_equal_gauss_jordan(key):
+    spec, pad = GRAM_SOLVE_MODELS[key]
+    model = build_model(spec, pad=pad)
+    fam = GramFamily(model)
+    gj = [xl.inverse(fam.matrix(d)) for d in range(model.N + 1)]
+    for d in range(model.N + 1):
+        assert fam.inverse(d) == gj[d]
+    for gid in range(len(model.generators)):
+        for m in range(-2, 3):
+            for src in range(max(0, m), model.N + 1 + min(0, m)):
+                tgt = src - m
+                blk = model.gen_block(gid, m, src)
+                want = xl.mat_mul(gj[src], xl.mat_mul(xl.transpose(blk),
+                                                      fam.matrix(tgt)))
+                assert fam.adjoint(blk, src, tgt) == want
+
+
+@pytest.mark.parametrize("spec", [
+    heisenberg_spec(2, 6, metric=[[2, 1], [1, 2]]), lattice_spec(2, 8)],
+    ids=["heisenberg_metric", "lattice2"])
+def test_free_field_adjoints_run_no_gauss_jordan(monkeypatch, spec):
+    model = build_model(spec)  # a metric's inverse is built here, not below
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("rref", "inverse"):
+        monkeypatch.setattr(xl, name, counted(name, getattr(xl, name)))
+    current = BasisState(0, ((0, -1),))
+    assert trace_domination_check(model, current, Q(1, 2), 6).passed
+    for m in (-1, 0, 1, 2):
+        assert adjoint_residual(model, current, m).is_zero
+    assert calls == []

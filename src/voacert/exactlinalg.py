@@ -16,7 +16,9 @@ Bareiss updates on a block's int numerators and returns a block.
 symmetric sweep on a block's int numerators: the first stops at the first
 pivot <= 0, the second carries a right side through the sweep and
 back-substitutes, so a symmetric solve forms no inverse and a diagonal
-matrix costs no row operation.  ``ldl`` works in ``Q`` on the dense view.
+matrix costs no row operation; only a zero leading principal minor, which
+the sweep cannot pivot past, sends it to ``inverse``.  ``ldl`` works in
+``Q`` on the dense view.
 ``nonsingular_mod_p`` eliminates a square block's numerators mod the
 prime 2**31 - 1 in int64: True proves the block nonsingular over Q, since
 the rank mod a prime never exceeds the rank over Q (von zur Gathen and
@@ -352,33 +354,35 @@ def ldl(a: Block):
     return low, diag
 
 
-def _sweep(rows: list, rhs: list):
+def _sweep(rows: list, rhs: list = None):
     """Fraction-free symmetric elimination, in place, yielding each pivot.
 
-    rows are a symmetric matrix's int numerators, rhs the rows of a right
-    side.  Pivot k is yielded before it is used; then each row i below
-    with a column-k entry becomes piv * row_i - f * row_k, on rows and rhs
-    alike, and is divided by the content gcd of both.  The working matrix
-    stays a nonzero row scaling of the symmetric Schur complement, so the
-    rows below k with a column-k entry are row k's columns past k, and a
-    diagonal input makes no row operation.  A caller stops the sweep by
-    not asking for the next pivot.
+    rows are a symmetric matrix's int numerators, rhs (if given) the rows
+    of a right side.  Pivot k is yielded before it is used; then each row i
+    below with a column-k entry becomes piv * row_i - f * row_k, on rows and
+    rhs alike, and is divided by the content gcd of both.  The working
+    matrix stays a nonzero row scaling of the symmetric Schur complement,
+    so the rows below k with a column-k entry are row k's columns past k,
+    and a diagonal input makes no row operation.  A caller stops the sweep
+    by not asking for the next pivot.
     """
     for k, pk in enumerate(rows):
         piv = pk.get(k, 0)
         yield piv
-        sk = rhs[k]
         for i in [j for j in pk if j > k]:
             f = rows[i].get(k, 0)
             ri = {j: piv * x for j, x in rows[i].items()}
             for j, y in pk.items():  # clears column k
                 ri[j] = ri.get(j, 0) - f * y
-            si = {j: piv * x for j, x in rhs[i].items()}
-            for j, y in sk.items():
-                si[j] = si.get(j, 0) - f * y
-            g = math.gcd(*ri.values(), *si.values()) or 1
+            g = math.gcd(*ri.values())
+            if rhs is not None:
+                si = {j: piv * x for j, x in rhs[i].items()}
+                for j, y in rhs[k].items():
+                    si[j] = si.get(j, 0) - f * y
+                g = math.gcd(g, *si.values()) or 1
+                rhs[i] = {j: x // g for j, x in si.items() if x}
+            g = g or 1
             rows[i] = {j: x // g for j, x in ri.items() if x}
-            rhs[i] = {j: x // g for j, x in si.items() if x}
 
 
 def positive_definite(a: Block) -> bool:
@@ -389,8 +393,7 @@ def positive_definite(a: Block) -> bool:
     (piv > 0, and the gcd), which keeps the sign of every later pivot, so
     each pivot has the sign of its LDL^T pivot.
     """
-    return all(piv > 0 for piv in _sweep(list(a.rows),
-                                         [{} for _ in a.rows]))
+    return all(piv > 0 for piv in _sweep(list(a.rows)))
 
 
 def solve_symmetric(a: Block, b: Block) -> Block:
@@ -399,17 +402,19 @@ def solve_symmetric(a: Block, b: Block) -> Block:
     The symmetric sweep of ``positive_definite`` runs on a's numerators
     with every row operation applied to b's rows too, leaving an upper
     triangular system; back substitution then gives each row of X over its
-    own denominator.  Pivots may be negative; a zero pivot (a zero leading
-    principal minor) raises ZeroDivisionError.  A diagonal a costs
-    O(nnz b), since the sweep makes no row operation on it.
+    own denominator.  Pivots may be negative.  A zero pivot (a zero leading
+    principal minor, which an indefinite nonsingular matrix such as
+    [[0, 1], [1, 0]] can have) leaves the sweep without a pivot, and the
+    pivoting Gauss-Jordan ``inverse`` solves instead; it raises
+    ZeroDivisionError for a singular a.  A diagonal a costs O(nnz b), since
+    the sweep makes no row operation on it.
     """
     n = len(a.rows)
     assert a.cols == n == len(b.rows), \
         f"shape mismatch {shape(a)}, {shape(b)}"
     rows, rhs = list(a.rows), list(b.rows)
-    for piv in _sweep(rows, rhs):
-        if not piv:
-            raise ZeroDivisionError("zero pivot in symmetric solve")
+    if not all(_sweep(rows, rhs)):
+        return mat_mul(inverse(a), b).reduced()
     # rows[k] @ X = rhs[k]: row k of X is (rhs_k - sum_j u_kj X_j) / u_kk
     # over the j > k of row k, kept as int numerators over dens[k] != 0
     out, dens = [None] * n, [1] * n

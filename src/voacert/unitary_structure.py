@@ -11,12 +11,13 @@ the float Cholesky factor, the positivity test, the eliminations
 adjoint's products read its form; only LDL^T and single entries read its
 memoized dense view.
 
-Adjoints are solves.  The Gram adjoint G_s^{-1} B^T G_t of a block B is
-``xl.solve_symmetric(G_s, B^T G_t)``, the fraction-free symmetric sweep of
-the positivity test carried through a right side, and the inverse that
-``star`` reads is the solve against the identity.  No Gauss-Jordan runs
-on a Gram, and a diagonal Gram (every rank-1 Heisenberg or lattice one)
-costs no row operation.
+Adjoints are solves.  The inverse G_s^{-1} that ``star`` and every Gram
+adjoint G_s^{-1} B^T G_t read is ``xl.solve_symmetric(G_s, 1)``, the
+fraction-free symmetric sweep of the positivity test carried through a
+right side, memoized per degree.  No Gauss-Jordan runs on a Gram with
+nonzero leading principal minors (every positive definite one), and a
+diagonal Gram (every rank-1 Heisenberg or lattice one) costs no row
+operation.
 """
 
 from __future__ import annotations
@@ -119,10 +120,9 @@ class GramFamily:
         return hit
 
     def adjoint(self, blk, src: int, tgt: int):
-        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt,
-        solved from G_src X = B^T G_tgt with no inverse formed."""
-        return xl.solve_symmetric(
-            self.matrix(src), xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
+        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt."""
+        return xl.mat_mul(self.inverse(src),
+                          xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
 
     def radical(self, degree: int):
         return xl.kernel_basis(self.matrix(degree))
@@ -223,9 +223,9 @@ def star(model: Model, a) -> StateVector:
 def adjoint_residual(model: Model, a, m: int) -> Residual:
     """Exact deviation of the G-adjoint of a_m from (a*)_{-m}.
 
-    Plain index m; compares the solve X of G_s X = (a_m block)^T G_{s-m}
-    with the block of (a*)_{-m} on every source degree where both sides
-    live.
+    Plain index m; compares G_s^{-1} (a_m block)^T G_{s-m}, G_s^{-1} the
+    symmetric solve of ``GramFamily.inverse``, with the block of (a*)_{-m}
+    on every source degree where both sides live.
     """
     a = _as_vector(a)
     fam = family_of(model)

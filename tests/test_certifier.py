@@ -153,26 +153,22 @@ def test_trace_domination(heis8):
 
 
 def test_trace_domination_reads_each_degree_once(monkeypatch, lat2_8):
-    # two exact products and one Gram solve per degree: each filtration
-    # level n only adds the trace terms of degree n to running sums
+    # three exact products per degree: each filtration level n only adds
+    # the trace terms of degree n to running sums
     fam = family_of(lat2_8)
-    for d in range(9):  # the Gram build multiplies too, and star solves
+    for d in range(9):  # the Gram build multiplies too
         fam.matrix(d)
-        fam.inverse(d)
+    real = xl.mat_mul
     calls = []
 
-    def counting(name, real):
-        def wrapper(a, b):
-            calls.append(name)
-            return real(a, b)
-        return wrapper
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
 
-    for name in ("mat_mul", "solve_symmetric"):
-        monkeypatch.setattr(xl, name, counting(name, getattr(xl, name)))
+    monkeypatch.setattr(xl, "mat_mul", counting)
     report = trace_domination_check(lat2_8, BasisState(0, ((0, -1),)),
                                     Q(1, 2), 8)
-    assert calls.count("mat_mul") == 2 * 9
-    assert calls.count("solve_symmetric") == 9
+    assert len(calls) == 3 * 9
     assert len(report.cells) == 2 * 9
 
 

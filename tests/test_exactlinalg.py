@@ -688,16 +688,18 @@ nonzero_q = st.one_of(st.integers(-4, 4), small_q).filter(bool)
 
 @st.composite
 def symmetric_system(draw):
-    """(a, b, k): a symmetric n x n matrix a (n in [0, 5]) whose leading
-    principal minors are nonzero, and an n x k right side b, as dense
-    lists.  a is M^T M + 1 (positive definite), L D L^T with L unit
-    lower-triangular and D of mixed signs (indefinite), or diagonal."""
+    """(a, b, k): a symmetric n x n matrix a (n in [0, 5]) and an n x k
+    right side b, as dense lists.  a is M^T M + 1 (positive definite),
+    L D L^T with L unit lower-triangular and D of mixed signs (indefinite,
+    nonzero leading minors), diagonal, or a mirrored matrix of entries in
+    [-1, 1] (often a zero leading minor, sometimes singular)."""
     n, k = draw(st.integers(0, 5)), draw(st.integers(0, 4))
-    form = draw(st.sampled_from(["gram", "ldl", "diagonal"]))
-    if form == "gram":
+    form = draw(st.sampled_from(["gram", "ldl", "diagonal", "mirrored"]))
+    if form in ("gram", "mirrored"):
         a = symmetric(draw(st.lists(st.lists(
-            st.integers(-3, 3), min_size=n, max_size=n),
-            min_size=n, max_size=n)), True)
+            st.integers(-3, 3) if form == "gram" else st.integers(-1, 1),
+            min_size=n, max_size=n), min_size=n, max_size=n)),
+            form == "gram")
     else:
         d = draw(st.lists(nonzero_q, min_size=n, max_size=n))
         low = [[1 if i == j else draw(sparse_q) if j < i and form == "ldl"
@@ -714,12 +716,19 @@ def symmetric_system(draw):
 @example(([[1, 2], [2, 1]], [[1, 0], [0, 1]], 2), 1)  # pivots 1, -3
 @example(([[2, 0, 0], [0, -1, 0], [0, 0, Q(1, 3)]],
           [[1, 0], [0, 0], [0, Q(1, 7)]], 2), 5)  # diagonal
+@example(([[0, 1], [1, 0]], [[1, 0], [0, 1]], 2), 1)  # zero first minor
+@example(([[1, 1, 0], [1, 1, 1], [0, 1, 0]], [[1], [0], [2]], 1), 3)
 def test_solve_symmetric_matches_the_gauss_jordan_inverse(system, den):
     a, rhs, k = system
     n = len(a)
     ab, bb = block(a, n), block(rhs, k)
     before = [([dict(r) for r in x.rows], x.den) for x in (ab, bb)]
-    want = xl.mat_mul(xl.inverse(ab), bb)
+    try:
+        want = xl.mat_mul(xl.inverse(ab), bb)
+    except ZeroDivisionError:  # singular: the solve refuses it too
+        with pytest.raises(ZeroDivisionError):
+            xl.solve_symmetric(ab, bb)
+        return
     got = xl.solve_symmetric(ab, bb)
     assert got == want and xl.shape(got) == (n, k)
     assert_reduced(got)
@@ -730,13 +739,25 @@ def test_solve_symmetric_matches_the_gauss_jordan_inverse(system, den):
 
 
 @pytest.mark.parametrize("a", [
-    [[0, 1], [1, 0]],  # nonsingular, first leading minor zero
-    [[1, 1], [1, 1]],  # singular
+    [[1, 1], [1, 1]],  # first leading minor 1, second 0
+    [[0, 0], [0, 0]],
     [[2, 0, 0], [0, 0, 0], [0, 0, 1]],  # diagonal, zero pivot
+    [[0, 1, 0], [1, 0, 1], [0, 1, 0]],  # zero first minor, singular
 ])
-def test_solve_symmetric_raises_at_a_zero_leading_minor(a):
+def test_solve_symmetric_raises_on_a_singular_matrix(a):
     with pytest.raises(ZeroDivisionError):
         xl.solve_symmetric(block(a, len(a)), xl.identity(len(a)))
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 0]],
+    [[1, 1, 2], [1, 1, 0], [2, 0, -1]],  # second leading minor zero
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # an anti-diagonal
+])
+def test_a_zero_leading_minor_of_a_nonsingular_matrix_is_solved(a):
+    # the sweep has no pivot there; the pivoting inverse solves instead
+    ab = block(a, len(a))
+    assert xl.solve_symmetric(ab, xl.identity(len(a))) == xl.inverse(ab)
 
 
 def test_solve_symmetric_rejects_inexact_entries():

@@ -339,6 +339,7 @@ GRAM_SOLVE_MODELS = {
     "virasoro_half": (virasoro_spec("1/2", 10), 1),
     "virasoro_one": (virasoro_spec(1, 10), 1),
     "virasoro_nonunitary": (virasoro_spec("-22/5", 10), 1),
+    "virasoro_zero_minor": (virasoro_spec("-153/70", 6), 1),
 }
 
 
@@ -358,6 +359,18 @@ def test_gram_inverses_and_adjoints_equal_gauss_jordan(key):
                 want = xl.mat_mul(gj[src], xl.mat_mul(xl.transpose(blk),
                                                       fam.matrix(tgt)))
                 assert fam.adjoint(blk, src, tgt) == want
+
+
+def test_a_nonsingular_gram_with_a_zero_leading_minor_is_inverted():
+    # c = -153/70 is not a Kac value, so G_6 is nonsingular, but its
+    # leading 2 x 2 minor (L_{-6} and L_{-3}^2) is c^2 (306 + 140 c) = 0:
+    # the symmetric sweep has no pivot there (the "virasoro_zero_minor"
+    # case above compares its inverse with Gauss-Jordan)
+    model = build_model(virasoro_spec("-153/70", 6))
+    g = family_of(model).matrix(6).dense()
+    assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0
+    for m in range(-2, 3):
+        assert adjoint_residual(model, model.nu, m).is_zero
 
 
 @pytest.mark.parametrize("spec", [

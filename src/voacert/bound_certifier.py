@@ -21,7 +21,7 @@ from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import Model, StateVector
 from .mode_engine import _as_vector, _vec_block, apply_mode, state_product
-from .norm_lab import NormTable, _graded_max, graded_norm, norm_table
+from .norm_lab import NormTable, damped_norm, graded_norm, norm_table
 from .scalars import Q, ZERO, rational
 from .unitary_structure import family_of, star
 
@@ -199,9 +199,11 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
 def _primary_constant(model: Model, a: StateVector) -> float:
     """A = 2(1 + sqrt(c/3))/(d-1) + 1/2 for a primary of degree d != 1.
 
-    Raises ValueError unless L_1 a = L_2 a = 0, which generate all positive
-    Virasoro modes.
+    Raises ValueError for a zero state, and unless L_1 a = L_2 a = 0, which
+    generate all positive Virasoro modes.
     """
+    if a.is_zero():
+        raise ValueError("state is zero and has no degree")
     for k in (1, 2):
         if not state_product(model, model.nu, k + 1, a).is_zero():
             raise ValueError(f"state is not primary: L_{k} a != 0")
@@ -254,12 +256,12 @@ def fit_exponents(table: NormTable):
 def _chain_constants(model: Model, b, const_a: float, m_max: int,
                      n_max: int):
     """(K, q, B, t) of the proof chain: the measured single-exponent witness
-    ||b_m||_n <= K(1+|m|)^q(1+|n|)^q, then B = A K and t = q + 3/2."""
+    ||b_m||_n <= K(1+|m|)^q(1+|n|)^q, then B = A K and t = q + 3/2.  K is
+    fit_exponents' C: with q = max(s, t) and bases 1+|m|, 1+n >= 1, each
+    cell's v/((1+|m|)^q(1+n)^q) <= v/((1+|m|)^t(1+n)^s) <= C."""
     table = norm_table(model, b, range(-m_max, m_max + 1), n_max)
-    c, s, t = fit_exponents(table)
+    k, s, t = fit_exponents(table)
     q = max(s, t)
-    k = max(c, max((v / ((1 + abs(m)) ** q * (1 + n) ** q)
-                    for m, n, v in table.cells() if v > 0), default=0.0))
     return k, q, const_a * k, q + 1.5
 
 
@@ -383,9 +385,9 @@ def certify_orbifold_chain(model: Model, a, x: StateVector, s, n_max: int,
         tolerance=tol)
     return report.sweep(
         (0,), n_max,
-        lambda m, n: _graded_max(model, avec, 0, n,
+        lambda m, n: graded_norm(model, avec, 0, n,
                                  weight=lambda k: (k + 1) ** (-sf)) ** 2,
-        lambda m, n: norm_sq * _graded_max(
+        lambda m, n: norm_sq * graded_norm(
             model, x, 0, n, weight=lambda k: (k + 1) ** (-2 * sf)))
 
 
@@ -413,9 +415,7 @@ def trace_domination_check(model: Model, a, q, n_max: int,
     mid = ZERO   # Tr q^{L_0} a_0^dag a_0 q^{L_0}
     right = ZERO  # Tr (a_{-d}a*)_0 q^{2L_0}
     for n in range(n_max + 1):
-        # left: spectral damped norm squared
-        lhs = _graded_max(model, avec, 0, n,
-                          weight=lambda k: float(qr) ** k) ** 2
+        lhs = damped_norm(model, avec, qr, n) ** 2  # spectral, on the left
         if model.dim(n):
             wn = qr ** (2 * n)
             blk = _vec_block(model, avec, 0, n)
@@ -536,12 +536,5 @@ def measure_sector_growth(model: Model, n_max: int):
     if not tops:
         raise ValueError(f"sector growth needs a model with charge sectors, "
                          f"and {model.spec.describe()} has none")
-    kseq = []
-    for n in range(n_max + 1):
-        best = 0.0
-        for top in tops:
-            val = graded_norm(model, top, 0, n)
-            if val > best:
-                best = val
-        kseq.append(best)
-    return kseq
+    return [max(graded_norm(model, top, 0, n) for top in tops)
+            for n in range(n_max + 1)]

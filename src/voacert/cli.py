@@ -53,7 +53,8 @@ def resolve_state(model: Model, selector: str) -> StateVector:
 
     Tokens: `nu`, `vac`, `top:<sector>`, `basis:<degree>:<pos>`, joined by
     `+` with an optional rational prefix `c*`.  A malformed token, or one
-    naming no state of the model's basis up to degree N, raises ConfigError.
+    naming no state of the model's basis up to degree N, raises ConfigError;
+    terms that cancel to the zero vector raise ValueError.
     """
     total = StateVector()
     for token in selector.split("+"):
@@ -82,6 +83,8 @@ def resolve_state(model: Model, selector: str) -> StateVector:
         if state not in model.basis.index:
             raise ConfigError(f"bad state selector {token!r}")
         total.add_term(state, coeff)
+    if total.is_zero():
+        raise ValueError(f"state is zero: {selector!r}")
     return total
 
 
@@ -193,8 +196,6 @@ def _run_orbifold(model, check, tol, output_dir):
     which holds only for a state of V_d."""
     state = resolve_state(model, check.get("state", "basis:1:0"))
     degree = model.degree_of(state)
-    if degree is None:
-        raise ValueError("orbifold state is zero and has no degree")
     auts = [Automorphism(model, kind) for kind in model.automorphisms]
     x, avg_report = orbifold_average(model, degree, auts)
     chain = certify_orbifold_chain(model, state, x,

@@ -7,17 +7,17 @@ the largest singular value of the degree-s block, in orthonormal
 coordinates from the per-degree Cholesky factors of the invariant form.
 ``_sigma`` computes that value, for a mode a_m or a degree-preserving
 composite b_{-m} a_m, and memoizes it per model (blocks are read-only once
-built, so an entry never goes stale); ``_graded_max`` takes the optionally
-weighted max over degrees.  Every norm here and in ``bound_certifier``
-goes through these two.  One window rule, ``_in_window``, serves
-``graded_norm`` (a mode, or the pair composite b_{-m} a_m), the certified
-norm, ``cstar_gap`` and ``damped_norm``: V_{<=n} is empty for n < 0, and
-a source degree n or target degree n - m past N raises TruncationError.
-``graded_norm_certified`` gives an exact
-rational enclosure of the squared norm instead, by a bisection decided at
-every step by an exact positive-definiteness test and started from a bracket
-around the float value, which usually holds after two checks per degree;
-it has no block size limit.
+built, so an entry never goes stale).  ``graded_norm`` is the one loop
+that takes the max over degrees, with an optional per-degree weight, and
+every float norm here and in ``bound_certifier`` is a call of it,
+``cstar_gap`` and ``damped_norm`` included.  Its window rule,
+``_in_window``, is shared with the certified norm: V_{<=n} is empty for
+n < 0, and a source degree n or target degree n - m past N raises
+TruncationError naming the graded norm window.  ``graded_norm_certified``
+gives an exact rational enclosure of the squared norm instead, by a
+bisection decided at every step by an exact positive-definiteness test and
+started from a bracket around the float value, which usually holds after
+two checks per degree; it has no block size limit.
 """
 
 from __future__ import annotations
@@ -74,19 +74,6 @@ def _sigma(model: Model, inner: StateVector, m: int, s: int,
     return hit
 
 
-def _graded_max(model: Model, inner: StateVector, m: int, n: int,
-                outer: StateVector = None, weight=None) -> float:
-    """max over source degrees s <= n of _sigma(...) * weight(s)."""
-    best = 0.0
-    for s in range(max(m, 0), n + 1):
-        val = _sigma(model, inner, m, s, outer)
-        if weight is not None:
-            val = val * weight(s)
-        if val > best:
-            best = val
-    return best
-
-
 def _in_window(model: Model, m: int, n: int, what: str) -> bool:
     """The window rule of every graded norm of a mode m on V_{<=n}: False
     when V_{<=n} is empty (n < 0), TruncationError naming `what` when n or
@@ -98,14 +85,21 @@ def _in_window(model: Model, m: int, n: int, what: str) -> bool:
     return True
 
 
-def graded_norm(model: Model, a, m: int, n: int,
-                outer: StateVector = None) -> float:
+def graded_norm(model: Model, a, m: int, n: int, outer: StateVector = None,
+                weight=None) -> float:
     """Norm of a_m (plain index) restricted to the filtration space V_{<=n};
-    of the degree-preserving composite outer_{-m} a_m when outer is given."""
+    of the degree-preserving composite outer_{-m} a_m when outer is given.
+    With a weight, the degree-s block's norm is scaled by weight(s)."""
     avec = _as_vector(a)
     if not _in_window(model, m, n, "graded norm window") or avec.is_zero():
         return 0.0
-    return _graded_max(model, avec, m, n, outer=outer)
+    best = 0.0
+    for s in range(max(m, 0), n + 1):
+        val = _sigma(model, avec, m, s, outer)
+        if weight is not None:
+            val = val * weight(s)
+        best = max(best, val)
+    return best
 
 
 def _seed_bracket(guess, tol):
@@ -190,12 +184,10 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
 
 def cstar_gap(model: Model, a, m: int, n: int) -> float:
     """|  ||a*_{-m} a_m||_n - ||a_m||_n^2 |, both computed spectrally."""
-    if not _in_window(model, m, n, "C*-identity window"):
-        return 0.0
     avec = _as_vector(a)
-    conj = star(model, avec)
     norm = graded_norm(model, avec, m, n)
-    return abs(_graded_max(model, avec, m, n, outer=conj) - norm * norm)
+    return abs(graded_norm(model, avec, m, n, outer=star(model, avec))
+               - norm * norm)
 
 
 def damped_norm(model: Model, a, q, n: int) -> float:
@@ -203,9 +195,7 @@ def damped_norm(model: Model, a, q, n: int) -> float:
     qf = float(q)
     if not 0.0 < qf < 1.0:
         raise ValueError("damping must lie strictly between 0 and 1")
-    if not _in_window(model, 0, n, "damped norm window"):
-        return 0.0
-    return _graded_max(model, _as_vector(a), 0, n, weight=lambda s: qf ** s)
+    return graded_norm(model, a, 0, n, weight=lambda s: qf ** s)
 
 
 @dataclass

@@ -139,8 +139,8 @@ def load_model(path: str) -> Model:
     """Rebuild the model for a stored container and verify it against it.
 
     Raises ConfigError for a container of another schema and ModelBugError
-    when the file is not a JSON object, its spec is missing or malformed, or
-    a stored field differs from the rebuild.
+    when the file is not a JSON object, its spec is missing or malformed, its
+    blocks are not an object, or a stored field differs from the rebuild.
     """
     with open(path) as fh:
         try:
@@ -155,7 +155,11 @@ def load_model(path: str) -> Model:
     spec = _stored_spec(path, data)
     model = build_model(spec, pad=_stored_pad(spec, data))
     n = model.n_internal
-    for key in data.get("blocks", {}):
+    blocks = data.get("blocks", {})
+    if not isinstance(blocks, dict):
+        raise ModelBugError(f"{path}: stored blocks are not an object; "
+                            "stale or corrupted container")
+    for key in blocks:
         try:
             gid, m, src = (int(x) for x in key.split(":"))
         except ValueError:

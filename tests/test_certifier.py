@@ -91,6 +91,19 @@ def test_pair_bound(lat4_8):
     assert report.constants["t"] == report.constants["q"] + 1.5
 
 
+# a zero state passed the primary test vacuously and then crashed on its
+# degree, None, with a TypeError
+@pytest.mark.parametrize("certify", [
+    lambda model, zero: certify_primary_bound(model, zero, 1, 2),
+    lambda model, zero: certify_pair_bound(model, zero, current(model), 1, 2),
+    lambda model, zero: certify_zero_mode_product(
+        model, current(model), 0, zero, 2)],
+    ids=["primary_bound", "pair_bound", "zero_mode_product"])
+def test_a_zero_primary_is_a_value_error(lat4_8, certify):
+    with pytest.raises(ValueError, match="state is zero"):
+        certify(lat4_8, StateVector())
+
+
 def test_zero_mode_product(lat4_8):
     from voacert.graded_fock import BasisState
 

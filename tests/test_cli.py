@@ -735,6 +735,23 @@ def test_orbifold_state_without_one_degree_exits_with_config_code(
     assert "check 'orbifold'" in err and why in err
 
 
+# terms that cancel to the zero vector once passed v1_bound, norms,
+# product_lemma and trace_domination with all-zero cells, and crashed
+# primary_bound with a TypeError
+@pytest.mark.parametrize("check, selector", [
+    ("v1_bound", "0*basis:1:0"), ("norms", "top:1+-1*top:1"),
+    ("product_lemma", "0*nu"), ("trace_domination", "0*basis:1:0"),
+    ("primary_bound", "0*top:1")])
+def test_a_zero_state_exits_with_config_code(capsys, check, selector):
+    argv = ["certify", "--kind", "lattice", "--q", "4", "--N", "6",
+            "--check", check, "--state", selector, "--n-max", "2"]
+    if check != "trace_domination":
+        argv += ["--m-max", "1"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"check {check!r}" in err and "state is zero" in err
+
+
 # the sign (-1)^{word length} is not an automorphism of Vir_c; sampling it
 # reported invariant_charge_conjugation_0: false, and the check exited 1
 @pytest.mark.parametrize("c", ["1/2", "1"])

@@ -88,6 +88,9 @@ TAMPERS = {
     "malformed-block-key": lambda d: d["blocks"].update({"1:-1": [1, 1, []]}),
     "changed-entry": _change_entry,
     "added-entry": _add_entry,
+    "blocks-int": lambda d: d.update(blocks=5),
+    "blocks-null": lambda d: d.update(blocks=None),
+    "blocks-list": lambda d: d.update(blocks=[1]),
 }
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import Model, StateVector
-from .mode_engine import _as_vector, _vec_block, apply_mode, state_product
+from .mode_engine import (_as_vector, _nonzero, _vec_block, apply_mode,
+                          state_product)
 from .norm_lab import NormTable, damped_norm, graded_norm, norm_table
 from .scalars import Q, ZERO, rational
 from .unitary_structure import family_of, star
@@ -130,9 +131,9 @@ def certify_v1_bound(model: Model, a, m_max: int, n_max: int,
                      tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_m||_n <= 2^{3/2} ||a|| (1+|m|)^{1/2} (1+|n|)^{1/2} for degree-1
     states."""
-    avec = _as_vector(a)
+    avec = _nonzero(a)
     fam = family_of(model)
-    if not avec.is_zero() and model.degree_of(avec) != 1:
+    if model.degree_of(avec) != 1:
         raise ValueError("bound applies to degree-1 states")
     norm_a = math.sqrt(float(fam.pairing(avec, avec)))
     report = BoundReport(
@@ -164,7 +165,7 @@ def certify_product_lemma(model: Model, a, m_max: int, n_max: int,
     ||a_m b||^2 <= (b | (a_{-d}a*)_0 b) exactly on all basis states b of
     degree <= min(3, N).
     """
-    avec = _as_vector(a)
+    avec = _nonzero(a)
     fam = family_of(model)
     x = _square_completion(model, avec)
     report = BoundReport(
@@ -202,8 +203,7 @@ def _primary_constant(model: Model, a: StateVector) -> float:
     Raises ValueError for a zero state, and unless L_1 a = L_2 a = 0, which
     generate all positive Virasoro modes.
     """
-    if a.is_zero():
-        raise ValueError("state is zero and has no degree")
+    _nonzero(a)
     for k in (1, 2):
         if not state_product(model, model.nu, k + 1, a).is_zero():
             raise ValueError(f"state is not primary: L_{k} a != 0")
@@ -272,7 +272,7 @@ def certify_pair_bound(model: Model, a, b, m_max: int, n_max: int,
     with B = A K and t = q + 3/2, where (K, q) is the measured growth of b
     and A is the primary-bound constant of a.
     """
-    avec, bvec = _as_vector(a), _as_vector(b)
+    avec, bvec = _as_vector(a), _nonzero(b)
     const_a = _primary_constant(model, avec)
     k_const, q_exp, b_const, t_exp = _chain_constants(model, bvec, const_a,
                                                       m_max, n_max)
@@ -298,7 +298,7 @@ def certify_zero_mode_product(model: Model, b, p: int, a, n_max: int,
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    avec, bvec = _as_vector(a), _as_vector(b)
+    avec, bvec = _as_vector(a), _nonzero(b)
     const_a = _primary_constant(model, avec)
     d = model.degree_of(bvec)
     da = model.degree_of(avec)

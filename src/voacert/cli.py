@@ -33,7 +33,7 @@ from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table, write_norm_csv
 from .scalars import Q, rat_from_str
-from .serialize import ModelCache, save_model
+from .serialize import ModelCache, save_model, write_atomic
 from .unitary_structure import family_of
 
 REPORT_SCHEMA = "voacert-report/1"
@@ -350,11 +350,12 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
         "results": results,
         "pass": all(r["pass"] for r in results),
     }
-    path = os.path.join(output_dir, "suite.json")
-    with open(path, "w") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_bundle(os.path.join(output_dir, "suite.json"), bundle)
     return bundle
+
+
+def _write_bundle(path: str, bundle: dict):
+    write_atomic(path, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
 
 
 def export_bundle(bundle_path: str, fmt: str, out_dir: str):
@@ -374,9 +375,7 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
         raise ConfigError(f"{bundle_path}: results is not a list of objects")
     if fmt == "json":
         path = os.path.join(out_dir, "bundle.json")
-        with open(path, "w") as fh:
-            json.dump(bundle, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_bundle(path, bundle)
         return [path]
     tables = []  # every name and cell is checked before any write
     for result in results:

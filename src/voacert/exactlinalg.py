@@ -4,11 +4,15 @@ Every matrix is a ``Block``: per row, a dict from the column of each
 nonzero entry to its int numerator, over one denominator (FLINT's
 ``fmpq_mat`` layout).  Exact rationals enter through ``sparse_block``,
 which rejects anything else (a float) with TypeError.  ``add_scaled`` and
-``add_product`` add into a block on ints, raising its denominator to the
-lcm as terms arrive (an operand with no entry adds nothing and does no
-work), and ``Block.reduced`` brings a sum to lowest terms once; sums,
-scalings and products are built from them.  Read as a sequence, a block
-is its dense view of int/Q entries, built on first read and memoized.
+``add_product`` add one term into a block on ints, raising its denominator
+to the lcm as terms arrive (an operand with no entry adds nothing and does
+no work), and ``Block.reduced`` brings such a sum to lowest terms once;
+sums, scalings and single products are built from them.
+``sum_of_products`` adds a whole list of products over a denominator fixed
+before the first one and returns the sum in lowest terms, with no
+rescaling pass; peeling builds every composite state's block with it.
+Read as a sequence, a block is its dense view of int/Q entries, built on
+first read and memoized.
 
 ``rref`` (behind ``kernel_basis`` and ``inverse``) runs fraction-free
 Bareiss updates on a block's int numerators and returns a block.
@@ -137,7 +141,9 @@ def add_scaled(acc: Block, b: Block, s=1):
 
 
 def add_product(acc: Block, outer: Block, inner: Block, s=1):
-    """acc += s * outer @ inner in place; the product is never built."""
+    """acc += s * outer @ inner in place; the product is never built.
+    acc is first lifted to a multiple of outer.den * inner.den, which
+    rescales it; ``sum_of_products`` sums many products without that."""
     if not (any(outer.rows) and any(inner.rows)):
         return
     num, den = _ratio(s)
@@ -150,6 +156,38 @@ def add_product(acc: Block, outer: Block, inner: Block, s=1):
                 fx = f * x
                 for j, y in inner_rows[k].items():
                     ra[j] = get(j, 0) + fx * y
+
+
+def sum_of_products(rows: int, cols: int, terms) -> Block:
+    """sum of s * outer @ inner over (outer, inner, int s) terms, as a
+    rows x cols block in lowest terms.
+
+    The denominator is fixed before the first product, as the lcm of
+    outer.den * inner.den over the terms, so the int numerators accumulate
+    into fresh rows that are never rescaled; zero entries are dropped in
+    place, and the gcd divides out only when it exceeds 1.
+    """
+    den = math.lcm(*(outer.den * inner.den for outer, inner, _ in terms))
+    acc = [{} for _ in range(rows)]
+    for outer, inner, s in terms:
+        f = den // (outer.den * inner.den) * s
+        inner_rows = inner.rows
+        for ra, ro in zip(acc, outer.rows):
+            get = ra.get
+            for k, x in ro.items():
+                fx = f * x
+                for j, y in inner_rows[k].items():
+                    ra[j] = get(j, 0) + fx * y
+    for row in acc:
+        if 0 in row.values():
+            for j in [j for j, x in row.items() if not x]:
+                del row[j]
+    g = 1 if den == 1 else math.gcd(
+        den, *(x for row in acc for x in row.values()))
+    if g > 1:
+        acc = [{j: x // g for j, x in row.items()} for row in acc]
+        den //= g
+    return Block(acc, cols, den)
 
 
 def mat_mul(a: Block, b: Block) -> Block:

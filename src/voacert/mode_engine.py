@@ -5,11 +5,15 @@ modes (``exactlinalg.Block``: int numerators over one denominator): a_(n)
 in the round convention, a_n = a_(n+d-1) in the plain one.  Composite
 states are peeled by their leading canonical factor using the homogeneous
 mode-expansion formula, with j-cutoffs supplied by the annihilation
-thresholds of the truncation; every term adds into one block on ints,
-reduced once at the end, so every block is exact.  The blocks of basis
-states and of the conformal vector nu, whose modes L_n = nu_(n+1) every
-identity check reads, are memoized per model in that form, which
-brackets, residuals and mode application read directly.
+thresholds of the truncation.  The nonzero (generator block, tail block,
+signed binomial) terms are gathered, and in the second sum a tail block is
+built only behind a nonzero generator block; one
+``exactlinalg.sum_of_products`` call then adds them over a denominator
+fixed before the first product, so every block is exact and in lowest
+terms.  The blocks of basis states and of the conformal vector nu, whose
+modes L_n = nu_(n+1) every identity check reads, are memoized per model
+in that form, which brackets, residuals and mode application read
+directly.
 """
 
 from __future__ import annotations
@@ -61,24 +65,28 @@ def _compute_state_block(model: Model, state: BasisState, k: int, s: int):
     gid, n0 = state.factors[0]
     dg = model.generators[gid].degree
     tail = BasisState(state.sector, state.factors[1:])  # a label: see Model
-    acc = xl.zero_block(basis.dim(tgt), basis.dim(s))
+    n = n0 + dg - 1  # < 0, so no binomial C(n, j) is 0
     j1_max = s - k + n0  # beyond this the inner tail mode annihilates V_s
     j2_max = s + dg - 1  # beyond this the inner generator mode annihilates
+    flip = -1 if (n0 + dg) % 2 else 1
+    terms = []
+    binom = 1  # (-1)^j C(n, j), by C(n, j+1) = C(n, j) (n - j) / (j + 1)
     for j in range(0, max(j1_max, j2_max) + 1):
-        binom = binomial(n0 + dg - 1, j)  # never 0: n0 + dg - 1 < 0
-        sign = -1 if j % 2 else 1
         if j <= j1_max:
-            mid = s - (k - n0 + j)
             inner = _state_block(model, tail, k - n0 + j, s)
-            outer = model.gen_block(gid, n0 - j, mid)
-            xl.add_product(acc, outer, inner, sign * binom)
+            if any(inner.rows):
+                outer = model.gen_block(gid, n0 - j, s - (k - n0 + j))
+                if any(outer.rows):
+                    terms.append((outer, inner, binom))
         if j <= j2_max:
-            mid = s - (j + 1 - dg)
             inner = model.gen_block(gid, j + 1 - dg, s)
-            outer = _state_block(model, tail, k - j + dg - 1, mid)
-            sign2 = sign if (n0 + dg) % 2 == 0 else -sign
-            xl.add_product(acc, outer, inner, sign2 * binom)
-    return acc.reduced()
+            if any(inner.rows):
+                outer = _state_block(model, tail, k - j + dg - 1,
+                                     s - (j + 1 - dg))
+                if any(outer.rows):
+                    terms.append((outer, inner, flip * binom))
+        binom = -binom * (n - j) // (j + 1)
+    return xl.sum_of_products(basis.dim(tgt), basis.dim(s), terms)
 
 
 def _vec_block(model: Model, vec: StateVector, k: int, s: int):
@@ -118,6 +126,15 @@ def _as_vector(a) -> StateVector:
     if isinstance(a, BasisState):
         return StateVector.basis(a)
     return a
+
+
+def _nonzero(a) -> StateVector:
+    """_as_vector(a), raising ValueError for the zero vector, on which a
+    bound would hold vacuously."""
+    avec = _as_vector(a)
+    if avec.is_zero():
+        raise ValueError("state is zero")
+    return avec
 
 
 def apply_mode(model: Model, a, k: int, b) -> StateVector:

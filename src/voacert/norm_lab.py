@@ -31,7 +31,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import ModelBugError, TruncationError
 from .graded_fock import Model, StateVector
-from .mode_engine import _as_vector, _vec_block
+from .mode_engine import _as_vector, _nonzero, _vec_block
 from .scalars import ONE, Q, ZERO
 from .unitary_structure import family_of, star
 
@@ -240,6 +240,10 @@ def write_norm_csv(table: dict, path):
 
 def norm_table(model: Model, a, m_range, n_max: int,
                owner: str = "") -> NormTable:
+    """graded_norm on every cell (m, n <= n_max); a cell past the
+    truncation is recorded as a failure.  Raises ValueError for a zero
+    state, whose table would hold only zeros."""
+    _nonzero(a)
     table = NormTable(owner=owner or repr(a),
                       model_desc=model.spec.describe(),
                       truncation=model.N, tolerance=1e-9)

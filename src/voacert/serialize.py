@@ -90,9 +90,14 @@ def model_to_dict(model: Model) -> dict:
 
 
 def save_model(model: Model, path: str):
-    """Write a container; the rename never exposes a partly written file."""
+    """Write a container, atomically."""
     # json.dumps runs the C encoder; json.dump to a file does not
-    text = json.dumps(model_to_dict(model), sort_keys=True)
+    write_atomic(path, json.dumps(model_to_dict(model), sort_keys=True))
+
+
+def write_atomic(path: str, text: str):
+    """Write text to path through a temp file and one rename, so path
+    never holds a partly written file and a failed write leaves none."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:

@@ -104,6 +104,22 @@ def test_a_zero_primary_is_a_value_error(lat4_8, certify):
         certify(lat4_8, StateVector())
 
 
+# each of these returned all-zero cells, and so passed, on a zero state
+@pytest.mark.parametrize("certify", [
+    lambda model, zero: certify_v1_bound(model, zero, 1, 2).passed,
+    lambda model, zero: certify_product_lemma(model, zero, 1, 2).passed,
+    lambda model, zero: norm_table(model, zero, range(-1, 2), 2).failures,
+    lambda model, zero: certify_pair_bound(
+        model, BasisState(1, ()), zero, 1, 2).passed,
+    lambda model, zero: certify_zero_mode_product(
+        model, zero, 0, BasisState(1, ()), 2).passed],
+    ids=["v1_bound", "product_lemma", "norm_table", "pair_bound_b",
+         "zero_mode_product_b"])
+def test_a_zero_state_is_a_value_error(lat4_8, certify):
+    with pytest.raises(ValueError, match="state is zero"):
+        certify(lat4_8, StateVector())
+
+
 def test_zero_mode_product(lat4_8):
     from voacert.graded_fock import BasisState
 

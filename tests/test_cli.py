@@ -141,6 +141,37 @@ def test_export_verb(tmp_path, capsys):
         assert p.read_text().startswith("m,n,lhs,rhs,margin")
 
 
+def test_bundles_are_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    """suite.json and bundle.json go through one rename: a failing rename
+    leaves neither the target nor a temp file, and a written bundle is
+    json.dump's bytes."""
+    config = parse_config(SUITE)
+    out, dest = tmp_path / "rep", tmp_path / "export"
+    bundle = run_suite(config, str(out), jobs=1)
+    assert (out / "suite.json").read_text() == json.dumps(
+        bundle, indent=2, sort_keys=True) + "\n"
+    os.makedirs(dest)
+    assert main(["export", "--bundle", str(out / "suite.json"),
+                 "--format", "json", "--out", str(dest)]) == EXIT_OK
+    assert (dest / "bundle.json").read_bytes() == \
+        (out / "suite.json").read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    kept = tmp_path / "kept.json"
+    kept.write_bytes((out / "suite.json").read_bytes())
+    for path in (out / "suite.json", dest / "bundle.json"):
+        path.unlink()
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        run_suite(config, str(out), jobs=1)
+    with pytest.raises(OSError):
+        cli.export_bundle(str(kept), "json", str(dest))
+    assert sorted(p.name for p in out.iterdir()) == ["nm.csv"]
+    assert not list(dest.iterdir())
+
+
 def test_a_missing_config_exits_with_config_code(tmp_path, capsys):
     path = tmp_path / "missing.cfg"
     assert main(["suite", "--config", str(path),

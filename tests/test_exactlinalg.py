@@ -348,6 +348,53 @@ def test_block_sum_grows_its_denominator_and_reduces_once(terms):
     assert_block_equals(got, want, 3)
 
 
+@st.composite
+def product_terms(draw):
+    """Shapes n, m in [0, 4] and up to four (k, n x k, k x m, int s)
+    terms, each with its own inner dimension k in [0, 4]."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, 4))
+        terms.append((k, draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m)),
+                      draw(st.integers(-6, 6))))
+    return n, m, terms
+
+
+@given(product_terms())
+@example((0, 3, [(2, [], [[1, 0, Q(1, 2)], [0, 3, 0]], 2)]))  # 0 rows
+@example((2, 0, [(1, [[Q(1, 3)], [2]], [[]], -1)]))  # 0 columns
+@example((1, 1, [(1, [[Q(1, 2)]], [[Q(1, 3)]], 1),  # cancels to zero
+                 (1, [[Q(1, 3)]], [[Q(1, 2)]], -1)]))
+@example((1, 2, [(1, [[Q(1, 2)]], [[1, Q(1, 5)]], 3),  # mixed denominators
+                 (2, [[Q(1, 3), 0]], [[Q(1, 7), 0], [1, 1]], -2),
+                 (1, [[0]], [[Q(1, 11), 1]], 4)]))  # an empty outer
+@example((1, 1, [(1, [[Q(1, 2)]], [[1]], 1),  # 1/2 + 1/2: reduces to 1
+                 (1, [[Q(1, 2)]], [[1]], 1)]))
+def test_sum_of_products_matches_add_product_then_reduced(operands):
+    n, m, terms = operands
+    blocks = [(block_of(a, k), block_of(b, m), s) for k, a, b, s in terms]
+
+    def forms():
+        return [([dict(r) for r in x.rows], x.den) for t in blocks
+                for x in t[:2]]
+
+    before = forms()
+    want = xl.zero_block(n, m)
+    for outer, inner, s in blocks:
+        xl.add_product(want, outer, inner, s)
+    want = want.reduced()
+    got = xl.sum_of_products(n, m, blocks)
+    assert xl.shape(got) == (n, m)
+    assert got.rows == want.rows and got.den == want.den
+    assert_reduced(got)
+    ref = zeros(n, m)
+    for k, a, b, s in terms:
+        ref = dense_add_product(ref, a, b, s)
+    assert_block_equals(got, ref, m)
+    assert forms() == before
+
+
 # -- exact division on int input ---------------------------------------------
 
 

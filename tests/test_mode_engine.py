@@ -315,3 +315,75 @@ def test_sampler_stream_is_pinned():
     blob = json.dumps(rows, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == \
         "6a61458316726a5923556b6e0cf19fb45ad8602c572adad357f240db9f8dae69"
+
+
+PEELED_DIGEST_CASES = [
+    heisenberg_spec(1, 8), heisenberg_spec(2, 6, metric=[[2, 1], [1, 2]]),
+    virasoro_spec("1/2", 8), virasoro_spec(1, 8), virasoro_spec("-22/5", 8),
+    lattice_spec(2, 6), lattice_spec(4, 6)]
+
+
+def test_state_blocks_match_pinned_digest():
+    """sha256 over the block of every plain mode -3..3 of every basis state
+    of degree <= N, on every source degree whose target lies in [0, N]:
+    composite states are peeled, so this pins the peeling's exact values."""
+    digest = hashlib.sha256()
+    for spec in PEELED_DIGEST_CASES:
+        model = build_model(spec)
+        n = model.N
+        for d in range(n + 1):
+            for state in model.basis.states(d):
+                for k in range(-3, 4):
+                    for s in range(max(k, 0), min(n, n + k) + 1):
+                        block = [[rat_to_str(x) for x in row] for row in
+                                 _state_block(model, state, k, s)]
+                        digest.update(json.dumps(
+                            [spec.describe(), state, k, s, block]).encode())
+    assert digest.hexdigest() == (
+        "9604c310bd5f1fb16ad5dc1c3e7ca428"
+        "6c52ce85b3dc9826ce59f6ce7e4cac6b")
+
+
+@pytest.mark.parametrize("spec", [lattice_spec(2, 6), virasoro_spec("1/2", 8)],
+                         ids=["lattice", "virasoro"])
+def test_each_peeled_block_is_one_sum_of_products(monkeypatch, spec):
+    """On a cold sampling round, every composite state's block is one
+    ``xl.sum_of_products`` call over a denominator fixed in advance, so
+    peeling never rescales an accumulator through ``Block.over``."""
+    import sys
+
+    kernel, compute, over = (xl.sum_of_products,
+                             mode_engine._compute_state_block, xl.Block.over)
+    open_calls, per_compute, overs = [], [], {"peeling": 0, "other": 0}
+
+    def counted_kernel(*args):
+        if open_calls:
+            open_calls[-1] += 1
+        return kernel(*args)
+
+    def counted_compute(model, state, k, s):
+        open_calls.append(0)
+        try:
+            return compute(model, state, k, s)
+        finally:
+            calls = open_calls.pop()
+            if state.factors and state not in model.generator_of:
+                per_compute.append(calls)
+
+    def counted_over(self, den):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == xl.__file__:
+            frame = frame.f_back
+        overs["peeling" if frame.f_code is compute.__code__
+              else "other"] += 1
+        return over(self, den)
+
+    monkeypatch.setattr(xl, "sum_of_products", counted_kernel)
+    monkeypatch.setattr(mode_engine, "_compute_state_block", counted_compute)
+    monkeypatch.setattr(xl.Block, "over", counted_over)
+    model = build_model(spec)
+    for identity in IDENTITIES:
+        checked, failures = sample_residuals(model, identity, 10, seed=1)
+        assert (checked, failures) == (10, [])
+    assert per_compute and set(per_compute) == {1}
+    assert overs["peeling"] == 0 and overs["other"] > 0

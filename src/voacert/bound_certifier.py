@@ -68,11 +68,6 @@ class BoundReport:
                 return False
         return all(self.notes.get(k, True) is not False for k in self.notes)
 
-    def worst_cell(self):
-        if not self.cells:
-            return None
-        return min(self.cells, key=lambda c: c["margin"])
-
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -232,24 +227,28 @@ def certify_primary_bound(model: Model, a, m_max: int, n_max: int,
         (graded_norm(model, avec, 0, n) + graded_norm(model, avec, 0, n - m)))
 
 
-def fit_exponents(table: NormTable):
-    """(C, s, t) with ||a_m||_n <= C (1+|m|)^t (1+|n|)^s on every cell.
-
-    Least-squares in log coordinates, then C inflated to majorize the
-    table, so the output is a certificate on the window.
-    """
-    cells = [(m, n, v) for m, n, v in table.cells() if v > 0]
-    if not cells:
-        raise ValueError("table has no positive cells")
-    if len(cells) == 1:
-        return cells[0][2], 0.0, 0.0
-    rows = np.array([[1.0, math.log(1 + abs(m)), math.log(1 + n)]
-                     for m, n, _ in cells])
-    vals = np.array([math.log(v) for _, _, v in cells])
+def _majorizing_fit(points):
+    """(C, exponents) with v <= C prod_i b_i^e_i at every (bases b, v > 0)
+    point: least squares in log coordinates, exponents clamped at 0, then C
+    inflated to the largest ratio, so the fit majorizes every point."""
+    if len(points) == 1:
+        return points[0][1], [0.0] * len(points[0][0])
+    rows = np.array([[1.0, *(math.log(b) for b in bases)]
+                     for bases, _ in points])
+    vals = np.array([math.log(v) for _, v in points])
     coeffs, *_ = np.linalg.lstsq(rows, vals, rcond=None)
-    t, s = float(coeffs[1]), float(coeffs[2])
-    t, s = max(t, 0.0), max(s, 0.0)
-    c = max(v / ((1 + abs(m)) ** t * (1 + n) ** s) for m, n, v in cells)
+    exps = [max(float(e), 0.0) for e in coeffs[1:]]
+    return max(v / math.prod(b ** e for b, e in zip(bases, exps))
+               for bases, v in points), exps
+
+
+def fit_exponents(table: NormTable):
+    """(C, s, t) with ||a_m||_n <= C (1+|m|)^t (1+|n|)^s on every cell of
+    the table, by the majorizing fit: a certificate on the window."""
+    points = [((1 + abs(m), 1 + n), v) for m, n, v in table.cells() if v > 0]
+    if not points:
+        raise ValueError("table has no positive cells")
+    c, (t, s) = _majorizing_fit(points)
     return c, s, t
 
 
@@ -373,7 +372,7 @@ def _average(model: Model, vectors, ginv) -> StateVector:
 def certify_orbifold_chain(model: Model, a, x: StateVector, s, n_max: int,
                            tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_0 (L_0+1)^{-s}||_n^2 <= ||a||^2 ||x_0 (L_0+1)^{-2s}||_n."""
-    avec = _as_vector(a)
+    avec = _nonzero(a)
     fam = family_of(model)
     sf = float(s)
     if sf < 0:
@@ -404,7 +403,7 @@ def trace_domination_check(model: Model, a, q, n_max: int,
     qr = rational(q)
     if not (0 < qr < 1):
         raise ValueError("damping must lie strictly between 0 and 1")
-    avec = _as_vector(a)
+    avec = _nonzero(a)
     fam = family_of(model)
     x = _square_completion(model, avec)
     report = BoundReport(
@@ -504,24 +503,15 @@ def _recursion_holds(kseq, d_const, s, d, n, tol):
 
 
 def fit_recursion(kseq, d: int):
-    """(D, s) with K(n)^2 <= D(n+1)^s K(n+d) on the window.
-
-    Log-fit of the ratio K(n)^2/K(n+d) against log(n+1), with D inflated to
-    majorize every cell, so the recursion holds by construction wherever
-    K(n+d) > 0.
-    """
-    cells = [(n, kseq[n] ** 2 / kseq[n + d])
-             for n in range(len(kseq) - d)
-             if kseq[n] > 0 and kseq[n + d] > 0]
-    if not cells:
+    """(D, s) with K(n)^2 <= D(n+1)^s K(n+d) on the window, by the
+    majorizing fit of K(n)^2/K(n+d): the recursion holds by construction
+    wherever K(n+d) > 0."""
+    points = [((n + 1,), kseq[n] ** 2 / kseq[n + d])
+              for n in range(len(kseq) - d)
+              if kseq[n] > 0 and kseq[n + d] > 0]
+    if not points:
         return 1.0, 0.0
-    if len(cells) == 1:
-        return cells[0][1], 0.0
-    rows = np.array([[1.0, math.log(n + 1)] for n, _ in cells])
-    vals = np.array([math.log(r) for _, r in cells])
-    coeffs, *_ = np.linalg.lstsq(rows, vals, rcond=None)
-    s = max(float(coeffs[1]), 0.0)
-    d_const = max(r / (n + 1) ** s for n, r in cells)
+    d_const, (s,) = _majorizing_fit(points)
     return d_const, s
 
 

@@ -3,14 +3,15 @@
 Every matrix is a ``Block``: per row, a dict from the column of each
 nonzero entry to its int numerator, over one denominator (FLINT's
 ``fmpq_mat`` layout).  Exact rationals enter through ``sparse_block``,
-which rejects anything else (a float) with TypeError.  ``add_scaled`` and
-``add_product`` add one term into a block on ints, raising its denominator
-to the lcm as terms arrive (an operand with no entry adds nothing and does
-no work), and ``Block.reduced`` brings such a sum to lowest terms once;
-sums, scalings and single products are built from them.
-``sum_of_products`` adds a whole list of products over a denominator fixed
-before the first one and returns the sum in lowest terms, with no
-rescaling pass; peeling builds every composite state's block with it.
+which rejects anything else (a float) with TypeError.  ``add_scaled`` adds
+a scaled block into another on ints, raising its denominator to the lcm
+(an operand with no entry adds nothing and does no work); sums and
+scalings are built from it.  One private loop adds f * outer @ inner into
+int rows over a fixed denominator: ``compose`` runs it once, and
+``sum_of_products`` once per term over their lcm, with no rescaling;
+peeling builds each composite state's block, and the Gram recursion each
+Gram matrix, with the latter.
+``Block.reduced`` is the one pass to lowest terms, in place.
 Read as a sequence, a block is its dense view of int/Q entries, built on
 first read and memoized.
 
@@ -70,11 +71,20 @@ class Block:
         return self._dense
 
     def reduced(self) -> Block:
-        """The block in lowest terms, without zero entries."""
+        """This block in lowest terms with no stored zero, in place; self.
+        Required: call it only on a block just built, since it rebinds this
+        block's rows and den.  It never writes into a row dict or the rows
+        list it held, so a block sharing them keeps its form; a row with no
+        stored zero in a gcd-1 block is kept, not copied."""
+        rows = [{j: x for j, x in row.items() if x} if 0 in row.values()
+                else row for row in self.rows]
         g = 1 if self.den == 1 else math.gcd(
-            self.den, *(x for row in self.rows for x in row.values()))
-        return Block([{j: x // g for j, x in row.items() if x}
-                      for row in self.rows], self.cols, self.den // g)
+            self.den, *(x for row in rows for x in row.values()))
+        if g > 1:
+            rows = [{j: x // g for j, x in row.items()} for row in rows]
+            self.den //= g
+        self.rows, self._dense = rows, None
+        return self
 
     def over(self, den: int) -> int:
         """Lift self.den to a multiple of den; the factor of terms over den."""
@@ -140,22 +150,16 @@ def add_scaled(acc: Block, b: Block, s=1):
                 ra[j] = ra.get(j, 0) + f * y
 
 
-def add_product(acc: Block, outer: Block, inner: Block, s=1):
-    """acc += s * outer @ inner in place; the product is never built.
-    acc is first lifted to a multiple of outer.den * inner.den, which
-    rescales it; ``sum_of_products`` sums many products without that."""
-    if not (any(outer.rows) and any(inner.rows)):
-        return
-    num, den = _ratio(s)
-    if num:
-        f = acc.over(outer.den * inner.den * den) * num
-        inner_rows = inner.rows
-        for ra, ro in zip(acc.rows, outer.rows):
-            get = ra.get
-            for k, x in ro.items():
-                fx = f * x
-                for j, y in inner_rows[k].items():
-                    ra[j] = get(j, 0) + fx * y
+def _accumulate_product(rows: list, outer: Block, inner: Block, f: int):
+    """rows += f * outer @ inner on int numerators, in place: the one
+    product loop, over a denominator the caller has fixed."""
+    inner_rows = inner.rows
+    for ra, ro in zip(rows, outer.rows):
+        get = ra.get
+        for k, x in ro.items():
+            fx = f * x
+            for j, y in inner_rows[k].items():
+                ra[j] = get(j, 0) + fx * y
 
 
 def sum_of_products(rows: int, cols: int, terms) -> Block:
@@ -164,30 +168,15 @@ def sum_of_products(rows: int, cols: int, terms) -> Block:
 
     The denominator is fixed before the first product, as the lcm of
     outer.den * inner.den over the terms, so the int numerators accumulate
-    into fresh rows that are never rescaled; zero entries are dropped in
-    place, and the gcd divides out only when it exceeds 1.
+    into fresh rows that are never rescaled; one ``Block.reduced`` pass
+    then brings the sum to lowest terms.
     """
     den = math.lcm(*(outer.den * inner.den for outer, inner, _ in terms))
-    acc = [{} for _ in range(rows)]
+    acc = zero_block(rows, cols, den)
     for outer, inner, s in terms:
-        f = den // (outer.den * inner.den) * s
-        inner_rows = inner.rows
-        for ra, ro in zip(acc, outer.rows):
-            get = ra.get
-            for k, x in ro.items():
-                fx = f * x
-                for j, y in inner_rows[k].items():
-                    ra[j] = get(j, 0) + fx * y
-    for row in acc:
-        if 0 in row.values():
-            for j in [j for j, x in row.items() if not x]:
-                del row[j]
-    g = 1 if den == 1 else math.gcd(
-        den, *(x for row in acc for x in row.values()))
-    if g > 1:
-        acc = [{j: x // g for j, x in row.items()} for row in acc]
-        den //= g
-    return Block(acc, cols, den)
+        _accumulate_product(acc.rows, outer, inner,
+                            den // (outer.den * inner.den) * s)
+    return acc.reduced()
 
 
 def mat_mul(a: Block, b: Block) -> Block:
@@ -196,9 +185,12 @@ def mat_mul(a: Block, b: Block) -> Block:
 
 
 def compose(outer: Block, inner: Block, rows: int, cols: int) -> Block:
-    """outer @ inner as a rows x cols block (the shape of an empty path)."""
-    acc = zero_block(rows, cols)
-    add_product(acc, outer, inner)
+    """outer @ inner as a rows x cols block (the shape of an empty path),
+    unreduced over outer.den * inner.den, or den 1 if either is empty."""
+    if not (any(outer.rows) and any(inner.rows)):
+        return zero_block(rows, cols)
+    acc = zero_block(rows, cols, outer.den * inner.den)
+    _accumulate_product(acc.rows, outer, inner, 1)
     return acc
 
 

@@ -143,9 +143,6 @@ class BasisState(NamedTuple):
     def word_length(self) -> int:
         return len(self.factors)
 
-    def oscillator_degree(self) -> int:
-        return -sum(m for _, m in self.factors)
-
     def __repr__(self):
         parts = "".join(f"g{g}[{m}]" for g, m in self.factors)
         top = "Om" if self.sector == 0 else f"e({self.sector})"

@@ -3,8 +3,9 @@
 The normalized invariant form is built degree by degree with exact
 rationals by peeling creation modes against the star data of the
 generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
-unit-normalized sector tops, two block products per leading factor on int
-numerators.  Each Gram matrix is one xl.Block in lowest terms, and so
+unit-normalized sector tops.  Each degree is one ``xl.sum_of_products``
+call on int numerators, with one block product per leading factor and one
+for the tops.  Each Gram matrix is one xl.Block in lowest terms, and so
 are its inverse and every Gram adjoint: the symmetry check, ``pairing``,
 the float Cholesky factor, the positivity test, the eliminations
 (``radical``, the Virasoro builder's quotient), the solves and the
@@ -72,10 +73,12 @@ class GramFamily:
         A basis state u = g_{n0} tail has the row (tail | (g*)_{-n0} .),
         and its tail BasisState(u.sector, u.factors[1:]) is a label (see
         Model), so the rows of all states led by g_{n0} are G_{degree+n0}'s
-        rows at their tails times B, the block of (g*)_{-n0} on V_degree,
-        added into one block on int numerators; a sector top has a unit
-        row.  The result is one read-only xl.Block in lowest terms; dense
-        readers share its memoized dense view.
+        rows at their tails times B, the block of (g*)_{-n0} on V_degree.
+        A sector top has a unit row, the projection onto the tops times
+        itself.  One ``xl.sum_of_products`` call adds these terms over a
+        denominator fixed in advance.  The result is one read-only
+        xl.Block in lowest terms; dense readers share its memoized dense
+        view.
         """
         if degree > self.model.N:
             raise TruncationError(degree, self.model.N, "Gram degree")
@@ -85,23 +88,22 @@ class GramFamily:
         model = self.model
         states = model.basis.states(degree)
         dim, index = len(states), model.basis.index
-        led, tops = {}, []  # leading factor -> {position: tail position}
+        led = {}  # leading factor -> {position: tail position}
+        unit = xl.zero_block(dim, dim)  # the sector tops' unit rows
         for pos, u in enumerate(states):
             if u.factors:
                 led.setdefault(u.factors[0], {})[pos] = index[
                     BasisState(u.sector, u.factors[1:])][1]
             else:
-                tops.append(pos)
-        acc = xl.zero_block(dim, dim)
+                unit.rows[pos][pos] = 1
+        terms = [(unit, unit, 1)]  # a projection: unit @ unit = unit
         for (gid, n0), tails in led.items():
             up = self.matrix(degree + n0)
             tg = xl.Block([up.rows[tails[pos]] if pos in tails else {}
                            for pos in range(dim)], up.cols, up.den)
-            xl.add_product(acc, tg, model.gen_block(
-                model.generators[gid].star, -n0, degree))
-        for pos in tops:
-            acc.rows[pos] = {pos: acc.den}
-        g = acc.reduced()
+            terms.append((tg, model.gen_block(
+                model.generators[gid].star, -n0, degree), 1))
+        g = xl.sum_of_products(dim, dim, terms)
         if any(g.rows[j].get(i) != x
                for i, row in enumerate(g.rows) for j, x in row.items()):
             raise ModelBugError(

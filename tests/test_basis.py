@@ -370,7 +370,7 @@ def vertex_expansion(model, charge, src_state):
     q = model.spec.q
     m0 = src_state.sector
     terms = {0: {BasisState(m0 + charge, src_state.factors): 1}}
-    for n in range(1, src_state.oscillator_degree() + 1):
+    for n in range(1, -sum(m for _, m in src_state.factors) + 1):
         new = {}
         for power, vec in terms.items():
             for st, co in vec.items():
@@ -387,7 +387,7 @@ def vertex_expansion(model, charge, src_state):
     ground = (m0 + charge) ** 2 * q // 2
     for power, vec in terms.items():
         for st, co in vec.items():
-            room = model.n_internal - ground - st.oscillator_degree()
+            room = model.n_internal - ground + sum(m for _, m in st.factors)
             for add_deg, word, wco in expansion_creation_words(charge, room):
                 tstate = BasisState(st.sector,
                                     canonical_factors(st.factors + word))

@@ -112,9 +112,12 @@ def test_a_zero_primary_is_a_value_error(lat4_8, certify):
     lambda model, zero: certify_pair_bound(
         model, BasisState(1, ()), zero, 1, 2).passed,
     lambda model, zero: certify_zero_mode_product(
-        model, zero, 0, BasisState(1, ()), 2).passed],
+        model, zero, 0, BasisState(1, ()), 2).passed,
+    lambda model, zero: trace_domination_check(model, zero, "1/2", 4).passed,
+    lambda model, zero: certify_orbifold_chain(
+        model, zero, orbifold_average(model, 1)[0], 1, 4).passed],
     ids=["v1_bound", "product_lemma", "norm_table", "pair_bound_b",
-         "zero_mode_product_b"])
+         "zero_mode_product_b", "trace_domination", "orbifold_chain"])
 def test_a_zero_state_is_a_value_error(lat4_8, certify):
     with pytest.raises(ValueError, match="state is zero"):
         certify(lat4_8, StateVector())
@@ -275,7 +278,7 @@ def test_bound_report_margin_logic():
     assert report.passed
     report.add_cell(0, 1, 3.0, 2.0)
     assert not report.passed
-    assert report.worst_cell()["margin"] == pytest.approx(-1.0)
+    assert min(c["margin"] for c in report.cells) == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("lhs, rhs", [

@@ -248,7 +248,8 @@ def assert_block_equals(got, want, cols):
     """A block result against its dense reference: values, shape, reduced
     form, canonical entries and bit-identical floats."""
     assert got == want and got.cols == cols
-    reduced = got.reduced()
+    copy = xl.Block([dict(row) for row in got.rows], got.cols, got.den)
+    reduced = copy.reduced()  # got stays the kernel's own unreduced form
     assert_reduced(reduced)
     assert reduced == want
     assert reduced.den == math.lcm(*(Q(x).denominator for row in want
@@ -290,26 +291,12 @@ def test_add_scaled_matches_dense_reference(operands, s):
 
 
 @given(block_operands(), block_scalars)
-@example((2, 0, 0, [[], []], [[], []], [], [[], []]), Q(3))  # 2x0 times 0x0
-@example((0, 0, 0, [], [], [], []), Q(3))  # 0x0
-@example((2, 1, 0, [[], []], [[Q(1)], [2]], [[]], [[], []]), Q(3))  # 1x0
-@example((1, 1, 2, [[1, Q(1, 2)]], [[2]], [[3, Q(4)]], [[0, 0]]), 0)
-@example((1, 0, 2, [[1, 2]], [[]], [], [[0, 0]]), 5)  # 1x0 times 0x2
-@example(DENOMINATOR_GROWS, Q(2, 3))
-@example(REDUCES_TO_INTS, 1)
-def test_add_product_matches_dense_reference(operands, s):
-    n, k, m, acc, a, b, _ = operands
-    got, outer, inner = block_of(acc, m), block_of(a, k), block_of(b, m)
-    xl.add_product(got, outer, inner, s)
-    assert_block_equals(got, dense_add_product(acc, a, b, s), m)
-    assert outer == a and inner == b
-
-
-@given(block_operands(), block_scalars)
 @example((2, 0, 3, [[0] * 3] * 2, [[], []], [], [[0] * 3] * 2), Q(1, 2))
 @example((0, 2, 2, [], [], [[1, 2], [3, 4]], []), 2)  # 0x2 times 2x2
 @example(DENOMINATOR_GROWS, Q(2, 3))
 @example(REDUCES_TO_INTS, 2)
+@example((1, 2, 2, [[1, Q(1, 2)]], [[1, 1]], [[1, 0], [-1, 0]],  # cancels:
+          [[1, Q(1, 2)]]), 0)  # compose and mat_sub store zeros
 def test_block_kernels_match_dense_references(operands, s):
     n, k, m, acc, a, b, other = operands
     x, y = block_of(acc, m), block_of(other, m)
@@ -364,14 +351,21 @@ def product_terms(draw):
 @given(product_terms())
 @example((0, 3, [(2, [], [[1, 0, Q(1, 2)], [0, 3, 0]], 2)]))  # 0 rows
 @example((2, 0, [(1, [[Q(1, 3)], [2]], [[]], -1)]))  # 0 columns
+@example((2, 0, [(0, [[], []], [], 3)]))  # 2x0 times 0x0
+@example((0, 0, [(0, [], [], 3)]))  # 0x0 times 0x0
+@example((1, 2, [(0, [[]], [], 5)]))  # 1x0 times 0x2
+@example((1, 2, [(2, [[1, Q(1, 2)]], [[1, 0], [0, 1]], 1),  # s = 0
+                 (1, [[2]], [[3, Q(4)]], 0)]))
 @example((1, 1, [(1, [[Q(1, 2)]], [[Q(1, 3)]], 1),  # cancels to zero
                  (1, [[Q(1, 3)]], [[Q(1, 2)]], -1)]))
 @example((1, 2, [(1, [[Q(1, 2)]], [[1, Q(1, 5)]], 3),  # mixed denominators
                  (2, [[Q(1, 3), 0]], [[Q(1, 7), 0], [1, 1]], -2),
                  (1, [[0]], [[Q(1, 11), 1]], 4)]))  # an empty outer
+@example((1, 2, [(2, [[Q(1, 2), 0]], [[1, 0], [0, 1]], 1),  # lcm 2, 3, 6
+                 (1, [[Q(1, 3)]], [[Q(1, 2), 3]], -2)]))
 @example((1, 1, [(1, [[Q(1, 2)]], [[1]], 1),  # 1/2 + 1/2: reduces to 1
                  (1, [[Q(1, 2)]], [[1]], 1)]))
-def test_sum_of_products_matches_add_product_then_reduced(operands):
+def test_sum_of_products_matches_dense_reference(operands):
     n, m, terms = operands
     blocks = [(block_of(a, k), block_of(b, m), s) for k, a, b, s in terms]
 
@@ -380,19 +374,52 @@ def test_sum_of_products_matches_add_product_then_reduced(operands):
                 for x in t[:2]]
 
     before = forms()
-    want = xl.zero_block(n, m)
-    for outer, inner, s in blocks:
-        xl.add_product(want, outer, inner, s)
-    want = want.reduced()
     got = xl.sum_of_products(n, m, blocks)
     assert xl.shape(got) == (n, m)
-    assert got.rows == want.rows and got.den == want.den
     assert_reduced(got)
     ref = zeros(n, m)
     for k, a, b, s in terms:
         ref = dense_add_product(ref, a, b, s)
     assert_block_equals(got, ref, m)
     assert forms() == before
+
+
+@st.composite
+def unreduced_blocks(draw):
+    """(matrix, block): a sparse matrix and a block of it that stores
+    zeros and whose numerators and den share a factor scale >= 1."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = draw(sparse_matrix(n, m))
+    scale = draw(st.integers(1, 6))
+    b = block(a, m)
+    rows = []
+    for row in b.rows:
+        out = {j: scale * x for j, x in row.items()}
+        for j in (draw(st.sets(st.integers(0, m - 1))) if m else ()):
+            out.setdefault(j, 0)
+        rows.append(out)
+    return a, xl.Block(rows, m, scale * b.den)
+
+
+@given(unreduced_blocks())
+@example(([[Q(1, 2), 0]], xl.Block([{0: 3, 1: 0}], 2, 6)))  # zero and gcd 3
+@example(([[2, 0]], xl.Block([{0: 2}], 2)))  # already in lowest terms
+@example(([[0, 0]], xl.Block([{1: 0}], 2, 4)))  # only a stored zero
+def test_reduced_works_in_place(operands):
+    a, b = operands
+    view, rows = b.dense(), b.rows
+    held = [dict(row) for row in rows]
+    in_lowest_terms = math.gcd(
+        b.den, *(x for row in rows for x in row.values())) == 1
+    got = b.reduced()
+    assert got is b
+    assert_reduced(got)
+    assert all(0 not in row.values() for row in got.rows)
+    assert got == a and got.dense() is not view
+    assert rows == held  # no row dict or rows list it held was written
+    if in_lowest_terms:
+        assert all(x is y for x, y in zip(got.rows, rows)
+                   if 0 not in y.values())
 
 
 # -- exact division on int input ---------------------------------------------

@@ -306,7 +306,7 @@ def test_certifier_cells_equal_the_per_degree_loops(request, name):
             assert cell["rhs"] == big_b * ((1 + m) * (1 + n)) ** t * (
                 loop_norm(model, prim, 0, n) +
                 loop_norm(model, prim, 0, n - m))
-    for a in vecs:
+    for a in vecs[1:]:
         report = certify_orbifold_chain(model, a, model.nu, 0.5, model.N)
         norm_sq = report.constants["state_norm_sq"]
         for cell in report.cells:

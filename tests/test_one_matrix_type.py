@@ -20,8 +20,7 @@ KERNELS = {
     "identity": (0, "block"), "shape": (1, None),
     "mat_add": (2, "block"), "mat_sub": (2, "block"),
     "mat_scale": (1, "block"), "add_scaled": (2, None),
-    "add_product": (3, None), "sum_of_products": (0, "block"),
-    "mat_mul": (2, "block"),
+    "sum_of_products": (0, "block"), "mat_mul": (2, "block"),
     "compose": (2, "block"), "mat_vec": (1, None),
     "transpose": (1, "block"), "max_abs": (1, None), "is_zero": (1, None),
     "to_numpy": (1, None), "rref": (1, "pair"),

@@ -268,6 +268,34 @@ def test_gram_family_never_multiplies_dense(monkeypatch):
             fam.matrix(d)
 
 
+@pytest.mark.parametrize("spec,pad", GRAM_FORM_CASES[:4],
+                         ids=[s.describe() for s, _ in GRAM_FORM_CASES[:4]])
+def test_each_gram_degree_is_one_sum_of_products(monkeypatch, spec, pad):
+    """With the lower degrees and the generator blocks built, G_N is one
+    ``xl.sum_of_products`` call and never rescales through
+    ``Block.over``."""
+    model = build_model(spec, pad=pad)
+    GramFamily(model).matrix(model.N)  # builds the generator blocks
+    fam = GramFamily(model)
+    for d in range(model.N):
+        fam.matrix(d)
+    kernel, over = xl.sum_of_products, xl.Block.over
+    calls = {"sum_of_products": 0, "over": 0}
+
+    def counted_kernel(*args):
+        calls["sum_of_products"] += 1
+        return kernel(*args)
+
+    def counted_over(self, den):
+        calls["over"] += 1
+        return over(self, den)
+
+    monkeypatch.setattr(xl, "sum_of_products", counted_kernel)
+    monkeypatch.setattr(xl.Block, "over", counted_over)
+    fam.matrix(model.N)
+    assert calls == {"sum_of_products": 1, "over": 0}
+
+
 def test_asymmetric_entry_with_absent_mirror_is_caught():
     # a_1 a_{-2} Om = a_{-1} Om after the shift: row a_{-1}^2 Om of G_2
     # gains a (1, 0) entry while the (0, 1) entry stays zero, so the form

@@ -375,15 +375,18 @@ class Model:
     Construction is a single-writer phase; afterwards the object is
     treated as immutable (caches fill idempotently).  Generator blocks are
     built on first use by block(model, gid, m, src), an xl.Block, and
-    memoized.  The tail BasisState(sector, factors[1:]) of every label of
-    degree <= N, the only labels that are peeled or paired, is a label:
-    Fock bases are complete, and _build_virasoro checks its quotient.  A
+    memoized.  A free-field model's gram(degree) is its Gram matrix in
+    closed form, which GramFamily.matrix reads in place of its recursion.
+    The tail BasisState(sector, factors[1:]) of every label of degree
+    <= N, the only labels that are peeled or paired, is a label: Fock
+    bases are complete, and _build_virasoro checks its quotient.  A
     Virasoro model's degrees N+1 .. n_internal hold every Verma word, in
     which peeling's intermediate vectors live.
     """
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
-                 generators, nu: StateVector, c, block, automorphisms=()):
+                 generators, nu: StateVector, c, block, automorphisms=(),
+                 gram=None):
         self.spec = spec
         self.N = spec.N
         self.n_internal = n_internal
@@ -393,12 +396,14 @@ class Model:
         self.nu = nu
         self.c = c
         self._block = block
+        self._gram = gram
         self.automorphisms = automorphisms  # the Automorphism kinds it has
         self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
         self._fock_blocks = {}  # (charge, k_s, k_t) -> _fock_block, lattice
         self._fock_g = {}  # charge -> _g_table, lattice
+        self._gram_caches = ({}, {}, {})  # family_of's Grams, inverses, chol
 
     # -- basic queries ------------------------------------------------------
 
@@ -523,8 +528,59 @@ def _build_free_field(spec: ModelSpec) -> Model:
                 acc.rows[basis.index[tstate][1]][col] = num
         return acc.reduced()
 
+    perms, fock_grams = {}, {}
+
+    def perm(a, b):
+        """Permanent of the metric numerators at rows a, columns b (sorted
+        colour tuples) along row a[0], equal columns once times their count."""
+        if not a:
+            return 1
+        hit = perms.get((a, b))
+        if hit is None:
+            row, hit = metric.rows[a[0]], 0
+            for j, h in enumerate(b):
+                if h in row and b.index(h) == j:
+                    hit += b.count(h) * row[h] * perm(a[1:], b[:j] + b[j + 1:])
+            perms[(a, b)] = hit
+        return hit
+
+    def fock_gram(k):
+        """Gram rows of the words of oscillator degree k over
+        metric.den ** k, memoized: the Fock pairing (Kac 1998, ch. 5) pairs
+        u and v only when both have k_n parts n for every n, to prod_n
+        n^{k_n} perm(G[c_n(u), c_n(v)]), c_n the colours of the parts n."""
+        hit = fock_grams.get(k)
+        if hit is None:
+            words, groups = basis.sector_ranges(k)[0], {}
+            for pos, st in enumerate(basis.states(k)[words.start:words.stop]):
+                parts = {}
+                for gid, m in st.factors:
+                    parts.setdefault(-m, []).append(gid)
+                parts = sorted(parts.items())
+                groups.setdefault(tuple((n, len(c)) for n, c in parts), []
+                                  ).append((pos, [tuple(c) for _, c in parts]))
+            hit = fock_grams[k] = [{} for _ in words]
+            for counts, members in groups.items():
+                lift = metric.den ** (k - sum(a for _, a in counts)) * \
+                    math.prod(n ** a for n, a in counts)
+                for i, (pos, cu) in enumerate(members):
+                    for pos2, cv in members[i:]:
+                        x = lift * math.prod(map(perm, cu, cv))
+                        if x:
+                            hit[pos][pos2] = hit[pos2][pos] = x
+        return hit
+
+    def gram(degree):  # each sector pairs with itself, on the Fock words
+        rows = []
+        for p in basis.sector_ranges(degree):
+            ground = _sector_ground(spec, p)
+            lift, off = metric.den ** ground, len(rows)
+            rows += [{off + j: x * lift for j, x in row.items()}
+                     for row in fock_gram(degree - ground)]
+        return xl.Block(rows, len(rows), metric.den ** degree).reduced()
+
     return Model(spec, spec.N, basis, gens, nu, Q(spec.rank), block,
-                 automorphisms)
+                 automorphisms, gram)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Invariant scalar product, star involution, adjoint diagnostics.
 
-The normalized invariant form is built degree by degree with exact
+A free-field model gives its normalized invariant form in closed form,
+the Fock pairing.  A Virasoro form is built degree by degree with exact
 rationals by peeling creation modes against the star data of the
 generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
-unit-normalized sector tops.  Each degree is one ``xl.sum_of_products``
-call on int numerators, with one block product per leading factor and one
-for the tops.  Each Gram matrix is one xl.Block in lowest terms, and so
-are its inverse and every Gram adjoint: the symmetry check, ``pairing``,
-the float Cholesky factor, the positivity test, the eliminations
-(``radical``, the Virasoro builder's quotient), the solves and the
-adjoint's products read its form; only LDL^T and single entries read its
-memoized dense view.
+unit-normalized sector tops, one ``xl.sum_of_products`` call per degree.
+Each Gram matrix is one xl.Block in lowest terms, and so are its inverse
+and every Gram adjoint: the symmetry check, ``pairing``, the float
+Cholesky factor, the positivity test, the eliminations (``radical``, the
+Virasoro builder's quotient), the solves and the adjoint's products read
+its form; only LDL^T and single entries read its memoized dense view.
+``family_of`` shares the per-degree caches the model keeps.
 
 Adjoints are solves.  The inverse G_s^{-1} that ``star`` and every Gram
 adjoint G_s^{-1} B^T G_t read is ``xl.solve_symmetric(G_s, 1)``, the
@@ -68,7 +68,8 @@ class GramFamily:
     # -- matrices ---------------------------------------------------------
 
     def matrix(self, degree: int) -> xl.Block:
-        """Exact Gram matrix, built from lower degrees per leading factor.
+        """Exact Gram matrix: the model's closed form when it has one,
+        else built from lower degrees per leading factor.
 
         A basis state u = g_{n0} tail has the row (tail | (g*)_{-n0} .),
         and its tail BasisState(u.sector, u.factors[1:]) is a label (see
@@ -86,6 +87,8 @@ class GramFamily:
         if hit is not None:
             return hit
         model = self.model
+        if model._gram is not None:
+            return self._mats.setdefault(degree, model._gram(degree))
         states = model.basis.states(degree)
         dim, index = len(states), model.basis.index
         led = {}  # leading factor -> {position: tail position}
@@ -168,11 +171,12 @@ def gram_family(model: Model) -> GramFamily:
 
 
 def family_of(model: Model) -> GramFamily:
-    """Cached Gram family of a model."""
-    fam = getattr(model, "_gram_family", None)
-    if fam is None:
-        fam = gram_family(model)
-        model._gram_family = fam
+    """A Gram family over the model's caches; the model holds no family,
+    so a dropped model is freed without a cyclic collection."""
+    fam = GramFamily(model)
+    fam._mats, fam._invs, fam._chol = model._gram_caches
+    if 0 not in fam._mats and fam.matrix(0) != [[ONE]]:
+        raise ModelBugError("vacuum normalization broken")
     return fam
 
 

@@ -17,7 +17,7 @@ from voacert.norm_lab import (cstar_gap, damped_norm, graded_norm,
                               graded_norm_certified, norm_table,
                               write_norm_csv)
 from voacert.scalars import Q
-from voacert.unitary_structure import GramFamily, star
+from voacert.unitary_structure import family_of, star
 
 REL = 1e-9
 
@@ -131,9 +131,8 @@ def test_certified_norm_survives_a_failing_float_seed(monkeypatch):
 def test_certified_norm_rejects_a_non_positive_gram():
     # without the check the search for an upper bound would never end
     model = build_model(heisenberg_spec(1, 4))
-    fam = GramFamily(model)  # private family on a private model
-    fam._mats[2] = xl.Block([{0: -1}, {1: 1}], 2)
-    model._gram_family = fam
+    # planted in the model's shared Gram cache, on a private model
+    family_of(model)._mats[2] = xl.Block([{0: -1}, {1: 1}], 2)
     with pytest.raises(ModelBugError):
         graded_norm_certified(model, current(model), 1, 2)
 

@@ -207,6 +207,7 @@ def test_current_algebra_bracket(lat2_6):
 
 def test_inconsistent_star_data_is_caught():
     model = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
+    model._gram = None  # the recursion, which reads the star data
     with pytest.raises(ModelBugError):
         gram_family(model).matrix(2)
 
@@ -275,6 +276,7 @@ def test_each_gram_degree_is_one_sum_of_products(monkeypatch, spec, pad):
     ``xl.sum_of_products`` call and never rescales through
     ``Block.over``."""
     model = build_model(spec, pad=pad)
+    model._gram = None  # the recursion on a free-field model too
     GramFamily(model).matrix(model.N)  # builds the generator blocks
     fam = GramFamily(model)
     for d in range(model.N):
@@ -304,9 +306,74 @@ def test_asymmetric_entry_with_absent_mirror_is_caught():
     ref = {0: [[1]], 1: [[1]]}
     g2 = dense_gram_reference(model, 2, ref)
     assert g2[1][0] and not g2[0][1]
+    model._gram = None  # the recursion, which reads the star data
     fam = GramFamily(model)
     with pytest.raises(ModelBugError, match="not symmetric at degree 2"):
         fam.matrix(2)
+
+
+def test_a_corrupted_free_field_model_shows_in_the_adjoint_residual(heis6):
+    """The closed-form Gram reads no generator block, so a corrupted
+    annihilation block no longer breaks the form; the adjoint residual
+    sees it instead."""
+    bad = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
+    a = BasisState(0, ((0, -1),))
+    for m in (-1, 1):
+        assert not adjoint_residual(bad, a, m).is_zero
+    for m in range(-2, 3):
+        assert adjoint_residual(heis6, a, m).is_zero
+
+
+@pytest.mark.parametrize("spec", [
+    heisenberg_spec(2, 6, [[2, 1], [1, 2]]), lattice_spec(2, 8)],
+    ids=["heisenberg_metric", "lattice2"])
+def test_a_free_field_gram_degree_reads_no_generator_block(monkeypatch,
+                                                          spec):
+    model = build_model(spec)
+    calls = []
+    kernel = xl.sum_of_products
+    monkeypatch.setattr(xl, "sum_of_products",
+                        lambda *args: calls.append(1) or kernel(*args))
+    family_of(model).matrix(model.N)
+    assert calls == [] and model._gen_blocks == {}
+
+
+CLOSED_FORM_CASES = [
+    heisenberg_spec(1, 8, [[Q(1, 2)]]), heisenberg_spec(1, 8, [[3]]),
+    lattice_spec(6, 8),
+    heisenberg_spec(3, 5, [[2, 1, Q(1, 2)], [1, 3, 1], [Q(1, 2), 1, 2]])]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_CASES,
+                         ids=["heisenberg_half", "heisenberg_three",
+                              "lattice6", "heisenberg_rank3"])
+def test_the_closed_form_gram_equals_the_recursion(spec):
+    """The Fock pairing against the recursion on a second build of the
+    same spec: equal rows and denominator at every degree."""
+    model, reference = build_model(spec), build_model(spec)
+    reference._gram = None
+    fam, ref = GramFamily(model), GramFamily(reference)
+    for d in range(model.N + 1):
+        g, want = fam.matrix(d), ref.matrix(d)
+        assert (g.rows, g.den) == (want.rows, want.den)
+
+
+@pytest.mark.parametrize("spec", [lattice_spec(2, 6),
+                                  virasoro_spec("1/2", 8)],
+                         ids=["lattice2", "virasoro_half"])
+def test_a_dropped_model_is_freed_without_a_cyclic_collection(spec):
+    import gc
+    import weakref
+
+    model = build_model(spec)
+    gc.disable()
+    try:
+        family_of(model).matrix(2)
+        dead = weakref.ref(model)
+        del model
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 FORM_DIGEST_CASES = [

@@ -21,6 +21,6 @@ from .bound_certifier import (BoundReport, BootstrapVerdict,
 from .norm_lab import (NormTable, cstar_gap, damped_norm, graded_norm,
                        graded_norm_certified, norm_table)
 from .unitary_structure import (GramFamily, adjoint_residual, family_of,
-                                gram_family, kac_moody_residual, star)
+                                kac_moody_residual, star)
 
 __version__ = "0.1.0"

@@ -4,16 +4,17 @@ The free-field builder makes rank-r Heisenberg Fock spaces of a metric,
 and rank-1 even lattice models with trivial cocycle: the Heisenberg model
 of the metric [[q]] as charge-0 sector (Frenkel, Lepowsky and Meurman
 1988) plus the charge sectors and e^{+-gamma}.  The Virasoro builder makes
-vacuum modules: Verma quotients by the radical of the Verma Gram, which
-the invariant-form family computes, at every degree up to N; the working
+vacuum modules: Verma quotients by the radical of the Verma Gram (the
+Shapovalov form), which it builds, at every degree up to N; the working
 margin above N keeps every Verma word.  A Virasoro degree whose Gram is
 nonsingular modulo a prime is nonsingular over Q and keeps every word
 without an elimination; only the others run the exact rref.  Each builder
-names its model's automorphisms.  A built Model builds each exact
-generator mode block on first use, memoizes it, and is otherwise
-immutable.  Virasoro blocks come from the action of L_p on Verma words,
-kept on int numerators over the denominator of c/2.  A basis label
-(BasisState) is a NamedTuple: it equals its plain (sector, factors)
+hands its model its Gram matrices (the Fock pairing in closed form, the
+Verma Gram on the kept words) and names its automorphisms.  A built Model
+builds each exact generator mode block on first use, memoizes it, and is
+otherwise immutable.  Virasoro blocks come from the action of L_p on
+Verma words, kept on int numerators over the denominator of c/2.  A basis
+label (BasisState) is a NamedTuple: it equals its plain (sector, factors)
 tuple, is iterable and ordered, and keeps its hash, so label-keyed dicts
 hash and compare it in C.
 
@@ -93,8 +94,9 @@ class ModelSpec:
             if not xl.positive_definite(m):
                 raise SpecError("Heisenberg metric must be positive definite")
         elif self.kind == "virasoro":
-            if self.c is None:
-                raise SpecError("Virasoro model needs a central charge")
+            if not self.c:  # None, or 0 with nu in the radical: (nu|nu) = c/2
+                raise SpecError("field 'c': a Virasoro model needs a nonzero "
+                                "central charge")
         elif self.q < 2 or self.q % 2 != 0:
             raise SpecError("lattice <gamma,gamma> must be even and >= 2")
 
@@ -330,7 +332,7 @@ def enumerate_basis(spec: ModelSpec) -> GradedBasis:
 
     For Virasoro this is the free (Verma) enumeration with parts >= 2; the
     built model may be smaller after the quotient by the radical of the
-    Verma Gram, which the invariant-form family computes, up to N.
+    Verma Gram, which the builder computes, up to N.
     """
     spec.validate()
     return _enumerate_internal(spec, spec.N)
@@ -375,18 +377,18 @@ class Model:
     Construction is a single-writer phase; afterwards the object is
     treated as immutable (caches fill idempotently).  Generator blocks are
     built on first use by block(model, gid, m, src), an xl.Block, and
-    memoized.  A free-field model's gram(degree) is its Gram matrix in
-    closed form, which GramFamily.matrix reads in place of its recursion.
-    The tail BasisState(sector, factors[1:]) of every label of degree
-    <= N, the only labels that are peeled or paired, is a label: Fock
-    bases are complete, and _build_virasoro checks its quotient.  A
-    Virasoro model's degrees N+1 .. n_internal hold every Verma word, in
-    which peeling's intermediate vectors live.
+    memoized.  gram(degree), which every builder passes, is the Gram
+    matrix at a degree <= N that GramFamily.matrix memoizes.  The tail
+    BasisState(sector, factors[1:]) of every label of degree <= N, the
+    only labels that are peeled or paired, is a label: Fock bases are
+    complete, and _build_virasoro checks its quotient.  A Virasoro model's
+    degrees N+1 .. n_internal hold every Verma word, in which peeling's
+    intermediate vectors live.
     """
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
-                 generators, nu: StateVector, c, block, automorphisms=(),
-                 gram=None):
+                 generators, nu: StateVector, c, block, gram,
+                 automorphisms=()):
         self.spec = spec
         self.N = spec.N
         self.n_internal = n_internal
@@ -579,8 +581,8 @@ def _build_free_field(spec: ModelSpec) -> Model:
                      for row in fock_gram(degree - ground)]
         return xl.Block(rows, len(rows), metric.den ** degree).reduced()
 
-    return Model(spec, spec.N, basis, gens, nu, Q(spec.rank), block,
-                 automorphisms, gram)
+    return Model(spec, spec.N, basis, gens, nu, Q(spec.rank), block, gram,
+                 automorphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -663,18 +665,19 @@ def _word_block(engine: _VermaEngine, basis: GradedBasis, columns):
 
 
 def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
-    from .unitary_structure import GramFamily  # it imports this module
-
     n_internal = default_n_internal(spec) if pad is None else spec.N + pad
     c = rational(spec.c)
     engine = _VermaEngine(c, n_internal)
     verma = _enumerate_internal(spec, n_internal)
     words = [[tuple(-m for _, m in st.factors) for st in verma.states(d)]
              for d in range(n_internal + 1)]
+    units = [({w: {i: 1} for i, w in enumerate(ws)}, 1) for ws in words]
+    verma_block = _word_block(engine, verma, units)
 
-    # The Verma Gram G is the invariant-form family's, on a throwaway model
-    # of the full Verma basis with L_{-2} Om as its own star.  At a degree
-    # <= N where G is nonsingular mod a prime it is nonsingular over Q, so
+    # The Verma Gram G_d, d <= N, seeded by (Om|Om) = 1: as L_{-k}* = L_k,
+    # the rows of the words L_{-k} t are G_{d-k}'s rows at their tails t
+    # times L_k's block on Verma words, one xl.sum_of_products per degree.
+    # Where G_d is nonsingular mod a prime it is nonsingular over Q, so
     # every word is kept with unit coordinates.  Otherwise one elimination:
     # R = rref(G) with r pivots, the kept columns K.  E*G = R for an
     # invertible E and R[:r] is the identity on K, so G[:, K]*x = G*v
@@ -683,24 +686,28 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     # keep every Verma word with unit coordinates: the radical is a
     # submodule every mode preserves, so a product carried through Verma
     # coordinates there and projected at a target <= N is the quotient's.
-    nu_state = BasisState(0, ((0, -2),))
-    gens = {0: GeneratorInfo(2, 0, nu_state)}
-    units = [({w: {i: 1} for i, w in enumerate(ws)}, 1) for ws in words]
-    verma_forms = GramFamily(Model(
-        spec, n_internal, verma, gens, StateVector.basis(nu_state), c,
-        _word_block(engine, verma, units)))
+    grams, columns = [xl.identity(1)], list(units)
     kept_by_degree = [range(len(ws)) for ws in words]
-    columns = list(units)
-    for deg in range(spec.N + 1):
-        g = verma_forms.matrix(deg)
+    for deg in range(1, spec.N + 1):
+        dim, rows = verma.dim(deg), {}  # k -> G_{deg-k}'s rows at the tails
+        for pos, st in enumerate(verma.states(deg)):
+            k, tail = -st.factors[0][1], BasisState(0, st.factors[1:])
+            if k not in rows:
+                rows[k] = [{}] * dim
+            rows[k][pos] = grams[deg - k].rows[verma.index[tail][1]]
+        g = xl.sum_of_products(dim, dim, [
+            (xl.Block(r, verma.dim(deg - k), grams[deg - k].den),
+             verma_block(None, 0, k, deg), 1) for k, r in rows.items()])
+        if xl.transpose(g).rows != g.rows:
+            raise ModelBugError(f"Verma Gram not symmetric at degree {deg}")
+        grams.append(g)
+    for deg, g in enumerate(grams):
         if not xl.nonsingular_mod_p(g):
             r, pivots = xl.rref(g)
             kept_by_degree[deg] = pivots
             coords = xl.transpose(xl.Block(r.rows[:len(pivots)], r.cols,
                                            r.den))
             columns[deg] = (dict(zip(words[deg], coords.rows)), coords.den)
-    if not kept_by_degree[2]:
-        raise ModelBugError("conformal state lies in the Gram radical")
     basis = GradedBasis([[verma.states(d)[i] for i in kept_by_degree[d]]
                          for d in range(n_internal + 1)])
 
@@ -710,13 +717,22 @@ def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
     # words t' modulo the radical, a submodule, then w = sum of L_{-k} t',
     # each the earlier word (k, t') (a t' < t of equal length has parts
     # >= k) or reordered into shorter words; so w is not a pivot.
-    for d in range(spec.N + 1):
+    for d in range(1, spec.N + 1):
         for st in basis.states(d):
-            tail = BasisState(0, st.factors[1:])
-            if st.factors and tail not in basis.index:
+            if BasisState(0, st.factors[1:]) not in basis.index:
                 raise ModelBugError(f"the tail of kept word {st} is not kept")
-    return Model(spec, n_internal, basis, gens, StateVector.basis(nu_state),
-                 c, _word_block(engine, basis, columns))
+
+    def gram(degree):  # G[K, K]: the radical pairs to zero with every word
+        kept, g = kept_by_degree[degree], grams[degree]
+        at = {j: i for i, j in enumerate(kept)}
+        return g if len(at) == len(g) else xl.Block(
+            [{at[j]: x for j, x in g.rows[i].items() if j in at}
+             for i in kept], len(at), g.den).reduced()
+
+    nu_state = BasisState(0, ((0, -2),))
+    return Model(spec, n_internal, basis, {0: GeneratorInfo(2, 0, nu_state)},
+                 StateVector.basis(nu_state), c,
+                 _word_block(engine, basis, columns), gram)
 
 
 # ---------------------------------------------------------------------------

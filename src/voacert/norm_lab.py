@@ -153,8 +153,11 @@ def graded_norm_certified(model: Model, a, m: int, n: int,
     Every step is decided by the exact positive-definiteness test of
     r^2 G_s - A^T G_{s-m} A, which is positive definite exactly when
     r^2 > sigma_s^2, so lo <= max_s sigma_s^2 <= hi is a certificate, with
-    hi - lo <= tol * max(1, hi).  Blocks of any size are handled.
+    hi - lo <= tol * max(1, hi).  Blocks of any size are handled; a tol
+    that is not finite and positive (no bisection ends) is a ValueError.
     """
+    if not 0 < tol < math.inf:  # nan too
+        raise ValueError(f"tolerance {tol!r} is not finite and positive")
     if not _in_window(model, m, n, "graded norm window"):
         return ZERO, ZERO
     avec = _as_vector(a)

@@ -1,14 +1,12 @@
 """Invariant scalar product, star involution, adjoint diagnostics.
 
-A free-field model gives its normalized invariant form in closed form,
-the Fock pairing.  A Virasoro form is built degree by degree with exact
-rationals by peeling creation modes against the star data of the
-generators: (g_{n} u | v) = (u | (g*)_{-n} v), seeded by (Om|Om) = 1 and
-unit-normalized sector tops, one ``xl.sum_of_products`` call per degree.
+Every model's builder hands it its normalized invariant form, read only
+through ``GramFamily.matrix``: a free field's Fock pairing in closed form,
+a Virasoro model's Verma Gram (the Shapovalov form) on its kept words, the
+quotient's form since the radical pairs to zero with every word.
 Each Gram matrix is one xl.Block in lowest terms, and so are its inverse
-and every Gram adjoint: the symmetry check, ``pairing``, the float
-Cholesky factor, the positivity test, the eliminations (``radical``, the
-Virasoro builder's quotient), the solves and the adjoint's products read
+and every Gram adjoint: ``pairing``, the float Cholesky factor, the
+positivity test, ``radical``, the solves and the adjoint's products read
 its form; only LDL^T and single entries read its memoized dense view.
 ``family_of`` shares the per-degree caches the model keeps.
 
@@ -68,52 +66,14 @@ class GramFamily:
     # -- matrices ---------------------------------------------------------
 
     def matrix(self, degree: int) -> xl.Block:
-        """Exact Gram matrix: the model's closed form when it has one,
-        else built from lower degrees per leading factor.
-
-        A basis state u = g_{n0} tail has the row (tail | (g*)_{-n0} .),
-        and its tail BasisState(u.sector, u.factors[1:]) is a label (see
-        Model), so the rows of all states led by g_{n0} are G_{degree+n0}'s
-        rows at their tails times B, the block of (g*)_{-n0} on V_degree.
-        A sector top has a unit row, the projection onto the tops times
-        itself.  One ``xl.sum_of_products`` call adds these terms over a
-        denominator fixed in advance.  The result is one read-only
-        xl.Block in lowest terms; dense readers share its memoized dense
-        view.
-        """
+        """The model's Gram matrix ``gram(degree)`` at a degree <= N,
+        memoized: a read-only lowest-terms xl.Block, dense view shared."""
         if degree > self.model.N:
             raise TruncationError(degree, self.model.N, "Gram degree")
         hit = self._mats.get(degree)
-        if hit is not None:
-            return hit
-        model = self.model
-        if model._gram is not None:
-            return self._mats.setdefault(degree, model._gram(degree))
-        states = model.basis.states(degree)
-        dim, index = len(states), model.basis.index
-        led = {}  # leading factor -> {position: tail position}
-        unit = xl.zero_block(dim, dim)  # the sector tops' unit rows
-        for pos, u in enumerate(states):
-            if u.factors:
-                led.setdefault(u.factors[0], {})[pos] = index[
-                    BasisState(u.sector, u.factors[1:])][1]
-            else:
-                unit.rows[pos][pos] = 1
-        terms = [(unit, unit, 1)]  # a projection: unit @ unit = unit
-        for (gid, n0), tails in led.items():
-            up = self.matrix(degree + n0)
-            tg = xl.Block([up.rows[tails[pos]] if pos in tails else {}
-                           for pos in range(dim)], up.cols, up.den)
-            terms.append((tg, model.gen_block(
-                model.generators[gid].star, -n0, degree), 1))
-        g = xl.sum_of_products(dim, dim, terms)
-        if any(g.rows[j].get(i) != x
-               for i, row in enumerate(g.rows) for j, x in row.items()):
-            raise ModelBugError(
-                f"invariant form not symmetric at degree {degree}; "
-                "star data is inconsistent")
-        self._mats[degree] = g
-        return g
+        if hit is None:
+            hit = self._mats[degree] = self.model._gram(degree)
+        return hit
 
     def inverse(self, degree: int):
         """G_degree^{-1}, the symmetric solve against the identity."""
@@ -161,13 +121,6 @@ class GramFamily:
             raise ModelBugError(
                 f"Gram matrix at degree {degree} is not positive definite")
         return factors
-
-
-def gram_family(model: Model) -> GramFamily:
-    fam = GramFamily(model)
-    if fam.matrix(0) != [[ONE]]:
-        raise ModelBugError("vacuum normalization broken")
-    return fam
 
 
 def family_of(model: Model) -> GramFamily:

@@ -79,6 +79,17 @@ def test_bad_usage_exits_with_config_code(capsys):
     assert main(["axioms", "--kind", "lattice", "--N", "6"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb", ["certify", "build"])
+def test_a_zero_central_charge_exits_with_config_code(tmp_path, capsys,
+                                                      verb):
+    tail = (["--check", "unitarity"] if verb == "certify" else
+            ["--out", str(tmp_path / "model.json")])
+    assert main([verb, "--kind", "virasoro", "--c", "0", "--N", "6"] +
+                tail) == EXIT_CONFIG
+    assert "'c'" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_suite_runs_and_is_deterministic(tmp_path):
     config = parse_config(SUITE)
     out_a = tmp_path / "a"

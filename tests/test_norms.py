@@ -117,6 +117,22 @@ def test_certified_norm_widens_a_bad_seed(tol):
         assert hi - lo <= tol * max(1, hi)
 
 
+@pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_certified_norm_rejects_a_tolerance_that_is_not_positive(
+        monkeypatch, tol):
+    # a bisection to within tol <= 0 never ends: the tolerance is refused
+    # before any block is built
+    model = build_model(heisenberg_spec(1, 6))
+
+    def refuse(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(norm_lab, "_vec_block", refuse)
+    with pytest.raises(ValueError, match="tolerance"):
+        graded_norm_certified(model, current(model), 1, 3, tol=tol)
+
+
 def test_certified_norm_survives_a_failing_float_seed(monkeypatch):
     def failing(*args):
         raise ModelBugError("float Cholesky failed")

@@ -10,8 +10,7 @@ from voacert.graded_fock import (BasisState, StateVector, build_model,
                                  virasoro_spec)
 from voacert.scalars import Q
 from voacert.unitary_structure import (GramFamily, adjoint_residual,
-                                       family_of, gram_family,
-                                       kac_moody_residual, star)
+                                       family_of, kac_moody_residual, star)
 
 
 def test_vacuum_normalization(heis8):
@@ -205,13 +204,6 @@ def test_current_algebra_bracket(lat2_6):
     assert kac_moody_residual(lat2_6, ep, ep, 1, 0).is_zero
 
 
-def test_inconsistent_star_data_is_caught():
-    model = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
-    model._gram = None  # the recursion, which reads the star data
-    with pytest.raises(ModelBugError):
-        gram_family(model).matrix(2)
-
-
 def dense_gram_reference(model, degree, lower):
     """G_degree on dense views, unchecked: a unit row for each sector top
     and tails * G_up * B for a state g_{n0} tail, with lower[d] = G_d."""
@@ -232,15 +224,21 @@ def dense_gram_reference(model, degree, lower):
     return g
 
 
-GRAM_FORM_CASES = [
+# (spec, pad, test id); the metric cases share their describe()
+GRAM_FORM_CASES = [(s, pad, s.describe()) for s, pad in (
     (heisenberg_spec(2, 6, [[2, 1], [1, 2]]), None),
     (lattice_spec(2, 8), None), (lattice_spec(4, 8), None),
     (virasoro_spec("1/2", 10), 1), (virasoro_spec(1, 10), 1),
-    (virasoro_spec("-22/5", 10), 1)]
+    (virasoro_spec("-22/5", 10), 1))] + [
+    (heisenberg_spec(1, 8, [[Q(1, 2)]]), None, "heisenberg_half"),
+    (heisenberg_spec(1, 8, [[3]]), None, "heisenberg_three"),
+    (lattice_spec(6, 8), None, "lattice6"),
+    (heisenberg_spec(3, 5, [[2, 1, Q(1, 2)], [1, 3, 1], [Q(1, 2), 1, 2]]),
+     None, "heisenberg_rank3")]
 
 
-@pytest.mark.parametrize("spec,pad", GRAM_FORM_CASES,
-                         ids=[s.describe() for s, _ in GRAM_FORM_CASES])
+@pytest.mark.parametrize("spec,pad", [c[:2] for c in GRAM_FORM_CASES],
+                         ids=[c[2] for c in GRAM_FORM_CASES])
 def test_gram_block_matches_dense_reference(spec, pad):
     model = build_model(spec, pad=pad)
     fam = GramFamily(model)
@@ -269,18 +267,14 @@ def test_gram_family_never_multiplies_dense(monkeypatch):
             fam.matrix(d)
 
 
-@pytest.mark.parametrize("spec,pad", GRAM_FORM_CASES[:4],
-                         ids=[s.describe() for s, _ in GRAM_FORM_CASES[:4]])
-def test_each_gram_degree_is_one_sum_of_products(monkeypatch, spec, pad):
-    """With the lower degrees and the generator blocks built, G_N is one
-    ``xl.sum_of_products`` call and never rescales through
-    ``Block.over``."""
-    model = build_model(spec, pad=pad)
-    model._gram = None  # the recursion on a free-field model too
-    GramFamily(model).matrix(model.N)  # builds the generator blocks
-    fam = GramFamily(model)
-    for d in range(model.N):
-        fam.matrix(d)
+@pytest.mark.parametrize("spec,pad", [
+    (virasoro_spec("1/2", 10), 1), (virasoro_spec("-22/5", 10), 1),
+    (virasoro_spec("7/10", 12), None)],
+    ids=["virasoro_half", "virasoro_nonunitary", "virasoro_minimal"])
+def test_a_virasoro_build_is_one_sum_of_products_per_degree(monkeypatch,
+                                                            spec, pad):
+    """The builder's Verma Gram: at most one ``xl.sum_of_products`` call
+    per degree <= N, and no rescaling through ``Block.over``."""
     kernel, over = xl.sum_of_products, xl.Block.over
     calls = {"sum_of_products": 0, "over": 0}
 
@@ -294,22 +288,32 @@ def test_each_gram_degree_is_one_sum_of_products(monkeypatch, spec, pad):
 
     monkeypatch.setattr(xl, "sum_of_products", counted_kernel)
     monkeypatch.setattr(xl.Block, "over", counted_over)
-    fam.matrix(model.N)
-    assert calls == {"sum_of_products": 1, "over": 0}
+    build_model(spec, pad=pad)
+    assert calls["sum_of_products"] <= spec.N + 1 and calls["over"] == 0
 
 
-def test_asymmetric_entry_with_absent_mirror_is_caught():
-    # a_1 a_{-2} Om = a_{-1} Om after the shift: row a_{-1}^2 Om of G_2
-    # gains a (1, 0) entry while the (0, 1) entry stays zero, so the form
-    # holds no mirror entry at all
-    model = build_model(heisenberg_spec(1, 6), corrupt=(0, 1, 2, 0, 0, 1))
-    ref = {0: [[1]], 1: [[1]]}
-    g2 = dense_gram_reference(model, 2, ref)
-    assert g2[1][0] and not g2[0][1]
-    model._gram = None  # the recursion, which reads the star data
-    fam = GramFamily(model)
-    with pytest.raises(ModelBugError, match="not symmetric at degree 2"):
-        fam.matrix(2)
+def test_an_asymmetric_verma_gram_is_caught_at_build(monkeypatch):
+    # L_4 L_{-2}^2 Om = 3c Om gains Om: row L_{-4} Om of G_4 reads 3c + 1
+    # at L_{-2}^2 Om while the mirror entry stays 3c
+    from voacert import graded_fock
+
+    apply = graded_fock._VermaEngine.apply
+
+    def shifted(self, p, word):
+        out = apply(self, p, word)
+        if (p, word) == (4, (2, 2)):
+            out = {**out, (): out.get((), 0) + self.den}
+        return out
+
+    monkeypatch.setattr(graded_fock._VermaEngine, "apply", shifted)
+    with pytest.raises(ModelBugError, match="not symmetric at degree 4"):
+        build_model(virasoro_spec("1/2", 6))
+
+
+def test_a_zero_central_charge_is_a_spec_error():
+    # the degree-2 Verma Gram is [[c/2]]: at c = 0 nu lies in its radical
+    with pytest.raises(SpecError, match="'c'"):
+        build_model(virasoro_spec(0, 6))
 
 
 def test_a_corrupted_free_field_model_shows_in_the_adjoint_residual(heis6):
@@ -324,38 +328,21 @@ def test_a_corrupted_free_field_model_shows_in_the_adjoint_residual(heis6):
         assert adjoint_residual(heis6, a, m).is_zero
 
 
-@pytest.mark.parametrize("spec", [
-    heisenberg_spec(2, 6, [[2, 1], [1, 2]]), lattice_spec(2, 8)],
-    ids=["heisenberg_metric", "lattice2"])
-def test_a_free_field_gram_degree_reads_no_generator_block(monkeypatch,
-                                                          spec):
-    model = build_model(spec)
+@pytest.mark.parametrize("spec,pad", [
+    (heisenberg_spec(2, 6, [[2, 1], [1, 2]]), None),
+    (lattice_spec(2, 8), None), (virasoro_spec("1/2", 10), 1),
+    (virasoro_spec(1, 10), None)],
+    ids=["heisenberg_metric", "lattice2", "virasoro_half", "virasoro_one"])
+def test_a_gram_degree_reads_no_generator_block(monkeypatch, spec, pad):
+    """Every builder hands its model the Gram: reading one multiplies no
+    blocks and builds no generator block."""
+    model = build_model(spec, pad=pad)
     calls = []
     kernel = xl.sum_of_products
     monkeypatch.setattr(xl, "sum_of_products",
                         lambda *args: calls.append(1) or kernel(*args))
     family_of(model).matrix(model.N)
     assert calls == [] and model._gen_blocks == {}
-
-
-CLOSED_FORM_CASES = [
-    heisenberg_spec(1, 8, [[Q(1, 2)]]), heisenberg_spec(1, 8, [[3]]),
-    lattice_spec(6, 8),
-    heisenberg_spec(3, 5, [[2, 1, Q(1, 2)], [1, 3, 1], [Q(1, 2), 1, 2]])]
-
-
-@pytest.mark.parametrize("spec", CLOSED_FORM_CASES,
-                         ids=["heisenberg_half", "heisenberg_three",
-                              "lattice6", "heisenberg_rank3"])
-def test_the_closed_form_gram_equals_the_recursion(spec):
-    """The Fock pairing against the recursion on a second build of the
-    same spec: equal rows and denominator at every degree."""
-    model, reference = build_model(spec), build_model(spec)
-    reference._gram = None
-    fam, ref = GramFamily(model), GramFamily(reference)
-    for d in range(model.N + 1):
-        g, want = fam.matrix(d), ref.matrix(d)
-        assert (g.rows, g.den) == (want.rows, want.den)
 
 
 @pytest.mark.parametrize("spec", [lattice_spec(2, 6),

@@ -107,7 +107,7 @@ def certify_virasoro_bound(model: Model, a, m_max: int, n_max: int,
                            tol: float = DEFAULT_TOL) -> BoundReport:
     """||a_m||_n <= (1 + sqrt(c~/3)) (1+|m|)^{3/2} (1+|n|) for a Virasoro
     vector a of central charge c~."""
-    avec = _as_vector(a)
+    avec = _nonzero(a)
     ctilde = _virasoro_central_charge(model, avec)
     if ctilde <= 0:
         raise ValueError("central charge must be positive")
@@ -342,7 +342,7 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
         report.notes["empty_degree"] = True
         return StateVector(), report
     x = _average(model, [StateVector.basis(e) for e in states],
-                 fam.inverse(d))
+                 fam.matrix(d))
     # invariance under each sampled automorphism, exact
     for idx, aut in enumerate(aut_sample):
         report.notes[f"invariant_{aut.kind}_{idx}"] = aut.apply_exact(x) == x
@@ -353,14 +353,15 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
     gp = xl.mat_mul(xl.transpose(shear), xl.mat_mul(fam.matrix(d), shear))
     x2 = _average(model,
                   [model.from_coords(d, col) for col in xl.transpose(shear)],
-                  xl.solve_symmetric(gp, xl.identity(n)))
+                  gp)
     report.notes["basis_independent"] = bool(x2 == x)
     return x, report
 
 
-def _average(model: Model, vectors, ginv) -> StateVector:
+def _average(model: Model, vectors, gram) -> StateVector:
     """sum_{kl} (G^{-1})_{kl} (v_k)_{(-1)} v_l* over vectors v of Gram
     matrix G, one star per vector."""
+    ginv = xl.solve_symmetric(gram, xl.identity(len(vectors)))
     stars = [star(model, v) for v in vectors]
     x = StateVector()
     for vk, row in zip(vectors, ginv.rows):

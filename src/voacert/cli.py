@@ -32,7 +32,7 @@ from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
                           StateVector, build_model)
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table, write_norm_csv
-from .scalars import Q, rat_from_str
+from .scalars import Q, rational
 from .serialize import ModelCache, save_model, write_atomic
 from .unitary_structure import family_of
 
@@ -62,7 +62,7 @@ def resolve_state(model: Model, selector: str) -> StateVector:
         pre, _, name = token.rpartition("*")
         kind, *index = name.split(":")
         try:
-            coeff = rat_from_str(pre) if pre else Q(1)
+            coeff = rational(pre) if pre else Q(1)
             index = [int(x) for x in index]
         except (ValueError, ZeroDivisionError):
             kind = None
@@ -138,7 +138,7 @@ FIELDS = {
     "state": str, "with": str, "m_max": _at_least(0), "n_max": _at_least(0),
     "samples": _at_least(1),
     "seed": int, "degree_cap": int, "p": int, "d": _at_least(1),
-    "q": rat_from_str, "s": rat_from_str,
+    "q": rational, "s": rational,
 }
 
 # fields: the FIELDS its runner reads; window: the fields whose sum may not

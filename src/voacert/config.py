@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, SpecError
 from .graded_fock import SPEC_FIELDS, ModelSpec
-from .scalars import rat_from_str, rational
+from .scalars import rational
 
 
 @dataclass
@@ -78,7 +78,7 @@ def _parse_field(where: str, fields: dict, name: str, parse, default=None):
 
 def _metric(value: str):
     """'a,b;c,d' as rows of rationals."""
-    return tuple(tuple(rat_from_str(x) for x in row.split(","))
+    return tuple(tuple(rational(x) for x in row.split(","))
                  for row in value.split(";"))
 
 

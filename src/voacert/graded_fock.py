@@ -405,7 +405,7 @@ class Model:
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
         self._fock_blocks = {}  # (charge, k_s, k_t) -> _fock_block, lattice
         self._fock_g = {}  # charge -> _g_table, lattice
-        self._gram_caches = ({}, {}, {})  # family_of's Grams, inverses, chol
+        self._gram_caches = ({}, {})  # family_of's Grams and float Cholesky
 
     # -- basic queries ------------------------------------------------------
 

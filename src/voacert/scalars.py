@@ -36,18 +36,16 @@ def canon(x):
     return int(x) if den == 1 else x
 
 
-def rational(num, den=1):
-    """Build an exact rational from ints, strings or another rational."""
-    return Q(num, den) if den != 1 else Q(num)
+def rational(x):
+    """An exact rational from an int, another rational or a string ('p/q',
+    'p' or a decimal such as '0.5'; ValueError otherwise).
 
-
-def rat_from_str(s: str):
-    """Parse 'p/q' or 'p' decimal strings."""
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Q(int(num), int(den))
-    return Q(int(s))
+    Raises TypeError for a float (numpy's included), whose binary value
+    is not the decimal it prints as.
+    """
+    if isinstance(x, float):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return Q(x)
 
 
 def rat_to_str(x) -> str:

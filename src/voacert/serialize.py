@@ -23,7 +23,7 @@ import os
 from .errors import ConfigError, ModelBugError, SpecError
 from .graded_fock import BasisState, Model, ModelSpec, build_model, \
     default_n_internal
-from .scalars import Q, rat_from_str, rat_to_str
+from .scalars import Q, rat_to_str, rational
 
 SCHEMA = "voacert-model/3"
 
@@ -44,9 +44,9 @@ def spec_from_dict(data: dict) -> ModelSpec:
         kind=data["kind"],
         N=data["N"],
         rank=data.get("rank", 1),
-        metric=tuple(tuple(rat_from_str(x) for x in row)
+        metric=tuple(tuple(rational(x) for x in row)
                      for row in data.get("metric", [])),
-        c=rat_from_str(data["c"]) if data.get("c") is not None else None,
+        c=rational(data["c"]) if data.get("c") is not None else None,
         q=data.get("q", 0),
     )
 

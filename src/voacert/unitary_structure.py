@@ -4,30 +4,27 @@ Every model's builder hands it its normalized invariant form, read only
 through ``GramFamily.matrix``: a free field's Fock pairing in closed form,
 a Virasoro model's Verma Gram (the Shapovalov form) on its kept words, the
 quotient's form since the radical pairs to zero with every word.
-Each Gram matrix is one xl.Block in lowest terms, and so are its inverse
-and every Gram adjoint: ``pairing``, the float Cholesky factor, the
-positivity test, ``radical``, the solves and the adjoint's products read
-its form; only LDL^T and single entries read its memoized dense view.
-``family_of`` shares the per-degree caches the model keeps.
+Each Gram matrix is one xl.Block in lowest terms, and so is every Gram
+adjoint: ``pairing``, the float Cholesky factor, the positivity test,
+``radical``, the solves and the adjoint's products read its form; only
+LDL^T and single entries read its memoized dense view.  ``family_of``
+shares the per-degree caches the model keeps.
 
-Adjoints are solves.  The inverse G_s^{-1} that ``star`` and every Gram
-adjoint G_s^{-1} B^T G_t read is ``xl.solve_symmetric(G_s, 1)``, the
-fraction-free symmetric sweep of the positivity test carried through a
-right side, memoized per degree.  No Gauss-Jordan runs on a Gram with
-nonzero leading principal minors (every positive definite one), and a
-diagonal Gram (every rank-1 Heisenberg or lattice one) costs no row
-operation.
+A Gram adjoint G_s^{-1} B^T G_t is one ``xl.solve_symmetric`` against
+B^T G_t, the fraction-free symmetric sweep of the positivity test carried
+through a right side.  No Gauss-Jordan runs on a Gram with nonzero
+leading principal minors (every positive definite one), and a diagonal
+Gram (every rank-1 Heisenberg or lattice one) costs no row operation.
+The conjugate state ``star`` is in closed form and reads no Gram.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import exactlinalg as xl
 from .errors import ModelBugError, TruncationError
-from .graded_fock import BasisState, Model, StateVector
+from .graded_fock import BasisState, Model, StateVector, canonical_factors
 from .mode_engine import (Residual, _as_vector, _bracket_residual,
                           _vec_block, apply_mode, state_product)
 from .scalars import ONE, Q, ZERO
@@ -39,7 +36,6 @@ class GramFamily:
     def __init__(self, model: Model):
         self.model = model
         self._mats = {}
-        self._invs = {}
         self._chol = {}
 
     # -- exact pairing ----------------------------------------------------
@@ -75,19 +71,11 @@ class GramFamily:
             hit = self._mats[degree] = self.model._gram(degree)
         return hit
 
-    def inverse(self, degree: int):
-        """G_degree^{-1}, the symmetric solve against the identity."""
-        hit = self._invs.get(degree)
-        if hit is None:
-            g = self.matrix(degree)
-            hit = xl.solve_symmetric(g, xl.identity(len(g)))
-            self._invs[degree] = hit
-        return hit
-
     def adjoint(self, blk, src: int, tgt: int):
-        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt."""
-        return xl.mat_mul(self.inverse(src),
-                          xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
+        """Gram adjoint G_src^{-1} B^T G_tgt of a block B: V_src -> V_tgt,
+        one symmetric solve."""
+        return xl.solve_symmetric(
+            self.matrix(src), xl.mat_mul(xl.transpose(blk), self.matrix(tgt)))
 
     def radical(self, degree: int):
         return xl.kernel_basis(self.matrix(degree))
@@ -127,7 +115,7 @@ def family_of(model: Model) -> GramFamily:
     """A Gram family over the model's caches; the model holds no family,
     so a dropped model is freed without a cyclic collection."""
     fam = GramFamily(model)
-    fam._mats, fam._invs, fam._chol = model._gram_caches
+    fam._mats, fam._chol = model._gram_caches
     if 0 not in fam._mats and fam.matrix(0) != [[ONE]]:
         raise ModelBugError("vacuum normalization broken")
     return fam
@@ -136,55 +124,40 @@ def family_of(model: Model) -> GramFamily:
 def star(model: Model, a) -> StateVector:
     """Conjugate state: the unique a* with (a*_{-n} b | c) = (b | a_n c).
 
-    For a of degree d the conjugate has components in every degree up to d
-    (only the top one survives when a is quasi-primary).  They are
-    recovered triangularly from the Gram adjoints of the annihilation
-    blocks a_e : V_e -> V_0, each a solve against G_e (its memoized
-    ``GramFamily.inverse``), since applying the defining relation to the
-    vacuum gives (a_e)^dag Om = sum_{e' <= e} L_{-1}^{e-e'}/(e-e')!
-    applied to the degree-e' component.  Each component's running power
-    L_{-1}^{e-e'} is carried from one e to the next, one L_{-1} per
-    component and degree.
+    a* = e^{L_1} (-1)^{L_0} theta(a), theta the PCT automorphism (Frenkel,
+    Huang and Lepowsky, Mem. AMS 104, 1993, sec. 5.2; Carpi, Kawahigashi,
+    Longo and Weiner, Mem. AMS 254, 2018, sec. 5).  On a label,
+    (-1)^{L_0} theta turns each factor g_m into (-1)^{d_g - m} (g*)_m, g*
+    the generator's star partner, and sector p's top into sector -p's;
+    L_1 lowers the degree, so the exponential is a finite sum.  No Gram
+    is read.
     """
-    a = _as_vector(a)
-    if a.is_zero():
-        return StateVector()
-    parts = model.coords_by_degree(a)
-    if len(parts) > 1:
-        total = StateVector()
-        for e, coords in parts.items():
-            total.add(star(model, model.from_coords(e, coords)))
-        return total
-    (d, _), = parts.items()
-    if d == 0:
-        return a.copy()
-    if d > model.N:
-        raise TruncationError(d, model.N, "star degree")
-    fam = family_of(model)
-    ups = {}  # e' -> L_{-1}^{e-e'} of the degree-e' component
-    total = StateVector()
-    for e in range(d + 1):
-        for ep in ups:
-            ups[ep] = apply_mode(model, model.nu, -1, ups[ep])
-        if model.dim(e) == 0:
-            continue
-        down = _vec_block(model, a, e, e)  # V_e -> V_0, one row
-        coords = xl.mat_vec(fam.inverse(e), down[0])
-        corr = model.from_coords(e, coords)
-        for ep in sorted(ups, reverse=True):
-            corr.add(ups[ep], Q(-1, math.factorial(e - ep)))
-        if not corr.is_zero():
-            ups[e] = corr
-            total.add(corr)
-    return total
+    out = StateVector()
+    for st, co in _as_vector(a).terms.items():
+        d = model.basis.degree_of(st)
+        if d > model.N:
+            raise TruncationError(d, model.N, "star degree")
+        factors = []
+        for g, m in st.factors:
+            info = model.generators[g]
+            factors.append((info.star, m))
+            if (info.degree - m) % 2:
+                co = -co
+        out.add_term(BasisState(-st.sector, canonical_factors(factors)), co)
+    term, k = out, 1
+    while not term.is_zero():  # out += L_1^k out_0 / k!
+        term = apply_mode(model, model.nu, 1, term).scale(Q(1, k))
+        out.add(term)
+        k += 1
+    return out
 
 
 def adjoint_residual(model: Model, a, m: int) -> Residual:
     """Exact deviation of the G-adjoint of a_m from (a*)_{-m}.
 
-    Plain index m; compares G_s^{-1} (a_m block)^T G_{s-m}, G_s^{-1} the
-    symmetric solve of ``GramFamily.inverse``, with the block of (a*)_{-m}
-    on every source degree where both sides live.
+    Plain index m; compares the Gram adjoint G_s^{-1} (a_m block)^T
+    G_{s-m}, one symmetric solve, with the block of (a*)_{-m} on every
+    source degree where both sides live.
     """
     a = _as_vector(a)
     fam = family_of(model)

@@ -27,7 +27,7 @@ from voacert.graded_fock import (Automorphism, BasisState, StateVector,
 from voacert.mode_engine import (commutator_residual, sample_residuals,
                                  state_product, translation_residual)
 from voacert.norm_lab import cstar_gap, graded_norm, norm_table
-from voacert.scalars import Q, rat_from_str
+from voacert.scalars import Q, rational
 from voacert.unitary_structure import family_of, star
 
 REL = 1e-9
@@ -195,11 +195,11 @@ def test_criterion_5_mechanisms(capsys, heis12):
     ok = ok and x == square and avg.passed
     for s in ("1/2", "1"):
         chain = certify_orbifold_chain(heis12, current(heis12), x,
-                                       float(rat_from_str(s)), 10)
+                                       float(rational(s)), 10)
         ok = ok and chain.passed
     for q in ("1/4", "1/2"):
         trace = trace_domination_check(heis12, current(heis12),
-                                       rat_from_str(q), 12)
+                                       rational(q), 12)
         ok = ok and trace.passed
 
     lat = build_model(lattice_spec(2, 10))

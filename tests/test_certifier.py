@@ -104,8 +104,10 @@ def test_a_zero_primary_is_a_value_error(lat4_8, certify):
         certify(lat4_8, StateVector())
 
 
-# each of these returned all-zero cells, and so passed, on a zero state
+# each of these but the first returned all-zero cells, and so passed, on a
+# zero state; the Virasoro bound read its central charge as 0 and said so
 @pytest.mark.parametrize("certify", [
+    lambda model, zero: certify_virasoro_bound(model, zero, 1, 2).passed,
     lambda model, zero: certify_v1_bound(model, zero, 1, 2).passed,
     lambda model, zero: certify_product_lemma(model, zero, 1, 2).passed,
     lambda model, zero: norm_table(model, zero, range(-1, 2), 2).failures,
@@ -116,8 +118,9 @@ def test_a_zero_primary_is_a_value_error(lat4_8, certify):
     lambda model, zero: trace_domination_check(model, zero, "1/2", 4).passed,
     lambda model, zero: certify_orbifold_chain(
         model, zero, orbifold_average(model, 1)[0], 1, 4).passed],
-    ids=["v1_bound", "product_lemma", "norm_table", "pair_bound_b",
-         "zero_mode_product_b", "trace_domination", "orbifold_chain"])
+    ids=["virasoro_bound", "v1_bound", "product_lemma", "norm_table",
+         "pair_bound_b", "zero_mode_product_b", "trace_domination",
+         "orbifold_chain"])
 def test_a_zero_state_is_a_value_error(lat4_8, certify):
     with pytest.raises(ValueError, match="state is zero"):
         certify(lat4_8, StateVector())
@@ -176,16 +179,22 @@ def test_orbifold_chain(heis8):
 
 def test_trace_domination(heis8):
     for q in ("1/4", "1/2"):
-        from voacert.scalars import rat_from_str
+        from voacert.scalars import rational
 
         report = trace_domination_check(heis8, current(heis8),
-                                        rat_from_str(q), 8)
+                                        rational(q), 8)
         assert report.passed
         assert report.notes["partial_traces"]
 
 
+def test_a_float_damping_is_refused(heis8):
+    # its traces were exact at the binary value of 0.3, not at 3/10
+    with pytest.raises(TypeError, match="not an exact rational"):
+        trace_domination_check(heis8, current(heis8), 0.3, 4)
+
+
 def test_trace_domination_reads_each_degree_once(monkeypatch, lat2_8):
-    # three exact products per degree: each filtration level n only adds
+    # two exact products per degree: each filtration level n only adds
     # the trace terms of degree n to running sums
     fam = family_of(lat2_8)
     for d in range(9):  # the Gram build multiplies too
@@ -200,7 +209,7 @@ def test_trace_domination_reads_each_degree_once(monkeypatch, lat2_8):
     monkeypatch.setattr(xl, "mat_mul", counting)
     report = trace_domination_check(lat2_8, BasisState(0, ((0, -1),)),
                                     Q(1, 2), 8)
-    assert len(calls) == 3 * 9
+    assert len(calls) == 2 * 9
     assert len(report.cells) == 2 * 9
 
 

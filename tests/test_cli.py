@@ -73,6 +73,21 @@ def test_certify_verb(capsys):
     assert code == EXIT_OK
 
 
+def test_decimal_values_parse_as_rationals(tmp_path, capsys):
+    # a damping or a metric entry read "p/q" only, while c took decimals
+    assert main(["certify", "--kind", "lattice", "--q", "2", "--N", "6",
+                 "--check", "trace_domination", "--state", "top:1",
+                 "--damping", "0.5", "--n-max", "3"]) == EXIT_OK
+    text = ("model.h.kind = heisenberg\nmodel.h.N = 4\n"
+            "model.h.metric = 0.5\ncheck.un.type = unitarity\n"
+            "check.un.model = h\n")
+    assert parse_config(text).models["h"].metric == ((Q(1, 2),),)
+    path = tmp_path / "suite.cfg"
+    path.write_text(text)
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_OK
+
+
 def test_bad_usage_exits_with_config_code(capsys):
     assert main(["certify", "--kind", "virasoro", "--N", "8",
                  "--check", "virasoro_bound"]) == EXIT_CONFIG

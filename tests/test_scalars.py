@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from voacert.scalars import (ONE, Q, ZERO, binomial, canon, rat_from_str,
-                             rat_to_str, rational)
+from voacert.scalars import (ONE, Q, ZERO, binomial, canon, rat_to_str,
+                             rational)
 
 
 def test_rational_constructors():
@@ -15,13 +16,31 @@ def test_rational_constructors():
 
 def test_string_round_trip():
     for s in ["0", "1", "-1", "3/4", "-22/7", "100000000000/3"]:
-        assert rat_to_str(rat_from_str(s)) == s
+        assert rat_to_str(rational(s)) == s
 
 
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
 def test_string_round_trip_random(p, q):
     x = Q(p, q)
-    assert rat_from_str(rat_to_str(x)) == x
+    assert rational(rat_to_str(x)) == x
+
+
+def test_decimal_strings_parse_exactly():
+    assert rational("0.5") == Q(1, 2)
+    assert rational("0.7") == Q(7, 10) and rational("-1.25") == Q(-5, 4)
+    for bad in ("3/-4", "1 / 2", "", "x", "inf", "nan"):
+        with pytest.raises(ValueError):
+            rational(bad)
+    with pytest.raises(ZeroDivisionError):
+        rational("1/0")
+
+
+@pytest.mark.parametrize("value", [0.7, 0.5, np.float64(0.3)],
+                         ids=["0.7", "0.5", "numpy"])
+def test_rational_refuses_floats(value):
+    # Q(0.7) is 3152519739159347/4503599627370496, not 7/10
+    with pytest.raises(TypeError, match="not an exact rational"):
+        rational(value)
 
 
 def test_binomial_small_values():

@@ -6,7 +6,7 @@ from voacert import serialize
 from voacert.errors import ConfigError, ModelBugError
 from voacert.graded_fock import (build_model, heisenberg_spec, lattice_spec,
                                  virasoro_spec)
-from voacert.scalars import rat_from_str, rat_to_str
+from voacert.scalars import rat_to_str, rational
 from voacert.serialize import (ModelCache, load_model, model_to_dict,
                                save_model, spec_digest, spec_from_dict,
                                spec_to_dict)
@@ -68,7 +68,7 @@ def test_load_rejects_tampered_container(tmp_path):
 
 def _change_entry(data):
     entry = data["blocks"]["1:0:3"][2][0]
-    entry[2] = rat_to_str(rat_from_str(entry[2]) + 1)
+    entry[2] = rat_to_str(rational(entry[2]) + 1)
 
 
 def _add_entry(data):

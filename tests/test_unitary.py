@@ -106,9 +106,12 @@ def test_star_is_an_involution(heis8, lat2_6):
                 assert star(model, star(model, vec)) == vec
 
 
-def termwise_star(model, a):
-    """The conjugate of a homogeneous vector with each L_{-1}^{e-e'} applied
-    afresh for every pair e' < e: C(d+1, 3) applications at degree d."""
+def termwise_star(model, a, inverses):
+    """The conjugate of a homogeneous vector from Gram inverses: each
+    component of degree e is G_e^{-1} times a's annihilation block
+    V_e -> V_0, less the L_{-1}^{e-e'}/(e-e')! images of the components
+    below it, each applied afresh.  inverses memoizes the Gauss-Jordan
+    G_e^{-1} of the model by degree."""
     from voacert.mode_engine import _vec_block, apply_mode
 
     d = model.degree_of(a)
@@ -119,7 +122,9 @@ def termwise_star(model, a):
         if model.dim(e) == 0:
             continue
         down = _vec_block(model, a, e, e)
-        corr = model.from_coords(e, xl.mat_vec(fam.inverse(e), down[0]))
+        if e not in inverses:
+            inverses[e] = xl.inverse(fam.matrix(e))
+        corr = model.from_coords(e, xl.mat_vec(inverses[e], down[0]))
         for ep in sorted(comps, reverse=True):
             up = comps[ep]
             for _ in range(e - ep):
@@ -131,30 +136,71 @@ def termwise_star(model, a):
     return total
 
 
-def test_star_carries_each_components_l_minus_1_power(monkeypatch, ising8,
-                                                      lat2_6):
-    """One L_{-1} per carried component and degree: d(d-1)/2 applications
-    for a degree-d vector with a component at every degree 1..d, against
-    C(d+1, 3) termwise; the conjugate is the termwise one, term order
-    included."""
-    from voacert import unitary_structure
+# (spec, pad of the model starred, test id); the reference recursion runs
+# on a pad-N build of a Virasoro spec, whose peeling never leaves it
+STAR_CASES = [
+    (heisenberg_spec(1, 7), None, "heisenberg"),
+    (heisenberg_spec(1, 7, [[Q(1, 2)]]), None, "heisenberg_half"),
+    (heisenberg_spec(2, 6, [[2, 1], [1, 2]]), None, "heisenberg_metric"),
+    (heisenberg_spec(3, 5, [[2, 1, Q(1, 2)], [1, 3, 1], [Q(1, 2), 1, 2]]),
+     None, "heisenberg_rank3"),
+    (lattice_spec(2, 8), None, "lattice2"),
+    (lattice_spec(4, 8), None, "lattice4"),
+    (lattice_spec(6, 8), None, "lattice6"),
+    (virasoro_spec("1/2", 10), 1, "virasoro_half"),
+    (virasoro_spec(1, 10), None, "virasoro_one"),
+    (virasoro_spec("-22/5", 10), 1, "virasoro_nonunitary"),
+    (virasoro_spec("-153/70", 8), 1, "virasoro_zero_minor"),
+    (virasoro_spec(25, 10), None, "virasoro_25"),
+    (virasoro_spec("7/10", 10), 0, "virasoro_minimal_pad0"),
+    (virasoro_spec("1/2", 12), 0, "virasoro_half_pad0")]
 
-    heis10 = build_model(heisenberg_spec(1, 10))
-    calls = []
-    apply_mode = unitary_structure.apply_mode
-    monkeypatch.setattr(unitary_structure, "apply_mode",
-                        lambda *args: calls.append(1) or apply_mode(*args))
-    for model, degrees in ((heis10, range(2, 7)), (ising8, range(2, 6)),
-                           (lat2_6, range(1, 5))):
-        for d in degrees:
-            a = StateVector({st: Q(i + 1, 3) for i, st in
-                             enumerate(model.basis.states(d))})
-            del calls[:]
-            got = star(model, a)
-            if model is heis10:
-                assert len(calls) == d * (d - 1) // 2  # 15, not 35, at 6
-            assert list(got.terms.items()) == \
-                list(termwise_star(model, a).terms.items())
+
+@pytest.mark.parametrize("spec,pad", [c[:2] for c in STAR_CASES],
+                         ids=[c[2] for c in STAR_CASES])
+def test_closed_form_star_equals_the_gram_recursion(spec, pad):
+    model = build_model(spec, pad=pad)
+    ref = build_model(spec, pad=spec.N) if spec.kind == "virasoro" \
+        else model
+    inverses = {}
+    for d in range(model.N + 1):
+        for st in model.basis.states(d):
+            vec = StateVector.basis(st)
+            assert star(model, vec) == termwise_star(ref, vec, inverses), st
+    mixed = StateVector({st: Q(i + 1, 3) for i, st in enumerate(
+        model.basis.states(1) + model.basis.states(model.N))})
+    assert star(model, mixed) == sum(
+        (termwise_star(ref, StateVector.basis(st, co), inverses)
+         for st, co in mixed.terms.items()), StateVector())
+
+
+@pytest.mark.parametrize("spec,pad", [
+    (heisenberg_spec(2, 5, [[2, 1], [1, 2]]), None),
+    (lattice_spec(2, 6), None), (virasoro_spec("1/2", 8), 0),
+    (virasoro_spec(1, 8), None)],
+    ids=["heisenberg", "lattice", "virasoro_pad0", "virasoro"])
+def test_star_reads_no_gram(monkeypatch, spec, pad):
+    def refuse(fam, degree):
+        raise AssertionError("star read a Gram matrix")
+
+    model = build_model(spec, pad=pad)
+    monkeypatch.setattr(GramFamily, "matrix", refuse)
+    for d in range(model.N + 1):
+        for st in model.basis.states(d):
+            assert star(model, st).terms
+
+
+@pytest.mark.parametrize("spec", [
+    heisenberg_spec(3, 3, [[2, 1, Q(1, 2)], [1, 3, 1], [Q(1, 2), 1, 2]]),
+    lattice_spec(2, 3), lattice_spec(6, 3), virasoro_spec("1/2", 3)],
+    ids=["heisenberg_rank3", "lattice2", "lattice6", "virasoro"])
+def test_star_partners_are_an_involution_of_equal_degree(spec):
+    # the closed form maps each factor g_m to a multiple of (g*)_m
+    gens = build_model(spec).generators
+    for gid, info in gens.items():
+        assert info.star in gens
+        assert gens[info.star].degree == info.degree
+        assert gens[info.star].star == gid
 
 
 def test_star_swaps_lattice_charges(lat2_6):
@@ -316,6 +362,13 @@ def test_a_zero_central_charge_is_a_spec_error():
         build_model(virasoro_spec(0, 6))
 
 
+def test_a_float_central_charge_is_refused():
+    # it was read as 3152519739159347/4503599627370496, not 7/10
+    with pytest.raises(TypeError, match="not an exact rational"):
+        virasoro_spec(0.7, 6)
+    assert virasoro_spec("0.7", 6).c == Q(7, 10)
+
+
 def test_a_corrupted_free_field_model_shows_in_the_adjoint_residual(heis6):
     """The closed-form Gram reads no generator block, so a corrupted
     annihilation block no longer breaks the form; the adjoint residual
@@ -431,8 +484,6 @@ def test_gram_inverses_and_adjoints_equal_gauss_jordan(key):
     model = build_model(spec, pad=pad)
     fam = GramFamily(model)
     gj = [xl.inverse(fam.matrix(d)) for d in range(model.N + 1)]
-    for d in range(model.N + 1):
-        assert fam.inverse(d) == gj[d]
     for gid in range(len(model.generators)):
         for m in range(-2, 3):
             for src in range(max(0, m), model.N + 1 + min(0, m)):

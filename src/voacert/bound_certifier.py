@@ -506,12 +506,13 @@ def _recursion_holds(kseq, d_const, s, d, n, tol):
 def fit_recursion(kseq, d: int):
     """(D, s) with K(n)^2 <= D(n+1)^s K(n+d) on the window, by the
     majorizing fit of K(n)^2/K(n+d): the recursion holds by construction
-    wherever K(n+d) > 0."""
+    wherever K(n+d) > 0.  None when no n has K(n) > 0 and K(n+d) > 0: the
+    window fits no constants."""
     points = [((n + 1,), kseq[n] ** 2 / kseq[n + d])
               for n in range(len(kseq) - d)
               if kseq[n] > 0 and kseq[n + d] > 0]
     if not points:
-        return 1.0, 0.0
+        return None
     d_const, (s,) = _majorizing_fit(points)
     return d_const, s
 

@@ -17,19 +17,20 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bound_certifier import (bootstrap_analyze, certify_orbifold_chain,
+from .bound_certifier import (BootstrapVerdict, bootstrap_analyze,
+                              certify_orbifold_chain,
                               certify_pair_bound, certify_primary_bound,
                               certify_product_lemma, certify_v1_bound,
                               certify_virasoro_bound,
                               certify_zero_mode_product, fit_recursion,
                               measure_sector_growth, orbifold_average,
                               trace_domination_check)
-from .config import (KIND_FIELDS, MODEL_FIELDS, NAME, SuiteConfig,
-                     load_config, make_check, spec_from_fields)
+from .config import (MODEL_FIELDS, NAME, SuiteConfig, load_config,
+                     make_check, spec_from_fields)
 from .errors import (ConfigError, ModelBugError, TruncationError,
                      VoacertError)
-from .graded_fock import (Automorphism, BasisState, Model, ModelSpec,
-                          StateVector, build_model)
+from .graded_fock import (SPEC_FIELDS, Automorphism, BasisState, Model,
+                          ModelSpec, StateVector, build_model)
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table, write_norm_csv
 from .scalars import Q, rational
@@ -89,20 +90,18 @@ def resolve_state(model: Model, selector: str) -> StateVector:
 
 
 def _model_from_args(args) -> Model:
-    fields = {k: getattr(args, k, None) for k in MODEL_FIELDS}
-    spec, pad, _ = spec_from_fields("command line", {
-        k: v for k, v in fields.items() if v is not None})
-    return build_model(spec, pad=pad)
+    spec, corrupt = spec_from_fields("command line", {
+        k: getattr(args, k) for k in MODEL_FIELDS
+        if getattr(args, k) is not None})
+    return build_model(spec, corrupt=corrupt)
 
 
 def _add_model_flags(parser):
-    """The model fields, parsed by spec_from_fields; no defaults here."""
-    parser.add_argument("--kind", required=True, choices=sorted(KIND_FIELDS))
-    parser.add_argument("--N", required=True)
-    parser.add_argument("--c", help="central charge (virasoro), e.g. 1/2")
-    parser.add_argument("--q", help="lattice square (even)")
-    parser.add_argument("--rank", help="heisenberg rank (default 1)")
-    parser.add_argument("--pad", help="virasoro working margin above N")
+    """A flag per model field; spec_from_fields parses and defaults it."""
+    for name in MODEL_FIELDS:
+        parser.add_argument(
+            "--" + name, required=name in ("kind", "N"),
+            choices=sorted(SPEC_FIELDS) if name == "kind" else None)
 
 
 def _add_check_flags(parser, fields):
@@ -184,8 +183,9 @@ def _run_norms(model, check, tol, output_dir):
 def _run_bootstrap(model, check, tol, output_dir):
     kseq = measure_sector_growth(model, check["n_max"])
     d = check.get("d", 1)
-    d_const, s = fit_recursion(kseq, d)
-    verdict = bootstrap_analyze(kseq, d_const, s, d, tol=tol)
+    d_const, s = fit_recursion(kseq, d) or (None, None)
+    verdict = BootstrapVerdict("inconclusive") if d_const is None else \
+        bootstrap_analyze(kseq, d_const, s, d, tol=tol)
     return {"K": [format(v, ".12g") for v in kseq], "D": d_const, "s": s,
             "d": d, "verdict": verdict.to_dict(),
             "pass": verdict.kind == "certified"}
@@ -293,22 +293,22 @@ def run_check(model: Model, check: dict, tolerance: float,
 # suite execution
 
 
-def _suite_model(memo: dict, spec: ModelSpec, pad, corrupt, cache_dir):
+def _suite_model(memo: dict, spec: ModelSpec, corrupt, cache_dir):
     """A suite's model, built once per memo; read from and saved to
     cache_dir when one is set, unless it is corrupted on purpose."""
-    key = (spec, pad, corrupt)
+    key = (spec, corrupt)
     model = memo.get(key)
     if model is None:
         if cache_dir and corrupt is None:
-            model = ModelCache(cache_dir).get_or_build(spec, pad)
+            model = ModelCache(cache_dir).get_or_build(spec)
         else:
-            model = build_model(spec, corrupt=corrupt, pad=pad)
+            model = build_model(spec, corrupt=corrupt)
         memo[key] = model
     return model
 
 
-def _task(spec, pad, corrupt, cache_dir, check, tolerance, output_dir):
-    model = _suite_model(_task_models, spec, pad, corrupt, cache_dir)
+def _task(spec, corrupt, cache_dir, check, tolerance, output_dir):
+    model = _suite_model(_task_models, spec, corrupt, cache_dir)
     return run_check(model, check, tolerance, output_dir)
 
 
@@ -328,8 +328,8 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
 
     def entry(check):
         mname = check["model"]
-        return (config.models[mname], config.pads.get(mname),
-                config.corrupts.get(mname), config.cache_dir)
+        return (config.models[mname], config.corrupts.get(mname),
+                config.cache_dir)
 
     if jobs == 1:
         models = {}
@@ -383,22 +383,26 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
         if not (isinstance(name, str) and NAME.fullmatch(name)):
             raise ConfigError(f"{bundle_path}: result name {name!r} is not "
                               "[A-Za-z0-9_-]+")
-        if any(name == seen for seen, _ in tables):
+        if any(name == seen for seen, _, _ in tables):
             raise ConfigError(f"{bundle_path}: two results are named "
                               f"{name!r}, so both would write {name}.csv")
         cells = _csv_rows(result)
         if cells is None:
             raise ConfigError(f"{bundle_path}: result {name!r} has malformed "
                               "cells")
-        tables.append((name, cells))
+        tables.append((name, result, cells))
     written = []
-    for name, cells in tables:
+    for name, result, cells in tables:
         if not cells:
             continue
         path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("m,n,lhs,rhs,margin\n")
-            fh.writelines(",".join(map(str, cell)) + "\n" for cell in cells)
+        if "table" in result:  # the layout of `norms --csv` and the suite
+            write_norm_csv(result["table"], path)
+        else:
+            with open(path, "w") as fh:
+                fh.write("m,n,lhs,rhs,margin\n")
+                fh.writelines(",".join(map(str, cell)) + "\n"
+                              for cell in cells)
         written.append(path)
     if not written:
         raise ConfigError("empty table: nothing to export")
@@ -406,19 +410,19 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
 
 
 def _csv_rows(result: dict):
-    """The m,n,lhs,rhs,margin rows of a result's report, chain or table
-    cells (a table's norm is lhs), or None if they are malformed."""
-    fields, pad = ("m", "n", "lhs", "rhs", "margin"), ()
+    """The m,n,lhs,rhs,margin rows of a result's report or chain cells, or
+    the m,n,norm rows of its table, or None if they are malformed."""
+    fields = ("m", "n", "lhs", "rhs", "margin")
     report = result.get("report") or result.get("chain") or {}
     if "table" in result:
-        report, fields, pad = result["table"], ("m", "n", "norm"), ("", "")
+        report, fields = result["table"], ("m", "n", "norm")
     cells = report.get("cells", []) if isinstance(report, dict) else None
     if not isinstance(cells, list) or not all(
             isinstance(cell, dict) and all(isinstance(
                 cell.get(f), (str, int, float)) for f in fields)
             for cell in cells):
         return None
-    return [tuple(cell[f] for f in fields) + pad for cell in cells]
+    return [tuple(cell[f] for f in fields) for cell in cells]
 
 
 # ---------------------------------------------------------------------------

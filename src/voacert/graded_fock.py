@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from . import exactlinalg as xl
@@ -47,7 +47,7 @@ from .scalars import Q, ZERO, canon, rational
 
 # The spec fields each kind reads besides kind and N; every other field
 # must keep its default.
-SPEC_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c",),
+SPEC_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c", "pad"),
                "lattice": ("q",)}
 
 
@@ -61,19 +61,15 @@ class ModelSpec:
     metric: tuple = ()  # rows of rationals, Heisenberg only
     c: object = None  # rational central charge, Virasoro only
     q: int = 0  # <gamma,gamma>, lattice only
+    # Virasoro only: the working margin above N, None for N // 2
+    pad: int = None
 
-    def validate(self, pad: int = None):
-        """Raise SpecError for an invalid spec (a field its kind does not
-        read off its default among them), or, when a pad is given, for a
-        pad on a kind other than Virasoro or outside [0, N]."""
+    def validate(self):
+        """Raise SpecError for an invalid spec: a field its kind does not
+        read off its default among them, or a pad outside [0, N]."""
         if self.N < 2:
             raise SpecError("truncation too small to hold the conformal state "
                             "(need N >= 2)")
-        if pad is not None and self.kind != "virasoro":
-            raise SpecError(f"pad applies to virasoro models only, not "
-                            f"{self.kind}")
-        if pad is not None and not 0 <= pad <= self.N:
-            raise SpecError(f"pad {pad} lies outside [0, {self.N}]")
         if self.kind not in SPEC_FIELDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
         for f in fields(self):
@@ -97,6 +93,8 @@ class ModelSpec:
             if not self.c:  # None, or 0 with nu in the radical: (nu|nu) = c/2
                 raise SpecError("field 'c': a Virasoro model needs a nonzero "
                                 "central charge")
+            if self.pad is not None and not 0 <= self.pad <= self.N:
+                raise SpecError(f"pad {self.pad} lies outside [0, {self.N}]")
         elif self.q < 2 or self.q % 2 != 0:
             raise SpecError("lattice <gamma,gamma> must be even and >= 2")
 
@@ -636,16 +634,6 @@ class _VermaEngine:
         return out
 
 
-def default_n_internal(spec: ModelSpec) -> int:
-    """Internal truncation of build_model(spec) without a pad override.
-
-    Virasoro composite-word mode recursions climb one degree per peeled
-    factor; the default padding N // 2 covers every word that fits below N.
-    The pad degrees keep every Verma word and cost no elimination.
-    """
-    return spec.N + spec.N // 2 if spec.kind == "virasoro" else spec.N
-
-
 def _word_block(engine: _VermaEngine, basis: GradedBasis, columns):
     """Block builder of the Virasoro modes on a basis of Verma words;
     columns[d] = (word -> {row: int}, den), degree-d words' coordinates."""
@@ -664,8 +652,11 @@ def _word_block(engine: _VermaEngine, basis: GradedBasis, columns):
     return block
 
 
-def _build_virasoro(spec: ModelSpec, pad: int = None) -> Model:
-    n_internal = default_n_internal(spec) if pad is None else spec.N + pad
+def _build_virasoro(spec: ModelSpec) -> Model:
+    # Composite-word mode recursions climb one degree per peeled factor; the
+    # default pad N // 2 covers every word that fits below N.  The pad
+    # degrees keep every Verma word and cost no elimination.
+    n_internal = spec.N + (spec.N // 2 if spec.pad is None else spec.pad)
     c = rational(spec.c)
     engine = _VermaEngine(c, n_internal)
     verma = _enumerate_internal(spec, n_internal)
@@ -842,13 +833,13 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
 
     corrupt, when given, is (gid, m, src_degree, row, col, delta): the named
     structure constant is shifted after the build (mutation testing hook).
-    pad overrides the internal working margin above N; modes of composite
-    words of length L need pad >= L - 1.  A pad on another kind than
-    Virasoro, or outside [0, N], is a SpecError.
+    pad, when given, replaces spec.pad, the working margin above N; modes
+    of composite words of length L need pad >= L - 1.
     """
-    spec.validate(pad)
+    spec = spec if pad is None else replace(spec, pad=pad)
+    spec.validate()
     if spec.kind == "virasoro":
-        model = _build_virasoro(spec, pad)
+        model = _build_virasoro(spec)
     else:
         model = _build_free_field(spec)
     if corrupt is not None:

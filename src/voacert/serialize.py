@@ -1,17 +1,19 @@
 """Model persistence and the content-addressed build cache.
 
-The on-disk container (schema voacert-model/3) records the model
-specification, graded dimensions, basis labels, the conformal state, and
-every materialized generator block as [rows, cols, [[i, j, "p/q"], ...]]
-over its nonzero entries.  A Virasoro model's degrees above N hold every
-Verma word (voacert-model/2 stored the quotient there), so a container of
-the older schema is rebuilt, not compared.  Loading rebuilds the model
-from its spec (the construction is deterministic; a Virasoro model with
-the working margin n_internal - N it was stored with), materializes the
-stored blocks, and requires the rebuild to serialize to exactly the
-stored fields; rationals are canonical "p/q" strings, so comparing text
-is exact.  load_model returns the rebuilt model, never stored data, so a
-cache hit can never drift from a cold build.
+The on-disk container (schema voacert-model/4) records the model
+specification as its config fields (config.spec_fields: kind, N and each
+field the kind reads that is off its default, as strings), graded
+dimensions, basis labels, the conformal state, and every materialized
+generator block as [rows, cols, [[i, j, "p/q"], ...]] over its nonzero
+entries.  voacert-model/3 stored a spec without the Virasoro pad and
+recovered it from n_internal, so a container of an older schema is
+rebuilt, not compared.  Loading parses the stored spec with
+config.spec_from_fields (a pad outside [0, N] is rejected before anything
+is built), rebuilds the model from it (the construction is deterministic),
+materializes the stored blocks, and requires the rebuild to serialize to
+exactly the stored fields; rationals are canonical "p/q" strings, so
+comparing text is exact.  load_model returns the rebuilt model, never
+stored data, so a cache hit can never drift from a cold build.
 """
 
 from __future__ import annotations
@@ -20,39 +22,16 @@ import hashlib
 import json
 import os
 
-from .errors import ConfigError, ModelBugError, SpecError
-from .graded_fock import BasisState, Model, ModelSpec, build_model, \
-    default_n_internal
-from .scalars import Q, rat_to_str, rational
+from .config import spec_fields, spec_from_fields
+from .errors import ConfigError, ModelBugError
+from .graded_fock import BasisState, Model, ModelSpec, build_model
+from .scalars import Q, rat_to_str
 
-SCHEMA = "voacert-model/3"
-
-
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "N": spec.N,
-        "rank": spec.rank,
-        "metric": [[rat_to_str(x) for x in row] for row in spec.metric],
-        "c": rat_to_str(spec.c) if spec.c is not None else None,
-        "q": spec.q,
-    }
-
-
-def spec_from_dict(data: dict) -> ModelSpec:
-    return ModelSpec(
-        kind=data["kind"],
-        N=data["N"],
-        rank=data.get("rank", 1),
-        metric=tuple(tuple(rational(x) for x in row)
-                     for row in data.get("metric", [])),
-        c=rational(data["c"]) if data.get("c") is not None else None,
-        q=data.get("q", 0),
-    )
+SCHEMA = "voacert-model/4"
 
 
 def spec_digest(spec: ModelSpec) -> str:
-    blob = json.dumps(spec_to_dict(spec), sort_keys=True,
+    blob = json.dumps(spec_fields(spec), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -75,7 +54,7 @@ def model_to_dict(model: Model) -> dict:
             blocks[f"{gid}:{m}:{src}"] = _mat_to_sparse(per_src[src])
     return {
         "schema": SCHEMA,
-        "spec": spec_to_dict(model.spec),
+        "spec": spec_fields(model.spec),
         "digest": spec_digest(model.spec),
         "n_internal": model.n_internal,
         "dims": [model.dim(d) for d in range(model.n_internal + 1)],
@@ -108,36 +87,17 @@ def write_atomic(path: str, text: str):
             os.unlink(tmp)
 
 
-def _stored_pad(spec: ModelSpec, data: dict):
-    """Virasoro working margin n_internal - N of a container; None else.
-
-    A pad outside [0, N] is rejected before anything is built.
-    """
-    if spec.kind != "virasoro":
-        return None
-    n_internal = data.get("n_internal")
-    try:
-        if type(n_internal) is not int:
-            raise SpecError("not an int")
-        spec.validate(n_internal - spec.N)
-    except SpecError as exc:
-        raise ModelBugError(f"stored n_internal {n_internal!r}: {exc}") \
-            from None
-    return n_internal - spec.N
-
-
 def _stored_spec(path: str, data: dict) -> ModelSpec:
     """The container's spec, validated; ModelBugError if missing or bad."""
+    fields = data.get("spec")
     try:
-        spec = spec_from_dict(data["spec"])
-        if not all(type(x) is int for x in (spec.N, spec.rank, spec.q)):
-            raise TypeError("N, rank and q must be ints")
-        spec.validate()
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError, SpecError) as exc:
-        raise ModelBugError(f"{path}: missing or malformed spec ({exc!r}); "
+        if not (isinstance(fields, dict) and all(
+                isinstance(v, str) for v in fields.values())):
+            raise ConfigError("not an object of strings")
+        return spec_from_fields("stored spec", fields)[0]
+    except ConfigError as exc:
+        raise ModelBugError(f"{path}: missing or malformed spec ({exc}); "
                             "stale or corrupted container") from None
-    return spec
 
 
 def load_model(path: str) -> Model:
@@ -157,8 +117,7 @@ def load_model(path: str) -> Model:
                             "corrupted container")
     if data.get("schema") != SCHEMA:
         raise ConfigError(f"unknown container schema {data.get('schema')!r}")
-    spec = _stored_spec(path, data)
-    model = build_model(spec, pad=_stored_pad(spec, data))
+    model = build_model(_stored_spec(path, data))
     n = model.n_internal
     blocks = data.get("blocks", {})
     if not isinstance(blocks, dict):
@@ -186,8 +145,9 @@ def load_model(path: str) -> Model:
 
 
 class ModelCache:
-    """Directory of built models keyed by the spec digest.  It holds no
-    model in memory: each get_or_build call loads or builds one."""
+    """Directory of built models keyed by the digest of the whole spec, pad
+    included.  It holds no model in memory: each get_or_build call loads
+    or builds one."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -196,23 +156,19 @@ class ModelCache:
     def path_for(self, spec: ModelSpec) -> str:
         return os.path.join(self.directory, spec_digest(spec) + ".json")
 
-    def get_or_build(self, spec: ModelSpec, pad: int = None) -> Model:
+    def get_or_build(self, spec: ModelSpec) -> Model:
         path = self.path_for(spec)
         model = None
-        if pad is None and os.path.exists(path):
+        if os.path.exists(path):
             try:
                 model = load_model(path)
             except ConfigError:
                 pass  # a container of another schema: rebuild, overwrite
-            want = default_n_internal(spec)
-            if model is not None and (model.spec != spec
-                                      or model.n_internal != want):
+            if model is not None and model.spec != spec:
                 raise ModelBugError(
-                    f"{path} holds {model.spec.describe()} at n_internal "
-                    f"{model.n_internal} not {spec.describe()} at {want}; "
-                    "stale or corrupted container")
+                    f"{path} holds {spec_fields(model.spec)} not "
+                    f"{spec_fields(spec)}; stale or corrupted container")
         if model is None:
-            model = build_model(spec, pad=pad)
-            if pad is None:
-                save_model(model, path)
+            model = build_model(spec)
+            save_model(model, path)
         return model

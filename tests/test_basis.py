@@ -551,7 +551,8 @@ def test_a_pad_of_zero_or_n_builds(pad):
                          ids=["heisenberg", "lattice"])
 @pytest.mark.parametrize("pad", [0, 3])
 def test_a_pad_on_another_kind_than_virasoro_is_a_spec_error(spec, pad):
-    with pytest.raises(SpecError, match="pad applies to virasoro models"):
+    with pytest.raises(SpecError, match="field 'pad' does not apply to "
+                                        f"kind '{spec.kind}'"):
         build_model(spec, pad=pad)
 
 

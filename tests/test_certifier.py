@@ -19,7 +19,7 @@ from voacert.bound_certifier import (BoundReport, bootstrap_analyze,
                                      orbifold_average,
                                      trace_domination_check)
 from voacert.graded_fock import (Automorphism, BasisState, StateVector,
-                                 build_model, heisenberg_spec)
+                                 build_model, heisenberg_spec, virasoro_spec)
 from voacert.mode_engine import state_product
 from voacert.norm_lab import norm_table
 from voacert.scalars import Q
@@ -383,3 +383,25 @@ def test_certifier_reports_match_pinned_digest(name, heis8, ising8, lat2_8,
     text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CERTIFIER_DIGESTS[name]
+
+
+def test_orbifold_average_on_an_empty_degree_is_zero_and_passes():
+    # a Virasoro vacuum module has no state of degree 1
+    x, report = orbifold_average(build_model(virasoro_spec("1/2", 6)), 1)
+    assert x.is_zero() and report.notes["empty_degree"] is True
+    assert report.passed and not report.cells
+
+
+def test_a_growth_chain_step_below_alpha_squared_fails_the_witness():
+    # alpha = (10, 99.995): K(0)^2 = 1e-4 exceeds D K(1) = 9.9995e-5 by
+    # less than the absolute slack tol * max(1, K(0)^2), so the recursion
+    # holds, yet alpha_1 lies below alpha_0^2 = 100
+    verdict = bootstrap_analyze([0.01, 0.099995], 1e-3, 0.0, 1)
+    assert verdict.kind == "growth_detected" and verdict.n_bar == 0
+    assert verdict.alphas[1] < verdict.alphas[0] ** 2
+    assert verdict.witness_ok is False
+
+
+def test_the_majorizing_fit_of_one_point_is_that_point():
+    assert bound_certifier._majorizing_fit([((3, 2), 0.5)]) == \
+        (0.5, [0.0, 0.0])

@@ -9,9 +9,10 @@ from voacert import cli
 from voacert.cli import (CHECKS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION,
                          FIELDS, _build_parser, main, resolve_state,
                          run_check, run_suite)
-from voacert.config import KIND_FIELDS, MODEL_FIELDS, parse_config
+from voacert.config import MODEL_FIELDS, parse_config
 from voacert.errors import ConfigError
-from voacert.graded_fock import build_model, heisenberg_spec, lattice_spec
+from voacert.graded_fock import (SPEC_FIELDS, build_model, heisenberg_spec,
+                                 lattice_spec)
 from voacert.norm_lab import norm_table
 from voacert.scalars import Q
 from voacert.serialize import ModelCache, load_model
@@ -152,19 +153,40 @@ def test_corrupted_model_fails_suite(tmp_path, capsys):
     assert code == EXIT_VIOLATION
 
 
+def test_the_command_line_reads_every_model_field(tmp_path, capsys):
+    # --metric and --corrupt used to exit 2 with "unrecognized arguments"
+    assert main(["certify", "--kind", "heisenberg", "--rank", "2",
+                 "--metric", "2,1;1,2", "--N", "4",
+                 "--check", "unitarity"]) == EXIT_OK
+    out = tmp_path / "model.json"
+    assert main(["build", "--kind", "heisenberg", "--rank", "2", "--metric",
+                 "2,1;1,2", "--N", "4", "--out", str(out)]) == EXIT_OK
+    assert load_model(str(out)).spec == heisenberg_spec(
+        2, 4, metric=[[2, 1], [1, 2]])
+    capsys.readouterr()
+    assert main(["axioms", "--kind", "heisenberg", "--N", "6", "--samples",
+                 "50", "--seed", "1",
+                 "--corrupt", "0,-1,2,0,0,1"]) == EXIT_VIOLATION
+    assert json.loads(capsys.readouterr().out)["identities"]["commutator"][
+        "failures"]
+
+
 def test_export_verb(tmp_path, capsys):
     config = parse_config(SUITE)
     out = tmp_path / "rep"
     run_suite(config, str(out), jobs=1)
+    suite_csv = (out / "nm.csv").read_bytes()
+    assert suite_csv.startswith(b"m,n,norm\r\n")
     dest = tmp_path / "export"
     os.makedirs(dest)
-    code = main(["export", "--bundle", str(out / "suite.json"),
-                 "--format", "csv", "--out", str(dest)])
-    assert code == EXIT_OK
-    written = list(dest.iterdir())
-    assert written
-    for p in written:
-        assert p.read_text().startswith("m,n,lhs,rhs,margin")
+    # README exports into the suite's own directory too: a norm table keeps
+    # the m,n,norm layout of `norms --csv` and the suite, byte for byte
+    for target in (dest, out):
+        code = main(["export", "--bundle", str(out / "suite.json"),
+                     "--format", "csv", "--out", str(target)])
+        assert code == EXIT_OK
+        assert (target / "nm.csv").read_bytes() == suite_csv
+    assert [p.name for p in dest.iterdir()] == ["nm.csv"]
 
 
 def test_bundles_are_written_whole_or_not_at_all(tmp_path, monkeypatch):
@@ -313,6 +335,19 @@ def test_a_bootstrap_window_with_no_cell_does_not_pass(capsys):
                  "--q", "2", "--N", "6", "--n-max", "0", "--d", "1"]) \
         == EXIT_VIOLATION
     assert '"kind": "inconclusive"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_max, d", [(6, 6), (0, 1)])
+def test_a_bootstrap_window_with_no_fit_point_is_inconclusive(capsys, n_max,
+                                                              d):
+    # K(0) = 0 on a lattice, so neither window has n with K(n), K(n+d) > 0;
+    # (6, 6) used to report growth_detected from D = 1.0 and s = 0.0
+    assert main(["certify", "--check", "bootstrap", "--kind", "lattice",
+                 "--q", "2", "--N", "6", "--n-max", str(n_max),
+                 "--d", str(d)]) == EXIT_VIOLATION
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"]["kind"] == "inconclusive"
+    assert out["D"] is None and out["s"] is None
 
 
 def test_an_unwritable_output_exits_with_config_code(tmp_path, capsys):
@@ -876,7 +911,7 @@ def test_readme_model_table_lists_the_fields_of_every_kind():
         if match:
             rows[match.group(1)] = tuple(re.findall(r"`(\w+)`",
                                                     match.group(2)))
-    assert rows == KIND_FIELDS
+    assert rows == SPEC_FIELDS
     common = re.search(r"every kind reads ([^.]*)\.", text).group(1)
-    own = {f for fields in KIND_FIELDS.values() for f in fields}
+    own = {f for fields in SPEC_FIELDS.values() for f in fields}
     assert set(re.findall(r"`(\w+)`", common)) == set(MODEL_FIELDS) - own

@@ -208,8 +208,8 @@ def test_a_pad_outside_zero_to_n_is_a_config_error(pad):
 
 @pytest.mark.parametrize("pad", [0, 6])
 def test_a_pad_of_zero_or_n_is_accepted(pad):
-    assert parse_config(GOOD + VIR6 + f"model.w.pad = {pad}\n").pads["w"] \
-        == pad
+    assert parse_config(GOOD + VIR6 + f"model.w.pad = {pad}\n").models[
+        "w"].pad == pad
 
 
 @pytest.mark.parametrize("key", [

@@ -1,20 +1,61 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voacert import serialize
+from voacert.config import spec_fields, spec_from_fields
 from voacert.errors import ConfigError, ModelBugError
-from voacert.graded_fock import (build_model, heisenberg_spec, lattice_spec,
-                                 virasoro_spec)
+from voacert.graded_fock import (ModelSpec, build_model, heisenberg_spec,
+                                 lattice_spec, virasoro_spec)
 from voacert.scalars import rat_to_str, rational
 from voacert.serialize import (ModelCache, load_model, model_to_dict,
-                               save_model, spec_digest, spec_from_dict,
-                               spec_to_dict)
+                               save_model, spec_digest)
 
 
 def test_spec_dict_round_trip():
-    for spec in (heisenberg_spec(1, 6), lattice_spec(2, 6)):
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+    for spec in (heisenberg_spec(1, 6), lattice_spec(2, 6),
+                 virasoro_spec("-22/5", 6), replace(virasoro_spec(1, 6),
+                                                    pad=0)):
+        assert spec_from_fields("spec", spec_fields(spec)) == (spec, None)
+    assert spec_fields(replace(virasoro_spec("1/2", 14), pad=1)) == {
+        "kind": "virasoro", "N": "14", "c": "1/2", "pad": "1"}
+
+
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def _specs(draw):
+    """A valid spec of any kind: a Heisenberg metric L L^T + I, a nonzero
+    central charge, an even lattice square, a pad in [0, N] or None."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["heisenberg", "virasoro", "lattice"]))
+    if kind == "lattice":
+        return lattice_spec(2 * draw(st.integers(1, 4)), n)
+    if kind == "virasoro":
+        pad = draw(st.none() | st.integers(0, n))
+        return ModelSpec("virasoro", n, c=draw(_RATIONALS.filter(bool)),
+                         pad=pad)
+    rank = draw(st.integers(1, 3))
+    if not draw(st.booleans()):
+        return heisenberg_spec(rank, n)
+    low = [[draw(_RATIONALS) if j <= i else Fraction(0)
+            for j in range(rank)] for i in range(rank)]
+    metric = [[sum(low[i][k] * low[j][k] for k in range(rank)) + (i == j)
+               for j in range(rank)] for i in range(rank)]
+    return heisenberg_spec(rank, n, metric=metric)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs())
+def test_spec_fields_round_trip_through_the_config_parser(spec):
+    fields = spec_fields(spec)
+    assert all(isinstance(v, str) for v in fields.values())
+    assert spec_from_fields("spec", fields) == (spec, None)
 
 
 def test_digest_is_stable_and_distinguishing():
@@ -122,11 +163,16 @@ def test_cache_hits_disk_then_memory(tmp_path):
     assert second.nu == first.nu
 
 
-def test_cache_skips_disk_for_padded_builds(tmp_path):
-    cache = ModelCache(str(tmp_path))
+def test_cache_keys_a_padded_spec_by_its_pad(tmp_path):
     spec = virasoro_spec("1/2", 6)
-    cache.get_or_build(spec, pad=2)
-    assert not (tmp_path / (spec_digest(spec) + ".json")).exists()
+    padded = replace(spec, pad=2)
+    assert spec_digest(padded) != spec_digest(spec)
+    first = ModelCache(str(tmp_path)).get_or_build(padded)
+    assert [p.name for p in tmp_path.iterdir()] == \
+        [spec_digest(padded) + ".json"]
+    again = ModelCache(str(tmp_path)).get_or_build(padded)
+    assert again.spec == padded and again.n_internal == first.n_internal == 8
+    assert ModelCache(str(tmp_path)).get_or_build(spec).n_internal == 9
 
 
 @pytest.mark.parametrize("pad", [0, 1, 6])
@@ -141,20 +187,33 @@ def test_padded_virasoro_containers_round_trip(tmp_path, pad):
     assert second.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize("n_internal", [5, 13, 10 ** 6, "7", None])
+# a stored field is a string: an int pad (in range or not) and null are
+# malformed, "7", "99" and "-1" lie outside [0, 6], the rest are no ints
+@pytest.mark.parametrize("pad", [5, 13, 10 ** 6, "7", None, "99", "-1", "x",
+                                 "1.5", ""])
 def test_load_rejects_a_pad_outside_range_before_building(
-        tmp_path, monkeypatch, n_internal):
+        tmp_path, monkeypatch, pad):
     path = tmp_path / "model.json"
     save_model(build_model(virasoro_spec("1/2", 6), pad=1), str(path))
     data = json.loads(path.read_text())
-    data["n_internal"] = n_internal
+    data["spec"]["pad"] = pad
     path.write_text(json.dumps(data))
 
     def no_build(*args, **kwargs):
         raise AssertionError("built a model for an invalid pad")
 
     monkeypatch.setattr(serialize, "build_model", no_build)
-    with pytest.raises(ModelBugError):
+    with pytest.raises(ModelBugError, match="malformed spec"):
+        load_model(str(path))
+
+
+def test_load_catches_a_tampered_n_internal_after_the_rebuild(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(build_model(virasoro_spec("1/2", 6), pad=1), str(path))
+    data = json.loads(path.read_text())
+    data["n_internal"] = 8
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelBugError, match="stored n_internal disagrees"):
         load_model(str(path))
 
 
@@ -209,8 +268,9 @@ def _container_of_another_spec(cache_dir):
 
 def test_cache_rejects_a_container_of_another_spec(tmp_path):
     _container_of_another_spec(tmp_path)
-    with pytest.raises(ModelBugError, match="holds .* not .*; stale or "
-                                            "corrupted container"):
+    with pytest.raises(ModelBugError, match="holds {'kind': 'heisenberg', "
+                       "'N': '6'} not {'kind': 'heisenberg', 'N': '5'}; "
+                       "stale or corrupted container"):
         ModelCache(str(tmp_path)).get_or_build(heisenberg_spec(1, 5))
 
 
@@ -226,15 +286,18 @@ def test_suite_on_a_container_of_another_spec_exits_with_numerical_code(
                    f"cache_dir = {cache}\n")
     assert main(["suite", "--config", str(cfg), "--out",
                  str(tmp_path / "rep")]) == EXIT_NUMERICAL
-    assert "holds heisenberg(rank=1, N=6)" in capsys.readouterr().err
+    assert "holds {'kind': 'heisenberg', 'N': '6'} not" in \
+        capsys.readouterr().err
 
 
 def test_cache_rejects_a_container_of_another_pad(tmp_path):
     spec = virasoro_spec("1/2", 6)
     path = ModelCache(str(tmp_path)).path_for(spec)
     save_model(build_model(spec, pad=1), path)
-    with pytest.raises(ModelBugError, match="at n_internal 7 not .* at 9; "
-                                            "stale or corrupted container"):
+    with pytest.raises(ModelBugError, match="holds {'kind': 'virasoro', "
+                       "'N': '6', 'c': '1/2', 'pad': '1'} not {'kind': "
+                       "'virasoro', 'N': '6', 'c': '1/2'}; stale or "
+                       "corrupted container"):
         ModelCache(str(tmp_path)).get_or_build(spec)
 
 
@@ -269,11 +332,11 @@ SPEC_TAMPERS = {
     "missing": lambda d: d.pop("spec"),
     "not-an-object": lambda d: d.update(spec=[1, 2]),
     "empty": lambda d: d.update(spec={}),
-    "string-N": lambda d: d["spec"].update(N="5"),
+    "int-N": lambda d: d["spec"].update(N=5),
     "float-N": lambda d: d["spec"].update(N=5.0),
     "unknown-kind": lambda d: d["spec"].update(kind="bogus"),
-    "bad-metric": lambda d: d["spec"].update(metric=[["x"]]),
-    "zero-rank": lambda d: d["spec"].update(rank=0),
+    "bad-metric": lambda d: d["spec"].update(metric="x"),
+    "zero-rank": lambda d: d["spec"].update(rank="0"),
 }
 
 
@@ -346,10 +409,11 @@ def test_save_model_replaces_the_container_atomically(tmp_path,
     virasoro_spec("1/2", 4), lattice_spec(4, 4)],
     ids=["heisenberg", "heisenberg_metric", "virasoro", "lattice"])
 def test_a_stored_spec_keeps_the_defaults_of_unread_fields(spec, tmp_path):
-    # a container stores every field, so a kind's unread fields must load
-    stored = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    # a container stores the fields the kind reads that are off their
+    # defaults, so a kind's unread fields must load as their defaults
+    stored, _ = spec_from_fields(
+        "spec", json.loads(json.dumps(spec_fields(spec))))
     assert stored == spec
-    stored.validate()
     path = str(tmp_path / "model.json")
     save_model(build_model(spec), path)
     assert load_model(path).spec == spec

@@ -526,3 +526,15 @@ def test_free_field_adjoints_run_no_gauss_jordan(monkeypatch, spec):
     for m in (-1, 0, 1, 2):
         assert adjoint_residual(model, current, m).is_zero
     assert calls == []
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_pair_states_of_one_degree_is_the_pairing_of_basis_vectors(
+        ising8, lat2_6, degree):
+    for model in (ising8, lat2_6):
+        fam = family_of(model)
+        states = model.basis.states(degree)
+        for u in states:
+            for v in states:
+                assert fam.pair_states(u, v) == fam.pairing(
+                    StateVector.basis(u), StateVector.basis(v))

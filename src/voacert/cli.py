@@ -27,12 +27,12 @@ from .bound_certifier import (BootstrapVerdict, bootstrap_analyze,
                               trace_domination_check)
 from .config import (MODEL_FIELDS, NAME, SuiteConfig, load_config,
                      make_check, spec_from_fields)
-from .errors import (ConfigError, ModelBugError, TruncationError,
-                     VoacertError)
+from .errors import (ConfigError, ModelBugError, SpecError,
+                     TruncationError, VoacertError)
 from .graded_fock import (SPEC_FIELDS, Automorphism, BasisState, Model,
                           ModelSpec, StateVector, build_model)
 from .mode_engine import sample_residuals
-from .norm_lab import norm_table, write_norm_csv
+from .norm_lab import norm_table, write_csv, write_norm_csv
 from .scalars import Q, rational
 from .serialize import ModelCache, save_model, write_atomic
 from .unitary_structure import family_of
@@ -90,10 +90,9 @@ def resolve_state(model: Model, selector: str) -> StateVector:
 
 
 def _model_from_args(args) -> Model:
-    spec, corrupt = spec_from_fields("command line", {
+    return build_model(spec_from_fields("command line", {
         k: getattr(args, k) for k in MODEL_FIELDS
-        if getattr(args, k) is not None})
-    return build_model(spec, corrupt=corrupt)
+        if getattr(args, k) is not None}))
 
 
 def _add_model_flags(parser):
@@ -293,22 +292,18 @@ def run_check(model: Model, check: dict, tolerance: float,
 # suite execution
 
 
-def _suite_model(memo: dict, spec: ModelSpec, corrupt, cache_dir):
+def _suite_model(memo: dict, spec: ModelSpec, cache_dir):
     """A suite's model, built once per memo; read from and saved to
-    cache_dir when one is set, unless it is corrupted on purpose."""
-    key = (spec, corrupt)
-    model = memo.get(key)
+    cache_dir when one is set."""
+    model = memo.get(spec)
     if model is None:
-        if cache_dir and corrupt is None:
-            model = ModelCache(cache_dir).get_or_build(spec)
-        else:
-            model = build_model(spec, corrupt=corrupt)
-        memo[key] = model
+        model = memo[spec] = ModelCache(cache_dir).get_or_build(spec) \
+            if cache_dir else build_model(spec)
     return model
 
 
-def _task(spec, corrupt, cache_dir, check, tolerance, output_dir):
-    model = _suite_model(_task_models, spec, corrupt, cache_dir)
+def _task(spec, cache_dir, check, tolerance, output_dir):
+    model = _suite_model(_task_models, spec, cache_dir)
     return run_check(model, check, tolerance, output_dir)
 
 
@@ -327,9 +322,7 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
     os.makedirs(output_dir, exist_ok=True)
 
     def entry(check):
-        mname = check["model"]
-        return (config.models[mname], config.corrupts.get(mname),
-                config.cache_dir)
+        return config.models[check["model"]], config.cache_dir
 
     if jobs == 1:
         models = {}
@@ -386,43 +379,28 @@ def export_bundle(bundle_path: str, fmt: str, out_dir: str):
         if any(name == seen for seen, _, _ in tables):
             raise ConfigError(f"{bundle_path}: two results are named "
                               f"{name!r}, so both would write {name}.csv")
-        cells = _csv_rows(result)
-        if cells is None:
+        # a report's or orbifold chain's cells, or a norm table's in the
+        # layout of `norms --csv` and the suite
+        fields = ("m", "n", "lhs", "rhs", "margin")
+        report = result.get("report") or result.get("chain") or {}
+        if "table" in result:
+            report, fields = result["table"], ("m", "n", "norm")
+        cells = report.get("cells", []) if isinstance(report, dict) else None
+        if not isinstance(cells, list) or not all(
+                isinstance(cell, dict) and all(isinstance(
+                    cell.get(f), (str, int, float)) for f in fields)
+                for cell in cells):
             raise ConfigError(f"{bundle_path}: result {name!r} has malformed "
                               "cells")
-        tables.append((name, result, cells))
+        tables.append((name, fields, cells))
     written = []
-    for name, result, cells in tables:
-        if not cells:
-            continue
-        path = os.path.join(out_dir, f"{name}.csv")
-        if "table" in result:  # the layout of `norms --csv` and the suite
-            write_norm_csv(result["table"], path)
-        else:
-            with open(path, "w") as fh:
-                fh.write("m,n,lhs,rhs,margin\n")
-                fh.writelines(",".join(map(str, cell)) + "\n"
-                              for cell in cells)
-        written.append(path)
+    for name, fields, cells in tables:
+        if cells:
+            written.append(os.path.join(out_dir, f"{name}.csv"))
+            write_csv(written[-1], fields, cells)
     if not written:
         raise ConfigError("empty table: nothing to export")
     return written
-
-
-def _csv_rows(result: dict):
-    """The m,n,lhs,rhs,margin rows of a result's report or chain cells, or
-    the m,n,norm rows of its table, or None if they are malformed."""
-    fields = ("m", "n", "lhs", "rhs", "margin")
-    report = result.get("report") or result.get("chain") or {}
-    if "table" in result:
-        report, fields = result["table"], ("m", "n", "norm")
-    cells = report.get("cells", []) if isinstance(report, dict) else None
-    if not isinstance(cells, list) or not all(
-            isinstance(cell, dict) and all(isinstance(
-                cell.get(f), (str, int, float)) for f in fields)
-            for cell in cells):
-        return None
-    return [tuple(cell[f] for f in fields) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +483,7 @@ def main(argv=None) -> int:
                 print(path)
             return EXIT_OK
         raise ConfigError(f"unknown verb {args.verb!r}")
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelBugError as exc:

@@ -13,7 +13,8 @@ else is a top-level setting.  Example:
     output_dir = reports
 
 A model is read through spec_from_fields wherever it is described: in a
-suite config, on the command line and in a stored container.  Its inverse,
+suite config, on the command line and in a stored container, and its
+ModelSpec, corrupt included, is all there is of it.  Its inverse,
 spec_fields, writes a spec as the same strings.
 """
 
@@ -25,14 +26,13 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, SpecError
-from .graded_fock import SPEC_FIELDS, ModelSpec
+from .graded_fock import EVERY_KIND, SPEC_FIELDS, ModelSpec
 from .scalars import rat_to_str, rational
 
 
 @dataclass
 class SuiteConfig:
     models: dict = field(default_factory=dict)   # name -> ModelSpec
-    corrupts: dict = field(default_factory=dict)  # name -> tuple or None
     checks: list = field(default_factory=list)   # [{"name", "type", ...}]
     tolerance: float = 1e-8
     output_dir: str = "reports"
@@ -94,20 +94,20 @@ def _corrupt(value: str):
     return tuple(int(x) for x in parts)
 
 
-# Every model field with its parser.  Every kind reads kind, N and corrupt,
+# Every field of ModelSpec with its parser.  Every kind reads EVERY_KIND,
 # and SPEC_FIELDS names what each kind reads besides; REQUIRED names the
 # fields that have no default.
 MODEL_FIELDS = {"kind": str, "N": int, "pad": int, "corrupt": _corrupt,
                 "rank": int, "metric": _metric, "c": rational, "q": int}
 REQUIRED = ("N", "c", "q")
 # How spec_fields writes a field that str does not write as it parses
-FORMATS = {"c": rat_to_str,
+FORMATS = {"c": rat_to_str, "corrupt": lambda six: ",".join(map(str, six)),
            "metric": lambda rows: ";".join(",".join(map(rat_to_str, row))
                                            for row in rows)}
 
 
 def spec_from_fields(where: str, fields: dict):
-    """Validated (spec, corrupt) from named model fields.
+    """The validated ModelSpec of named model fields.
 
     Every value is parsed first; then a field the kind does not read, or a
     missing one it needs, is a ConfigError.  Errors start with `where`.
@@ -118,7 +118,7 @@ def spec_from_fields(where: str, fields: dict):
     kind = parsed.get("kind")
     if kind not in SPEC_FIELDS:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
-    reads = ("kind", "N", "corrupt") + SPEC_FIELDS[kind]
+    reads = EVERY_KIND + SPEC_FIELDS[kind]
     for name in parsed:
         if name not in reads:
             raise ConfigError(f"{where}: field {name!r} does not apply to "
@@ -126,24 +126,21 @@ def spec_from_fields(where: str, fields: dict):
     for name in REQUIRED:
         if name in reads and name not in parsed:
             raise ConfigError(f"{where}: missing {name}")
-    corrupt = parsed.pop("corrupt", None)
     spec = ModelSpec(**parsed)
     try:
         spec.validate()
     except SpecError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    return spec, corrupt
+    return spec
 
 
 def spec_fields(spec: ModelSpec) -> dict:
     """kind, N and every field the kind reads that is off its default, as
     the strings spec_from_fields parses back to spec."""
-    out = {"kind": spec.kind, "N": str(spec.N)}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if f.name in SPEC_FIELDS.get(spec.kind, ()) and value != f.default:
-            out[f.name] = FORMATS.get(f.name, str)(value)
-    return out
+    reads = EVERY_KIND + SPEC_FIELDS.get(spec.kind, ())
+    return {f.name: FORMATS.get(f.name, str)(getattr(spec, f.name))
+            for f in dataclasses.fields(spec)
+            if f.name in reads and getattr(spec, f.name) != f.default}
 
 
 def _tolerance(value: str) -> float:
@@ -205,8 +202,7 @@ def parse_config(text: str) -> SuiteConfig:
 
     config = SuiteConfig()
     for name, fields in sorted(sections["model"].items()):
-        config.models[name], config.corrupts[name] = spec_from_fields(
-            f"model {name!r}", fields)
+        config.models[name] = spec_from_fields(f"model {name!r}", fields)
     for name, fields in sorted(sections["check"].items()):
         fields = dict(fields)
         ctype, mname = fields.pop("type", None), fields.pop("model", None)

@@ -9,8 +9,8 @@ a scaled block into another on ints, raising its denominator to the lcm
 scalings are built from it.  One private loop adds f * outer @ inner into
 int rows over a fixed denominator: ``compose`` runs it once, and
 ``sum_of_products`` once per term over their lcm, with no rescaling;
-peeling builds each composite state's block, and the Gram recursion each
-Gram matrix, with the latter.
+peeling builds each composite state's block, and the Virasoro builder each
+degree of the Verma Gram, with the latter.
 ``Block.reduced`` is the one pass to lowest terms, in place.
 Read as a sequence, a block is its dense view of int/Q entries, built on
 first read and memoized.

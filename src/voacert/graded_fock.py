@@ -45,8 +45,9 @@ from .scalars import Q, ZERO, canon, rational
 # specs and basis labels
 
 
-# The spec fields each kind reads besides kind and N; every other field
-# must keep its default.
+# The spec fields every kind reads, and those each kind reads besides;
+# every other field must keep its default.
+EVERY_KIND = ("kind", "N", "corrupt")
 SPEC_FIELDS = {"heisenberg": ("rank", "metric"), "virasoro": ("c", "pad"),
                "lattice": ("q",)}
 
@@ -63,20 +64,32 @@ class ModelSpec:
     q: int = 0  # <gamma,gamma>, lattice only
     # Virasoro only: the working margin above N, None for N // 2
     pad: int = None
+    # (gid, m, src, row, col, delta): shift that structure constant after
+    # the build (mutation testing)
+    corrupt: tuple = None
+
+    def __post_init__(self):
+        # the default margin has one spec, so equal models are equal specs
+        if self.kind == "virasoro" and self.pad == self.N // 2:
+            object.__setattr__(self, "pad", None)
 
     def validate(self):
         """Raise SpecError for an invalid spec: a field its kind does not
-        read off its default among them, or a pad outside [0, N]."""
+        read off its default among them, a corrupt that is not six ints, or
+        a pad outside [0, N]."""
         if self.N < 2:
             raise SpecError("truncation too small to hold the conformal state "
                             "(need N >= 2)")
         if self.kind not in SPEC_FIELDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
         for f in fields(self):
-            if f.name not in ("kind", "N") + SPEC_FIELDS[self.kind] and \
+            if f.name not in EVERY_KIND + SPEC_FIELDS[self.kind] and \
                     getattr(self, f.name) != f.default:
                 raise SpecError(f"field {f.name!r} does not apply to kind "
                                 f"{self.kind!r}")
+        if self.corrupt is not None and (type(self.corrupt) is not tuple or [
+                type(x) for x in self.corrupt] != [int] * 6):
+            raise SpecError("field 'corrupt' must be six ints")
         if self.kind == "heisenberg":
             if self.rank < 1:
                 raise SpecError("Heisenberg rank must be positive")
@@ -831,23 +844,28 @@ def _g_table(c: int, q: int, nmax: int) -> list:
 def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
     """Build a truncated model with exact generator data.
 
-    corrupt, when given, is (gid, m, src_degree, row, col, delta): the named
-    structure constant is shifted after the build (mutation testing hook).
-    pad, when given, replaces spec.pad, the working margin above N; modes
-    of composite words of length L need pad >= L - 1.
+    spec.corrupt shifts the structure constant it names after the build;
+    one that names no entry is a SpecError.  Modes of composite words of
+    length L need spec.pad >= L - 1.  corrupt and pad, when given, are
+    shorthand for replace(spec, corrupt=corrupt, pad=pad).
     """
-    spec = spec if pad is None else replace(spec, pad=pad)
+    spec = replace(spec, corrupt=spec.corrupt if corrupt is None else corrupt,
+                   pad=spec.pad if pad is None else pad)
     spec.validate()
     if spec.kind == "virasoro":
         model = _build_virasoro(spec)
     else:
         model = _build_free_field(spec)
-    if corrupt is not None:
-        gid, m, src, row, col, delta = corrupt
+    if spec.corrupt is not None:
+        gid, m, src, row, col, delta = spec.corrupt
+        # dim is 0 outside the degrees [0, n_internal] of the basis
+        if not (gid in model.generators and 0 <= row < model.dim(src - m)
+                and 0 <= col < model.dim(src)):
+            raise SpecError(f"field 'corrupt': {spec.corrupt} names no "
+                            f"generator block entry of {spec.describe()}")
         block = model.gen_block(gid, m, src)
         shift = [{} for _ in block.rows]
-        # col is read like an index into a dense row of the block
-        shift[row] = {range(block.cols)[col]: rational(delta)}
+        shift[row] = {col: rational(delta)}
         model._gen_blocks[(gid, m)][src] = xl.mat_add(
             block, xl.sparse_block(shift, block.cols)).reduced()
     return model

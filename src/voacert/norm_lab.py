@@ -233,12 +233,17 @@ class NormTable:
         }
 
 
-def write_norm_csv(table: dict, path):
-    """The cells of a NormTable.to_dict() as m,n,norm rows."""
+def write_csv(path, fields, cells):
+    """A header of fields, then each cell's fields, through csv.writer."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "n", "norm"])
-        writer.writerows([c["m"], c["n"], c["norm"]] for c in table["cells"])
+        writer.writerow(fields)
+        writer.writerows([cell[f] for f in fields] for cell in cells)
+
+
+def write_norm_csv(table: dict, path):
+    """The cells of a NormTable.to_dict() as m,n,norm rows."""
+    write_csv(path, ("m", "n", "norm"), table["cells"])
 
 
 def norm_table(model: Model, a, m_range, n_max: int,

@@ -2,9 +2,10 @@
 
 The on-disk container (schema voacert-model/4) records the model
 specification as its config fields (config.spec_fields: kind, N and each
-field the kind reads that is off its default, as strings), graded
-dimensions, basis labels, the conformal state, and every materialized
-generator block as [rows, cols, [[i, j, "p/q"], ...]] over its nonzero
+field the kind reads that is off its default, as strings, a corrupt as
+gid,m,src,row,col,delta), graded dimensions, basis labels, the conformal
+state, and every materialized generator block (a corrupted one as
+corrupted) as [rows, cols, [[i, j, "p/q"], ...]] over its nonzero
 entries.  voacert-model/3 stored a spec without the Virasoro pad and
 recovered it from n_internal, so a container of an older schema is
 rebuilt, not compared.  Loading parses the stored spec with
@@ -23,7 +24,7 @@ import json
 import os
 
 from .config import spec_fields, spec_from_fields
-from .errors import ConfigError, ModelBugError
+from .errors import ConfigError, ModelBugError, SpecError
 from .graded_fock import BasisState, Model, ModelSpec, build_model
 from .scalars import Q, rat_to_str
 
@@ -87,15 +88,16 @@ def write_atomic(path: str, text: str):
             os.unlink(tmp)
 
 
-def _stored_spec(path: str, data: dict) -> ModelSpec:
-    """The container's spec, validated; ModelBugError if missing or bad."""
+def _stored_model(path: str, data: dict) -> Model:
+    """The model of the container's spec; ModelBugError if the spec is
+    missing or bad, a corrupt that names no entry among them."""
     fields = data.get("spec")
     try:
         if not (isinstance(fields, dict) and all(
                 isinstance(v, str) for v in fields.values())):
             raise ConfigError("not an object of strings")
-        return spec_from_fields("stored spec", fields)[0]
-    except ConfigError as exc:
+        return build_model(spec_from_fields("stored spec", fields))
+    except (ConfigError, SpecError) as exc:
         raise ModelBugError(f"{path}: missing or malformed spec ({exc}); "
                             "stale or corrupted container") from None
 
@@ -117,7 +119,7 @@ def load_model(path: str) -> Model:
                             "corrupted container")
     if data.get("schema") != SCHEMA:
         raise ConfigError(f"unknown container schema {data.get('schema')!r}")
-    model = build_model(_stored_spec(path, data))
+    model = _stored_model(path, data)
     n = model.n_internal
     blocks = data.get("blocks", {})
     if not isinstance(blocks, dict):
@@ -146,8 +148,9 @@ def load_model(path: str) -> Model:
 
 class ModelCache:
     """Directory of built models keyed by the digest of the whole spec, pad
-    included.  It holds no model in memory: each get_or_build call loads
-    or builds one."""
+    and corrupt included; a pad of N // 2 is the default spec, so a model
+    has one container.  It holds no model in memory: each get_or_build
+    call loads or builds one."""
 
     def __init__(self, directory: str):
         self.directory = directory

@@ -573,6 +573,13 @@ def test_a_field_the_kind_does_not_read_is_a_spec_error(spec, field):
         build_model(spec)
 
 
+@pytest.mark.parametrize("corrupt", [(0, -1, 2), [0, -1, 2, 0, 0, 1],
+                                     (0, -1, 2, 0, 0, Q(1, 2))])
+def test_a_corrupt_of_other_than_six_ints_is_a_spec_error(corrupt):
+    with pytest.raises(SpecError, match="field 'corrupt' must be six ints"):
+        build_model(ModelSpec("heisenberg", N=6, corrupt=corrupt))
+
+
 # -- the Verma word action against the rational recursion --------------------
 
 

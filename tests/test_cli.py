@@ -153,6 +153,46 @@ def test_corrupted_model_fails_suite(tmp_path, capsys):
     assert code == EXIT_VIOLATION
 
 
+def test_a_corrupt_naming_no_entry_fails_suite_with_config_code(tmp_path,
+                                                               capsys):
+    path = tmp_path / "suite.cfg"
+    path.write_text(SUITE + "model.h.corrupt = 9,-1,2,0,0,1\n")
+    assert main(["suite", "--config", str(path),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert "field 'corrupt'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_corrupted_model_is_cached_like_any_other(tmp_path, jobs):
+    """A corrupted spec's container records corrupt, so the cold run and a
+    run of either kind that reads the cache write the same bytes."""
+    cache = tmp_path / "cache"
+    config = parse_config(SUITE + "model.h.corrupt = 0,-1,2,0,0,1\n"
+                          f"cache_dir = {cache}\n")
+    run_suite(config, str(tmp_path / "cold"), jobs=1)
+    assert [p.name for p in cache.iterdir()] == \
+        [os.path.basename(ModelCache(str(cache)).path_for(
+            config.models["h"]))]
+    run_suite(config, str(tmp_path / "warm"), jobs=jobs)
+    suite = (tmp_path / "cold" / "suite.json").read_bytes()
+    assert (tmp_path / "warm" / "suite.json").read_bytes() == suite
+    assert not json.loads(suite)["pass"]
+
+
+def test_one_model_with_and_without_its_default_pad_is_built_once(
+        tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_model",
+                        lambda spec: built.append(spec) or build_model(spec))
+    config = parse_config(
+        "model.a.kind = virasoro\nmodel.a.c = 1/2\nmodel.a.N = 6\n"
+        "model.b.kind = virasoro\nmodel.b.c = 1/2\nmodel.b.N = 6\n"
+        "model.b.pad = 3\ncheck.ua.type = unitarity\ncheck.ua.model = a\n"
+        "check.ub.type = unitarity\ncheck.ub.model = b\n")
+    assert run_suite(config, str(tmp_path / "rep"), jobs=1)["pass"]
+    assert built == [config.models["a"]] == [config.models["b"]]
+
+
 def test_the_command_line_reads_every_model_field(tmp_path, capsys):
     # --metric and --corrupt used to exit 2 with "unrecognized arguments"
     assert main(["certify", "--kind", "heisenberg", "--rank", "2",
@@ -428,6 +468,11 @@ def test_a_basis_state_above_n_fails_suite_with_config_code(tmp_path,
     ["--kind", "lattice", "--q", "4", "--N", "6", "--check",
      "zero_mode_product", "--state", "top:1", "--with", "basis:1:0",
      "--n-max", "6"],
+    # a corrupt that names no entry: no generator 9, row 5 and column 7
+    # outside the 3 x 2 block, source degree 40 past the truncation
+    *(["--kind", "heisenberg", "--N", "6", "--check", "unitarity",
+       "--corrupt", corrupt] for corrupt in (
+        "9,-1,2,0,0,1", "0,-1,2,5,0,1", "0,-1,2,0,7,1", "0,-1,40,0,0,1")),
 ])
 def test_bad_check_input_exits_with_config_code(argv, capsys):
     assert main(["certify"] + argv) == EXIT_CONFIG
@@ -522,6 +567,9 @@ def test_export_writes_the_orbifold_chain(tmp_path, capsys):
                  "--format", "csv", "--out", str(dest)]) == EXIT_OK
     rows = (dest / "orb.csv").read_text().splitlines()
     assert rows[0] == "m,n,lhs,rhs,margin"
+    # the norm tables' writer: csv.writer rows end in CRLF
+    assert (dest / "orb.csv").read_bytes().startswith(
+        b"m,n,lhs,rhs,margin\r\n")
     assert len(rows) == 1 + len(bundle["results"][0]["chain"]["cells"]) == 6
 
 

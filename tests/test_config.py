@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from voacert.cli import CHECKS, FIELDS
-from voacert.config import parse_config
+from voacert.config import MODEL_FIELDS, parse_config
 from voacert.errors import ConfigError
+from voacert.graded_fock import ModelSpec
 from voacert.scalars import Q
 
 GOOD = """
@@ -40,10 +43,17 @@ def test_parse_good_config():
     assert config.jobs == 2
 
 
+def test_model_fields_are_the_fields_of_a_model_spec():
+    """Every model field the config and the command line read is a
+    ModelSpec field, and back: a model has one description."""
+    assert set(MODEL_FIELDS) == {f.name for f in dataclasses.fields(
+        ModelSpec)}
+
+
 def test_corrupt_field_parses():
     text = GOOD + "model.h.corrupt = 0,-1,2,0,0,1\n"
     config = parse_config(text)
-    assert config.corrupts["h"] == (0, -1, 2, 0, 0, 1)
+    assert config.models["h"].corrupt == (0, -1, 2, 0, 0, 1)
 
 
 @pytest.mark.parametrize("key,value", [

@@ -20,7 +20,7 @@ def test_spec_dict_round_trip():
     for spec in (heisenberg_spec(1, 6), lattice_spec(2, 6),
                  virasoro_spec("-22/5", 6), replace(virasoro_spec(1, 6),
                                                     pad=0)):
-        assert spec_from_fields("spec", spec_fields(spec)) == (spec, None)
+        assert spec_from_fields("spec", spec_fields(spec)) == spec
     assert spec_fields(replace(virasoro_spec("1/2", 14), pad=1)) == {
         "kind": "virasoro", "N": "14", "c": "1/2", "pad": "1"}
 
@@ -51,11 +51,12 @@ def _specs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_specs())
-def test_spec_fields_round_trip_through_the_config_parser(spec):
+@given(_specs(), st.none() | st.tuples(*[st.integers(-9, 9)] * 6))
+def test_spec_fields_round_trip_through_the_config_parser(spec, corrupt):
+    spec = replace(spec, corrupt=corrupt)
     fields = spec_fields(spec)
     assert all(isinstance(v, str) for v in fields.values())
-    assert spec_from_fields("spec", fields) == (spec, None)
+    assert spec_from_fields("spec", fields) == spec
 
 
 def test_digest_is_stable_and_distinguishing():
@@ -63,6 +64,45 @@ def test_digest_is_stable_and_distinguishing():
     assert a == spec_digest(heisenberg_spec(1, 6))
     assert a != spec_digest(heisenberg_spec(1, 8))
     assert a != spec_digest(lattice_spec(2, 6))
+
+
+def test_a_built_corrupted_container_round_trips(tmp_path, capsys):
+    from voacert.cli import main
+
+    path = str(tmp_path / "m.json")
+    assert main(["build", "--kind", "heisenberg", "--N", "6", "--corrupt",
+                 "0,-1,2,0,0,1", "--out", path]) == 0
+    corrupt = replace(heisenberg_spec(1, 6), corrupt=(0, -1, 2, 0, 0, 1))
+    model = load_model(path)
+    assert model.spec == corrupt
+    block = model.gen_block(0, -1, 2)
+    assert block.rows == build_model(corrupt).gen_block(0, -1, 2).rows
+    assert block.rows != build_model(heisenberg_spec(1, 6)).gen_block(
+        0, -1, 2).rows
+
+
+def test_a_stored_corrupt_that_names_no_entry_is_a_malformed_spec(
+        tmp_path):
+    path = tmp_path / "model.json"
+    save_model(build_model(heisenberg_spec(1, 6), corrupt=(0, -1, 2, 0, 0,
+                                                           1)), str(path))
+    data = json.loads(path.read_text())
+    data["spec"]["corrupt"] = "9,-1,2,0,0,1"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelBugError, match="malformed spec .*'corrupt'"):
+        load_model(str(path))
+
+
+def test_an_explicit_default_pad_is_the_default_spec(tmp_path):
+    spec = virasoro_spec("1/2", 6)
+    padded = replace(spec, pad=3)
+    assert padded == spec and hash(padded) == hash(spec)
+    assert spec_fields(padded) == spec_fields(spec)
+    assert spec_digest(padded) == spec_digest(spec)
+    for one in (spec, padded):
+        assert ModelCache(str(tmp_path)).get_or_build(one).n_internal == 9
+    assert [p.name for p in tmp_path.iterdir()] == \
+        [spec_digest(spec) + ".json"]
 
 
 def _with_current_blocks(model):
@@ -411,7 +451,7 @@ def test_save_model_replaces_the_container_atomically(tmp_path,
 def test_a_stored_spec_keeps_the_defaults_of_unread_fields(spec, tmp_path):
     # a container stores the fields the kind reads that are off their
     # defaults, so a kind's unread fields must load as their defaults
-    stored, _ = spec_from_fields(
+    stored = spec_from_fields(
         "spec", json.loads(json.dumps(spec_fields(spec))))
     assert stored == spec
     path = str(tmp_path / "model.json")

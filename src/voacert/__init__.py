@@ -2,10 +2,9 @@
 
 from .errors import (ConfigError, ModelBugError, SpecError, TruncationError,
                      VoacertError)
-from .graded_fock import (Automorphism, BasisState, GradedBasis, Model,
-                          ModelSpec, StateVector, build_model,
-                          enumerate_basis, heisenberg_spec, lattice_spec,
-                          virasoro_spec)
+from .graded_fock import (BasisState, GradedBasis, Model, ModelSpec,
+                          StateVector, build_model, enumerate_basis,
+                          heisenberg_spec, lattice_spec, virasoro_spec)
 from .mode_engine import (Residual, apply_mode, borcherds_residual,
                           commutator_residual, sample_residuals,
                           skewsymmetry_residual, state_product,

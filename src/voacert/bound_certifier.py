@@ -20,8 +20,8 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import TruncationError
 from .graded_fock import Model, StateVector
-from .mode_engine import (_as_vector, _nonzero, _vec_block, apply_mode,
-                          state_product)
+from .mode_engine import (_as_vector, _nonempty, _nonzero, _vec_block,
+                          apply_mode, state_product)
 from .norm_lab import NormTable, damped_norm, graded_norm, norm_table
 from .scalars import Q, ZERO, rational
 from .unitary_structure import family_of, star
@@ -50,7 +50,9 @@ class BoundReport:
 
     def sweep(self, ms, n_max: int, lhs, rhs) -> BoundReport:
         """Add the cell (m, n, lhs(m, n), rhs(m, n)) for each m in ms and
-        each n <= n_max, m outermost; returns the report."""
+        each n <= n_max, m outermost; returns the report.  An empty window
+        is a ValueError: no report passes on zero cells."""
+        _nonempty(ms, n_max)
         for m in ms:
             for n in range(n_max + 1):
                 self.add_cell(m, n, lhs(m, n), rhs(m, n))
@@ -324,12 +326,12 @@ def certify_zero_mode_product(model: Model, b, p: int, a, n_max: int,
 # orbifold machinery
 
 
-def orbifold_average(model: Model, d: int, aut_sample=()):
+def orbifold_average(model: Model, d: int):
     """x = sum_i a^i_{-d} (a^i)* over an orthonormal basis of V_d.
 
     Computed basis-free as sum_{kl} (G_d^{-1})_{kl} e^k_{(-1)} (e^l)*, which
-    makes exact invariance and basis-independence checkable in rational
-    arithmetic.  Returns (x, report).
+    makes exact invariance (under model.automorphisms) and
+    basis-independence checkable in rational arithmetic.  Returns (x, report).
     """
     if 2 * d > model.N:
         raise TruncationError(2 * d, model.N, "orbifold average degree")
@@ -343,9 +345,9 @@ def orbifold_average(model: Model, d: int, aut_sample=()):
         return StateVector(), report
     x = _average(model, [StateVector.basis(e) for e in states],
                  fam.matrix(d))
-    # invariance under each sampled automorphism, exact
-    for idx, aut in enumerate(aut_sample):
-        report.notes[f"invariant_{aut.kind}_{idx}"] = aut.apply_exact(x) == x
+    # invariance under each automorphism of the model, exact
+    for idx, (kind, image) in enumerate(model.automorphisms.items()):
+        report.notes[f"invariant_{kind}_{idx}"] = x.mapped(image) == x
     # basis independence: recompute in a sheared basis
     n = len(states)
     shear = xl.Block([{i: 1, i + 1: 1} for i in range(n - 1)] + [{n - 1: 1}],
@@ -404,6 +406,7 @@ def trace_domination_check(model: Model, a, q, n_max: int,
     qr = rational(q)
     if not (0 < qr < 1):
         raise ValueError("damping must lie strictly between 0 and 1")
+    _nonempty((0, 1), n_max)
     avec = _nonzero(a)
     fam = family_of(model)
     x = _square_completion(model, avec)

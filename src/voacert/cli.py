@@ -29,8 +29,8 @@ from .config import (MODEL_FIELDS, NAME, SuiteConfig, load_config,
                      make_check, spec_from_fields)
 from .errors import (ConfigError, ModelBugError, SpecError,
                      TruncationError, VoacertError)
-from .graded_fock import (SPEC_FIELDS, Automorphism, BasisState, Model,
-                          ModelSpec, StateVector, build_model)
+from .graded_fock import (SPEC_FIELDS, BasisState, Model, ModelSpec,
+                          StateVector, build_model)
 from .mode_engine import sample_residuals
 from .norm_lab import norm_table, write_csv, write_norm_csv
 from .scalars import Q, rational
@@ -195,8 +195,7 @@ def _run_orbifold(model, check, tol, output_dir):
     which holds only for a state of V_d."""
     state = resolve_state(model, check.get("state", "basis:1:0"))
     degree = model.degree_of(state)
-    auts = [Automorphism(model, kind) for kind in model.automorphisms]
-    x, avg_report = orbifold_average(model, degree, auts)
+    x, avg_report = orbifold_average(model, degree)
     chain = certify_orbifold_chain(model, state, x,
                                    float(check.get("s", 1)),
                                    check["n_max"], tol=tol)
@@ -292,18 +291,21 @@ def run_check(model: Model, check: dict, tolerance: float,
 # suite execution
 
 
-def _suite_model(memo: dict, spec: ModelSpec, cache_dir):
-    """A suite's model, built once per memo; read from and saved to
-    cache_dir when one is set."""
+def _suite_model(memo: dict, name: str, spec: ModelSpec, cache_dir):
+    """The suite's model `name`, built once per memo; read from and saved
+    to cache_dir when one is set.  A SpecError of the build names it."""
     model = memo.get(spec)
     if model is None:
-        model = memo[spec] = ModelCache(cache_dir).get_or_build(spec) \
-            if cache_dir else build_model(spec)
+        try:
+            model = memo[spec] = ModelCache(cache_dir).get_or_build(spec) \
+                if cache_dir else build_model(spec)
+        except SpecError as exc:
+            raise SpecError(f"model {name!r}: {exc}") from None
     return model
 
 
-def _task(spec, cache_dir, check, tolerance, output_dir):
-    model = _suite_model(_task_models, spec, cache_dir)
+def _task(name, spec, cache_dir, check, tolerance, output_dir):
+    model = _suite_model(_task_models, name, spec, cache_dir)
     return run_check(model, check, tolerance, output_dir)
 
 
@@ -322,7 +324,7 @@ def run_suite(config: SuiteConfig, output_dir: str = None,
     os.makedirs(output_dir, exist_ok=True)
 
     def entry(check):
-        return config.models[check["model"]], config.cache_dir
+        return check["model"], config.models[check["model"]], config.cache_dir
 
     if jobs == 1:
         models = {}
@@ -443,8 +445,7 @@ def _build_parser():
 def _emit(payload: dict, json_out):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text + "\n")
+        write_atomic(json_out, text + "\n")
     else:
         print(text)
 

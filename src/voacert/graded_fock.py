@@ -10,13 +10,14 @@ margin above N keeps every Verma word.  A Virasoro degree whose Gram is
 nonsingular modulo a prime is nonsingular over Q and keeps every word
 without an elimination; only the others run the exact rref.  Each builder
 hands its model its Gram matrices (the Fock pairing in closed form, the
-Verma Gram on the kept words) and names its automorphisms.  A built Model
-builds each exact generator mode block on first use, memoizes it, and is
-otherwise immutable.  Virasoro blocks come from the action of L_p on
-Verma words, kept on int numerators over the denominator of c/2.  A basis
-label (BasisState) is a NamedTuple: it equals its plain (sector, factors)
-tuple, is iterable and ordered, and keeps its hash, so label-keyed dicts
-hash and compare it in C.
+Verma Gram on the kept words) and its automorphisms as signed label maps,
+which StateVector.mapped applies to a vector.  A built Model builds each
+exact generator mode block on first use, memoizes it, and is otherwise
+immutable.  Virasoro blocks come from the action of L_p on Verma words,
+kept on int numerators over the denominator of c/2.  A basis label
+(BasisState) is a NamedTuple: it equals its plain (sector, factors) tuple,
+is iterable and ordered, and keeps its hash, so label-keyed dicts hash and
+compare it in C.
 
 Lattice vertex blocks are in closed form.  On sector p, Y(e^{c gamma}, z)
 = E^-(z) E^+(z) z^{c p q} (Frenkel, Lepowsky and Meurman 1988), and both
@@ -153,9 +154,6 @@ class BasisState(NamedTuple):
     sector: int
     factors: tuple
 
-    def word_length(self) -> int:
-        return len(self.factors)
-
     def __repr__(self):
         parts = "".join(f"g{g}[{m}]" for g, m in self.factors)
         top = "Om" if self.sector == 0 else f"e({self.sector})"
@@ -283,6 +281,15 @@ class StateVector:
         """s times the vector, as a new vector."""
         return StateVector().add(self, s)
 
+    def mapped(self, image):
+        """The vector's image under a signed label map, image(label) ->
+        (label, sign)."""
+        out = StateVector()
+        for st, co in self.terms.items():
+            tstate, sign = image(st)
+            _acc(out.terms, tstate, -co if sign < 0 else co)
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -388,8 +395,11 @@ class Model:
     Construction is a single-writer phase; afterwards the object is
     treated as immutable (caches fill idempotently).  Generator blocks are
     built on first use by block(model, gid, m, src), an xl.Block, and
-    memoized.  gram(degree), which every builder passes, is the Gram
-    matrix at a degree <= N that GramFamily.matrix memoizes.  The tail
+    memoized.  Every builder passes gram(degree), the Gram matrix at a
+    degree <= N that GramFamily.matrix memoizes, and automorphisms,
+    {kind: image} with image(label) -> (label, sign) a unitary
+    automorphism of order two (charge conjugation, and on a lattice the
+    torus half turn; none on Virasoro).  The tail
     BasisState(sector, factors[1:]) of every label of degree <= N, the
     only labels that are peeled or paired, is a label: Fock bases are
     complete, and _build_virasoro checks its quotient.  A Virasoro model's
@@ -399,7 +409,7 @@ class Model:
 
     def __init__(self, spec: ModelSpec, n_internal: int, basis: GradedBasis,
                  generators, nu: StateVector, c, block, gram,
-                 automorphisms=()):
+                 automorphisms):
         self.spec = spec
         self.N = spec.N
         self.n_internal = n_internal
@@ -410,7 +420,7 @@ class Model:
         self.c = c
         self._block = block
         self._gram = gram
-        self.automorphisms = automorphisms  # the Automorphism kinds it has
+        self.automorphisms = automorphisms  # kind -> signed label map
         self._gen_blocks = {}  # (gid, m) -> {src_degree: matrix}
         self._state_mode_cache = {}
         self._sigma_cache = {}  # (inner, outer, m, s) -> norm_lab._sigma
@@ -511,6 +521,16 @@ def _current_action(metric: xl.Block, gid, m, st: BasisState):
             yield BasisState(st.sector, tuple(rest)), coeff
 
 
+def _charge_conjugation(st: BasisState):
+    """Sector p to -p, sign (-1)^(word length)."""
+    return BasisState(-st.sector, st.factors), -1 if len(st.factors) % 2 else 1
+
+
+def _torus_phase(st: BasisState):
+    """The half turn of the torus: sector p picks up (-1)^p."""
+    return st, -1 if st.sector % 2 else 1
+
+
 def _build_free_field(spec: ModelSpec) -> Model:
     """The Heisenberg Fock space of spec's metric G, with conformal vector
     nu = 1/2 sum (G^-1)_ij alpha^i_{-1} alpha^j_{-1} Omega.  A lattice is
@@ -526,11 +546,11 @@ def _build_free_field(spec: ModelSpec) -> Model:
             nu.add_term(st, Q(x, 2 * minv.den))
     gens = {i: GeneratorInfo(1, i, BasisState(0, ((i, -1),)))
             for i in range(spec.rank)}
-    automorphisms = ("charge_conjugation",)
+    automorphisms = {"charge_conjugation": _charge_conjugation}
     if spec.kind == "lattice":
         gens[1] = GeneratorInfo(spec.q // 2, 2, BasisState(1, ()))
         gens[2] = GeneratorInfo(spec.q // 2, 1, BasisState(-1, ()))
-        automorphisms += ("torus_phase",)
+        automorphisms["torus_phase"] = _torus_phase
 
     def block(model, gid, m, src):
         if gid >= spec.rank:  # e^{gamma} (generator 1) or e^{-gamma}
@@ -736,7 +756,7 @@ def _build_virasoro(spec: ModelSpec) -> Model:
     nu_state = BasisState(0, ((0, -2),))
     return Model(spec, n_internal, basis, {0: GeneratorInfo(2, 0, nu_state)},
                  StateVector.basis(nu_state), c,
-                 _word_block(engine, basis, columns), gram)
+                 _word_block(engine, basis, columns), gram, {})
 
 
 # ---------------------------------------------------------------------------
@@ -869,38 +889,3 @@ def build_model(spec: ModelSpec, corrupt=None, pad: int = None) -> Model:
         model._gen_blocks[(gid, m)][src] = xl.mat_add(
             block, xl.sparse_block(shift, block.cols)).reduced()
     return model
-
-
-# ---------------------------------------------------------------------------
-# automorphisms
-
-
-class Automorphism:
-    """Degree-preserving unitary automorphism of order two, exact.
-
-    kind is "charge_conjugation" (sector m -> -m, sign (-1)^word length) or
-    "torus_phase", the half turn of the torus (sector m picks up (-1)^m),
-    and one of model.automorphisms (a Virasoro model has neither).
-    """
-
-    def __init__(self, model: Model, kind: str):
-        if kind not in model.automorphisms:
-            raise ValueError(f"unknown automorphism kind {kind!r} for "
-                             f"{model.spec.describe()}")
-        self.model = model
-        self.kind = kind
-
-    def image(self, state: BasisState):
-        """(target state, sign)."""
-        if self.kind == "charge_conjugation":
-            sign = -1 if state.word_length() % 2 else 1
-            return BasisState(-state.sector, state.factors), sign
-        return state, -1 if state.sector % 2 else 1
-
-    def apply_exact(self, vec: StateVector) -> StateVector:
-        """The exact image of a vector."""
-        out = StateVector()
-        for st, co in vec.terms.items():
-            tstate, sign = self.image(st)
-            out.add_term(tstate, sign * co)
-        return out

@@ -137,6 +137,12 @@ def _nonzero(a) -> StateVector:
     return avec
 
 
+def _nonempty(ms, n_max: int):
+    """ValueError for a window of no cell (no m, or n_max < 0)."""
+    if not ms or n_max < 0:
+        raise ValueError(f"empty window: m in {ms!r}, n <= {n_max}")
+
+
 def apply_mode(model: Model, a, k: int, b) -> StateVector:
     """a_k b for the plain mode k, as an exact vector.
 
@@ -346,6 +352,8 @@ def sample_residuals(model: Model, identity: str, count: int,
 
     if identity not in _SAMPLED:
         raise ValueError(f"unknown identity {identity!r}")
+    if count < 1:
+        raise ValueError(f"sample count {count} is below 1")
     residual, n_states, n_indices = _SAMPLED[identity]
     rng = random.Random(seed)
     cap = degree_cap if degree_cap is not None else max(2, model.N // 2)

@@ -23,6 +23,7 @@ two checks per degree; it has no block size limit.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +32,9 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import ModelBugError, TruncationError
 from .graded_fock import Model, StateVector
-from .mode_engine import _as_vector, _nonzero, _vec_block
+from .mode_engine import _as_vector, _nonempty, _nonzero, _vec_block
 from .scalars import ONE, Q, ZERO
+from .serialize import write_atomic
 from .unitary_structure import family_of, star
 
 
@@ -234,11 +236,13 @@ class NormTable:
 
 
 def write_csv(path, fields, cells):
-    """A header of fields, then each cell's fields, through csv.writer."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows([cell[f] for f in fields] for cell in cells)
+    """A header of fields, then each cell's fields, rendered by csv.writer
+    (CRLF rows) and written by serialize.write_atomic."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(fields)
+    writer.writerows([cell[f] for f in fields] for cell in cells)
+    write_atomic(path, text.getvalue())
 
 
 def write_norm_csv(table: dict, path):
@@ -250,8 +254,9 @@ def norm_table(model: Model, a, m_range, n_max: int,
                owner: str = "") -> NormTable:
     """graded_norm on every cell (m, n <= n_max); a cell past the
     truncation is recorded as a failure.  Raises ValueError for a zero
-    state, whose table would hold only zeros."""
+    state, whose table would hold only zeros, or an empty window."""
     _nonzero(a)
+    _nonempty(m_range, n_max)
     table = NormTable(owner=owner or repr(a),
                       model_desc=model.spec.describe(),
                       truncation=model.N, tolerance=1e-9)

@@ -76,11 +76,11 @@ def save_model(model: Model, path: str):
 
 
 def write_atomic(path: str, text: str):
-    """Write text to path through a temp file and one rename, so path
-    never holds a partly written file and a failed write leaves none."""
+    """Write text verbatim to path through a temp file and one rename, so
+    path never holds a partly written file and a failed write leaves none."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:

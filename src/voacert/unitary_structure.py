@@ -132,18 +132,17 @@ def star(model: Model, a) -> StateVector:
     L_1 lowers the degree, so the exponential is a finite sum.  No Gram
     is read.
     """
-    out = StateVector()
-    for st, co in _as_vector(a).terms.items():
+    gens = model.generators
+
+    def theta(st):  # (-1)^{L_0} theta on a label, a signed label map
         d = model.basis.degree_of(st)
         if d > model.N:
             raise TruncationError(d, model.N, "star degree")
-        factors = []
-        for g, m in st.factors:
-            info = model.generators[g]
-            factors.append((info.star, m))
-            if (info.degree - m) % 2:
-                co = -co
-        out.add_term(BasisState(-st.sector, canonical_factors(factors)), co)
+        odd = sum(gens[g].degree - m for g, m in st.factors) % 2
+        return BasisState(-st.sector, canonical_factors(
+            (gens[g].star, m) for g, m in st.factors)), -1 if odd else 1
+
+    out = _as_vector(a).mapped(theta)
     term, k = out, 1
     while not term.is_zero():  # out += L_1^k out_0 / k!
         term = apply_mode(model, model.nu, 1, term).scale(Q(1, k))

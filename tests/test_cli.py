@@ -162,6 +162,19 @@ def test_a_corrupt_naming_no_entry_fails_suite_with_config_code(tmp_path,
     assert "field 'corrupt'" in capsys.readouterr().err
 
 
+# the build's SpecError named the spec but not the model, unlike every
+# other bad model field
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_corrupt_naming_no_entry_names_its_model(tmp_path, capsys, jobs):
+    path = tmp_path / "suite.cfg"
+    path.write_text(SUITE + "model.h.corrupt = 9,-1,2,0,0,1\n")
+    assert main(["suite", "--config", str(path), "--jobs", jobs,
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: model 'h': field 'corrupt': (9, -1, 2, 0, 0, "
+        "1) names no generator block entry of heisenberg(rank=1, N=6)\n")
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_corrupted_model_is_cached_like_any_other(tmp_path, jobs):
     """A corrupted spec's container records corrupt, so the cold run and a
@@ -191,6 +204,19 @@ def test_one_model_with_and_without_its_default_pad_is_built_once(
         "check.ub.type = unitarity\ncheck.ub.model = b\n")
     assert run_suite(config, str(tmp_path / "rep"), jobs=1)["pass"]
     assert built == [config.models["a"]] == [config.models["b"]]
+
+
+# argparse reads "-22/5" as a flag, so a negative rational needs --c=
+def test_a_negative_central_charge_needs_the_equals_form(capsys):
+    argv = ["certify", "--kind", "virasoro", "--N", "6", "--check", "axioms",
+            "--samples", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--c", "-22/5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --c: expected one argument" in capsys.readouterr().err
+    assert main(argv + ["--c=-22/5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["model"] == \
+        "virasoro(c=-22/5, N=6)"
 
 
 def test_the_command_line_reads_every_model_field(tmp_path, capsys):

@@ -207,6 +207,27 @@ def test_norm_table_round_trip(tmp_path, heis8):
     assert len(lines) == 1 + len(list(table.cells()))
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be printed")
+
+
+def test_a_csv_write_that_fails_mid_table_keeps_the_previous_file(tmp_path):
+    # write_csv opened and truncated its target first, so a raise between
+    # rows left a partial table where the previous one was
+    path = tmp_path / "nm.csv"
+    cells = [{"m": 0, "n": 1, "norm": "2.5"}]
+    norm_lab.write_csv(path, ("m", "n", "norm"), cells)
+    before = path.read_bytes()
+    assert before == b"m,n,norm\r\n0,1,2.5\r\n"
+    with pytest.raises(RuntimeError, match="cannot be printed"):
+        norm_lab.write_csv(path, ("m", "n", "norm"), [
+            {"m": 1, "n": 1, "norm": "0.5"},
+            {"m": 2, "n": 1, "norm": _Unprintable()}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["nm.csv"]
+
+
 # -- the memoized per-degree primitive ---------------------------------------
 
 
